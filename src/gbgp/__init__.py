@@ -12,14 +12,7 @@ from .graph import (
     save_graph,
 )
 from .objectives import ObjectiveSpec, ems_block_gradient, ems_block_value
-from .projections import (
-    PcstInstance,
-    ProjectionOutcome,
-    budget_search,
-    head_project,
-    pcst,
-    tail_project,
-)
+from .projections import ProjectionOutcome, budget_search, head_project, tail_project
 from .solver import (
     DetectionResult,
     SolverConfig,

@@ -2,19 +2,16 @@
 
 Every command honors --seed and produces byte-identical non-timing
 output files on rerun. Exit codes: 0 success, 2 validation error,
-3 solver stopped on its iteration cap, 4 I/O error.
+3 solver stopped on its iteration cap, 4 I/O error, 5 solver failed
+(non-finite objective, step-size underflow, broken worker pool).
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from .datagen import (
-    NonInstance,
     SyntheticSpec,
     TemporalInstance,
     expand_temporal,
@@ -25,14 +22,15 @@ from .datagen import (
     read_truth,
     write_bundle,
 )
-from .evaluation import (
-    RESULT_HEADER,
-    precision_recall_f1,
-    run_experiment,
-    scaling_bench,
-    solve_instance,
+from .evaluation import precision_recall_f1, scaling_bench, solve_instance
+from .graph import (
+    BlockSignal,
+    load_graph,
+    load_partition,
+    load_signal,
+    partition_contiguous,
+    save_signal,
 )
-from .graph import load_graph, load_partition, load_signal, save_signal, BlockSignal
 from .objectives import ObjectiveSpec
 from .solver import SolverConfig, gbgp_solve
 
@@ -40,6 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+EXIT_SOLVER = 5
 
 DEFAULT_LAMBDA_GRID = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1)
 
@@ -188,8 +187,6 @@ def _load_detect_inputs(args):
             raise ValueError("--partition needs --blocks")
         partition = load_partition(args.partition, graph, args.blocks)
     else:
-        from .graph import partition_contiguous
-
         partition = partition_contiguous(graph, args.blocks or 4)
     return kind, graph, partition, signals[0], graph, 1
 
@@ -285,8 +282,8 @@ def cmd_gridsearch(args) -> int:
     for budget in budgets:
         for lam in lambdas:
             config = SolverConfig(budgets=budget, seed=args.seed, parallel=args.parallel)
-            pairs, _, wall = solve_instance(instance, lam, config)
-            row = precision_recall_f1(pairs, instance.truth_pairs(), wall)
+            pairs, _, _ = solve_instance(instance, lam, config)
+            row = precision_recall_f1(pairs, instance.truth_pairs())
             cells.append((row.f_measure, budget, lam, row))
     # best F first; ties prefer smaller budget then smaller lambda
     cells.sort(key=lambda cell: (-cell[0], cell[1], cell[2]))
@@ -332,6 +329,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RuntimeError as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ split per component so regenerating any part is reproducible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +18,10 @@ from .graph import (
     BlockPartition,
     BlockSignal,
     Graph,
+    connected_components,
+    load_graph,
+    load_partition,
+    load_signal,
     partition_contiguous,
     save_graph,
     save_partition,
@@ -115,19 +119,6 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     return Graph(n, edges)
 
 
-def _component_of(graph: Graph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors(u):
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def _walk_until(graph: Graph, visited: set[int], order: list[int], size: int,
                 rng: np.random.Generator) -> None:
     current = order[-1]
@@ -151,7 +142,8 @@ def random_walk_subgraph(graph: Graph, size: int, seed: int = 0,
     if rng is None:
         rng = component_rng(seed, _STREAM_TRUTH)
     start = int(rng.integers(0, graph.node_count))
-    component = _component_of(graph, start)
+    component = next(c for c in connected_components(graph, range(graph.node_count))
+                     if start in c)
     if len(component) < size:
         raise ValueError(
             f"component of start node {start} has {len(component)} nodes < size {size}"
@@ -338,16 +330,14 @@ def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
         save_graph(instance.base_graph, os.path.join(out_dir, "graph.txt"))
         for t, signal in enumerate(instance.signals):
             save_signal(signal, os.path.join(out_dir, f"signal_t{t}.txt"))
-        truth_rows = sorted(instance.truth_pairs())
     else:
         meta["kind"] = "non"
         meta["num_blocks"] = instance.partition.num_blocks
         save_graph(instance.graph, os.path.join(out_dir, "graph.txt"))
         save_partition(instance.partition, os.path.join(out_dir, "partition.txt"))
         save_signal(instance.signal, os.path.join(out_dir, "signal_t0.txt"))
-        truth_rows = sorted(instance.truth_pairs())
     with open(os.path.join(out_dir, "truth.txt"), "w", encoding="utf-8") as fh:
-        for t, node in truth_rows:
+        for t, node in sorted(instance.truth_pairs()):
             fh.write(f"{t}\t{node}\n")
     with open(os.path.join(out_dir, "metadata.txt"), "w", encoding="utf-8") as fh:
         for key in sorted(meta):
@@ -357,8 +347,6 @@ def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
 
 def read_bundle(bundle_dir: str) -> TemporalInstance | NonInstance:
     """Load an instance bundle written by :func:`write_bundle`."""
-    from .graph import load_graph, load_partition, load_signal
-
     meta = read_metadata(os.path.join(bundle_dir, "metadata.txt"))
     spec = SyntheticSpec(
         n=int(meta["n"]),

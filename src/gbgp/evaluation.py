@@ -1,4 +1,4 @@
-"""Detection metrics, repeated experiments, robustness and scaling runs.
+"""Detection metrics, robustness and scaling runs.
 
 Temporal detections are scored by pooling (timestamp, node) pairs into
 one confusion count. Wall time is measured around the solver call only,
@@ -7,19 +7,12 @@ never around instance generation or file I/O.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .datagen import (
-    NonInstance,
-    SyntheticSpec,
-    TemporalInstance,
-    flip_noise,
-    generate_non,
-    generate_temporal,
-)
+from .datagen import NonInstance, SyntheticSpec, TemporalInstance, flip_noise, generate_non
 from .graph import BlockSignal
 from .objectives import ObjectiveSpec
 from .solver import DetectionResult, SolverConfig, gbgp_solve
@@ -28,13 +21,9 @@ __all__ = [
     "MetricRow",
     "precision_recall_f1",
     "solve_instance",
-    "run_experiment",
     "robustness_sweep",
     "scaling_bench",
-    "ExperimentResult",
 ]
-
-RESULT_HEADER = "dataset\tmu\tP_noise\tprecision\trecall\tf1\twall_s\tseed"
 
 
 @dataclass(frozen=True)
@@ -44,18 +33,9 @@ class MetricRow:
     precision: float
     recall: float
     f_measure: float
-    wall_seconds: float = 0.0
-    config: str = ""
-
-    def as_tsv(self, dataset: str, mu: float, p_noise: float, seed: int) -> str:
-        return (
-            f"{dataset}\t{mu}\t{p_noise}\t{self.precision:.6f}\t{self.recall:.6f}"
-            f"\t{self.f_measure:.6f}\t{self.wall_seconds:.4f}\t{seed}"
-        )
 
 
-def precision_recall_f1(detected: Iterable, truth: Iterable,
-                        wall_seconds: float = 0.0, config: str = "") -> MetricRow:
+def precision_recall_f1(detected: Iterable, truth: Iterable) -> MetricRow:
     """Precision, recall and their harmonic mean over two node sets.
 
     Elements may be plain nodes or (timestamp, node) pairs; the two
@@ -71,7 +51,7 @@ def precision_recall_f1(detected: Iterable, truth: Iterable,
         recall = 1.0 if not detected else 0.0
     denom = precision + recall
     f_measure = 2.0 * precision * recall / denom if denom > 0 else 0.0
-    return MetricRow(precision, recall, f_measure, wall_seconds, config)
+    return MetricRow(precision, recall, f_measure)
 
 
 def _detected_pairs(instance: TemporalInstance | NonInstance,
@@ -110,79 +90,6 @@ def solve_instance(
     return _detected_pairs(instance, result), result, wall
 
 
-@dataclass
-class ExperimentResult:
-    rows: list[MetricRow]
-    seeds: list[int]
-    mean: MetricRow = field(init=False)
-    std: MetricRow = field(init=False)
-
-    def __post_init__(self):
-        arr = np.array(
-            [[r.precision, r.recall, r.f_measure, r.wall_seconds] for r in self.rows]
-        )
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0, ddof=1) if len(self.rows) > 1 else np.zeros(4)
-        self.mean = MetricRow(*mean)
-        self.std = MetricRow(*std)
-
-    def tsv_lines(self, dataset: str, mu: float, p_noise: float = 0.0) -> list[str]:
-        return [
-            row.as_tsv(dataset, mu, p_noise, seed)
-            for row, seed in zip(self.rows, self.seeds)
-        ]
-
-
-def run_experiment(
-    spec: SyntheticSpec,
-    kind: str,
-    lam: float,
-    config: SolverConfig,
-    repetitions: int = 10,
-    seeds: Optional[Sequence[int]] = None,
-    num_blocks: Optional[int] = None,
-    out_path: Optional[str] = None,
-) -> ExperimentResult:
-    """Repeat generate+detect over seeds and aggregate the metrics.
-
-    With ``out_path`` set, writes the per-run TSV table there and a
-    key=value summary next to it (same stem, ``.summary`` suffix).
-    """
-    if seeds is None:
-        seeds = [spec.seed + i for i in range(repetitions)]
-    rows = []
-    for seed in seeds:
-        seeded = replace(spec, seed=int(seed))
-        if kind == "temporal":
-            instance = generate_temporal(seeded)
-        else:
-            instance = generate_non(seeded, num_blocks or 4)
-        run_config = replace(config, seed=int(seed))
-        try:
-            pairs, _, wall = solve_instance(instance, lam, run_config)
-        except Exception as exc:
-            raise RuntimeError(f"solver failed on seed {seed}: {exc}") from exc
-        rows.append(
-            precision_recall_f1(pairs, instance.truth_pairs(), wall, f"seed={seed}")
-        )
-    result = ExperimentResult(rows, [int(s) for s in seeds])
-    if out_path is not None:
-        dataset = kind
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(RESULT_HEADER + "\n")
-            for line in result.tsv_lines(dataset, spec.mu):
-                fh.write(line + "\n")
-        with open(out_path + ".summary", "w", encoding="utf-8") as fh:
-            fh.write(f"dataset={dataset}\nmu={spec.mu}\nruns={len(rows)}\n")
-            fh.write(f"precision_mean={result.mean.precision:.6f}\n")
-            fh.write(f"recall_mean={result.mean.recall:.6f}\n")
-            fh.write(f"f1_mean={result.mean.f_measure:.6f}\n")
-            fh.write(f"precision_std={result.std.precision:.6f}\n")
-            fh.write(f"recall_std={result.std.recall:.6f}\n")
-            fh.write(f"f1_std={result.std.f_measure:.6f}\n")
-    return result
-
-
 def robustness_sweep(
     instance: TemporalInstance | NonInstance,
     percents: Sequence[float],
@@ -205,15 +112,8 @@ def robustness_sweep(
             flip_noise(sig, percent, seed=noise_seed * 1000 + p_idx * 10 + t)
             for t, sig in enumerate(clean)
         ]
-        pairs, _, wall = solve_instance(instance, lam, config, signal_override=noisy)
-        rows.append(
-            (
-                float(percent),
-                precision_recall_f1(
-                    pairs, instance.truth_pairs(), wall, f"P={percent}"
-                ),
-            )
-        )
+        pairs, _, _ = solve_instance(instance, lam, config, signal_override=noisy)
+        rows.append((float(percent), precision_recall_f1(pairs, instance.truth_pairs())))
     return rows
 
 

@@ -6,7 +6,6 @@ remap sparse external ids and persist the mapping in a side file.
 """
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -85,33 +84,16 @@ class Graph:
         self._build_adjacency()
 
     def _build_adjacency(self):
-        n, m = self.node_count, len(self.edge_u)
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, self.edge_u, 1)
-        np.add.at(deg, self.edge_v, 1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        nbr = np.zeros(2 * m, dtype=np.int64)
-        nbr_w = np.zeros(2 * m, dtype=np.float64)
-        nbr_eid = np.zeros(2 * m, dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for eid in range(m):
-            u, v, w = self.edge_u[eid], self.edge_v[eid], self.edge_w[eid]
-            nbr[fill[u]], nbr_w[fill[u]], nbr_eid[fill[u]] = v, w, eid
-            fill[u] += 1
-            nbr[fill[v]], nbr_w[fill[v]], nbr_eid[fill[v]] = u, w, eid
-            fill[v] += 1
-        # sort each neighborhood by node id for deterministic traversal
-        for u in range(n):
-            lo, hi = indptr[u], indptr[u + 1]
-            sub = np.argsort(nbr[lo:hi], kind="stable")
-            nbr[lo:hi] = nbr[lo:hi][sub]
-            nbr_w[lo:hi] = nbr_w[lo:hi][sub]
-            nbr_eid[lo:hi] = nbr_eid[lo:hi][sub]
-        self.adj_indptr = indptr
-        self.adj_nodes = nbr
-        self.adj_weights = nbr_w
-        self.adj_eids = nbr_eid
+        # one entry per half-edge, sorted by (node, neighbor); with edges
+        # sorted by (u, v), ascending neighbors are also ascending edge ids
+        m = len(self.edge_u)
+        src = np.concatenate([self.edge_u, self.edge_v])
+        dst = np.concatenate([self.edge_v, self.edge_u])
+        order = np.lexsort((dst, src))
+        self.adj_indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.node_count), out=self.adj_indptr[1:])
+        self.adj_nodes = dst[order]
+        self.adj_eids = np.tile(np.arange(m, dtype=np.int64), 2)[order]
 
     @property
     def edge_count(self) -> int:
@@ -169,10 +151,6 @@ class BlockPartition:
         self.block_nodes = [
             np.flatnonzero(assignment == k) for k in range(num_blocks)
         ]
-        # global node id -> index within its block
-        self.local_index = np.zeros(graph.node_count, dtype=np.int64)
-        for nodes in self.block_nodes:
-            self.local_index[nodes] = np.arange(len(nodes))
         bu = assignment[graph.edge_u] if graph.edge_count else np.array([], dtype=np.int64)
         bv = assignment[graph.edge_v] if graph.edge_count else np.array([], dtype=np.int64)
         intra_mask = bu == bv
@@ -186,9 +164,6 @@ class BlockPartition:
         ):
             self.intra_edges[int(assignment[u])].append((int(u), int(v), float(w)))
         self._block_graphs: list[Graph | None] = [None] * num_blocks
-
-    def block_size(self, k: int) -> int:
-        return len(self.block_nodes[k])
 
     def block_graph(self, k: int) -> Graph:
         """Subgraph induced by block k, re-indexed to local ids [0, N_k)."""
@@ -222,11 +197,6 @@ class BlockSignal:
 
     def __len__(self):
         return len(self.values)
-
-    def block_view(self, partition: BlockPartition, k: int) -> np.ndarray:
-        if len(self.values) != partition.graph.node_count:
-            raise SignalError("signal length does not match graph node count")
-        return self.values[partition.block_nodes[k]]
 
 
 class SupportSet:
@@ -268,7 +238,12 @@ def load_graph(path: str) -> Graph:
             if stripped.startswith("#"):
                 parts = stripped[1:].split()
                 if len(parts) == 2 and parts[0] == "nodes":
-                    declared_n = int(parts[1])
+                    try:
+                        declared_n = int(parts[1])
+                    except ValueError:
+                        raise EdgeListError(
+                            f"{path}:{lineno}: node count {parts[1]!r} is not an integer"
+                        ) from None
                 continue
             parts = stripped.split()
             if len(parts) not in (2, 3):

@@ -1,8 +1,7 @@
 """Block-structured objectives with analytic block gradients.
 
 Each block contributes a relaxed negative elevated-mean-scan term
-    -(c^T x)^2 / (x^T 1) + 0.5 ||x||^2        (squared form, default)
-or  -c^T x / sqrt(x^T 1) + 0.5 ||x||^2        (sqrt form)
+    -(c^T x)^2 / (x^T 1) + 0.5 ||x||^2
 on the box [0, 1]^N, and blocks are coupled either by a temporal
 consistency penalty lam * sum_k ||x^k - x^{k-1}||^2 (blocks are
 timestamps) or by a cut penalty lam * sum_{(i,j) cut} (x_i - x_j)^2
@@ -33,31 +32,26 @@ _KIND_ALIASES = {
 }
 
 
-def ems_block_value(c_k, x_k, eps_den: float = EPS_DENOMINATOR, form: str = "squared") -> float:
+def ems_block_value(c_k, x_k) -> float:
     """Relaxed negative elevated-mean-scan value of one block."""
     c_k = np.asarray(c_k, dtype=np.float64)
     x_k = np.asarray(x_k, dtype=np.float64)
-    denom = max(float(x_k.sum()), eps_den)
+    denom = max(float(x_k.sum()), EPS_DENOMINATOR)
     cx = float(c_k @ x_k)
     quad = 0.5 * float(x_k @ x_k)
-    if form == "squared":
-        return -(cx * cx) / denom + quad
-    if form == "sqrt":
-        return -cx / np.sqrt(denom) + quad
-    raise ValueError(f"unknown form {form!r}")
+    return -(cx * cx) / denom + quad
 
 
-def ems_block_gradient(c_k, x_k, eps_den: float = EPS_DENOMINATOR, form: str = "squared") -> np.ndarray:
+def ems_block_gradient(c_k, x_k) -> np.ndarray:
     """Analytic gradient of :func:`ems_block_value` with the same guard."""
     c_k = np.asarray(c_k, dtype=np.float64)
     x_k = np.asarray(x_k, dtype=np.float64)
-    denom = max(float(x_k.sum()), eps_den)
+    total = float(x_k.sum())
+    denom = max(total, EPS_DENOMINATOR)
     cx = float(c_k @ x_k)
-    if form == "squared":
-        return -(2.0 * cx * c_k * denom - cx * cx) / (denom * denom) + x_k
-    if form == "sqrt":
-        return -c_k / np.sqrt(denom) + 0.5 * cx / denom**1.5 + x_k
-    raise ValueError(f"unknown form {form!r}")
+    # below the guard the denominator is constant: no d(sum)/dx term
+    d_denom = cx * cx if total >= EPS_DENOMINATOR else 0.0
+    return -(2.0 * cx * c_k * denom - d_denom) / (denom * denom) + x_k
 
 
 class ObjectiveSpec:
@@ -74,25 +68,17 @@ class ObjectiveSpec:
         partition: BlockPartition,
         signal: BlockSignal,
         lam: float = 0.0,
-        eps_denominator: float = EPS_DENOMINATOR,
-        ems_form: str = "squared",
     ):
         if kind not in _KIND_ALIASES:
             raise ValueError(f"unknown objective kind {kind!r}")
         self.kind = _KIND_ALIASES[kind]
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if eps_denominator <= 0:
-            raise ValueError("epsilon denominator must be positive")
-        if ems_form not in ("squared", "sqrt"):
-            raise ValueError(f"unknown EMS form {ems_form!r}")
         if len(signal.values) != partition.graph.node_count:
             raise ValueError("signal length does not match graph")
         self.partition = partition
         self.signal = signal
         self.lam = float(lam)
-        self.eps_den = float(eps_denominator)
-        self.ems_form = ems_form
         self.num_blocks = partition.num_blocks
         self._block_nodes = partition.block_nodes
         self._block_signals = [
@@ -140,9 +126,7 @@ class ObjectiveSpec:
     def value(self, x: np.ndarray) -> float:
         total = 0.0
         for k in range(self.num_blocks):
-            total += ems_block_value(
-                self._block_signals[k], self.block_slice(x, k), self.eps_den, self.ems_form
-            )
+            total += ems_block_value(self._block_signals[k], self.block_slice(x, k))
         total += self.coupling_value(x)
         return total
 
@@ -160,9 +144,7 @@ class ObjectiveSpec:
 
     def block_gradient(self, x: np.ndarray, k: int) -> np.ndarray:
         x_k = self.block_slice(x, k)
-        grad = ems_block_gradient(
-            self._block_signals[k], x_k, self.eps_den, self.ems_form
-        )
+        grad = ems_block_gradient(self._block_signals[k], x_k)
         if self.lam == 0.0 or self.kind == "ems":
             return grad
         if self.kind == "temporal":
@@ -181,9 +163,7 @@ class ObjectiveSpec:
         Differences of this quantity across changes confined to block k
         equal differences of the full objective.
         """
-        total = ems_block_value(
-            self._block_signals[k], self.block_slice(x, k), self.eps_den, self.ems_form
-        )
+        total = ems_block_value(self._block_signals[k], self.block_slice(x, k))
         if self.lam == 0.0 or self.kind == "ems":
             return total
         if self.kind == "temporal":

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-__all__ = ["grow_forest", "strong_prune", "PcstResult", "PcstEngine"]
+__all__ = ["strong_prune", "PcstResult", "PcstEngine"]
 
 _EPS = 1e-12
 
 
 class PcstResult:
-    """Forest returned by :func:`grow_forest`: one entry per tree."""
+    """Forest returned by :meth:`PcstEngine.solve`: one entry per tree."""
 
     def __init__(self, components: list[tuple[list[int], list[tuple[int, int]]]]):
         self.components = components
@@ -62,283 +62,234 @@ class PcstEngine:
         costs: Sequence[float],
         prizes: Sequence[float],
         num_trees: int = 1,
-        root: Optional[int] = None,
     ) -> PcstResult:
-        return _grow(self, costs, prizes, num_trees, root)
+        """Run moat growing and strong pruning.
 
+        Growth proceeds until every cluster has deactivated. Each final
+        cluster is pruned to its best subtree and the ``num_trees``
+        highest-net-worth subtrees (net worth > 0) are returned.
+        """
+        n = self.n
+        m = self.m
+        if len(costs) != m:
+            raise ValueError("costs length must match edges")
+        if len(prizes) != n:
+            raise ValueError("prizes length must match node count")
+        for c in costs:
+            if c <= 0 or not math.isfinite(c):
+                raise ValueError("edge costs must be positive and finite")
+        for p in prizes:
+            if p < 0 or not math.isfinite(p):
+                raise ValueError("prizes must be nonnegative and finite")
+        if num_trees < 1:
+            raise ValueError("num_trees must be >= 1")
 
-def grow_forest(
-    node_count: int,
-    edges: Sequence[tuple[int, int]],
-    costs: Sequence[float],
-    prizes: Sequence[float],
-    num_trees: int = 1,
-    root: Optional[int] = None,
-) -> PcstResult:
-    """Run moat growing and strong pruning.
+        eu = self.eu
+        ev = self.ev
+        cost = [float(c) for c in costs]
+        prize = [float(p) for p in prizes]
 
-    Growth proceeds until every cluster has deactivated. Unrooted: each
-    final cluster is pruned to its best subtree and the ``num_trees``
-    highest-net-worth subtrees (net worth > 0) are returned. Rooted: the
-    root cluster never grows and its pruned tree, forced to contain the
-    root, is the single component returned.
-    """
-    return PcstEngine(node_count, edges).solve(costs, prizes, num_trees, root)
+        # union-find with per-node moat offsets: moat(u, t) equals the path
+        # weight from u to its root plus the root's accumulated growth
+        parent = list(range(n))
+        offset = [0.0] * n
 
+        def find(u: int) -> int:
+            r = u
+            while parent[r] != r:
+                r = parent[r]
+            # path compression, folding offsets into direct-to-root weights
+            agg = 0.0
+            stack = []
+            x = u
+            while parent[x] != x:
+                stack.append(x)
+                x = parent[x]
+            for x in reversed(stack):
+                agg += offset[x]
+                parent[x] = r
+                offset[x] = agg
+            return r
 
-def _grow(
-    engine: PcstEngine,
-    costs: Sequence[float],
-    prizes: Sequence[float],
-    num_trees: int,
-    root: Optional[int],
-) -> PcstResult:
-    n = engine.n
-    m = engine.m
-    if len(costs) != m:
-        raise ValueError("costs length must match edges")
-    if len(prizes) != n:
-        raise ValueError("prizes length must match node count")
-    for c in costs:
-        if c <= 0 or not math.isfinite(c):
-            raise ValueError("edge costs must be positive and finite")
-    for p in prizes:
-        if p < 0 or not math.isfinite(p):
-            raise ValueError("prizes must be nonnegative and finite")
-    if root is not None and not (0 <= root < n):
-        raise ValueError("root out of range")
-    if num_trees < 1:
-        raise ValueError("num_trees must be >= 1")
+        def moat(u: int, r: int) -> float:
+            # requires find(u) == r and r settled
+            return (offset[u] if u != r else 0.0) + accum[r]
 
-    eu = engine.eu
-    ev = engine.ev
-    cost = [float(c) for c in costs]
-    prize = [float(p) for p in prizes]
+        # per-root cluster state
+        active = [False] * n
+        slack = [0.0] * n
+        accum = [0.0] * n
+        last_t = [0.0] * n
+        version = [0] * n
+        minid = list(range(n))
+        # members/tree_edges materialize lazily: a missing entry means the
+        # singleton {u} with no tree edges
+        members: dict[int, list[int]] = {}
+        tree_edges: dict[int, list[int]] = {}
+        # copy-on-write views of the shared incidence template: only roots
+        # that actually merge pay for a private list
+        incident: list[list[int]] = list(self._incident_template)
+        incident_owned = [False] * n
 
-    # union-find with per-node moat offsets: moat(u, t) equals the path
-    # weight from u to its root plus the root's accumulated growth
-    parent = list(range(n))
-    offset = [0.0] * n
+        active_count = 0
+        for u in range(n):
+            if prize[u] > 0:
+                active[u] = True
+                slack[u] = prize[u]
+                active_count += 1
 
-    def find(u: int) -> int:
-        r = u
-        while parent[r] != r:
-            r = parent[r]
-        # path compression, folding offsets into direct-to-root weights
-        agg = 0.0
-        stack = []
-        x = u
-        while parent[x] != x:
-            stack.append(x)
-            x = parent[x]
-        for x in reversed(stack):
-            agg += offset[x]
-            parent[x] = r
-            offset[x] = agg
-        return r
+        def settle(r: int, t: float) -> None:
+            dt = t - last_t[r]
+            if dt > 0 and active[r]:
+                accum[r] += dt
+                slack[r] -= dt
+                if slack[r] < 0:
+                    slack[r] = 0.0
+            if dt > 0:
+                last_t[r] = t
 
-    def moat(u: int, r: int) -> float:
-        # requires find(u) == r and r settled
-        return (offset[u] if u != r else 0.0) + accum[r]
+        heap: list[tuple] = []
 
-    # per-root cluster state
-    active = [False] * n
-    slack = [0.0] * n
-    accum = [0.0] * n
-    last_t = [0.0] * n
-    version = [0] * n
-    minid = list(range(n))
-    # members/tree_edges materialize lazily: a missing entry means the
-    # singleton {u} with no tree edges
-    members: dict[int, list[int]] = {}
-    tree_edges: dict[int, list[int]] = {}
-    # copy-on-write views of the shared incidence template: only roots
-    # that actually merge pay for a private list
-    incident: list[list[int]] = list(engine._incident_template)
-    incident_owned = [False] * n
-    has_root = [False] * n
+        def edge_event(eid: int, now: float):
+            ru, rv = find(eu[eid]), find(ev[eid])
+            if ru == rv:
+                return None
+            settle(ru, now)
+            settle(rv, now)
+            filled = moat(eu[eid], ru) + moat(ev[eid], rv)
+            remaining = cost[eid] - filled
+            rate = (1 if active[ru] else 0) + (1 if active[rv] else 0)
+            if remaining <= _EPS:
+                t = now
+            elif rate == 0:
+                return None
+            else:
+                t = now + remaining / rate
+            a, b = (eu[eid], ev[eid]) if eu[eid] < ev[eid] else (ev[eid], eu[eid])
+            return (t, 0, a, b, eid, ru, version[ru], rv, version[rv])
 
-    active_count = 0
-    for u in range(n):
-        if root is not None and u == root:
-            has_root[u] = True
-            continue
-        if prize[u] > 0:
-            active[u] = True
-            slack[u] = prize[u]
-            active_count += 1
+        def push_edge(eid: int, now: float) -> None:
+            ev_entry = edge_event(eid, now)
+            if ev_entry is not None:
+                heapq.heappush(heap, ev_entry)
 
-    def settle(r: int, t: float) -> None:
-        dt = t - last_t[r]
-        if dt > 0 and active[r]:
-            accum[r] += dt
-            slack[r] -= dt
-            if slack[r] < 0:
+        def push_deactivation(r: int, now: float) -> None:
+            # higher-minid clusters die first on ties so low ids survive
+            heapq.heappush(heap, (now + slack[r], 1, -minid[r], r, version[r]))
+
+        seen_edges: set[int] = set()
+        for u in range(n):
+            if active[u]:
+                push_deactivation(u, 0.0)
+                for eid in incident[u]:
+                    if eid not in seen_edges:
+                        seen_edges.add(eid)
+                        push_edge(eid, 0.0)
+        # edges between two inactive endpoints enter the queue later, via
+        # rescheduling when a merge puts them next to an active cluster
+        del seen_edges
+
+        now = 0.0
+        while heap and active_count > 0:
+            entry = heapq.heappop(heap)
+            now = entry[0]
+            if entry[1] == 1:
+                _, _, _, r, ver = entry
+                if parent[r] != r or version[r] != ver or not active[r]:
+                    continue
+                settle(r, now)
+                active[r] = False
                 slack[r] = 0.0
-        if dt > 0:
-            last_t[r] = t
-
-    heap: list[tuple] = []
-
-    def edge_event(eid: int, now: float):
-        ru, rv = find(eu[eid]), find(ev[eid])
-        if ru == rv:
-            return None
-        settle(ru, now)
-        settle(rv, now)
-        filled = moat(eu[eid], ru) + moat(ev[eid], rv)
-        remaining = cost[eid] - filled
-        rate = (1 if active[ru] else 0) + (1 if active[rv] else 0)
-        if remaining <= _EPS:
-            t = now
-        elif rate == 0:
-            return None
-        else:
-            t = now + remaining / rate
-        a, b = (eu[eid], ev[eid]) if eu[eid] < ev[eid] else (ev[eid], eu[eid])
-        return (t, 0, a, b, eid, ru, version[ru], rv, version[rv])
-
-    def push_edge(eid: int, now: float) -> None:
-        ev_entry = edge_event(eid, now)
-        if ev_entry is not None:
-            heapq.heappush(heap, ev_entry)
-
-    def push_deactivation(r: int, now: float) -> None:
-        # higher-minid clusters die first on ties so low ids survive
-        heapq.heappush(heap, (now + slack[r], 1, -minid[r], r, version[r]))
-
-    seen_edges: set[int] = set()
-    for u in range(n):
-        if active[u]:
-            push_deactivation(u, 0.0)
-            for eid in incident[u]:
-                if eid not in seen_edges:
-                    seen_edges.add(eid)
-                    push_edge(eid, 0.0)
-    # edges between two inactive endpoints enter the queue later, via
-    # rescheduling when a merge puts them next to an active cluster
-    del seen_edges
-
-    now = 0.0
-    while heap and active_count > 0:
-        entry = heapq.heappop(heap)
-        now = entry[0]
-        if entry[1] == 1:
-            _, _, _, r, ver = entry
-            if parent[r] != r or version[r] != ver or not active[r]:
+                version[r] += 1
+                active_count -= 1
                 continue
-            settle(r, now)
-            active[r] = False
-            slack[r] = 0.0
-            version[r] += 1
-            active_count -= 1
-            continue
 
-        _, _, _, _, eid, ru0, veru, rv0, verv = entry
-        ru, rv = find(eu[eid]), find(ev[eid])
-        if ru == rv:
-            continue
-        if (ru, version[ru], rv, version[rv]) != (ru0, veru, rv0, verv):
-            push_edge(eid, now)
-            continue
+            _, _, _, _, eid, ru0, veru, rv0, verv = entry
+            ru, rv = find(eu[eid]), find(ev[eid])
+            if ru == rv:
+                continue
+            if (ru, version[ru], rv, version[rv]) != (ru0, veru, rv0, verv):
+                push_edge(eid, now)
+                continue
 
-        settle(ru, now)
-        settle(rv, now)
-        was_active = (1 if active[ru] else 0) + (1 if active[rv] else 0)
-        rooted = has_root[ru] or has_root[rv]
-        merged_slack = slack[ru] + slack[rv]
-        result_active = (not rooted) and merged_slack > _EPS
+            settle(ru, now)
+            settle(rv, now)
+            was_active = (1 if active[ru] else 0) + (1 if active[rv] else 0)
+            merged_slack = slack[ru] + slack[rv]
+            result_active = merged_slack > _EPS
 
-        size_u = len(members.get(ru, (ru,)))
-        size_v = len(members.get(rv, (rv,)))
-        keeper, absorbed = (ru, rv) if size_u >= size_v else (rv, ru)
-        # sides that were inactive speed up once the merged cluster grows
-        resched: list[int] = []
-        if result_active:
-            if not active[ru]:
-                resched.extend(incident[ru])
-            if not active[rv]:
-                resched.extend(incident[rv])
+            size_u = len(members.get(ru, (ru,)))
+            size_v = len(members.get(rv, (rv,)))
+            keeper, absorbed = (ru, rv) if size_u >= size_v else (rv, ru)
+            # sides that were inactive speed up once the merged cluster grows
+            resched: list[int] = []
+            if result_active:
+                if not active[ru]:
+                    resched.extend(incident[ru])
+                if not active[rv]:
+                    resched.extend(incident[rv])
 
-        version[ru] += 1
-        version[rv] += 1
-        parent[absorbed] = keeper
-        offset[absorbed] = accum[absorbed] - accum[keeper]
-        keeper_members = members.setdefault(keeper, [keeper])
-        keeper_members.extend(members.pop(absorbed, [absorbed]))
-        keeper_tree = tree_edges.setdefault(keeper, [])
-        keeper_tree.append(eid)
-        keeper_tree.extend(tree_edges.pop(absorbed, ()))
-        if len(incident[keeper]) < len(incident[absorbed]):
-            incident[keeper], incident[absorbed] = incident[absorbed], incident[keeper]
-            incident_owned[keeper], incident_owned[absorbed] = (
-                incident_owned[absorbed],
-                incident_owned[keeper],
+            version[ru] += 1
+            version[rv] += 1
+            parent[absorbed] = keeper
+            offset[absorbed] = accum[absorbed] - accum[keeper]
+            keeper_members = members.setdefault(keeper, [keeper])
+            keeper_members.extend(members.pop(absorbed, [absorbed]))
+            keeper_tree = tree_edges.setdefault(keeper, [])
+            keeper_tree.append(eid)
+            keeper_tree.extend(tree_edges.pop(absorbed, ()))
+            if len(incident[keeper]) < len(incident[absorbed]):
+                incident[keeper], incident[absorbed] = incident[absorbed], incident[keeper]
+                incident_owned[keeper], incident_owned[absorbed] = (
+                    incident_owned[absorbed],
+                    incident_owned[keeper],
+                )
+            if not incident_owned[keeper]:
+                incident[keeper] = list(incident[keeper])
+                incident_owned[keeper] = True
+            incident[keeper].extend(incident[absorbed])
+            incident[absorbed] = []
+            incident_owned[absorbed] = True
+            minid[keeper] = min(minid[keeper], minid[absorbed])
+            slack[keeper] = merged_slack
+            active[keeper] = result_active
+            last_t[keeper] = now
+            active_count += (1 if result_active else 0) - was_active
+
+            if result_active:
+                push_deactivation(keeper, now)
+                for other in resched:
+                    push_edge(other, now)
+
+        # prune every final cluster, keep the best num_trees by net worth
+        candidates = []
+        seen = set()
+        for u in range(n):
+            r = find(u)
+            if r in seen:
+                continue
+            seen.add(r)
+            nodes_kept, edges_kept, worth = strong_prune(
+                members.get(r, [r]),
+                [(eu[e], ev[e], cost[e]) for e in tree_edges.get(r, ())],
+                prize,
             )
-        if not incident_owned[keeper]:
-            incident[keeper] = list(incident[keeper])
-            incident_owned[keeper] = True
-        incident[keeper].extend(incident[absorbed])
-        incident[absorbed] = []
-        incident_owned[absorbed] = True
-        minid[keeper] = min(minid[keeper], minid[absorbed])
-        has_root[keeper] = rooted
-        slack[keeper] = 0.0 if rooted else merged_slack
-        active[keeper] = result_active
-        last_t[keeper] = now
-        active_count += (1 if result_active else 0) - was_active
-
-        if result_active:
-            push_deactivation(keeper, now)
-            for other in resched:
-                push_edge(other, now)
-
-    if root is not None:
-        r = find(root)
-        comp = strong_prune(
-            members.get(r, [r]),
-            [(eu[e], ev[e], cost[e]) for e in tree_edges.get(r, ())],
-            prize,
-            force=root,
-        )
-        return PcstResult([comp[:2]] if comp is not None else [])
-
-    # prune every final cluster, keep the best num_trees by net worth
-    candidates = []
-    seen = set()
-    for u in range(n):
-        r = find(u)
-        if r in seen:
-            continue
-        seen.add(r)
-        comp = strong_prune(
-            members.get(r, [r]),
-            [(eu[e], ev[e], cost[e]) for e in tree_edges.get(r, ())],
-            prize,
-        )
-        if comp is None:
-            continue
-        nodes_kept, edges_kept, worth = comp
-        if worth > _EPS:
-            candidates.append((-worth, nodes_kept[0], (nodes_kept, edges_kept)))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return PcstResult([comp for _, _, comp in candidates[:num_trees]])
+            if worth > _EPS:
+                candidates.append((-worth, nodes_kept[0], (nodes_kept, edges_kept)))
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        return PcstResult([comp for _, _, comp in candidates[:num_trees]])
 
 
 def strong_prune(
     nodes: Sequence[int],
     tree: Sequence[tuple[int, int, float]],
     prize: Sequence[float],
-    force: Optional[int] = None,
-) -> Optional[tuple[list[int], list[tuple[int, int]], float]]:
-    """Best-net-worth connected subtree of a tree (prizes minus costs).
+) -> tuple[list[int], list[tuple[int, int]], float]:
+    """Best-net-worth connected subtree of a non-empty tree (prizes minus costs).
 
-    With ``force`` set, the subtree must contain that node. Returns the
-    sorted node list, its edges and its net worth, or None for an empty
-    input.
+    Returns the sorted node list, its edges and its net worth; ties go
+    to the lowest node id.
     """
-    if not nodes:
-        return None
     adj: dict[int, list[tuple[int, float]]] = {u: [] for u in nodes}
     for u, v, c in tree:
         adj[u].append((v, c))
@@ -346,7 +297,7 @@ def strong_prune(
     for u in adj:
         adj[u].sort()
 
-    r0 = force if force is not None else min(nodes)
+    r0 = min(nodes)
     parent: dict[int, int] = {r0: r0}
     order = [r0]
     stack = [r0]
@@ -367,13 +318,10 @@ def strong_prune(
         if margin > 0:
             best[p] += margin
 
-    if force is not None:
-        top = force
-    else:
-        top = min(nodes)
-        for u in sorted(nodes):
-            if best[u] > best[top]:
-                top = u
+    top = r0
+    for u in sorted(nodes):
+        if best[u] > best[top]:
+            top = u
 
     keep_nodes = [top]
     keep_edges: list[tuple[int, int]] = []

@@ -17,12 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import Graph, SupportSet
-from .pcst import PcstEngine, grow_forest
+from .pcst import PcstEngine
 
 __all__ = [
-    "PcstInstance",
     "ProjectionOutcome",
-    "pcst",
     "budget_search",
     "head_project",
     "tail_project",
@@ -34,28 +32,6 @@ MAX_SEARCH_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
-class PcstInstance:
-    """One prize-collecting solve on a block subgraph."""
-
-    graph: Graph
-    prizes: tuple
-    edge_cost_multiplier: float = 1.0
-    root: Optional[int] = None
-    target_components: int = 1
-
-    def __post_init__(self):
-        prizes = np.asarray(self.prizes, dtype=np.float64)
-        if len(prizes) != self.graph.node_count:
-            raise ValueError("prizes length must match graph node count")
-        if len(prizes) and (not np.all(np.isfinite(prizes)) or prizes.min() < 0):
-            raise ValueError("prizes must be finite and nonnegative")
-        if self.edge_cost_multiplier <= 0:
-            raise ValueError("edge_cost_multiplier must be positive")
-        if self.target_components < 1:
-            raise ValueError("target_components must be >= 1")
-
-
-@dataclass(frozen=True)
 class ProjectionOutcome:
     """Support selected by a projection plus search bookkeeping."""
 
@@ -64,21 +40,6 @@ class ProjectionOutcome:
     budget_used: int
     search_iterations: int
     multiplier: float = 1.0
-
-
-def pcst(instance: PcstInstance) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Solve one instance; returns the forest's nodes and edges."""
-    g = instance.graph
-    costs = [w * instance.edge_cost_multiplier for w in g.edge_w]
-    result = grow_forest(
-        g.node_count,
-        list(zip(g.edge_u, g.edge_v)),
-        costs,
-        list(np.asarray(instance.prizes, dtype=np.float64)),
-        num_trees=instance.target_components,
-        root=instance.root,
-    )
-    return tuple(result.nodes), tuple(result.edges)
 
 
 def _engine_for(graph: Graph) -> PcstEngine:
@@ -132,7 +93,6 @@ def budget_search(
     budget: int,
     capacity: Optional[int] = None,
     num_components: int = 1,
-    max_iterations: int = MAX_SEARCH_ITERATIONS,
     initial_multiplier: Optional[float] = None,
 ) -> tuple[tuple[int, ...], int, float]:
     """Bisect the edge-cost multiplier until the support fits the budget.
@@ -163,9 +123,7 @@ def budget_search(
 
     lo, hi = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
     best: Optional[tuple[float, int, tuple[int, ...], float]] = None
-    iterations = 0
-    for probe in range(max_iterations):
-        iterations += 1
+    for probe in range(MAX_SEARCH_ITERATIONS):
         if probe == 0 and initial_multiplier is not None:
             mid = math.log(min(max(initial_multiplier, MULTIPLIER_LOW), MULTIPLIER_HIGH))
         else:
@@ -177,32 +135,25 @@ def budget_search(
             num_trees=num_components,
         )
         nodes = tuple(result.nodes)
-        if len(nodes) > capacity:
-            # oversized forests still carry a usable feasible candidate
-            trimmed = _trim_to_capacity(result.components, prizes, capacity)
-            score = float(prizes[list(trimmed)].sum()) if trimmed else 0.0
-            candidate = (-score, len(trimmed), trimmed, mult)
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
+        oversized = len(nodes) > capacity
+        # oversized forests still carry a usable feasible candidate
+        support = _trim_to_capacity(result.components, prizes, capacity) if oversized else nodes
+        score = float(prizes[list(support)].sum()) if support else 0.0
+        candidate = (-score, len(support), support, mult)
+        if best is None or candidate[:3] < best[:3]:
+            best = candidate
+        if oversized:
             lo = min(mid, hi - 1e-9)
-        else:
-            score = float(prizes[list(nodes)].sum()) if nodes else 0.0
-            candidate = (-score, len(nodes), nodes, mult)
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
-            if len(nodes) >= budget:
-                break
-            if score >= total - 1e-12:
-                break
-            hi = max(mid, lo + 1e-9)
-        if best is not None and -best[0] >= exit_score:
+        elif len(nodes) >= budget or score >= total - 1e-12:
             break
-        if hi - lo < 1e-2:
+        else:
+            hi = max(mid, lo + 1e-9)
+        if -best[0] >= exit_score or hi - lo < 1e-2:
             break
 
-    if best is None or not best[2]:
-        return _fallback_node(prizes), iterations, MULTIPLIER_HIGH
-    return best[2], iterations, best[3]
+    if not best[2]:
+        return _fallback_node(prizes), probe + 1, MULTIPLIER_HIGH
+    return best[2], probe + 1, best[3]
 
 
 def head_project(
@@ -211,7 +162,6 @@ def head_project(
     budget: int,
     num_components: int = 1,
     capacity_mode: str = "2s",
-    max_iterations: int = MAX_SEARCH_ITERATIONS,
     block_id: int = 0,
     initial_multiplier: Optional[float] = None,
 ) -> ProjectionOutcome:
@@ -222,22 +172,8 @@ def head_project(
     2*budget by default ("2s") or budget ("s"). ``residual_sq`` holds
     the captured squared mass.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    _validate_projection_args(weights, graph_k, budget)
-    capacity = _capacity(budget, capacity_mode, graph_k.node_count)
-    prizes = weights * weights
-    nodes, iterations, multiplier = budget_search(
-        graph_k, prizes, budget, capacity, num_components, max_iterations,
-        initial_multiplier,
-    )
-    captured = float(prizes[list(nodes)].sum())
-    return ProjectionOutcome(
-        support=SupportSet(block_id, nodes),
-        residual_sq=captured,
-        budget_used=len(nodes),
-        search_iterations=iterations,
-        multiplier=multiplier,
-    )
+    return _project(weights, graph_k, budget, num_components, capacity_mode,
+                    block_id, initial_multiplier, captured=True)
 
 
 def tail_project(
@@ -246,7 +182,6 @@ def tail_project(
     budget: int,
     num_components: int = 1,
     capacity_mode: str = "s",
-    max_iterations: int = MAX_SEARCH_ITERATIONS,
     block_id: int = 0,
     initial_multiplier: Optional[float] = None,
 ) -> ProjectionOutcome:
@@ -254,18 +189,24 @@ def tail_project(
 
     ``residual_sq`` is the squared mass left outside the support.
     """
+    return _project(values, graph_k, budget, num_components, capacity_mode,
+                    block_id, initial_multiplier, captured=False)
+
+
+def _project(values, graph_k, budget, num_components, capacity_mode, block_id,
+             initial_multiplier, captured: bool) -> ProjectionOutcome:
+    """Budget search on squared entries; reports captured or left-out mass."""
     values = np.asarray(values, dtype=np.float64)
     _validate_projection_args(values, graph_k, budget)
     capacity = _capacity(budget, capacity_mode, graph_k.node_count)
     prizes = values * values
     nodes, iterations, multiplier = budget_search(
-        graph_k, prizes, budget, capacity, num_components, max_iterations,
-        initial_multiplier,
+        graph_k, prizes, budget, capacity, num_components, initial_multiplier,
     )
-    residual = float(prizes.sum() - prizes[list(nodes)].sum())
+    mass = float(prizes[list(nodes)].sum())
     return ProjectionOutcome(
         support=SupportSet(block_id, nodes),
-        residual_sq=max(residual, 0.0),
+        residual_sq=mass if captured else max(float(prizes.sum()) - mass, 0.0),
         budget_used=len(nodes),
         search_iterations=iterations,
         multiplier=multiplier,

@@ -19,11 +19,10 @@ import numpy as np
 
 from .graph import BlockPartition, Graph, SupportSet
 from .objectives import ObjectiveSpec
-from .projections import MAX_SEARCH_ITERATIONS, head_project, tail_project
+from .projections import ProjectionOutcome, head_project, tail_project
 
 __all__ = [
     "SolverConfig",
-    "IterateRecord",
     "DetectionResult",
     "gbgp_solve",
     "bcd_solve",
@@ -68,7 +67,6 @@ class SolverConfig:
     num_components: int = 1
     parallel: int = 0
     seed: int = 0
-    max_search_iterations: int = MAX_SEARCH_ITERATIONS
     keep_x_history: bool = False
 
     def __post_init__(self):
@@ -99,19 +97,6 @@ class SolverConfig:
 
 
 @dataclass
-class IterateRecord:
-    """Per-outer-iteration bookkeeping used by invariant checks."""
-
-    iteration: int
-    head_sets: list[frozenset]
-    omega_sets: list[frozenset]
-    tail_sets: list[frozenset]
-    support_after: list[frozenset]
-    delta: float
-    objective: float
-
-
-@dataclass
 class DetectionResult:
     """Final supports plus the convergence trail of the outer loop."""
 
@@ -120,8 +105,6 @@ class DetectionResult:
     outer_iters: int
     converged: bool
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
-    iterates: list[IterateRecord] = field(default_factory=list)
-    wall_times: dict = field(default_factory=dict)
     x_history: list[np.ndarray] = field(default_factory=list)
 
     def support_nodes(self) -> set[int]:
@@ -146,7 +129,13 @@ def proximal_block_update(
     if alpha <= 0:
         raise ValueError("step size must be positive")
     grad = objective.block_gradient(y_hat, k)
-    x_k = y_hat[objective.partition.block_nodes[k]] - alpha * grad
+    return _box_step(y_hat[objective.partition.block_nodes[k]], grad, alpha, omega_local)
+
+
+def _box_step(y_k: np.ndarray, grad: np.ndarray, alpha: float,
+              omega_local: np.ndarray) -> np.ndarray:
+    """y_k - alpha * grad, zeroed outside ``omega_local`` and clipped to [0, 1]."""
+    x_k = y_k - alpha * grad
     x_k[~omega_local] = 0.0
     np.clip(x_k, 0.0, 1.0, out=x_k)
     return x_k
@@ -157,17 +146,13 @@ def estimate_step_size(
     k: int,
     y_hat: np.ndarray,
     omega_local: np.ndarray,
-    mode: str = "backtracking",
     initial: float = 1.0,
 ) -> tuple[float, np.ndarray]:
-    """Step size for block k plus the accepted proximal update.
+    """Backtracking step size for block k plus the accepted proximal update.
 
-    Fixed mode passes the configured value through. Backtracking halves
-    from the initial value until the quadratic upper bound holds:
+    Halves from the initial value until the quadratic upper bound holds:
     F(x+) <= F(y) + <grad, x+ - y> + ||x+ - y||^2 / (2 alpha).
     """
-    if mode == "fixed":
-        return initial, proximal_block_update(objective, k, y_hat, initial, omega_local)
     nodes_k = objective.partition.block_nodes[k]
     grad = objective.block_gradient(y_hat, k)
     y_k = y_hat[nodes_k]
@@ -175,9 +160,7 @@ def estimate_step_size(
     alpha = initial
     trial = y_hat.copy()
     while True:
-        x_k = y_k - alpha * grad
-        x_k[~omega_local] = 0.0
-        np.clip(x_k, 0.0, 1.0, out=x_k)
+        x_k = _box_step(y_k, grad, alpha, omega_local)
         trial[nodes_k] = x_k
         step = x_k - y_k
         bound = f_y + float(grad @ step) + float(step @ step) / (2.0 * alpha)
@@ -198,10 +181,17 @@ def _pool_init(graphs: list[Graph]) -> None:
     _POOL_GRAPHS = graphs
 
 
-def _pool_project(task: tuple) -> tuple[int, object]:
+def _pool_project(
+    task: tuple, graphs: Optional[list[Graph]] = None
+) -> tuple[int, ProjectionOutcome]:
+    """Run one ``(kind, k, values, budget, kwargs)`` projection task.
+
+    Pool workers read the block graphs that ``_pool_init`` installed.
+    """
     kind, k, values, budget, kwargs = task
     project = head_project if kind == "head" else tail_project
-    return k, project(values, _POOL_GRAPHS[k], budget, block_id=k, **kwargs)
+    graph = (_POOL_GRAPHS if graphs is None else graphs)[k]
+    return k, project(values, graph, budget, block_id=k, **kwargs)
 
 
 def _box_projected_gradient(grad: np.ndarray, x_k: np.ndarray) -> np.ndarray:
@@ -227,6 +217,16 @@ def _as_local_masks(partition: BlockPartition, omegas: list[set[int]]) -> list[n
     return masks
 
 
+def _restrict(x: np.ndarray, partition: BlockPartition, masks: list[np.ndarray]) -> None:
+    """Zero every block of x outside its mask and clip it to [0, 1], in place."""
+    for k in range(partition.num_blocks):
+        nodes = partition.block_nodes[k]
+        x_k = x[nodes]
+        x_k[~masks[k]] = 0.0
+        np.clip(x_k, 0.0, 1.0, out=x_k)
+        x[nodes] = x_k
+
+
 def bcd_solve(
     objective: ObjectiveSpec,
     omegas: list[set[int]],
@@ -249,11 +249,7 @@ def bcd_solve(
     K = partition.num_blocks
     masks = _as_local_masks(partition, omegas)
     x = x_init.copy()
-    for k in range(K):
-        x_k = x[partition.block_nodes[k]]
-        x_k[~masks[k]] = 0.0
-        np.clip(x_k, 0.0, 1.0, out=x_k)
-        x[partition.block_nodes[k]] = x_k
+    _restrict(x, partition, masks)
     prev_blocks = [x[partition.block_nodes[k]].copy() for k in range(K)]
     rho = 1.0
     for _cycle in range(config.max_inner_cycles):
@@ -275,16 +271,12 @@ def bcd_solve(
                 )
             else:
                 f_before = objective.local_value(x, k)
-                _, new_k = estimate_step_size(
-                    objective, k, y_hat, masks[k], "backtracking", config.step_size
-                )
+                _, new_k = estimate_step_size(objective, k, y_hat, masks[k], config.step_size)
                 trial = x.copy()
                 trial[nodes_k] = new_k
                 if objective.local_value(trial, k) > f_before + 1e-12 and omega_t > 0:
                     # momentum overshot: restart from the unextrapolated point
-                    _, new_k = estimate_step_size(
-                        objective, k, x, masks[k], "backtracking", config.step_size
-                    )
+                    _, new_k = estimate_step_size(objective, k, x, masks[k], config.step_size)
             prev_blocks[k] = x_k.copy()
             cycle_delta += float(np.linalg.norm(new_k - x_k))
             x[nodes_k] = new_k
@@ -320,22 +312,15 @@ def parallel_bcd_solve(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     masks = _as_local_masks(partition, omegas)
-
     x = x_init.copy()
-    for k in range(K):
-        x_k = x[partition.block_nodes[k]]
-        x_k[~masks[k]] = 0.0
-        np.clip(x_k, 0.0, 1.0, out=x_k)
-        x[partition.block_nodes[k]] = x_k
+    _restrict(x, partition, masks)
 
     # per-block curvature estimates, frozen for the whole inner solve
     alphas = np.full(K, config.step_size)
     if config.step_mode == "backtracking":
         for k in range(K):
             if masks[k].any():
-                alphas[k], _ = estimate_step_size(
-                    objective, k, x, masks[k], "backtracking", config.step_size
-                )
+                alphas[k], _ = estimate_step_size(objective, k, x, masks[k], config.step_size)
 
     z = x.copy()
     theta = tau / K
@@ -350,21 +335,14 @@ def parallel_bcd_solve(
             nodes_k = partition.block_nodes[k]
             step = (tau * alphas[k]) / (K * theta)
             grad = objective.block_gradient(y, k)
-            z_k = z[nodes_k] - step * grad
-            z_k[~masks[k]] = 0.0
-            np.clip(z_k, 0.0, 1.0, out=z_k)
-            z_new[nodes_k] = z_k
+            z_new[nodes_k] = _box_step(z[nodes_k], grad, step, masks[k])
         x_new = y + (K / tau) * theta * (z_new - z)
         delta = float(np.linalg.norm(x_new - x))
         x, z = x_new, z_new
         theta = theta_next(theta)
         if delta <= config.inner_tol:
             break
-    np.clip(x, 0.0, 1.0, out=x)
-    for k in range(K):
-        x_k = x[partition.block_nodes[k]]
-        x_k[~masks[k]] = 0.0
-        x[partition.block_nodes[k]] = x_k
+    _restrict(x, partition, masks)
     return x
 
 
@@ -381,10 +359,8 @@ def gbgp_solve(
     partition = objective.partition
     K = partition.num_blocks
     block_graphs = [partition.block_graph(k) for k in range(K)]
-    budgets = [
-        config.budget_for(k, len(partition.block_nodes[k])) if len(partition.block_nodes[k]) else 0
-        for k in range(K)
-    ]
+    blocks = [k for k in range(K) if len(partition.block_nodes[k])]
+    budgets = {k: config.budget_for(k, len(partition.block_nodes[k])) for k in blocks}
     rng = np.random.default_rng(config.seed)
 
     pool = None
@@ -395,21 +371,14 @@ def gbgp_solve(
                 max_workers=workers, initializer=_pool_init, initargs=(block_graphs,)
             )
 
-    def project_blocks(kind: str, tasks: list[tuple]) -> dict:
+    def project_blocks(tasks: list[tuple]) -> dict:
         if pool is None:
-            out = {}
-            for task in tasks:
-                _, k, values, budget, kwargs = task
-                project = head_project if kind == "head" else tail_project
-                out[k] = project(values, block_graphs[k], budget, block_id=k, **kwargs)
-            return out
+            return dict(_pool_project(task, block_graphs) for task in tasks)
         chunk = max(1, math.ceil(len(tasks) / pool._max_workers))
         return dict(pool.map(_pool_project, tasks, chunksize=chunk))
 
     x = objective.initial_x() if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     history: list[tuple[int, float, float, float]] = []
-    iterates: list[IterateRecord] = []
-    wall = {"head": 0.0, "inner": 0.0, "tail": 0.0}
     converged = False
     tail_supports: list[SupportSet] = [SupportSet(k, ()) for k in range(K)]
     outer = 0
@@ -424,113 +393,48 @@ def gbgp_solve(
             if not np.isfinite(f_x):
                 raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
 
-            t0 = time.perf_counter()
             head_tasks = []
-            for k in range(K):
-                nodes_k = partition.block_nodes[k]
-                if len(nodes_k) == 0:
-                    continue
+            for k in blocks:
                 grad_k = _box_projected_gradient(
-                    objective.block_gradient(x, k), x[nodes_k]
+                    objective.block_gradient(x, k), x[partition.block_nodes[k]]
                 )
-                head_tasks.append(
-                    (
-                        "head",
-                        k,
-                        grad_k,
-                        budgets[k],
-                        dict(
-                            num_components=config.num_components,
-                            capacity_mode=config.head_capacity_mode,
-                            max_iterations=config.max_search_iterations,
-                            initial_multiplier=head_mults[k],
-                        ),
-                    )
-                )
-            head_outcomes = project_blocks("head", head_tasks)
-            head_sets: list[set[int]] = []
-            omega_sets: list[set[int]] = []
-            for k in range(K):
-                nodes_k = partition.block_nodes[k]
-                if len(nodes_k) == 0:
-                    head_sets.append(set())
-                    omega_sets.append(set())
-                    continue
+                kwargs = dict(num_components=config.num_components,
+                              capacity_mode=config.head_capacity_mode,
+                              initial_multiplier=head_mults[k])
+                head_tasks.append(("head", k, grad_k, budgets[k], kwargs))
+            head_outcomes = project_blocks(head_tasks)
+            omega_sets: list[set[int]] = [set() for _ in range(K)]
+            for k in blocks:
                 outcome = head_outcomes[k]
                 head_mults[k] = outcome.multiplier
-                gamma = set(outcome.support.nodes)
-                supp = set(np.flatnonzero(x[nodes_k] != 0.0).tolist())
-                head_sets.append(gamma)
-                omega_sets.append(gamma | supp)
-            wall["head"] += time.perf_counter() - t0
+                supp = np.flatnonzero(x[partition.block_nodes[k]] != 0.0).tolist()
+                omega_sets[k] = set(outcome.support.nodes).union(supp)
 
-            t0 = time.perf_counter()
             if config.parallel >= 2 and K > 1:
                 b = parallel_bcd_solve(objective, omega_sets, x, config, rng)
             else:
                 b = bcd_solve(objective, omega_sets, x, config)
-            wall["inner"] += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            tail_tasks = []
-            for k in range(K):
-                nodes_k = partition.block_nodes[k]
-                if len(nodes_k) == 0:
-                    continue
-                tail_tasks.append(
-                    (
-                        "tail",
-                        k,
-                        b[nodes_k],
-                        budgets[k],
-                        dict(
-                            num_components=config.num_components,
-                            max_iterations=config.max_search_iterations,
-                            initial_multiplier=tail_mults[k],
-                        ),
-                    )
-                )
-            tail_outcomes = project_blocks("tail", tail_tasks)
+            tail_outcomes = project_blocks([
+                ("tail", k, b[partition.block_nodes[k]], budgets[k],
+                 dict(num_components=config.num_components, initial_multiplier=tail_mults[k]))
+                for k in blocks
+            ])
             x_new = np.zeros_like(x)
-            tail_sets: list[set[int]] = []
-            new_supports: list[SupportSet] = []
-            for k in range(K):
-                nodes_k = partition.block_nodes[k]
-                if len(nodes_k) == 0:
-                    tail_sets.append(set())
-                    new_supports.append(SupportSet(k, ()))
-                    continue
+            new_supports = [SupportSet(k, ()) for k in range(K)]
+            for k in blocks:
                 outcome = tail_outcomes[k]
                 tail_mults[k] = outcome.multiplier
                 psi = list(outcome.support.nodes)
-                tail_sets.append(set(psi))
-                b_k = b[nodes_k]
-                kept = np.zeros_like(b_k)
-                kept[psi] = b_k[psi]
-                x_new[nodes_k] = kept
-                new_supports.append(SupportSet(k, partition.to_global(k, psi)))
-            wall["tail"] += time.perf_counter() - t0
+                kept = partition.block_nodes[k][psi]
+                x_new[kept] = b[kept]
+                new_supports[k] = SupportSet(k, partition.to_global(k, psi))
 
             delta = sum(
                 float(np.linalg.norm(x_new[partition.block_nodes[k]] - x[partition.block_nodes[k]]))
                 for k in range(K)
             )
-            wall_ms = (time.perf_counter() - iter_start) * 1e3
-            history.append((outer, delta, f_x, wall_ms))
-            iterates.append(
-                IterateRecord(
-                    iteration=outer,
-                    head_sets=[frozenset(s) for s in head_sets],
-                    omega_sets=[frozenset(s) for s in omega_sets],
-                    tail_sets=[frozenset(s) for s in tail_sets],
-                    support_after=[
-                        frozenset(np.flatnonzero(x_new[partition.block_nodes[k]] != 0.0).tolist())
-                        for k in range(K)
-                    ],
-                    delta=delta,
-                    objective=f_x,
-                )
-            )
+            history.append((outer, delta, f_x, (time.perf_counter() - iter_start) * 1e3))
             x = x_new
             tail_supports = new_supports
             if config.keep_x_history:
@@ -548,7 +452,5 @@ def gbgp_solve(
         outer_iters=outer,
         converged=converged,
         history=history,
-        iterates=iterates,
-        wall_times=wall,
         x_history=x_history,
     )

@@ -113,6 +113,18 @@ class TestDetect:
     def test_bad_bundle_exit_4(self, tmp_path):
         assert run(["detect", "--bundle", str(tmp_path / "nope"), "--budget", "5"]) == 4
 
+    def test_solver_failure_exit_5(self, tmp_path, capsys):
+        # (1e200)^2 overflows, so the objective is non-finite at once
+        graph = tmp_path / "path.txt"
+        graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
+        signal = tmp_path / "signal.txt"
+        signal.write_text("".join(f"{i}\t1e200\n" for i in range(6)))
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--objective", "ems", "--blocks", "1", "--budget", "2",
+                    "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert "non-finite" in capsys.readouterr().err
+
     def test_iteration_cap_exit_3(self, temporal_bundle, tmp_path):
         code = run(["detect", "--bundle", str(temporal_bundle), "--budget", "11",
                     "--max-outer-iters", "1", "--seed", "1",

@@ -3,11 +3,8 @@ import pytest
 
 from gbgp.datagen import SyntheticSpec, generate_non, generate_temporal
 from gbgp.evaluation import (
-    ExperimentResult,
-    MetricRow,
     precision_recall_f1,
     robustness_sweep,
-    run_experiment,
     scaling_bench,
     solve_instance,
 )
@@ -58,50 +55,6 @@ class TestPrecisionRecallF1:
                 assert row.f_measure == pytest.approx(expected)
             else:
                 assert row.f_measure == 0.0
-
-
-class TestExperiment:
-    def _small_spec(self):
-        return SyntheticSpec(n=60, m=3, T=2, subgraph_size=8, overlap=0.5, mu=5.0, seed=0)
-
-    def test_single_repetition_mean_equals_run(self):
-        res = run_experiment(
-            self._small_spec(), "temporal", 0.02,
-            SolverConfig(budgets=9, max_outer_iters=10), repetitions=1,
-        )
-        assert len(res.rows) == 1
-        assert res.mean.f_measure == res.rows[0].f_measure
-        assert res.std.f_measure == 0.0
-
-    def test_mean_is_arithmetic_mean(self):
-        res = run_experiment(
-            self._small_spec(), "temporal", 0.02,
-            SolverConfig(budgets=9, max_outer_iters=10), repetitions=3,
-        )
-        manual = np.mean([r.f_measure for r in res.rows])
-        assert abs(res.mean.f_measure - manual) < 1e-12
-
-    def test_tsv_shape(self):
-        res = run_experiment(
-            self._small_spec(), "temporal", 0.02,
-            SolverConfig(budgets=9, max_outer_iters=10), repetitions=2,
-        )
-        lines = res.tsv_lines("synthetic", 5.0)
-        assert len(lines) == 2
-        assert all(len(line.split("\t")) == 8 for line in lines)
-
-    def test_results_table_written(self, tmp_path):
-        out = tmp_path / "results.tsv"
-        run_experiment(
-            self._small_spec(), "temporal", 0.02,
-            SolverConfig(budgets=9, max_outer_iters=10),
-            repetitions=2, out_path=str(out),
-        )
-        lines = out.read_text().splitlines()
-        assert lines[0] == "dataset\tmu\tP_noise\tprecision\trecall\tf1\twall_s\tseed"
-        assert len(lines) == 3
-        summary = (tmp_path / "results.tsv.summary").read_text()
-        assert "f1_mean=" in summary and "runs=2" in summary
 
 
 class TestRobustnessSweep:

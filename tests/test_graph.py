@@ -39,6 +39,20 @@ class TestGraph:
         assert g.degree(0) == 3
         assert g.degree(1) == 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjacency_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 25))
+        pairs = {tuple(sorted(map(int, rng.integers(0, n, size=2)))) for _ in range(2 * n)}
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs if u != v])
+        for u in range(n):
+            expected = sorted(
+                (int(b) if a == u else int(a), eid)
+                for eid, (a, b) in enumerate(zip(g.edge_u, g.edge_v)) if u in (a, b)
+            )
+            lo, hi = g.adj_indptr[u], g.adj_indptr[u + 1]
+            assert list(zip(g.adj_nodes[lo:hi].tolist(), g.adj_eids[lo:hi].tolist())) == expected
+
     def test_self_loop_rejected(self):
         with pytest.raises(EdgeListError):
             Graph(4, [(3, 3)])
@@ -89,6 +103,12 @@ class TestGraphIO:
         p = tmp_path / "g.txt"
         p.write_text("0 1\nnot an edge line at all\n")
         with pytest.raises(EdgeListError, match=":2"):
+            load_graph(str(p))
+
+    def test_bad_node_count_reports_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("0 1\n# nodes x\n1 2\n")
+        with pytest.raises(EdgeListError, match=r"g\.txt:2: node count 'x'"):
             load_graph(str(p))
 
     def test_comments_and_weights(self, tmp_path):
@@ -289,13 +309,6 @@ class TestConnectedComponents:
 
 
 class TestSignal:
-    def test_block_view(self):
-        g = path_graph(4)
-        part = BlockPartition(g, [0, 1, 0, 1], 2)
-        sig = BlockSignal([1.0, 2.0, 3.0, 4.0])
-        assert sig.block_view(part, 0).tolist() == [1.0, 3.0]
-        assert sig.block_view(part, 1).tolist() == [2.0, 4.0]
-
     def test_signal_round_trip(self, tmp_path):
         sig = BlockSignal([0.5, -1.25, 0.0])
         p = tmp_path / "sig.txt"

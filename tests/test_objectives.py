@@ -62,19 +62,27 @@ class TestEmsBlock:
         x = np.array([0.3, 0.7, 0.1])
         assert ems_block_gradient(np.zeros(3), x) == pytest.approx(x)
 
-    @pytest.mark.parametrize("form", ["squared", "sqrt"])
-    def test_gradient_matches_finite_differences(self, form):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             c = rng.normal(size=10)
             x = rng.uniform(0.1, 0.9, size=10)
-            grad = ems_block_gradient(c, x, form=form)
-            fd = finite_difference(lambda z: ems_block_value(c, z, form=form), x)
+            grad = ems_block_gradient(c, x)
+            fd = finite_difference(lambda z: ems_block_value(c, z), x)
             assert rel_error(grad, fd) <= 1e-5
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            ems_block_value([1.0], [1.0], form="cubic")
+    @pytest.mark.parametrize("total", [5e-8, 5e-4])
+    def test_gradient_matches_fd_at_small_mass(self, total):
+        # at 5e-8 the denominator sits on its 1e-6 guard, at 5e-4 above it
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            c = rng.normal(size=10)
+            x = rng.uniform(0.1, 0.9, size=10)
+            x *= total / x.sum()
+            h = total * 1e-4
+            grad = ems_block_gradient(c, x)
+            fd = finite_difference(lambda z: ems_block_value(c, z), x, h=h)
+            assert rel_error(grad, fd) <= 1e-5
 
 
 class TestTemporalObjective:

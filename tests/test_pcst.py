@@ -6,12 +6,15 @@ moat-growing guarantee: cost(F) + 2*prize(excluded) is at most twice
 the optimal cost-version objective.
 """
 import itertools
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbgp.graph import Graph, connected_components
-from gbgp.pcst import PcstResult, grow_forest, strong_prune
+from gbgp.pcst import PcstEngine, PcstResult, strong_prune
 
 
 def mst_cost(nodes, edges):
@@ -80,30 +83,30 @@ class TestGrowForestExamples:
     def test_star_collects_everything(self):
         # center prize 0, three leaves prize 10, unit costs
         edges = [(0, 1), (0, 2), (0, 3)]
-        result = grow_forest(4, edges, [1.0, 1.0, 1.0], [0.0, 10.0, 10.0, 10.0])
+        result = PcstEngine(4, edges).solve([1.0, 1.0, 1.0], [0.0, 10.0, 10.0, 10.0])
         assert result.nodes == [0, 1, 2, 3]
         assert result.edges == [(0, 1), (0, 2), (0, 3)]
 
     def test_all_zero_prizes_empty(self):
-        result = grow_forest(3, [(0, 1), (1, 2)], [1.0, 1.0], [0.0, 0.0, 0.0])
+        result = PcstEngine(3, [(0, 1), (1, 2)]).solve([1.0, 1.0], [0.0, 0.0, 0.0])
         assert result.nodes == []
         assert result.edges == []
 
     def test_isolated_prized_node(self):
-        result = grow_forest(1, [], [], [5.0])
+        result = PcstEngine(1, []).solve([], [5.0])
         assert result.nodes == [0]
         assert result.edges == []
 
     def test_expensive_edges_keep_best_singleton(self):
         # ties on prize resolve toward the lowest node id
         edges = [(0, 1), (1, 2)]
-        result = grow_forest(3, edges, [100.0, 100.0], [9.0, 0.0, 9.0])
+        result = PcstEngine(3, edges).solve([100.0, 100.0], [9.0, 0.0, 9.0])
         assert result.nodes == [0]
 
     def test_bridge_through_zero_prize_node(self):
         # cheap edges: worth paying to connect both prized endpoints
         edges = [(0, 1), (1, 2)]
-        result = grow_forest(3, edges, [0.1, 0.1], [1.0, 0.0, 1.0])
+        result = PcstEngine(3, edges).solve([0.1, 0.1], [1.0, 0.0, 1.0])
         assert result.nodes == [0, 1, 2]
 
     def test_two_trees_allowed(self):
@@ -111,20 +114,9 @@ class TestGrowForestExamples:
         edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
         costs = [0.1, 50.0, 50.0, 0.1]
         prizes = [4.0, 4.0, 0.0, 4.0, 4.0]
-        result = grow_forest(5, edges, costs, prizes, num_trees=2)
+        result = PcstEngine(5, edges).solve(costs, prizes, num_trees=2)
         assert len(result.components) == 2
         assert result.nodes == [0, 1, 3, 4]
-
-    def test_rooted_reaches_prize(self):
-        edges = [(0, 1), (1, 2)]
-        result = grow_forest(3, edges, [0.5, 0.5], [0.0, 0.0, 3.0], root=0)
-        assert 0 in result.nodes
-        assert result.nodes == [0, 1, 2]
-
-    def test_rooted_keeps_root_when_nothing_worth_it(self):
-        edges = [(0, 1)]
-        result = grow_forest(2, edges, [10.0], [0.0, 1.0], root=0)
-        assert result.nodes == [0]
 
 
 class TestGrowForestProperties:
@@ -134,7 +126,8 @@ class TestGrowForestProperties:
         n = int(rng.integers(3, 11))
         ewc, prizes = random_instance(rng, n)
         g = int(rng.integers(1, 3))
-        result = grow_forest(n, [(u, v) for u, v, _ in ewc], [c for _, _, c in ewc], prizes, num_trees=g)
+        engine = PcstEngine(n, [(u, v) for u, v, _ in ewc])
+        result = engine.solve([c for _, _, c in ewc], prizes, num_trees=g)
         assert len(result.components) <= g
         graph = Graph(n, ewc)
         for nodes, edges in result.components:
@@ -149,7 +142,7 @@ class TestGrowForestProperties:
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(3, 9))
         ewc, prizes = random_instance(rng, n)
-        result = grow_forest(n, [(u, v) for u, v, _ in ewc], [c for _, _, c in ewc], prizes)
+        result = PcstEngine(n, [(u, v) for u, v, _ in ewc]).solve([c for _, _, c in ewc], prizes)
         tree_cost, excluded = forest_cost_version(result, ewc, prizes)
         opt = cost_version_opt(n, ewc, prizes)
         assert tree_cost + 2.0 * excluded <= 2.0 * opt + 1e-9
@@ -157,19 +150,46 @@ class TestGrowForestProperties:
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         ewc, prizes = random_instance(rng, 9)
-        args = (9, [(u, v) for u, v, _ in ewc], [c for _, _, c in ewc], prizes)
-        first = grow_forest(*args)
-        second = grow_forest(*args)
+        costs = [c for _, _, c in ewc]
+        first = PcstEngine(9, [(u, v) for u, v, _ in ewc]).solve(costs, prizes)
+        second = PcstEngine(9, [(u, v) for u, v, _ in ewc]).solve(costs, prizes)
         assert first.nodes == second.nodes
         assert first.edges == second.edges
 
     def test_rejects_bad_input(self):
+        engine = PcstEngine(2, [(0, 1)])
         with pytest.raises(ValueError):
-            grow_forest(2, [(0, 1)], [0.0], [1.0, 1.0])
+            engine.solve([0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            grow_forest(2, [(0, 1)], [1.0], [-1.0, 1.0])
-        with pytest.raises(ValueError):
-            grow_forest(2, [(0, 1)], [1.0], [1.0, 1.0], root=5)
+            engine.solve([1.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="prizes length"):
+            engine.solve([1.0], [1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_power_of_two_scaling_keeps_forest(self, data):
+        # scaling every cost and prize by 2^k is exact in floating point,
+        # so the event order and every tie break must stay the same
+        n = data.draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        costs = data.draw(st.lists(st.integers(1, 20), min_size=len(edges), max_size=len(edges)))
+        prizes = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        num_trees = data.draw(st.integers(1, 3))
+        engine = PcstEngine(n, edges)
+        base = engine.solve([float(c) for c in costs], [float(p) for p in prizes], num_trees)
+        for k in range(-2, 4):
+            scale = 2.0 ** k
+            scaled = engine.solve([c * scale for c in costs], [p * scale for p in prizes],
+                                  num_trees)
+            assert scaled.components == base.components
+
+
+def test_import_binds_the_module():
+    import gbgp.pcst
+
+    assert isinstance(gbgp.pcst, types.ModuleType)
+    assert gbgp.pcst.PcstEngine is PcstEngine
 
 
 class TestStrongPrune:
@@ -197,14 +217,6 @@ class TestStrongPrune:
         kept, edges, _ = strong_prune(nodes, tree, prizes)
         assert kept == [2, 3]
         assert edges == [(2, 3)]
-
-    def test_forced_root_kept_even_at_loss(self):
-        nodes = [0, 1]
-        tree = [(0, 1, 100.0)]
-        prizes = [0.0, 1.0]
-        kept, edges, _ = strong_prune(nodes, tree, prizes, force=0)
-        assert kept == [0]
-        assert edges == []
 
     def test_zero_margin_excluded(self):
         nodes = [0, 1]

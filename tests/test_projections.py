@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from gbgp.graph import Graph, connected_components
-from gbgp.projections import (
-    PcstInstance,
-    budget_search,
-    head_project,
-    pcst,
-    tail_project,
-)
+from gbgp.projections import budget_search, head_project, tail_project
 
 from oracles import (
     connected_subsets,
@@ -17,35 +11,6 @@ from oracles import (
     small_graph_families,
     tail_optimum,
 )
-
-
-class TestPcstOp:
-    def test_star_collects_all(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        inst = PcstInstance(g, prizes=(0.0, 10.0, 10.0, 10.0))
-        nodes, edges = pcst(inst)
-        assert nodes == (0, 1, 2, 3)
-        assert len(edges) == 3
-
-    def test_zero_prizes_empty(self):
-        g = path_graph(3)
-        nodes, edges = pcst(PcstInstance(g, prizes=(0.0, 0.0, 0.0)))
-        assert nodes == ()
-        assert edges == ()
-
-    def test_isolated_prized_node(self):
-        g = Graph(1, [])
-        nodes, _ = pcst(PcstInstance(g, prizes=(5.0,)))
-        assert nodes == (0,)
-
-    def test_invalid_instances(self):
-        g = path_graph(2)
-        with pytest.raises(ValueError):
-            PcstInstance(g, prizes=(1.0,))
-        with pytest.raises(ValueError):
-            PcstInstance(g, prizes=(-1.0, 1.0))
-        with pytest.raises(ValueError):
-            PcstInstance(g, prizes=(1.0, 1.0), edge_cost_multiplier=0.0)
 
 
 class TestHeadProject:

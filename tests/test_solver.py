@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gbgp.solver as solver
 from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components
 from gbgp.objectives import ObjectiveSpec
 from gbgp.solver import (
@@ -104,13 +105,8 @@ class TestEstimateStepSize:
     def test_quadratic_accepts_unit_step(self):
         stub = single_block_stub(4, target=np.zeros(4))
         x = np.array([0.9, 0.4, 0.7, 0.1])
-        alpha, _ = estimate_step_size(stub, 0, x, np.ones(4, bool), "backtracking", 1.0)
+        alpha, _ = estimate_step_size(stub, 0, x, np.ones(4, bool), 1.0)
         assert alpha == 1.0
-
-    def test_fixed_mode_passthrough(self):
-        stub = single_block_stub(2, target=np.zeros(2))
-        alpha, _ = estimate_step_size(stub, 0, np.array([0.5, 0.5]), np.ones(2, bool), "fixed", 0.37)
-        assert alpha == 0.37
 
     def test_steep_objective_halves_and_satisfies_bound(self):
         class Steep(QuadraticStub):
@@ -127,7 +123,7 @@ class TestEstimateStepSize:
         part = BlockPartition(graph, [0, 0], 1)
         stub = Steep(part, np.zeros(2))
         y = np.array([0.9, 0.8])
-        alpha, x_new = estimate_step_size(stub, 0, y, np.ones(2, bool), "backtracking", 1.0)
+        alpha, x_new = estimate_step_size(stub, 0, y, np.ones(2, bool), 1.0)
         assert alpha < 1.0
         step = x_new - y
         bound = stub.local_value(y, 0) + float(stub.block_gradient(y, 0) @ step)
@@ -249,23 +245,42 @@ class TestGbgpSolve:
                 comps = connected_components(graph, support.nodes)
                 assert len(comps) == 1
 
-    def test_omega_construction_invariant(self):
+    def test_omega_construction_invariant(self, monkeypatch):
         obj = planted_objective(n=10, truth=(4, 5, 6))
+        calls = {"head": [], "inner": [], "tail": []}
+
+        def spy(name, fn):
+            def record(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls[name].append((args, out))
+                return out
+
+            return record
+
+        monkeypatch.setattr(solver, "head_project", spy("head", solver.head_project))
+        monkeypatch.setattr(solver, "bcd_solve", spy("inner", solver.bcd_solve))
+        monkeypatch.setattr(solver, "tail_project", spy("tail", solver.tail_project))
         result = gbgp_solve(obj, SolverConfig(budgets=3, max_outer_iters=5))
-        x0 = obj.initial_x()
-        prev_supp = [frozenset(np.flatnonzero(x0[obj.partition.block_nodes[k]]).tolist())
-                     for k in range(obj.num_blocks)]
-        for record in result.iterates:
-            for k in range(obj.num_blocks):
-                assert record.omega_sets[k] == record.head_sets[k] | prev_supp[k]
-                # iterate support lives inside a connected tail set
-                assert record.support_after[k] <= record.tail_sets[k]
-                if record.tail_sets[k]:
-                    comps = connected_components(
-                        obj.partition.block_graph(k), record.tail_sets[k]
-                    )
+
+        K = obj.num_blocks
+        iterates = [args[2] for args, _ in calls["inner"]] + [result.x_final]
+        assert len(calls["inner"]) == result.outer_iters
+        assert len(calls["head"]) == len(calls["tail"]) == K * result.outer_iters
+
+        def support(x, k):
+            return set(np.flatnonzero(x[obj.partition.block_nodes[k]]).tolist())
+
+        for i, (args, _) in enumerate(calls["inner"]):
+            omegas, x = args[1], args[2]
+            for k in range(K):
+                head = set(calls["head"][i * K + k][1].support.nodes)
+                assert omegas[k] == head | support(x, k)
+                # the next iterate's support lives inside a connected tail set
+                tail = set(calls["tail"][i * K + k][1].support.nodes)
+                assert support(iterates[i + 1], k) <= tail
+                if tail:
+                    comps = connected_components(obj.partition.block_graph(k), tail)
                     assert len(comps) == 1
-            prev_supp = record.support_after
 
     def test_deterministic_serial(self):
         obj = planted_objective(n=12, truth=(5, 6, 7))
