@@ -4,6 +4,11 @@ Every command honors --seed and produces byte-identical non-timing
 output files on rerun. Exit codes: 0 success, 2 validation error,
 3 solver stopped on its iteration cap, 4 I/O error, 5 solver failed
 (non-finite objective, step-size underflow, broken worker pool).
+
+``detect --graph/--signal`` blocks come from ``--partition`` (which
+needs ``--blocks``) or, without it, from cutting the graph into
+``--blocks`` (default 4) contiguous BFS blocks; ``--budget`` must fit
+every block.
 """
 from __future__ import annotations
 
@@ -74,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", action="append", default=None,
                    help="signal file; repeat per timestamp for temporal data")
     p.add_argument("--partition", help="partition file (non objective)")
-    p.add_argument("--blocks", type=int, help="block count for --partition")
+    p.add_argument("--blocks", type=int,
+                   help="block count of --partition; without --partition, the graph "
+                        "is cut into this many contiguous BFS blocks (default 4)")
     p.add_argument("--objective", choices=["temporal", "non", "ems"], default=None)
     p.add_argument("--budget", type=int, required=True, help="per-block sparsity budget")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
@@ -187,7 +194,15 @@ def _load_detect_inputs(args):
             raise ValueError("--partition needs --blocks")
         partition = load_partition(args.partition, graph, args.blocks)
     else:
-        partition = partition_contiguous(graph, args.blocks or 4)
+        blocks = args.blocks or 4
+        partition = partition_contiguous(graph, blocks)
+        for k, nodes in enumerate(partition.block_nodes):
+            if args.budget > len(nodes):
+                raise ValueError(
+                    f"budget {args.budget} infeasible for block {k} of {len(nodes)} nodes: "
+                    f"without --partition the graph is cut into --blocks {blocks} "
+                    f"contiguous blocks; lower --blocks or --budget"
+                )
     return kind, graph, partition, signals[0], graph, 1
 
 

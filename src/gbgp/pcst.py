@@ -5,12 +5,21 @@ event-driven: cluster merges and deactivations are processed in time
 order from a lazily revalidated heap, with accumulated moats tracked
 through a weighted union-find. Ties are broken toward low node ids so
 identical inputs always give identical outputs.
+
+As in Hegde, Indyk and Schmidt's fast adaptive GW variant (DIMACS 2014),
+a solve works only on the prized nodes and the clusters they grow: the
+heap starts from the prized nodes and their edges, other nodes join
+when a moat reaches them, and only clusters holding a prized node are
+pruned at the end.
 """
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Sequence
+
+import numpy as np
+
+from .graph import Graph
 
 __all__ = ["strong_prune", "PcstResult", "PcstEngine"]
 
@@ -41,53 +50,54 @@ class PcstResult:
 class PcstEngine:
     """Reusable solver for one graph under varying costs and prizes.
 
-    Building the edge incidence once and copying it per solve makes
-    repeated solves (the budget binary search) substantially cheaper
-    than reconstructing the instance each time.
+    The edge endpoints and the incidence come from the graph's CSR
+    adjacency (``adj_indptr``/``adj_eids``, ascending edge ids per node),
+    converted to Python lists once per graph. A solve then costs what
+    the prized nodes and the clusters they grow touch, plus a few
+    C-level per-node array fills: only clusters that merge take a
+    private incidence list.
     """
 
-    def __init__(self, node_count: int, edges: Sequence[tuple[int, int]]):
-        self.n = int(node_count)
-        self.m = len(edges)
-        self.eu = [int(e[0]) for e in edges]
-        self.ev = [int(e[1]) for e in edges]
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        for eid in range(self.m):
-            incident[self.eu[eid]].append(eid)
-            incident[self.ev[eid]].append(eid)
-        self._incident_template = incident
+    def __init__(self, graph: Graph):
+        self.n = graph.node_count
+        self.m = graph.edge_count
+        # Graph stores every edge with edge_u < edge_v
+        self.eu = graph.edge_u.tolist()
+        self.ev = graph.edge_v.tolist()
+        self.indptr = graph.adj_indptr.tolist()
+        self.adj_eids = graph.adj_eids.tolist()
 
-    def solve(
-        self,
-        costs: Sequence[float],
-        prizes: Sequence[float],
-        num_trees: int = 1,
-    ) -> PcstResult:
+    def solve(self, costs, prizes, num_trees: int = 1) -> PcstResult:
         """Run moat growing and strong pruning.
 
-        Growth proceeds until every cluster has deactivated. Each final
-        cluster is pruned to its best subtree and the ``num_trees``
+        ``costs`` (one per edge, in the graph's edge order) and
+        ``prizes`` (one per node) are array-likes. Growth starts from
+        the nodes with positive prize and proceeds until every cluster
+        has deactivated. Each final cluster holding a prized node is
+        pruned to its best subtree and the ``num_trees``
         highest-net-worth subtrees (net worth > 0) are returned.
         """
-        n = self.n
-        m = self.m
-        if len(costs) != m:
+        costs = np.asarray(costs, dtype=np.float64)
+        prizes = np.asarray(prizes, dtype=np.float64)
+        if costs.shape != (self.m,):
             raise ValueError("costs length must match edges")
-        if len(prizes) != n:
+        if prizes.shape != (self.n,):
             raise ValueError("prizes length must match node count")
-        for c in costs:
-            if c <= 0 or not math.isfinite(c):
-                raise ValueError("edge costs must be positive and finite")
-        for p in prizes:
-            if p < 0 or not math.isfinite(p):
-                raise ValueError("prizes must be nonnegative and finite")
+        if not (np.isfinite(costs).all() and (costs > 0).all()):
+            raise ValueError("edge costs must be positive and finite")
+        if not (np.isfinite(prizes).all() and (prizes >= 0).all()):
+            raise ValueError("prizes must be nonnegative and finite")
         if num_trees < 1:
             raise ValueError("num_trees must be >= 1")
 
+        n = self.n
         eu = self.eu
         ev = self.ev
-        cost = [float(c) for c in costs]
-        prize = [float(p) for p in prizes]
+        indptr = self.indptr
+        adj_eids = self.adj_eids
+        cost = costs.tolist()
+        prize = prizes.tolist()
+        seeds = np.flatnonzero(prizes > 0).tolist()
 
         # union-find with per-node moat offsets: moat(u, t) equals the path
         # weight from u to its root plus the root's accumulated growth
@@ -95,25 +105,18 @@ class PcstEngine:
         offset = [0.0] * n
 
         def find(u: int) -> int:
+            stack = []
             r = u
             while parent[r] != r:
+                stack.append(r)
                 r = parent[r]
             # path compression, folding offsets into direct-to-root weights
             agg = 0.0
-            stack = []
-            x = u
-            while parent[x] != x:
-                stack.append(x)
-                x = parent[x]
             for x in reversed(stack):
                 agg += offset[x]
                 parent[x] = r
                 offset[x] = agg
             return r
-
-        def moat(u: int, r: int) -> float:
-            # requires find(u) == r and r settled
-            return (offset[u] if u != r else 0.0) + accum[r]
 
         # per-root cluster state
         active = [False] * n
@@ -122,156 +125,175 @@ class PcstEngine:
         last_t = [0.0] * n
         version = [0] * n
         minid = list(range(n))
-        # members/tree_edges materialize lazily: a missing entry means the
-        # singleton {u} with no tree edges
+        # members, tree_edges and incident materialize on a root's first
+        # merge: a missing entry means the singleton {u}, no tree edges and
+        # u's CSR incidence
         members: dict[int, list[int]] = {}
         tree_edges: dict[int, list[int]] = {}
-        # copy-on-write views of the shared incidence template: only roots
-        # that actually merge pay for a private list
-        incident: list[list[int]] = list(self._incident_template)
-        incident_owned = [False] * n
-
-        active_count = 0
-        for u in range(n):
-            if prize[u] > 0:
-                active[u] = True
-                slack[u] = prize[u]
-                active_count += 1
-
-        def settle(r: int, t: float) -> None:
-            dt = t - last_t[r]
-            if dt > 0 and active[r]:
-                accum[r] += dt
-                slack[r] -= dt
-                if slack[r] < 0:
-                    slack[r] = 0.0
-            if dt > 0:
-                last_t[r] = t
+        incident: dict[int, list[int]] = {}
 
         heap: list[tuple] = []
+        heappush = heapq.heappush
 
-        def edge_event(eid: int, now: float):
-            ru, rv = find(eu[eid]), find(ev[eid])
+        def push_edge(eid: int, now: float) -> None:
+            # schedule the time edge eid goes tight; the fast paths skip
+            # find for a root or a child of one, where it changes nothing
+            u = eu[eid]
+            v = ev[eid]
+            ru = parent[u]
+            if parent[ru] != ru:
+                ru = find(u)
+            rv = parent[v]
+            if parent[rv] != rv:
+                rv = find(v)
             if ru == rv:
-                return None
-            settle(ru, now)
-            settle(rv, now)
-            filled = moat(eu[eid], ru) + moat(ev[eid], rv)
+                return
+            # settle both clusters' moats at now
+            for r in (ru, rv):
+                dt = now - last_t[r]
+                if dt > 0:
+                    last_t[r] = now
+                    if active[r]:
+                        accum[r] += dt
+                        rest = slack[r] - dt
+                        slack[r] = 0.0 if rest < 0 else rest
+            filled = ((offset[u] + accum[ru]) if u != ru else accum[ru]) + (
+                (offset[v] + accum[rv]) if v != rv else accum[rv]
+            )
             remaining = cost[eid] - filled
-            rate = (1 if active[ru] else 0) + (1 if active[rv] else 0)
+            rate = active[ru] + active[rv]
             if remaining <= _EPS:
                 t = now
             elif rate == 0:
-                return None
+                return
             else:
                 t = now + remaining / rate
-            a, b = (eu[eid], ev[eid]) if eu[eid] < ev[eid] else (ev[eid], eu[eid])
-            return (t, 0, a, b, eid, ru, version[ru], rv, version[rv])
+            heappush(heap, (t, 0, u, v, eid, ru, version[ru], rv, version[rv]))
 
-        def push_edge(eid: int, now: float) -> None:
-            ev_entry = edge_event(eid, now)
-            if ev_entry is not None:
-                heapq.heappush(heap, ev_entry)
-
-        def push_deactivation(r: int, now: float) -> None:
+        for u in seeds:
+            active[u] = True
+            slack[u] = prize[u]
             # higher-minid clusters die first on ties so low ids survive
-            heapq.heappush(heap, (now + slack[r], 1, -minid[r], r, version[r]))
-
+            heap.append((0.0 + prize[u], 1, -u, u, 0))
+        heapq.heapify(heap)
+        active_count = len(seeds)
         seen_edges: set[int] = set()
-        for u in range(n):
-            if active[u]:
-                push_deactivation(u, 0.0)
-                for eid in incident[u]:
-                    if eid not in seen_edges:
-                        seen_edges.add(eid)
-                        push_edge(eid, 0.0)
+        for u in seeds:
+            for eid in adj_eids[indptr[u]:indptr[u + 1]]:
+                if eid not in seen_edges:
+                    seen_edges.add(eid)
+                    push_edge(eid, 0.0)
         # edges between two inactive endpoints enter the queue later, via
         # rescheduling when a merge puts them next to an active cluster
         del seen_edges
 
-        now = 0.0
+        heappop = heapq.heappop
         while heap and active_count > 0:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             now = entry[0]
             if entry[1] == 1:
-                _, _, _, r, ver = entry
-                if parent[r] != r or version[r] != ver or not active[r]:
+                r = entry[3]
+                if parent[r] != r or version[r] != entry[4] or not active[r]:
                     continue
-                settle(r, now)
+                # settle r at now; its slack is zeroed below
+                dt = now - last_t[r]
+                if dt > 0:
+                    accum[r] += dt
+                    last_t[r] = now
                 active[r] = False
                 slack[r] = 0.0
                 version[r] += 1
                 active_count -= 1
                 continue
 
-            _, _, _, _, eid, ru0, veru, rv0, verv = entry
-            ru, rv = find(eu[eid]), find(ev[eid])
+            eid = entry[4]
+            u = eu[eid]
+            v = ev[eid]
+            ru = parent[u]
+            if parent[ru] != ru:
+                ru = find(u)
+            rv = parent[v]
+            if parent[rv] != rv:
+                rv = find(v)
             if ru == rv:
                 continue
-            if (ru, version[ru], rv, version[rv]) != (ru0, veru, rv0, verv):
+            if (ru != entry[5] or rv != entry[7]
+                    or version[ru] != entry[6] or version[rv] != entry[8]):
                 push_edge(eid, now)
                 continue
 
-            settle(ru, now)
-            settle(rv, now)
-            was_active = (1 if active[ru] else 0) + (1 if active[rv] else 0)
+            for r in (ru, rv):
+                dt = now - last_t[r]
+                if dt > 0:
+                    last_t[r] = now
+                    if active[r]:
+                        accum[r] += dt
+                        rest = slack[r] - dt
+                        slack[r] = 0.0 if rest < 0 else rest
+            was_active = active[ru] + active[rv]
             merged_slack = slack[ru] + slack[rv]
             result_active = merged_slack > _EPS
 
-            size_u = len(members.get(ru, (ru,)))
-            size_v = len(members.get(rv, (rv,)))
+            size_u = len(members[ru]) if ru in members else 1
+            size_v = len(members[rv]) if rv in members else 1
             keeper, absorbed = (ru, rv) if size_u >= size_v else (rv, ru)
+            incident_u = incident.pop(ru, None)
+            if incident_u is None:
+                incident_u = adj_eids[indptr[ru]:indptr[ru + 1]]
+            incident_v = incident.pop(rv, None)
+            if incident_v is None:
+                incident_v = adj_eids[indptr[rv]:indptr[rv + 1]]
             # sides that were inactive speed up once the merged cluster grows
             resched: list[int] = []
             if result_active:
                 if not active[ru]:
-                    resched.extend(incident[ru])
+                    resched += incident_u
                 if not active[rv]:
-                    resched.extend(incident[rv])
+                    resched += incident_v
 
             version[ru] += 1
             version[rv] += 1
             parent[absorbed] = keeper
             offset[absorbed] = accum[absorbed] - accum[keeper]
             keeper_members = members.setdefault(keeper, [keeper])
-            keeper_members.extend(members.pop(absorbed, [absorbed]))
+            keeper_members.extend(members.pop(absorbed, (absorbed,)))
             keeper_tree = tree_edges.setdefault(keeper, [])
             keeper_tree.append(eid)
             keeper_tree.extend(tree_edges.pop(absorbed, ()))
-            if len(incident[keeper]) < len(incident[absorbed]):
-                incident[keeper], incident[absorbed] = incident[absorbed], incident[keeper]
-                incident_owned[keeper], incident_owned[absorbed] = (
-                    incident_owned[absorbed],
-                    incident_owned[keeper],
-                )
-            if not incident_owned[keeper]:
-                incident[keeper] = list(incident[keeper])
-                incident_owned[keeper] = True
-            incident[keeper].extend(incident[absorbed])
-            incident[absorbed] = []
-            incident_owned[absorbed] = True
+            # the longer list absorbs the shorter one
+            if len(incident_u) < len(incident_v):
+                incident_u, incident_v = incident_v, incident_u
+            incident_u.extend(incident_v)
+            incident[keeper] = incident_u
             minid[keeper] = min(minid[keeper], minid[absorbed])
             slack[keeper] = merged_slack
             active[keeper] = result_active
             last_t[keeper] = now
-            active_count += (1 if result_active else 0) - was_active
+            active_count += result_active - was_active
 
             if result_active:
-                push_deactivation(keeper, now)
+                heappush(heap, (now + merged_slack, 1, -minid[keeper], keeper, version[keeper]))
                 for other in resched:
                     push_edge(other, now)
 
-        # prune every final cluster, keep the best num_trees by net worth
+        # every cluster that merged holds a prized node, and a zero-prize
+        # singleton is never worth anything: prune the prized nodes' final
+        # clusters and keep the best num_trees by net worth
         candidates = []
-        seen = set()
-        for u in range(n):
+        seen_roots: set[int] = set()
+        for u in seeds:
             r = find(u)
-            if r in seen:
+            if r in seen_roots:
                 continue
-            seen.add(r)
+            seen_roots.add(r)
+            if r not in members:
+                # a prized node that never merged is its own best subtree
+                if prize[r] > _EPS:
+                    candidates.append((-prize[r], r, ([r], [])))
+                continue
             nodes_kept, edges_kept, worth = strong_prune(
-                members.get(r, [r]),
-                [(eu[e], ev[e], cost[e]) for e in tree_edges.get(r, ())],
+                members[r],
+                [(eu[e], ev[e], cost[e]) for e in tree_edges[r]],
                 prize,
             )
             if worth > _EPS:
@@ -299,24 +321,24 @@ def strong_prune(
 
     r0 = min(nodes)
     parent: dict[int, int] = {r0: r0}
+    cost_up: dict[int, float] = {}
     order = [r0]
     stack = [r0]
     while stack:
         u = stack.pop()
-        for v, _ in adj[u]:
+        for v, c in adj[u]:
             if v not in parent:
                 parent[v] = u
+                cost_up[v] = c
                 order.append(v)
                 stack.append(v)
     best = {u: float(prize[u]) for u in nodes}
     for u in reversed(order):
         if u == r0:
             continue
-        p = parent[u]
-        cost_up = next(c for v, c in adj[u] if v == p)
-        margin = best[u] - cost_up
+        margin = best[u] - cost_up[u]
         if margin > 0:
-            best[p] += margin
+            best[parent[u]] += margin
 
     top = r0
     for u in sorted(nodes):

@@ -46,7 +46,7 @@ def _engine_for(graph: Graph) -> PcstEngine:
     """One engine per graph object, cached on the graph itself."""
     engine = getattr(graph, "_pcst_engine", None)
     if engine is None:
-        engine = PcstEngine(graph.node_count, list(zip(graph.edge_u, graph.edge_v)))
+        engine = PcstEngine(graph)
         graph._pcst_engine = engine
     return engine
 
@@ -117,8 +117,6 @@ def budget_search(
         top_bound = total
     # no feasible support can beat the top-capacity prize mass
     exit_score = top_bound - 1e-12 * max(1.0, top_bound)
-    base_costs = np.asarray(graph.edge_w, dtype=np.float64)
-    prize_list = list(prizes)
     engine = _engine_for(graph)
 
     lo, hi = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
@@ -129,11 +127,7 @@ def budget_search(
         else:
             mid = 0.5 * (lo + hi)
         mult = math.exp(mid)
-        result = engine.solve(
-            list(base_costs * mult),
-            prize_list,
-            num_trees=num_components,
-        )
+        result = engine.solve(graph.edge_w * mult, prizes, num_trees=num_components)
         nodes = tuple(result.nodes)
         oversized = len(nodes) > capacity
         # oversized forests still carry a usable feasible candidate

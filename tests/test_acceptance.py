@@ -243,6 +243,7 @@ class TestCriterion06ConvergenceBehavior:
                f"(need >=18), converged within 30 iters in {conv_ok}/{runs} (need >=19)")
 
 
+@pytest.mark.slow
 class TestCriterion07NearlyLinearScaling:
     def test_wall_time_ratio_per_doubling(self):
         start = time.perf_counter()
@@ -258,6 +259,7 @@ class TestCriterion07NearlyLinearScaling:
                f"{elapsed:.0f}s < 900s")
 
 
+@pytest.mark.slow
 class TestCriterion08SerialParallelAgreement:
     def test_f_gap_and_speedup(self):
         spec = SyntheticSpec(n=4000, m=3, subgraph_size=0.1, mu=5.0, seed=0)

@@ -125,6 +125,38 @@ class TestDetect:
         assert code == 5
         assert "non-finite" in capsys.readouterr().err
 
+    def test_backtracking_underflow_exit_5(self, tmp_path, capsys, monkeypatch):
+        # an uphill gradient can never meet the sufficient-decrease test,
+        # so backtracking halves the step below its floor
+        from gbgp.objectives import ObjectiveSpec
+
+        true_gradient = ObjectiveSpec.block_gradient
+        monkeypatch.setattr(ObjectiveSpec, "block_gradient",
+                            lambda self, *args: -true_gradient(self, *args))
+        graph = tmp_path / "path.txt"
+        graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
+        signal = tmp_path / "signal.txt"
+        signal.write_text("".join(f"{i}\t{v}\n" for i, v in enumerate([0, 1, 5, 5, 1, 0])))
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert "backtracking underflow" in capsys.readouterr().err
+
+    def test_default_cut_budget_names_blocks_flag(self, tmp_path, capsys):
+        # without --partition a 6-node path is cut into 4 blocks, two of
+        # them single nodes, so budget 2 cannot fit
+        graph = tmp_path / "path.txt"
+        graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
+        signal = tmp_path / "signal.txt"
+        signal.write_text("".join(f"{i}\t{v}\n" for i, v in enumerate([0, 1, 5, 5, 1, 0])))
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--budget", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "--blocks 4" in capsys.readouterr().err
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
+        assert code in (0, 3)
+
     def test_iteration_cap_exit_3(self, temporal_bundle, tmp_path):
         code = run(["detect", "--bundle", str(temporal_bundle), "--budget", "11",
                     "--max-outer-iters", "1", "--seed", "1",

@@ -5,7 +5,9 @@ instances, prices its minimum spanning tree, and checks the classic
 moat-growing guarantee: cost(F) + 2*prize(excluded) is at most twice
 the optimal cost-version objective.
 """
+import hashlib
 import itertools
+import math
 import types
 
 import numpy as np
@@ -79,34 +81,84 @@ def random_instance(rng, n):
     return ewc, prizes
 
 
+def make_engine(n, edges):
+    """Engine over Graph(n, edges); costs follow the sorted edge order."""
+    return PcstEngine(Graph(n, edges))
+
+
+def golden_instances(count=300, seed=2024):
+    """Seeded sparse instances with unit, scaled-unit and random costs.
+
+    Unit and scaled-unit costs make equal event times common, so these
+    instances pin the engine's tie-breaking and its floating-point
+    arithmetic, not only its optimum.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 61))
+        edges = set()
+        for v in range(1, n):
+            if rng.random() < 0.9:
+                edges.add((int(rng.integers(0, v)), v))
+        for _ in range(int(rng.integers(0, n + 1))):
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        edges = sorted(edges)
+        kind = i % 3
+        if kind == 0:
+            costs = [1.0] * len(edges)
+        elif kind == 1:
+            costs = [math.exp(float(rng.uniform(-3.0, 3.0)))] * len(edges)
+        else:
+            costs = rng.uniform(0.05, 3.0, size=len(edges)).tolist()
+        prized = rng.random(n) < rng.uniform(0.05, 0.7)
+        prizes = np.where(prized, 3.0 * rng.standard_normal(n) ** 2, 0.0).tolist()
+        yield n, edges, costs, prizes, int(rng.integers(1, 4))
+
+
+# sha256 of the forests the engine returned on golden_instances() before
+# the engine was rewritten to work only on prized nodes; any change to an
+# event time, a tie break or a floating-point sum shows up here
+GOLDEN_DIGEST = "11e87117e08df1077318e870675bff44698c7188b7482ee7468fe3ba745e3a69"
+
+
+def test_golden_forests_are_byte_identical():
+    digest = hashlib.sha256()
+    for n, edges, costs, prizes, num_trees in golden_instances():
+        result = make_engine(n, edges).solve(costs, prizes, num_trees)
+        digest.update(repr(result.components).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
 class TestGrowForestExamples:
     def test_star_collects_everything(self):
         # center prize 0, three leaves prize 10, unit costs
         edges = [(0, 1), (0, 2), (0, 3)]
-        result = PcstEngine(4, edges).solve([1.0, 1.0, 1.0], [0.0, 10.0, 10.0, 10.0])
+        result = make_engine(4, edges).solve([1.0, 1.0, 1.0], [0.0, 10.0, 10.0, 10.0])
         assert result.nodes == [0, 1, 2, 3]
         assert result.edges == [(0, 1), (0, 2), (0, 3)]
 
     def test_all_zero_prizes_empty(self):
-        result = PcstEngine(3, [(0, 1), (1, 2)]).solve([1.0, 1.0], [0.0, 0.0, 0.0])
+        result = make_engine(3, [(0, 1), (1, 2)]).solve([1.0, 1.0], [0.0, 0.0, 0.0])
         assert result.nodes == []
         assert result.edges == []
 
     def test_isolated_prized_node(self):
-        result = PcstEngine(1, []).solve([], [5.0])
+        result = make_engine(1, []).solve([], [5.0])
         assert result.nodes == [0]
         assert result.edges == []
 
     def test_expensive_edges_keep_best_singleton(self):
         # ties on prize resolve toward the lowest node id
         edges = [(0, 1), (1, 2)]
-        result = PcstEngine(3, edges).solve([100.0, 100.0], [9.0, 0.0, 9.0])
+        result = make_engine(3, edges).solve([100.0, 100.0], [9.0, 0.0, 9.0])
         assert result.nodes == [0]
 
     def test_bridge_through_zero_prize_node(self):
         # cheap edges: worth paying to connect both prized endpoints
         edges = [(0, 1), (1, 2)]
-        result = PcstEngine(3, edges).solve([0.1, 0.1], [1.0, 0.0, 1.0])
+        result = make_engine(3, edges).solve([0.1, 0.1], [1.0, 0.0, 1.0])
         assert result.nodes == [0, 1, 2]
 
     def test_two_trees_allowed(self):
@@ -114,7 +166,7 @@ class TestGrowForestExamples:
         edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
         costs = [0.1, 50.0, 50.0, 0.1]
         prizes = [4.0, 4.0, 0.0, 4.0, 4.0]
-        result = PcstEngine(5, edges).solve(costs, prizes, num_trees=2)
+        result = make_engine(5, edges).solve(costs, prizes, num_trees=2)
         assert len(result.components) == 2
         assert result.nodes == [0, 1, 3, 4]
 
@@ -126,7 +178,7 @@ class TestGrowForestProperties:
         n = int(rng.integers(3, 11))
         ewc, prizes = random_instance(rng, n)
         g = int(rng.integers(1, 3))
-        engine = PcstEngine(n, [(u, v) for u, v, _ in ewc])
+        engine = make_engine(n, [(u, v) for u, v, _ in ewc])
         result = engine.solve([c for _, _, c in ewc], prizes, num_trees=g)
         assert len(result.components) <= g
         graph = Graph(n, ewc)
@@ -142,7 +194,7 @@ class TestGrowForestProperties:
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(3, 9))
         ewc, prizes = random_instance(rng, n)
-        result = PcstEngine(n, [(u, v) for u, v, _ in ewc]).solve([c for _, _, c in ewc], prizes)
+        result = make_engine(n, [(u, v) for u, v, _ in ewc]).solve([c for _, _, c in ewc], prizes)
         tree_cost, excluded = forest_cost_version(result, ewc, prizes)
         opt = cost_version_opt(n, ewc, prizes)
         assert tree_cost + 2.0 * excluded <= 2.0 * opt + 1e-9
@@ -151,19 +203,23 @@ class TestGrowForestProperties:
         rng = np.random.default_rng(7)
         ewc, prizes = random_instance(rng, 9)
         costs = [c for _, _, c in ewc]
-        first = PcstEngine(9, [(u, v) for u, v, _ in ewc]).solve(costs, prizes)
-        second = PcstEngine(9, [(u, v) for u, v, _ in ewc]).solve(costs, prizes)
+        first = make_engine(9, [(u, v) for u, v, _ in ewc]).solve(costs, prizes)
+        second = make_engine(9, [(u, v) for u, v, _ in ewc]).solve(costs, prizes)
         assert first.nodes == second.nodes
         assert first.edges == second.edges
 
     def test_rejects_bad_input(self):
-        engine = PcstEngine(2, [(0, 1)])
+        engine = make_engine(2, [(0, 1)])
         with pytest.raises(ValueError):
             engine.solve([0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             engine.solve([1.0], [-1.0, 1.0])
         with pytest.raises(ValueError, match="prizes length"):
             engine.solve([1.0], [1.0])
+        with pytest.raises(ValueError, match="edge costs"):
+            engine.solve(np.array([np.nan]), np.ones(2))
+        with pytest.raises(ValueError, match="prizes must"):
+            engine.solve(np.ones(1), np.array([np.inf, 0.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -172,17 +228,44 @@ class TestGrowForestProperties:
         # so the event order and every tie break must stay the same
         n = data.draw(st.integers(1, 9))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
         costs = data.draw(st.lists(st.integers(1, 20), min_size=len(edges), max_size=len(edges)))
         prizes = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
         num_trees = data.draw(st.integers(1, 3))
-        engine = PcstEngine(n, edges)
+        engine = make_engine(n, edges)
         base = engine.solve([float(c) for c in costs], [float(p) for p in prizes], num_trees)
         for k in range(-2, 4):
             scale = 2.0 ** k
             scaled = engine.solve([c * scale for c in costs], [p * scale for p in prizes],
                                   num_trees)
             assert scaled.components == base.components
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_zero_prize_pendants_keep_forest(self, data):
+        # integer costs and prizes keep every event time exact, so the
+        # extra pendant events cannot move a tie break
+        n = data.draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+        costs = data.draw(st.lists(st.integers(1, 20), min_size=len(edges), max_size=len(edges)))
+        prizes = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        num_trees = data.draw(st.integers(1, 3))
+        anchors = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        pendant_costs = data.draw(st.lists(st.integers(1, 20), min_size=len(anchors),
+                                           max_size=len(anchors)))
+        base = make_engine(n, edges).solve([float(c) for c in costs],
+                                           [float(p) for p in prizes], num_trees)
+        cost_of = dict(zip(edges, costs))
+        for j, (u, c) in enumerate(zip(anchors, pendant_costs)):
+            cost_of[(u, n + j)] = c
+        grown = sorted(cost_of)
+        extended = make_engine(n + len(anchors), grown).solve(
+            [float(cost_of[e]) for e in grown],
+            [float(p) for p in prizes] + [0.0] * len(anchors),
+            num_trees,
+        )
+        assert extended.components == base.components
 
 
 def test_import_binds_the_module():
