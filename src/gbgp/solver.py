@@ -353,8 +353,13 @@ def gbgp_solve(
 ) -> DetectionResult:
     """Head-project, minimize restricted, tail-project until converged.
 
-    Returns the per-block tail supports of the final iteration together
-    with the continuous iterate and convergence history.
+    A projection is a pure function of its input vector, budget and
+    options (warm-start multiplier included), so a block whose head or
+    tail input is bit-identical to its previous one reuses that outcome
+    instead of searching again; only the other blocks are projected, and
+    the pool gets no work when every block repeats. Returns the per-block
+    tail supports of the final iteration together with the continuous
+    iterate and convergence history.
     """
     partition = objective.partition
     K = partition.num_blocks
@@ -371,11 +376,31 @@ def gbgp_solve(
                 max_workers=workers, initializer=_pool_init, initargs=(block_graphs,)
             )
 
+    # (kind, k) -> the last task's (values bytes, budget, kwargs) and outcome
+    last: dict[tuple[str, int], tuple[tuple, ProjectionOutcome]] = {}
+
     def project_blocks(tasks: list[tuple]) -> dict:
+        outcomes, missed, keys = {}, [], []
+        for task in tasks:
+            kind, k, values, budget, kwargs = task
+            key = (values.tobytes(), budget, kwargs)
+            entry = last.get((kind, k))
+            if entry is not None and entry[0] == key:
+                outcomes[k] = entry[1]
+            else:
+                missed.append(task)
+                keys.append(key)
         if pool is None:
-            return dict(_pool_project(task, block_graphs) for task in tasks)
-        chunk = max(1, math.ceil(len(tasks) / pool._max_workers))
-        return dict(pool.map(_pool_project, tasks, chunksize=chunk))
+            fresh = [_pool_project(task, block_graphs) for task in missed]
+        elif missed:
+            chunk = math.ceil(len(missed) / workers)
+            fresh = pool.map(_pool_project, missed, chunksize=chunk)
+        else:
+            fresh = []
+        for task, key, (k, outcome) in zip(missed, keys, fresh):
+            last[task[0], k] = (key, outcome)
+            outcomes[k] = outcome
+        return outcomes
 
     x = objective.initial_x() if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     history: list[tuple[int, float, float, float]] = []

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import gbgp.solver as solver
+from gbgp.datagen import SyntheticSpec, generate_non, generate_temporal
 from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components
 from gbgp.objectives import ObjectiveSpec
 from gbgp.solver import (
@@ -334,3 +337,114 @@ class TestGbgpSolve:
         b = gbgp_solve(obj, config)
         assert [s.nodes for s in a.supports] == [s.nodes for s in b.supports]
         assert np.array_equal(a.x_final, b.x_final)
+
+
+def non_objective():
+    """A 600-node network of networks in 4 blocks that reaches its fixed point."""
+    instance = generate_non(SyntheticSpec(n=600, m=3, subgraph_size=0.1, mu=3.0, seed=2), 4)
+    return ObjectiveSpec("non", instance.partition, instance.signal, lam=0.01)
+
+
+def temporal_objective():
+    instance = generate_temporal(
+        SyntheticSpec(n=150, m=3, T=4, subgraph_size=15, mu=5.0, seed=5)
+    )
+    _, partition, signal = instance.expand()
+    return ObjectiveSpec("temporal", partition, signal, lam=0.02)
+
+
+# sha256 of x_final and the sorted supports of whole solves, recorded
+# before projections were reused across outer iterations. The serial NoN
+# solve stops moving after 4 of its 8 pinned iterations, so most later
+# projections repeat their input; any change to a projection, the inner
+# solvers or the outer loop shows up here.
+GOLDEN_SOLVES = {
+    "non-serial": (non_objective, dict(budgets=18, seed=2),
+                   "287e4c1053e5240c78dd45b5e69317596ab8fb1dae0e7455f360ef90354485cd"),
+    "non-parallel": (non_objective, dict(budgets=18, seed=2, parallel=2),
+                     "924c3e8e84ea8338258e13e3a6d2b45d7e752ebade6159ed5ffa2c1860e5896a"),
+    "temporal": (temporal_objective, dict(budgets=16, seed=5),
+                 "f2cfb056fa4621cd26eaf618f758bd33f7715eb8c632153eb76dec31f0f82724"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
+def test_golden_solves_are_byte_identical(name):
+    make_objective, knobs, expected = GOLDEN_SOLVES[name]
+    config = SolverConfig(max_outer_iters=8, outer_tol=0.0, **knobs)
+    result = gbgp_solve(make_objective(), config)
+    digest = hashlib.sha256(result.x_final.tobytes())
+    for support in result.supports:
+        digest.update(repr((support.block_id, sorted(support.nodes))).encode())
+    assert result.outer_iters == 8
+    assert digest.hexdigest() == expected
+
+
+def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
+    obj = non_objective()
+    config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
+    head_project, tail_project = solver.head_project, solver.tail_project
+    bcd_solve = solver.bcd_solve
+    events = []
+
+    def spy(kind, fn):
+        def record(values, graph_k, budget, **kwargs):
+            out = fn(values, graph_k, budget, **kwargs)
+            events.append((kind, kwargs["block_id"], np.array(values),
+                           kwargs["initial_multiplier"], out))
+            return out
+
+        return record
+
+    def inner(objective, omegas, x, cfg):
+        b = bcd_solve(objective, omegas, x, cfg)
+        events.append(("inner", None, x.copy(), None, b))
+        return b
+
+    monkeypatch.setattr(solver, "head_project", spy("head", head_project))
+    monkeypatch.setattr(solver, "tail_project", spy("tail", tail_project))
+    monkeypatch.setattr(solver, "bcd_solve", inner)
+    result = gbgp_solve(obj, config)
+
+    K, iters = obj.num_blocks, result.outer_iters
+    # a head call belongs to the iteration whose inner solve comes next,
+    # a tail call to the one whose inner solve came last
+    calls, iterates = {}, []
+    for kind, k, values, warm, out in events:
+        if kind == "inner":
+            iterates.append((values, out))
+        else:
+            calls[kind, len(iterates) - (kind == "tail"), k] = (values, warm, out)
+    heads = sum(key[0] == "head" for key in calls)
+    tails = len(calls) - heads
+    assert heads < K * iters and tails < K * iters
+
+    partition = obj.partition
+    used: dict = {}
+    reused = 0
+    for i, (x, b) in enumerate(iterates):
+        for k in range(K):
+            nodes = partition.block_nodes[k]
+            graph_k = partition.block_graph(k)
+            inputs = {
+                "head": solver._box_projected_gradient(obj.block_gradient(x, k), x[nodes]),
+                "tail": b[nodes],
+            }
+            for kind, project, extra in (("head", head_project, {"capacity_mode": "2s"}),
+                                         ("tail", tail_project, {})):
+                warm = used[kind, i - 1, k].multiplier if i else None
+                if (kind, i, k) in calls:
+                    # the reconstructed input is the one the solver sent
+                    values, sent_warm, out = calls[kind, i, k]
+                    assert np.array_equal(values, inputs[kind]) and sent_warm == warm
+                    used[kind, i, k] = out
+                    continue
+                reused += 1
+                stored = used[kind, i - 1, k]
+                fresh = project(inputs[kind], graph_k, 18, num_components=1, block_id=k,
+                                initial_multiplier=warm, **extra)
+                assert fresh.support == stored.support
+                assert fresh.multiplier == stored.multiplier
+                assert fresh.residual_sq == stored.residual_sq
+                used[kind, i, k] = stored
+    assert reused == 2 * K * iters - len(calls) > 0
