@@ -207,12 +207,13 @@ def _load_detect_inputs(args):
 
 
 def _normalize_blocks(signal, partition):
+    """Min-max map each block to [0, 1]; a constant block maps to 0."""
     values = signal.values.copy()
     for nodes in partition.block_nodes:
-        block = values[nodes]
-        span = block.max() - block.min()
-        if span > 0:
-            values[nodes] = (block - block.min()) / span
+        if len(nodes):
+            block = values[nodes]
+            span = block.max() - block.min()
+            values[nodes] = (block - block.min()) / span if span > 0 else 0.0
     return BlockSignal(values)
 
 
@@ -245,8 +246,8 @@ def cmd_detect(args) -> int:
                 fh.write(f"{support.block_id if kind == 'temporal' else 0}\t{local}\n")
     save_signal(BlockSignal(result.x_final), os.path.join(out_dir, "x.txt"))
     with open(os.path.join(out_dir, "trace.txt"), "w", encoding="utf-8") as fh:
-        for iteration, delta, objective_value, wall_ms in result.history:
-            fh.write(f"{iteration}\t{delta!r}\t{objective_value!r}\t{wall_ms:.3f}\n")
+        for i, record in enumerate(result.iterations, start=1):
+            fh.write(f"{i}\t{record.delta!r}\t{record.objective!r}\t{record.wall_ms:.3f}\n")
     _write_manifest(out_dir, ["supports.txt", "x.txt", "trace.txt"])
     print(out_dir)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE

@@ -23,14 +23,6 @@ __all__ = [
 
 EPS_DENOMINATOR = 1e-6
 
-_KIND_ALIASES = {
-    "temporal": "temporal",
-    "non": "non",
-    "network-of-networks": "non",
-    "ems": "ems",
-    "ems-only": "ems",
-}
-
 
 def ems_block_value(c_k, x_k) -> float:
     """Relaxed negative elevated-mean-scan value of one block."""
@@ -69,9 +61,9 @@ class ObjectiveSpec:
         signal: BlockSignal,
         lam: float = 0.0,
     ):
-        if kind not in _KIND_ALIASES:
+        if kind not in ("temporal", "non", "ems"):
             raise ValueError(f"unknown objective kind {kind!r}")
-        self.kind = _KIND_ALIASES[kind]
+        self.kind = kind
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
         if len(signal.values) != partition.graph.node_count:

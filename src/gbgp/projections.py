@@ -37,7 +37,6 @@ class ProjectionOutcome:
 
     support: SupportSet
     residual_sq: float
-    budget_used: int
     search_iterations: int
     multiplier: float = 1.0
 
@@ -201,7 +200,6 @@ def _project(values, graph_k, budget, num_components, capacity_mode, block_id,
     return ProjectionOutcome(
         support=SupportSet(block_id, nodes),
         residual_sq=mass if captured else max(float(prizes.sum()) - mass, 0.0),
-        budget_used=len(nodes),
         search_iterations=iterations,
         multiplier=multiplier,
     )

@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .projections import ProjectionOutcome, head_project, tail_project
 __all__ = [
     "SolverConfig",
     "DetectionResult",
+    "OuterRecord",
     "gbgp_solve",
     "bcd_solve",
     "parallel_bcd_solve",
@@ -67,7 +68,6 @@ class SolverConfig:
     num_components: int = 1
     parallel: int = 0
     seed: int = 0
-    keep_x_history: bool = False
 
     def __post_init__(self):
         # outer_tol 0 disables the convergence exit (fixed-iteration runs)
@@ -96,16 +96,38 @@ class SolverConfig:
         return budget
 
 
+@dataclass(frozen=True)
+class OuterRecord:
+    """What one outer iteration did and where it left the iterate.
+
+    ``delta`` is the step ||x_new - x|| summed over blocks, ``objective``
+    F(x) at the iteration's start and ``wall_ms`` its wall time. The
+    iterate is zero off the tail supports, so ``nodes`` (the global ids
+    the tail projections kept) with ``values`` (x on them) is all of it.
+    ``probes`` maps each ``(kind, k)`` projection that searched to its
+    engine-solve count; a reused projection has no entry.
+    """
+
+    delta: float
+    objective: float
+    wall_ms: float
+    nodes: np.ndarray
+    values: np.ndarray
+    probes: dict[tuple[str, int], int]
+
+
 @dataclass
 class DetectionResult:
-    """Final supports plus the convergence trail of the outer loop."""
+    """Final supports plus one record per outer iteration."""
 
     supports: list[SupportSet]
     x_final: np.ndarray
-    outer_iters: int
     converged: bool
-    history: list[tuple[int, float, float, float]] = field(default_factory=list)
-    x_history: list[np.ndarray] = field(default_factory=list)
+    iterations: list[OuterRecord]
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.iterations)
 
     def support_nodes(self) -> set[int]:
         out: set[int] = set()
@@ -358,8 +380,11 @@ def gbgp_solve(
     tail input is bit-identical to its previous one reuses that outcome
     instead of searching again; only the other blocks are projected, and
     the pool gets no work when every block repeats. Returns the per-block
-    tail supports of the final iteration together with the continuous
-    iterate and convergence history.
+    tail supports of the final iteration, the continuous iterate, and one
+    :class:`OuterRecord` per outer iteration: its step, objective and wall
+    time, the whole iterate as ``(nodes, values)`` (so iterate i is
+    ``x = zeros(n); x[r.nodes] = r.values`` for ``r = iterations[i - 1]``),
+    and the probe count of every projection that searched.
     """
     partition = objective.partition
     K = partition.num_blocks
@@ -379,7 +404,7 @@ def gbgp_solve(
     # (kind, k) -> the last task's (values bytes, budget, kwargs) and outcome
     last: dict[tuple[str, int], tuple[tuple, ProjectionOutcome]] = {}
 
-    def project_blocks(tasks: list[tuple]) -> dict:
+    def project_blocks(tasks: list[tuple], probes: dict) -> dict:
         outcomes, missed, keys = {}, [], []
         for task in tasks:
             kind, k, values, budget, kwargs = task
@@ -399,17 +424,16 @@ def gbgp_solve(
             fresh = []
         for task, key, (k, outcome) in zip(missed, keys, fresh):
             last[task[0], k] = (key, outcome)
+            probes[task[0], k] = outcome.search_iterations
             outcomes[k] = outcome
         return outcomes
 
     x = objective.initial_x() if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    history: list[tuple[int, float, float, float]] = []
+    iterations: list[OuterRecord] = []
     converged = False
     tail_supports: list[SupportSet] = [SupportSet(k, ()) for k in range(K)]
-    outer = 0
     head_mults: list[Optional[float]] = [None] * K
     tail_mults: list[Optional[float]] = [None] * K
-    x_history: list[np.ndarray] = []
 
     try:
         for outer in range(1, config.max_outer_iters + 1):
@@ -417,6 +441,7 @@ def gbgp_solve(
             f_x = objective.value(x)
             if not np.isfinite(f_x):
                 raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
+            probes: dict[tuple[str, int], int] = {}
 
             head_tasks = []
             for k in blocks:
@@ -427,7 +452,7 @@ def gbgp_solve(
                               capacity_mode=config.head_capacity_mode,
                               initial_multiplier=head_mults[k])
                 head_tasks.append(("head", k, grad_k, budgets[k], kwargs))
-            head_outcomes = project_blocks(head_tasks)
+            head_outcomes = project_blocks(head_tasks, probes)
             omega_sets: list[set[int]] = [set() for _ in range(K)]
             for k in blocks:
                 outcome = head_outcomes[k]
@@ -444,7 +469,7 @@ def gbgp_solve(
                 ("tail", k, b[partition.block_nodes[k]], budgets[k],
                  dict(num_components=config.num_components, initial_multiplier=tail_mults[k]))
                 for k in blocks
-            ])
+            ], probes)
             x_new = np.zeros_like(x)
             new_supports = [SupportSet(k, ()) for k in range(K)]
             for k in blocks:
@@ -459,11 +484,11 @@ def gbgp_solve(
                 float(np.linalg.norm(x_new[partition.block_nodes[k]] - x[partition.block_nodes[k]]))
                 for k in range(K)
             )
-            history.append((outer, delta, f_x, (time.perf_counter() - iter_start) * 1e3))
+            nodes = np.fromiter((v for supp in new_supports for v in supp.nodes), dtype=np.int64)
+            iterations.append(OuterRecord(delta, f_x, (time.perf_counter() - iter_start) * 1e3,
+                                          nodes, x_new[nodes], probes))
             x = x_new
             tail_supports = new_supports
-            if config.keep_x_history:
-                x_history.append(x.copy())
             if config.outer_tol > 0 and delta <= config.outer_tol:
                 converged = True
                 break
@@ -474,8 +499,6 @@ def gbgp_solve(
     return DetectionResult(
         supports=tail_supports,
         x_final=x,
-        outer_iters=outer,
         converged=converged,
-        history=history,
-        x_history=x_history,
+        iterations=iterations,
     )

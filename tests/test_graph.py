@@ -14,7 +14,6 @@ from gbgp.graph import (
     load_graph,
     load_partition,
     load_signal,
-    load_temporal_signal,
     partition_contiguous,
     save_graph,
     save_partition,
@@ -315,13 +314,6 @@ class TestSignal:
         save_signal(sig, str(p))
         loaded = load_signal(str(p), 3)
         assert np.array_equal(loaded.values, sig.values)
-
-    def test_temporal_signal(self, tmp_path):
-        p = tmp_path / "sig.txt"
-        p.write_text("0\t0\t1.5\n1\t1\t-2.0\n")
-        sigs = load_temporal_signal(str(p), 2, 2)
-        assert sigs[0].values.tolist() == [1.5, 0.0]
-        assert sigs[1].values.tolist() == [0.0, -2.0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -211,11 +211,10 @@ class TestInitialization:
         x0 = obj.initial_x()
         assert x0.tolist() == [0, 1, 0, 1, 0, 0]
 
-    def test_kind_aliases(self):
+    def test_unknown_kind_rejected(self):
         graph = Graph(2, [(0, 1)])
         part = BlockPartition(graph, [0, 1], 2)
         sig = BlockSignal([1.0, 1.0])
-        assert ObjectiveSpec("network-of-networks", part, sig).kind == "non"
-        assert ObjectiveSpec("ems-only", part, sig).kind == "ems"
+        assert ObjectiveSpec("non", part, sig).kind == "non"
         with pytest.raises(ValueError):
             ObjectiveSpec("bogus", part, sig)

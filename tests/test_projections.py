@@ -35,15 +35,15 @@ class TestHeadProject:
         g = path_graph(5)
         w = [5.0, 4.0, 0.0, 4.0, 5.0]
         out = head_project(w, g, budget=2, capacity_mode="2s")
-        assert out.budget_used <= 4
+        assert len(out.support) <= 4
         assert np.sqrt(out.residual_sq) >= np.sqrt(41.0)
 
     def test_budget_respected(self):
         g = path_graph(6)
         out = head_project([1.0] * 6, g, budget=2, capacity_mode="2s")
-        assert out.budget_used <= 4
+        assert len(out.support) <= 4
         out = head_project([1.0] * 6, g, budget=2, capacity_mode="s")
-        assert out.budget_used <= 2
+        assert len(out.support) <= 2
 
     def test_errors(self):
         g = path_graph(3)
@@ -158,11 +158,11 @@ class TestProjectionProperties:
             head = head_project(w, graph, budget=s, num_components=g_comp)
             comps = connected_components(graph, head.support.nodes)
             assert len(comps) <= g_comp
-            assert head.budget_used <= min(2 * s, n)
+            assert len(head.support) <= min(2 * s, n)
             tail = tail_project(w, graph, budget=s, num_components=g_comp)
             comps = connected_components(graph, tail.support.nodes)
             assert len(comps) <= g_comp
-            assert tail.budget_used <= s
+            assert len(tail.support) <= s
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

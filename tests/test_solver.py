@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import gbgp.projections as projections
 import gbgp.solver as solver
 from gbgp.datagen import SyntheticSpec, generate_non, generate_temporal
 from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components
@@ -230,8 +231,8 @@ class TestGbgpSolve:
         obj = planted_objective(n=10, truth=(1, 2, 3))
         config = SolverConfig(budgets=3, max_outer_iters=4)
         result = gbgp_solve(obj, config)
-        assert len(result.history) <= 4
-        assert all(np.isfinite(row[2]) for row in result.history)
+        assert len(result.iterations) == result.outer_iters <= 4
+        assert all(np.isfinite(record.objective) for record in result.iterations)
 
     def test_supports_connected_and_within_budget(self):
         rng = np.random.default_rng(0)
@@ -448,3 +449,82 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
                 assert fresh.residual_sq == stored.residual_sq
                 used[kind, i, k] = stored
     assert reused == 2 * K * iters - len(calls) > 0
+
+
+def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
+    obj = non_objective()
+    config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
+    budget_search, bcd_solve = projections.budget_search, solver.bcd_solve
+    inner_inputs, projecting, searches = [], [], []
+
+    def project(kind, fn):
+        def run(values, graph_k, budget, **kwargs):
+            projecting.append((kind, kwargs["block_id"]))
+            try:
+                return fn(values, graph_k, budget, **kwargs)
+            finally:
+                projecting.pop()
+
+        return run
+
+    def search(*args, **kwargs):
+        out = budget_search(*args, **kwargs)
+        kind, k = projecting[-1]
+        # head searches precede their iteration's inner solve, tail ones follow it
+        searches.append((len(inner_inputs) - (kind == "tail"), kind, k, out[1]))
+        return out
+
+    def inner(objective, omegas, x, cfg):
+        inner_inputs.append(x.copy())
+        return bcd_solve(objective, omegas, x, cfg)
+
+    monkeypatch.setattr(solver, "head_project", project("head", solver.head_project))
+    monkeypatch.setattr(solver, "tail_project", project("tail", solver.tail_project))
+    monkeypatch.setattr(projections, "budget_search", search)
+    monkeypatch.setattr(solver, "bcd_solve", inner)
+    result = gbgp_solve(obj, config)
+
+    records = result.iterations
+    assert result.outer_iters == len(records) == 8
+    expected = [{} for _ in records]
+    for i, kind, k, probes in searches:
+        expected[i][kind, k] = probes
+    assert [record.probes for record in records] == expected
+    # reused projections have no entry
+    assert 0 < sum(map(len, expected)) < 2 * obj.num_blocks * len(records)
+
+    n = obj.partition.graph.node_count
+    rebuilt = []
+    for record in records:
+        x = np.zeros(n)
+        x[record.nodes] = record.values
+        rebuilt.append(x)
+    for i, x in enumerate(rebuilt[:-1]):
+        assert np.array_equal(x, inner_inputs[i + 1])
+    assert rebuilt[-1].tobytes() == result.x_final.tobytes()
+    assert set(records[-1].nodes.tolist()) == result.support_nodes()
+    assert all(np.isfinite(r.objective) and r.delta >= 0 and r.wall_ms >= 0 for r in records)
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_fixed_step_solves_are_feasible_and_repeatable(parallel):
+    instance = generate_temporal(SyntheticSpec(n=300, m=4, T=7, subgraph_size=30,
+                                               overlap=0.5, mu=5.0, seed=0))
+    graph, partition, signal = instance.expand()
+    obj = ObjectiveSpec("temporal", partition, signal, lam=0.02)
+    config = SolverConfig(budgets=33, step_mode="fixed", parallel=parallel, seed=0)
+    result = gbgp_solve(obj, config)
+
+    x = result.x_final
+    assert np.all(np.isfinite(x)) and x.min() >= 0.0 and x.max() <= 1.0
+    on_support = np.zeros(graph.node_count, dtype=bool)
+    on_support[list(result.support_nodes())] = True
+    assert not x[~on_support].any()
+    for k, support in enumerate(result.supports):
+        assert 1 <= len(support) <= 33
+        assert set(support.nodes) <= set(partition.block_nodes[k].tolist())
+        assert len(connected_components(graph, support.nodes)) == 1
+
+    again = gbgp_solve(obj, config)
+    assert again.x_final.tobytes() == x.tobytes()
+    assert [s.nodes for s in again.supports] == [s.nodes for s in result.supports]
