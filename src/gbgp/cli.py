@@ -171,24 +171,23 @@ def cmd_synth(args) -> int:
 
 
 def _load_detect_inputs(args):
-    """Resolve (objective kind, partition, signal, base graph, T)."""
+    """Resolve (objective kind, partition, signal, base graph)."""
     if args.bundle:
         meta = read_metadata(os.path.join(args.bundle, "metadata.txt"))
         instance = read_bundle(args.bundle)
         kind = args.objective or meta["kind"]
         if isinstance(instance, TemporalInstance):
-            signals = instance.signals
-            graph, partition, signal = instance.expand()
-            return kind, graph, partition, signal, instance.base_graph, len(signals)
-        return kind, instance.graph, instance.partition, instance.signal, instance.graph, 1
+            _, partition, signal = instance.expand()
+            return kind, partition, signal, instance.base_graph
+        return kind, instance.partition, instance.signal, instance.graph
     if not args.graph or not args.signal:
         raise ValueError("detect needs --bundle, or --graph with --signal")
     graph = load_graph(args.graph)
     signals = [load_signal(path, graph.node_count) for path in args.signal]
     kind = args.objective or ("temporal" if len(signals) > 1 else "non")
     if kind == "temporal":
-        big, partition, signal = expand_temporal(graph, signals)
-        return kind, big, partition, signal, graph, len(signals)
+        _, partition, signal = expand_temporal(graph, signals)
+        return kind, partition, signal, graph
     if args.partition:
         if not args.blocks:
             raise ValueError("--partition needs --blocks")
@@ -203,7 +202,7 @@ def _load_detect_inputs(args):
                     f"without --partition the graph is cut into --blocks {blocks} "
                     f"contiguous blocks; lower --blocks or --budget"
                 )
-    return kind, graph, partition, signals[0], graph, 1
+    return kind, partition, signals[0], graph
 
 
 def _normalize_blocks(signal, partition):
@@ -218,7 +217,7 @@ def _normalize_blocks(signal, partition):
 
 
 def cmd_detect(args) -> int:
-    kind, graph, partition, signal, base_graph, T = _load_detect_inputs(args)
+    kind, partition, signal, base_graph = _load_detect_inputs(args)
     if args.normalize_signal:
         signal = _normalize_blocks(signal, partition)
     objective = ObjectiveSpec(kind, partition, signal, lam=args.lam)

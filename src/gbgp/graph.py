@@ -373,8 +373,7 @@ def connected_components(graph: Graph, nodes: Iterable[int]) -> list[set[int]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in graph.neighbors(u):
-                v = int(v)
+            for v in graph.neighbors(u).tolist():
                 if v in remaining:
                     remaining.discard(v)
                     comp.add(v)

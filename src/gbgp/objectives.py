@@ -132,7 +132,10 @@ class ObjectiveSpec:
                 total += float(diff @ diff)
             return self.lam * total
         diff = x[self._cut_u] - x[self._cut_v]
-        return self.lam * float(diff @ diff)
+        # not diff @ diff: OpenBLAS threads a dot over more than 10,000
+        # entries (a 10,000-node NoN graph cuts about 20,000 edges), and its
+        # worker threads keep spinning afterwards, taking CPU from the solver
+        return self.lam * float(np.square(diff).sum())
 
     def block_gradient(self, x: np.ndarray, k: int) -> np.ndarray:
         x_k = self.block_slice(x, k)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, connected_components
 
 __all__ = ["strong_prune", "PcstResult", "PcstEngine"]
 
@@ -55,7 +55,8 @@ class PcstEngine:
     converted to Python lists once per graph. A solve then costs what
     the prized nodes and the clusters they grow touch, plus a few
     C-level per-node array fills: only clusters that merge take a
-    private incidence list.
+    private incidence list. ``labels`` holds each node's connected
+    component, which no tree of a returned forest leaves.
     """
 
     def __init__(self, graph: Graph):
@@ -66,6 +67,9 @@ class PcstEngine:
         self.ev = graph.edge_v.tolist()
         self.indptr = graph.adj_indptr.tolist()
         self.adj_eids = graph.adj_eids.tolist()
+        self.labels = np.empty(self.n, dtype=np.intp)
+        for label, members in enumerate(connected_components(graph, range(self.n))):
+            self.labels[list(members)] = label
 
     def solve(self, costs, prizes, num_trees: int = 1) -> PcstResult:
         """Run moat growing and strong pruning.

@@ -98,13 +98,26 @@ def budget_search(
 
     Larger multipliers shrink the support. Bisection runs in log space
     over [1e-6, 1e6] (first probe is multiplier 1, or the caller's warm
-    start), keeps the feasible support with the largest collected prize
-    mass, and exits early once a support lands inside [budget,
-    capacity]. Oversized forests contribute a feasible candidate by
-    dropping their weakest leaves. Falls back to the single
-    highest-prize node when nothing feasible is found. Returns the
-    support, the probe count, and the multiplier that produced the
-    support (reusable as the next warm start).
+    start) and keeps the feasible support with the largest collected
+    prize mass; among equal masses, the fewest nodes, then the lowest
+    ids, over the probes made. Oversized forests contribute a feasible
+    candidate by dropping their weakest leaves.
+
+    The search exits early once a support lands inside [budget,
+    capacity], or once the best mass reaches what no support can
+    exceed: the sum of the ``num_components`` largest values of
+    min(component mass, top-capacity mass), capped at the top-capacity
+    mass, where a component mass is the prize in one connected
+    component of ``graph``. Each tree of a forest lies in one component,
+    so a later probe could at most tie that mass (to 1e-12 relative);
+    the exit skips it even where it would have won the tie on size or
+    ids. On a block shattered into components too small to reach the
+    budget this ends the search after a probe or two instead of
+    bisecting to the 1e-2 tolerance.
+
+    Falls back to the single highest-prize node when nothing feasible
+    is found. Returns the support, the probe count, and the multiplier
+    that produced the support (reusable as the next warm start).
     """
     if capacity is None:
         capacity = budget
@@ -117,6 +130,15 @@ def budget_search(
     # no feasible support can beat the top-capacity prize mass
     exit_score = top_bound - 1e-12 * max(1.0, top_bound)
     engine = _engine_for(graph)
+    # nor, as each of its at most num_components trees stays inside one
+    # connected component, the num_components heaviest components' masses;
+    # where that is no lower, the exit above is kept exactly
+    masses = np.bincount(engine.labels, weights=prizes)
+    if num_components < len(masses):
+        masses = np.partition(masses, -num_components)[-num_components:]
+    reach = float(np.minimum(masses, top_bound).sum())
+    if reach < top_bound:
+        exit_score = min(exit_score, reach - 1e-12 * reach)
 
     lo, hi = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
     best: Optional[tuple[float, int, tuple[int, ...], float]] = None

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbgp.graph import Graph, connected_components
-from gbgp.projections import budget_search, head_project, tail_project
+from gbgp.projections import _engine_for, budget_search, head_project, tail_project
 
 from oracles import (
     connected_subsets,
@@ -171,3 +173,104 @@ class TestProjectionProperties:
         a = head_project(w, g, budget=3)
         b = head_project(w, g, budget=3)
         assert a == b
+
+
+@st.composite
+def disconnected_instances(draw):
+    """2-4 random connected pieces, integer costs 1-4, integer prizes 0-9.
+
+    Integer prizes sum exactly, so equal masses compare equal.
+    """
+    edges, n = set(), 0
+    for _ in range(draw(st.integers(2, 4))):
+        k = draw(st.integers(1, 6))
+        for v in range(1, k):
+            edges.add((n + draw(st.integers(0, v - 1)), n + v))
+        for a, b in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                                  max_size=2)):
+            if a != b:
+                edges.add((n + min(a, b), n + max(a, b)))
+        n += k
+    edges = sorted(edges)
+    costs = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    prizes = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    graph = Graph(n, [(u, v, float(c)) for (u, v), c in zip(edges, costs)])
+    return graph, np.array(prizes, dtype=np.float64)
+
+
+def search_without_component_bound(graph, *args):
+    """budget_search with every node labelled one component: top-capacity exit only."""
+    engine = _engine_for(graph)
+    labels = engine.labels
+    engine.labels = np.zeros(graph.node_count, dtype=np.intp)
+    try:
+        return budget_search(graph, *args)
+    finally:
+        engine.labels = labels
+
+
+class TestComponentBound:
+    def test_engine_labels_components_by_lowest_member(self):
+        g = Graph(7, [(0, 3), (3, 5), (1, 2), (4, 6)])
+        assert _engine_for(g).labels.tolist() == [0, 1, 1, 0, 2, 0, 2]
+
+    @pytest.mark.parametrize("prizes", [[1.0] * 7, [1.0, 2.0, 1.0, 3.0, 2.0, 2.0, 2.0]])
+    @pytest.mark.parametrize("budget", [5, 6])
+    def test_disjoint_paths_end_in_two_probes(self, prizes, budget):
+        # no tree can hold more than path 0-3, so the budget is out of reach
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+        prizes = np.array(prizes)
+        nodes, probes, mult = budget_search(g, prizes, budget)
+        full = search_without_component_bound(g, prizes, budget)
+        assert probes <= 2
+        assert (nodes, mult) == (full[0], full[2])
+        assert full[1] > 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(disconnected_instances(), st.data())
+    def test_bound_only_ends_the_search_early(self, instance, data):
+        # the bound leaves the probe sequence alone until it fires, so the
+        # result is the same unless it fired, and then it has the same mass
+        graph, prizes = instance
+        n = graph.node_count
+        budget = data.draw(st.integers(1, n))
+        capacity = min(budget * data.draw(st.sampled_from([1, 2])), n)
+        num_components = data.draw(st.integers(1, 3))
+        warm = data.draw(st.one_of(st.none(), st.integers(-10, 10).map(lambda k: 2.0 ** k)))
+        args = (prizes, budget, capacity, num_components, warm)
+        nodes, probes, mult = budget_search(graph, *args)
+        full_nodes, full_probes, full_mult = search_without_component_bound(graph, *args)
+        assert probes <= full_probes
+        if probes == full_probes:
+            assert (nodes, mult) == (full_nodes, full_mult)
+        assert prizes[list(nodes)].sum() == prizes[list(full_nodes)].sum()
+        assert len(nodes) <= capacity
+
+    def test_early_exit_can_keep_a_larger_tie(self):
+        # three components of mass 4 and num_components 2: the search stops
+        # at the first support of mass 8, {0, 3, 4} + {7}; a full bisection
+        # later finds {7} + {8, 9}, the same mass on fewer nodes
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7), (8, 9, 2.0), (8, 10),
+                 (11, 12), (11, 13)]
+        g = Graph(14, edges)
+        prizes = np.zeros(14)
+        prizes[[3, 4, 7, 8, 9]] = [1.0, 3.0, 4.0, 1.0, 3.0]
+        nodes, probes, _ = budget_search(g, prizes, 5, 5, 2)
+        full_nodes, full_probes, _ = search_without_component_bound(g, prizes, 5, 5, 2)
+        assert (nodes, probes) == ((0, 3, 4, 7), 2)
+        assert (full_nodes, full_probes) == ((7, 8, 9), 12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(disconnected_instances(), st.data())
+    def test_supports_fit_capacity_and_component_count(self, instance, data):
+        graph, prizes = instance
+        n = graph.node_count
+        values = np.sqrt(prizes) * data.draw(st.sampled_from([1.0, -1.0]))
+        budget = data.draw(st.integers(1, n))
+        num_components = data.draw(st.integers(1, 3))
+        mode = data.draw(st.sampled_from(["s", "2s"]))
+        capacity = min((2 if mode == "2s" else 1) * budget, n)
+        for project in (head_project, tail_project):
+            out = project(values, graph, budget, num_components, capacity_mode=mode)
+            assert len(out.support) <= capacity
+            assert len(connected_components(graph, out.support.nodes)) <= num_components
