@@ -5,10 +5,11 @@ output files on rerun. Exit codes: 0 success, 2 validation error,
 3 solver stopped on its iteration cap, 4 I/O error, 5 solver failed
 (non-finite objective, step-size underflow, broken worker pool).
 
-``detect --graph/--signal`` blocks come from ``--partition`` (which
-needs ``--blocks``) or, without it, from cutting the graph into
-``--blocks`` (default 4) contiguous BFS blocks; ``--budget`` must fit
-every block.
+``detect`` takes its layout from the input (``--objective`` picks only
+the coupling): a temporal bundle or several ``--signal`` files stack
+snapshots. Otherwise blocks come from ``--partition`` (which needs
+``--blocks``) or from cutting the graph into ``--blocks`` (default 4)
+contiguous BFS blocks; ``--budget`` must fit every block.
 """
 from __future__ import annotations
 
@@ -23,11 +24,10 @@ from .datagen import (
     generate_non,
     generate_temporal,
     read_bundle,
-    read_metadata,
     read_truth,
     write_bundle,
 )
-from .evaluation import precision_recall_f1, scaling_bench, solve_instance
+from .evaluation import precision_recall_f1, scaling_bench, solve_instance, support_pairs
 from .graph import (
     BlockSignal,
     load_graph,
@@ -78,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="edge-list file (alternative to --bundle)")
     p.add_argument("--signal", action="append", default=None,
                    help="signal file; repeat per timestamp for temporal data")
-    p.add_argument("--partition", help="partition file (non objective)")
+    p.add_argument("--partition", help="partition file (one-signal input)")
     p.add_argument("--blocks", type=int,
                    help="block count of --partition; without --partition, the graph "
                         "is cut into this many contiguous BFS blocks (default 4)")
-    p.add_argument("--objective", choices=["temporal", "non", "ems"], default=None)
+    p.add_argument("--objective", choices=["temporal", "non", "ems"], default=None,
+                   help="coupling between blocks; the layout comes from the input")
     p.add_argument("--budget", type=int, required=True, help="per-block sparsity budget")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--outer-tol", type=float, default=1e-3)
@@ -171,23 +172,21 @@ def cmd_synth(args) -> int:
 
 
 def _load_detect_inputs(args):
-    """Resolve (objective kind, partition, signal, base graph)."""
+    """(partition, signal, snapshot size) from the input alone: a temporal
+    bundle or several ``--signal`` files stack snapshots of that size; else None."""
     if args.bundle:
-        meta = read_metadata(os.path.join(args.bundle, "metadata.txt"))
         instance = read_bundle(args.bundle)
-        kind = args.objective or meta["kind"]
         if isinstance(instance, TemporalInstance):
             _, partition, signal = instance.expand()
-            return kind, partition, signal, instance.base_graph
-        return kind, instance.partition, instance.signal, instance.graph
+            return partition, signal, instance.base_graph.node_count
+        return instance.partition, instance.signal, None
     if not args.graph or not args.signal:
         raise ValueError("detect needs --bundle, or --graph with --signal")
     graph = load_graph(args.graph)
     signals = [load_signal(path, graph.node_count) for path in args.signal]
-    kind = args.objective or ("temporal" if len(signals) > 1 else "non")
-    if kind == "temporal":
+    if len(signals) > 1:
         _, partition, signal = expand_temporal(graph, signals)
-        return kind, partition, signal, graph
+        return partition, signal, graph.node_count
     if args.partition:
         if not args.blocks:
             raise ValueError("--partition needs --blocks")
@@ -202,7 +201,7 @@ def _load_detect_inputs(args):
                     f"without --partition the graph is cut into --blocks {blocks} "
                     f"contiguous blocks; lower --blocks or --budget"
                 )
-    return kind, partition, signals[0], graph
+    return partition, signals[0], None
 
 
 def _normalize_blocks(signal, partition):
@@ -217,7 +216,8 @@ def _normalize_blocks(signal, partition):
 
 
 def cmd_detect(args) -> int:
-    kind, partition, signal, base_graph = _load_detect_inputs(args)
+    partition, signal, snapshot_size = _load_detect_inputs(args)
+    kind = args.objective or ("non" if snapshot_size is None else "temporal")
     if args.normalize_signal:
         signal = _normalize_blocks(signal, partition)
     objective = ObjectiveSpec(kind, partition, signal, lam=args.lam)
@@ -237,12 +237,9 @@ def cmd_detect(args) -> int:
 
     out_dir = os.path.join(args.out, "detect")
     os.makedirs(out_dir, exist_ok=True)
-    n_base = base_graph.node_count
     with open(os.path.join(out_dir, "supports.txt"), "w", encoding="utf-8") as fh:
-        for support in result.supports:
-            for node in support.nodes:
-                local = node - support.block_id * n_base if kind == "temporal" else node
-                fh.write(f"{support.block_id if kind == 'temporal' else 0}\t{local}\n")
+        for t, node in support_pairs(result.supports, snapshot_size):
+            fh.write(f"{t}\t{node}\n")
     save_signal(BlockSignal(result.x_final), os.path.join(out_dir, "x.txt"))
     with open(os.path.join(out_dir, "trace.txt"), "w", encoding="utf-8") as fh:
         for i, record in enumerate(result.iterations, start=1):

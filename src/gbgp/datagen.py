@@ -238,18 +238,18 @@ def expand_temporal(
 ) -> tuple[Graph, BlockPartition, BlockSignal]:
     """Replicate the node set once per timestamp into one blocked graph.
 
-    Snapshot t becomes block t over nodes [t*n, (t+1)*n); there are no
-    explicit edges between snapshots, the temporal coupling lives in the
-    objective.
+    Snapshot t becomes block t over nodes [t*n, (t+1)*n): the base edge
+    arrays are tiled T times with t*n added to snapshot t's ids, so every
+    block graph equals the base graph. No edges join snapshots; the
+    temporal coupling lives in the objective.
     """
     n, T = base_graph.node_count, len(signals)
-    edges = []
-    for t in range(T):
-        off = t * n
-        edges.extend(
-            (u + off, v + off, w)
-            for u, v, w in zip(base_graph.edge_u, base_graph.edge_v, base_graph.edge_w)
-        )
+    offsets = np.repeat(np.arange(T, dtype=np.int64) * n, base_graph.edge_count)
+    edges = np.column_stack([
+        np.tile(base_graph.edge_u, T) + offsets,
+        np.tile(base_graph.edge_v, T) + offsets,
+        np.tile(base_graph.edge_w, T),
+    ])
     big = Graph(n * T, edges)
     assignment = np.repeat(np.arange(T), n)
     partition = BlockPartition(big, assignment, T)

@@ -13,13 +13,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .datagen import NonInstance, SyntheticSpec, TemporalInstance, flip_noise, generate_non
-from .graph import BlockSignal
+from .graph import BlockSignal, SupportSet
 from .objectives import ObjectiveSpec
 from .solver import DetectionResult, SolverConfig, gbgp_solve
 
 __all__ = [
     "MetricRow",
     "precision_recall_f1",
+    "support_pairs",
     "solve_instance",
     "robustness_sweep",
     "scaling_bench",
@@ -54,16 +55,18 @@ def precision_recall_f1(detected: Iterable, truth: Iterable) -> MetricRow:
     return MetricRow(precision, recall, f_measure)
 
 
-def _detected_pairs(instance: TemporalInstance | NonInstance,
-                    result: DetectionResult) -> set[tuple[int, int]]:
-    if isinstance(instance, TemporalInstance):
-        n = instance.base_graph.node_count
-        return {
-            (support.block_id, node - support.block_id * n)
-            for support in result.supports
-            for node in support.nodes
-        }
-    return {(0, node) for support in result.supports for node in support.nodes}
+def support_pairs(supports: Iterable[SupportSet],
+                  snapshot_size: Optional[int]) -> list[tuple[int, int]]:
+    """The ``(t, node)`` pairs of detected supports, in support order.
+
+    With ``snapshot_size`` n (temporal layout), id g of block t is node
+    g - t*n at time t; otherwise (network of networks) it is (0, g).
+    """
+    return [
+        (0, node) if snapshot_size is None else (s.block_id, node - s.block_id * snapshot_size)
+        for s in supports
+        for node in s.nodes
+    ]
 
 
 def solve_instance(
@@ -77,17 +80,17 @@ def solve_instance(
         if signal_override is not None:
             instance = replace(instance, signals=list(signal_override))
         graph, partition, signal = instance.expand()
-        kind = "temporal"
+        kind, snapshot_size = "temporal", instance.base_graph.node_count
     else:
         if signal_override is not None:
             instance = replace(instance, signal=signal_override[0])
         partition, signal = instance.partition, instance.signal
-        kind = "non"
+        kind, snapshot_size = "non", None
     objective = ObjectiveSpec(kind, partition, signal, lam=lam)
     start = time.perf_counter()
     result = gbgp_solve(objective, config)
     wall = time.perf_counter() - start
-    return _detected_pairs(instance, result), result, wall
+    return set(support_pairs(result.supports, snapshot_size)), result, wall
 
 
 def robustness_sweep(

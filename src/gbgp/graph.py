@@ -45,41 +45,51 @@ class SignalError(ValueError):
 class Graph:
     """Undirected weighted graph over dense integer node ids.
 
-    Edges are stored once per unordered pair with strictly positive
-    weights (default 1.0); a CSR-style adjacency is built at
-    construction for O(1) neighborhood access.
+    ``edges`` holds ``(u, v)`` or ``(u, v, w)`` tuples, or is an ``(m, 2)``
+    or ``(m, 3)`` array; a missing weight is 1.0. Each pair is stored once,
+    sorted by ``(u, v)`` with ``u < v``, in ``edge_u``/``edge_v`` (int64) and
+    ``edge_w`` (float64, > 0), with a CSR adjacency over them. The first bad
+    edge in input order raises ``ValueError`` for an id out of range, else
+    ``EdgeListError`` (self-loop, non-positive or non-finite weight, duplicate).
     """
 
-    def __init__(self, node_count: int, edges: Iterable[tuple] = ()):
+    def __init__(self, node_count: int, edges: Iterable[tuple] | np.ndarray = ()):
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
         self.node_count = int(node_count)
-        us, vs, ws = [], [], []
-        seen = set()
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            else:
-                u, v, w = edge
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < node_count and 0 <= v < node_count):
+        if not isinstance(edges, np.ndarray):
+            edges = [(*edge, 1.0) if len(edge) == 2 else edge for edge in edges]
+        table = np.asarray(edges, dtype=np.float64)
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.ndim == 2 and table.shape[1] == 2:
+            table = np.column_stack([table, np.ones(len(table))])
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError(f"edges must be (u, v) or (u, v, w) rows, got shape {table.shape}")
+        # ids are truncated as int() would, then checked and stored
+        ends = np.trunc(table[:, :2])
+        w = table[:, 2]
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        # lexsort is stable: of equal pairs, all but the first in input order repeat
+        order = np.lexsort((hi, lo))
+        repeat = np.zeros(len(table), dtype=bool)
+        repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        outside = ~((ends >= 0) & (ends < node_count)).all(axis=1)
+        bad_weight = ~((w > 0) & np.isfinite(w))
+        bad = outside | (lo == hi) | bad_weight | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            u, v = int(edges[i][0]), int(edges[i][1])
+            if outside[i]:
                 raise ValueError(f"edge ({u},{v}) has node id out of [0,{node_count})")
             if u == v:
                 raise EdgeListError(f"self-loop at node {u}")
-            if w <= 0 or not np.isfinite(w):
-                raise EdgeListError(f"edge ({u},{v}) has non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise EdgeListError(f"duplicate undirected edge ({key[0]},{key[1]})")
-            seen.add(key)
-            us.append(key[0])
-            vs.append(key[1])
-            ws.append(w)
-        order = np.lexsort((vs, us)) if us else np.array([], dtype=np.int64)
-        self.edge_u = np.asarray(us, dtype=np.int64)[order]
-        self.edge_v = np.asarray(vs, dtype=np.int64)[order]
-        self.edge_w = np.asarray(ws, dtype=np.float64)[order]
+            if bad_weight[i]:
+                raise EdgeListError(f"edge ({u},{v}) has non-positive weight {float(w[i])}")
+            raise EdgeListError(f"duplicate undirected edge ({min(u, v)},{max(u, v)})")
+        self.edge_u = lo[order].astype(np.int64)
+        self.edge_v = hi[order].astype(np.int64)
+        self.edge_w = w[order]
         self._build_adjacency()
 
     def _build_adjacency(self):
@@ -128,8 +138,9 @@ class Graph:
 class BlockPartition:
     """Assignment of the nodes of a graph to K blocks.
 
-    Splits the edge set into per-block intra edges and the cross-block
-    cut set; the union is disjoint and covers every edge exactly once.
+    ``block_nodes[k]`` lists block k's global ids in ascending order;
+    ``cut_edges`` is the ``(c, 2)`` int64 array of the edges between blocks,
+    in the graph's edge order. Every other edge is in one block graph.
     """
 
     def __init__(self, graph: Graph, assignment: Sequence[int], num_blocks: int):
@@ -150,29 +161,26 @@ class BlockPartition:
         self.block_nodes = [
             np.flatnonzero(assignment == k) for k in range(num_blocks)
         ]
-        bu = assignment[graph.edge_u] if graph.edge_count else np.array([], dtype=np.int64)
-        bv = assignment[graph.edge_v] if graph.edge_count else np.array([], dtype=np.int64)
-        intra_mask = bu == bv
-        self.cut_edges = [
-            (int(u), int(v))
-            for u, v in zip(graph.edge_u[~intra_mask], graph.edge_v[~intra_mask])
-        ]
-        self.intra_edges = [[] for _ in range(num_blocks)]
-        for u, v, w in zip(
-            graph.edge_u[intra_mask], graph.edge_v[intra_mask], graph.edge_w[intra_mask]
-        ):
-            self.intra_edges[int(assignment[u])].append((int(u), int(v), float(w)))
+        # each edge's block, or -1 for a cut edge
+        self._edge_block = assignment[graph.edge_u]
+        cut = self._edge_block != assignment[graph.edge_v]
+        self._edge_block[cut] = -1
+        self.cut_edges = np.column_stack([graph.edge_u[cut], graph.edge_v[cut]])
         self._block_graphs: list[Graph | None] = [None] * num_blocks
 
     def block_graph(self, k: int) -> Graph:
-        """Subgraph induced by block k, re-indexed to local ids [0, N_k)."""
+        """Subgraph induced by block k, sliced from the graph's edge arrays.
+
+        Local id i is ``block_nodes[k][i]``, so edge and CSR order follow the graph's.
+        """
         if self._block_graphs[k] is None:
-            nodes = self.block_nodes[k]
-            local = {int(g): i for i, g in enumerate(nodes)}
-            edges = [
-                (local[u], local[v], w) for u, v, w in self.intra_edges[k]
-            ]
-            self._block_graphs[k] = Graph(len(nodes), edges)
+            nodes, g = self.block_nodes[k], self.graph
+            inside = self._edge_block == k
+            self._block_graphs[k] = Graph(len(nodes), np.column_stack([
+                np.searchsorted(nodes, g.edge_u[inside]),
+                np.searchsorted(nodes, g.edge_v[inside]),
+                g.edge_w[inside],
+            ]))
         return self._block_graphs[k]
 
     def to_global(self, k: int, local_nodes: Iterable[int]) -> list[int]:
@@ -256,9 +264,9 @@ def load_graph(path: str) -> Graph:
                 raise EdgeListError(f"{path}:{lineno}: self-loop at node {u}")
             if w < 0:
                 raise EdgeListError(f"{path}:{lineno}: negative weight {w}")
-            raw_edges.append((u, v, w, lineno))
+            raw_edges.append((u, v, w))
 
-    ids = sorted({u for u, _, _, _ in raw_edges} | {v for _, v, _, _ in raw_edges})
+    ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
     if declared_n is None:
         n = (max(ids) + 1) if ids else 0
     else:
@@ -271,9 +279,9 @@ def load_graph(path: str) -> Graph:
         with open(path + ".idmap", "w", encoding="utf-8") as fh:
             for old in ids:
                 fh.write(f"{remap[old]}\t{old}\n")
-        raw_edges = [(remap[u], remap[v], w, ln) for u, v, w, ln in raw_edges]
+        raw_edges = [(remap[u], remap[v], w) for u, v, w in raw_edges]
     try:
-        return Graph(n, [(u, v, w) for u, v, w, _ in raw_edges])
+        return Graph(n, raw_edges)
     except EdgeListError as exc:
         raise EdgeListError(f"{path}: {exc}") from None
 

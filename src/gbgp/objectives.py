@@ -86,28 +86,19 @@ class ObjectiveSpec:
         if self.kind == "non":
             n = partition.graph.node_count
             cut = partition.cut_edges
-            if cut:
-                ii = np.array([e[0] for e in cut], dtype=np.int64)
-                jj = np.array([e[1] for e in cut], dtype=np.int64)
+            ii, jj = self._cut_u, self._cut_v = cut.T
+            blocks_u, blocks_v = partition.assignment[cut.T]
+            self._block_cut_ids = [
+                np.flatnonzero((blocks_u == k) | (blocks_v == k))
+                for k in range(self.num_blocks)
+            ]
+            if len(cut):
                 data = np.ones(len(cut))
                 rows = np.concatenate([ii, jj, ii, jj])
                 cols = np.concatenate([ii, jj, jj, ii])
                 vals = np.concatenate([data, data, -data, -data])
                 lap = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-                self._cut_u, self._cut_v = ii, jj
                 self._cut_rows = [lap[nodes] for nodes in self._block_nodes]
-                blocks_u = partition.assignment[ii]
-                blocks_v = partition.assignment[jj]
-                self._block_cut_ids = [
-                    np.flatnonzero((blocks_u == k) | (blocks_v == k))
-                    for k in range(self.num_blocks)
-                ]
-            else:
-                self._cut_u = np.array([], dtype=np.int64)
-                self._cut_v = np.array([], dtype=np.int64)
-                self._block_cut_ids = [
-                    np.array([], dtype=np.int64) for _ in range(self.num_blocks)
-                ]
 
     def block_signal(self, k: int) -> np.ndarray:
         return self._block_signals[k]

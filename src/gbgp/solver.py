@@ -13,7 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,9 +55,9 @@ def theta_next(theta: float) -> float:
 
 @dataclass
 class SolverConfig:
-    """Knobs for the outer loop and the inner solvers."""
+    """Knobs for the outer loop and the inner solvers; ``budgets`` is every block's budget."""
 
-    budgets: int | Sequence[int] = 10
+    budgets: int = 10
     outer_tol: float = 1e-3
     inner_tol: float = 1e-3
     max_outer_iters: int = 30
@@ -83,10 +83,7 @@ class SolverConfig:
             raise ValueError("num_components must be >= 1")
 
     def budget_for(self, k: int, block_size: int) -> int:
-        if isinstance(self.budgets, (int, np.integer)):
-            budget = int(self.budgets)
-        else:
-            budget = int(self.budgets[k])
+        budget = int(self.budgets)
         if budget < 1:
             raise ValueError(f"budget for block {k} must be >= 1")
         if budget > block_size:

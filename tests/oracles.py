@@ -7,7 +7,42 @@ import itertools
 
 import numpy as np
 
-from gbgp.graph import Graph, connected_components
+from gbgp.graph import EdgeListError, Graph, connected_components
+
+
+def reference_edge_arrays(node_count: int, edges):
+    """Graph's sorted ``(edge_u, edge_v, edge_w)``, built one edge at a time.
+
+    Raises what ``Graph`` raises for the first bad edge in input order.
+    """
+    us, vs, ws = [], [], []
+    seen = set()
+    for edge in edges:
+        if len(edge) == 2:
+            u, v = edge
+            w = 1.0
+        else:
+            u, v, w = edge
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u},{v}) has node id out of [0,{node_count})")
+        if u == v:
+            raise EdgeListError(f"self-loop at node {u}")
+        if w <= 0 or not np.isfinite(w):
+            raise EdgeListError(f"edge ({u},{v}) has non-positive weight {w}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise EdgeListError(f"duplicate undirected edge ({key[0]},{key[1]})")
+        seen.add(key)
+        us.append(key[0])
+        vs.append(key[1])
+        ws.append(w)
+    order = np.lexsort((vs, us)) if us else np.array([], dtype=np.int64)
+    return (
+        np.asarray(us, dtype=np.int64)[order],
+        np.asarray(vs, dtype=np.int64)[order],
+        np.asarray(ws, dtype=np.float64)[order],
+    )
 
 
 def connected_subsets(graph: Graph, max_size: int):

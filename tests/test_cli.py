@@ -112,6 +112,34 @@ class TestDetect:
             assert file_hash(tmp_path / "p1" / "detect" / name) == \
                 file_hash(tmp_path / "p2" / "detect" / name)
 
+    def test_objective_keeps_the_bundle_layout(self, temporal_bundle, tmp_path):
+        # at lambda 0 no coupling is left, so --objective ems must write what
+        # the default temporal objective writes: (t, node) rows of the bundle
+        args = ["detect", "--bundle", str(temporal_bundle), "--budget", "11",
+                "--lambda", "0", "--seed", "1"]
+        run(args + ["--out", str(tmp_path / "default")])
+        run(args + ["--objective", "ems", "--out", str(tmp_path / "ems")])
+        detected = read_truth(str(tmp_path / "ems" / "detect" / "supports.txt"))
+        assert {t for t, _ in detected} == {0, 1, 2}
+        assert all(0 <= v < 80 for _, v in detected)
+        for name in ("supports.txt", "x.txt"):
+            assert file_hash(tmp_path / "default" / "detect" / name) == \
+                file_hash(tmp_path / "ems" / "detect" / name)
+
+    def test_objective_keeps_every_signal(self, temporal_bundle, tmp_path):
+        # three --signal files stack three snapshots whatever the coupling
+        args = ["detect", "--graph", str(temporal_bundle / "graph.txt"),
+                "--budget", "11", "--lambda", "0", "--seed", "1"]
+        for t in range(3):
+            args += ["--signal", str(temporal_bundle / f"signal_t{t}.txt")]
+        run(args + ["--out", str(tmp_path / "default")])
+        run(args + ["--objective", "ems", "--out", str(tmp_path / "ems")])
+        x_rows = (tmp_path / "ems" / "detect" / "x.txt").read_text().splitlines()
+        assert len(x_rows) == 3 * 80
+        for name in ("supports.txt", "x.txt"):
+            assert file_hash(tmp_path / "default" / "detect" / name) == \
+                file_hash(tmp_path / "ems" / "detect" / name)
+
     def test_missing_inputs_exit_2(self):
         assert run(["detect", "--budget", "5"]) == 2
 

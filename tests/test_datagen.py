@@ -163,9 +163,20 @@ class TestInstances:
         assert big.node_count == 240
         assert big.edge_count == 4 * inst.base_graph.edge_count
         assert part.num_blocks == 4
-        assert part.cut_edges == []
+        assert part.cut_edges.shape == (0, 2)
         assert len(signal) == 240
         assert len(inst.truth_pairs()) == 4 * 8
+
+    def test_every_temporal_block_graph_is_the_base_graph(self):
+        spec = SyntheticSpec(n=60, m=3, T=4, subgraph_size=8, seed=3)
+        inst = generate_temporal(spec)
+        base = inst.base_graph
+        _, part, _ = inst.expand()
+        for k in range(part.num_blocks):
+            block = part.block_graph(k)
+            assert block == base
+            for name in ("adj_indptr", "adj_nodes", "adj_eids"):
+                assert np.array_equal(getattr(block, name), getattr(base, name))
 
     def test_non_instance(self):
         spec = SyntheticSpec(n=120, m=3, subgraph_size=0.1, seed=4)

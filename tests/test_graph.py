@@ -19,6 +19,7 @@ from gbgp.graph import (
     save_partition,
     save_signal,
 )
+from oracles import reference_edge_arrays
 
 
 def path_graph(n):
@@ -65,10 +66,79 @@ class TestGraph:
             Graph(3, [(0, 1, 0.0)])
         with pytest.raises(EdgeListError):
             Graph(3, [(0, 1, -2.0)])
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(EdgeListError):
+                Graph(3, [(0, 1, weight)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 5)])
+
+
+BAD_WEIGHTS = (0.0, -1.5, float("nan"), float("inf"), float("-inf"))
+FAULTS = ("range", "loop", "repeat", "weight")
+
+
+@st.composite
+def edge_lists(draw):
+    """Node count and edges, with any mix of faults: out-of-range ids,
+    self-loops, repeated pairs and zero, negative or non-finite weights.
+    Some lists give their ids as non-integral floats."""
+    n = draw(st.integers(0, 9))
+    faults = sorted(draw(st.sets(st.sampled_from(FAULTS))))
+    as_float = draw(st.integers(0, 3)) == 0
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["ok"] * 4 + faults))
+        u = draw(st.integers(0, max(n - 1, 0)))
+        v = (u + draw(st.integers(1, max(n - 1, 1)))) % max(n, 1)
+        if kind == "range":
+            u, v = draw(st.integers(-3, n + 2)), draw(st.integers(-3, n + 2))
+        elif kind == "loop":
+            v = u
+        elif kind == "repeat" and edges:
+            v, u = draw(st.sampled_from(edges))[:2]
+            u, v = (v, u) if draw(st.booleans()) else (u, v)
+        if as_float:  # ids are truncated as int() truncates them
+            u, v = u + draw(st.floats(0.0, 0.99)), v + draw(st.floats(0.0, 0.99))
+        w = draw(st.sampled_from(BAD_WEIGHTS) if kind == "weight" else st.floats(0.01, 10.0))
+        edges.append((u, v) if kind != "weight" and draw(st.booleans()) else (u, v, w))
+    return n, edges
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestGraphAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists())
+    def test_arrays_or_error_match_the_per_edge_loop(self, case):
+        n, edges = case
+        want = outcome(lambda: reference_edge_arrays(n, edges))
+        got = outcome(lambda: Graph(n, edges))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        assert isinstance(got, Graph)
+        for name, ref in zip(("edge_u", "edge_v", "edge_w"), want):
+            arr = getattr(got, name)
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists())
+    def test_array_input_matches_tuple_input(self, case):
+        n, edges = case
+        rows = [(*edge, 1.0) if len(edge) == 2 else edge for edge in edges]
+        from_tuples = outcome(lambda: Graph(n, rows))
+        from_array = outcome(lambda: Graph(n, np.array(rows, dtype=np.float64).reshape(-1, 3)))
+        assert from_array == from_tuples
+        pairs = [edge[:2] for edge in edges]
+        assert outcome(lambda: Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))) \
+            == outcome(lambda: Graph(n, pairs))
 
 
 class TestGraphIO:
@@ -160,15 +230,16 @@ class TestBlockPartition:
     def test_cut_and_intra_split(self):
         g = path_graph(3)
         part = BlockPartition(g, [0, 0, 1], 2)
-        assert part.cut_edges == [(1, 2)]
-        assert part.intra_edges[0] == [(0, 1, 1.0)]
-        assert part.intra_edges[1] == []
+        assert part.cut_edges.dtype == np.int64
+        assert part.cut_edges.tolist() == [[1, 2]]
+        assert part.block_graph(0).edges == [(0, 1, 1.0)]
+        assert part.block_graph(1).edge_count == 0
 
     def test_single_block(self):
         g = path_graph(4)
         part = BlockPartition(g, [0, 0, 0, 0], 1)
-        assert part.cut_edges == []
-        assert len(part.intra_edges[0]) == 3
+        assert part.cut_edges.shape == (0, 2)
+        assert part.block_graph(0) == g
 
     def test_edge_split_is_exact_partition(self):
         rng = np.random.default_rng(0)
@@ -181,9 +252,18 @@ class TestBlockPartition:
                     edges.add((min(u, v), max(u, v)))
             g = Graph(n, sorted(edges))
             K = int(rng.integers(1, 5))
-            part = BlockPartition(g, rng.integers(0, K, size=n), K)
-            total = len(part.cut_edges) + sum(len(e) for e in part.intra_edges)
-            assert total == g.edge_count
+            assignment = rng.integers(0, K, size=n)
+            part = BlockPartition(g, assignment, K)
+            blocks = [part.block_graph(k) for k in range(K)]
+            assert len(part.cut_edges) + sum(b.edge_count for b in blocks) == g.edge_count
+            cut = [(u, v) for u, v, _ in g.edges if assignment[u] != assignment[v]]
+            assert [tuple(row) for row in part.cut_edges.tolist()] == cut
+            # local id i of block k is global id block_nodes[k][i]
+            intra = sorted(
+                (int(part.block_nodes[k][u]), int(part.block_nodes[k][v]), w)
+                for k, b in enumerate(blocks) for u, v, w in b.edges
+            )
+            assert intra == [e for e in g.edges if assignment[e[0]] == assignment[e[1]]]
 
     def test_length_mismatch(self):
         g = path_graph(3)
@@ -211,7 +291,7 @@ class TestBlockPartition:
         save_partition(part, str(p))
         loaded = load_partition(str(p), g, 2)
         assert np.array_equal(loaded.assignment, part.assignment)
-        assert loaded.cut_edges == [(1, 2)]
+        assert loaded.cut_edges.tolist() == [[1, 2]]
 
     def test_partition_file_wrong_length(self, tmp_path):
         g = path_graph(3)
@@ -232,7 +312,7 @@ class TestPartitionContiguous:
         g = path_graph(5)
         part = partition_contiguous(g, 1)
         assert len(part.block_nodes[0]) == 5
-        assert part.cut_edges == []
+        assert part.cut_edges.shape == (0, 2)
 
     def test_fully_split(self):
         g = path_graph(4)
