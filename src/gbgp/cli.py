@@ -7,9 +7,10 @@ output files on rerun. Exit codes: 0 success, 2 validation error,
 
 ``detect`` takes its layout from the input (``--objective`` picks only
 the coupling): a temporal bundle or several ``--signal`` files stack
-snapshots. Otherwise blocks come from ``--partition`` (which needs
-``--blocks``) or from cutting the graph into ``--blocks`` (default 4)
-contiguous BFS blocks; ``--budget`` must fit every block.
+snapshots, and only they take the temporal coupling. Otherwise blocks come
+from ``--partition`` (which needs ``--blocks``) or from cutting the graph
+into ``--blocks`` (default 4) contiguous BFS blocks; ``--budget`` must fit
+every block.
 """
 from __future__ import annotations
 
@@ -185,6 +186,8 @@ def _load_detect_inputs(args):
     graph = load_graph(args.graph)
     signals = [load_signal(path, graph.node_count) for path in args.signal]
     if len(signals) > 1:
+        if args.partition or args.blocks:
+            raise ValueError("--partition/--blocks apply to one --signal only")
         _, partition, signal = expand_temporal(graph, signals)
         return partition, signal, graph.node_count
     if args.partition:
@@ -218,6 +221,9 @@ def _normalize_blocks(signal, partition):
 def cmd_detect(args) -> int:
     partition, signal, snapshot_size = _load_detect_inputs(args)
     kind = args.objective or ("non" if snapshot_size is None else "temporal")
+    if kind == "temporal" and snapshot_size is None:
+        raise ValueError("temporal coupling needs stacked snapshots: a temporal bundle or "
+                         "several --signal files (for one block: --objective ems --blocks 1)")
     if args.normalize_signal:
         signal = _normalize_blocks(signal, partition)
     objective = ObjectiveSpec(kind, partition, signal, lam=args.lam)

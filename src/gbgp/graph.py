@@ -59,7 +59,11 @@ class Graph:
         self.node_count = int(node_count)
         if not isinstance(edges, np.ndarray):
             edges = [(*edge, 1.0) if len(edge) == 2 else edge for edge in edges]
-        table = np.asarray(edges, dtype=np.float64)
+        try:
+            table = np.asarray(edges, dtype=np.float64)
+        except OverflowError:  # ids too large for a float are out of range all the same
+            table = np.asarray([[min(max(x, -1), node_count) for x in e[:2]] + list(e[2:])
+                                for e in edges], dtype=np.float64)
         if table.size == 0:
             table = table.reshape(0, 3)
         if table.ndim == 2 and table.shape[1] == 2:
@@ -152,15 +156,11 @@ class BlockPartition:
         if num_blocks < 1:
             raise PartitionError("num_blocks must be >= 1")
         if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_blocks):
-            raise PartitionError(
-                f"block id out of range [0,{num_blocks}) in assignment"
-            )
+            raise PartitionError(f"block id out of range [0,{num_blocks}) in assignment")
         self.graph = graph
         self.assignment = assignment
         self.num_blocks = int(num_blocks)
-        self.block_nodes = [
-            np.flatnonzero(assignment == k) for k in range(num_blocks)
-        ]
+        self.block_nodes = [np.flatnonzero(assignment == k) for k in range(num_blocks)]
         # each edge's block, or -1 for a cut edge
         self._edge_block = assignment[graph.edge_u]
         cut = self._edge_block != assignment[graph.edge_v]
@@ -267,15 +267,9 @@ def load_graph(path: str) -> Graph:
             raw_edges.append((u, v, w))
 
     ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
-    if declared_n is None:
-        n = (max(ids) + 1) if ids else 0
-    else:
-        n = declared_n
-    contiguous = ids == list(range(len(ids))) and ids and ids[0] == 0
-    dense = declared_n is not None or bool(contiguous) or not ids
-    if not dense:
+    n = len(ids) if declared_n is None else declared_n
+    if declared_n is None and ids != list(range(n)):
         remap = {old: new for new, old in enumerate(ids)}
-        n = len(ids)
         with open(path + ".idmap", "w", encoding="utf-8") as fh:
             for old in ids:
                 fh.write(f"{remap[old]}\t{old}\n")

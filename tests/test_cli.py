@@ -140,6 +140,43 @@ class TestDetect:
             assert file_hash(tmp_path / "default" / "detect" / name) == \
                 file_hash(tmp_path / "ems" / "detect" / name)
 
+    def test_temporal_coupling_needs_stacked_snapshots(self, temporal_bundle, tmp_path, capsys):
+        # one signal is one graph cut into BFS blocks, which are not
+        # timestamps even when their sizes are equal (80 nodes, 4 blocks)
+        one_signal = ["detect", "--graph", str(temporal_bundle / "graph.txt"),
+                      "--signal", str(temporal_bundle / "signal_t0.txt"),
+                      "--objective", "temporal", "--budget", "5", "--seed", "1"]
+        assert run(one_signal + ["--out", str(tmp_path / "a")]) == 2
+        assert "stacked snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        run(["synth", "--n", "60", "--m", "3", "--size", "8", "--kind", "non",
+             "--blocks", "4", "--seed", "2", "--out", str(tmp_path / "i")])
+        code = run(["detect", "--bundle", str(tmp_path / "i" / "instance"),
+                    "--objective", "temporal", "--budget", "5", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "stacked snapshots" in capsys.readouterr().err
+
+    def test_partition_flags_need_one_signal(self, temporal_bundle, tmp_path, capsys):
+        args = ["detect", "--graph", str(temporal_bundle / "graph.txt"),
+                "--budget", "5", "--out", str(tmp_path / "o")]
+        for t in range(2):
+            args += ["--signal", str(temporal_bundle / f"signal_t{t}.txt")]
+        partition = tmp_path / "p.txt"
+        partition.write_text("".join(f"{i % 2}\n" for i in range(80)))
+        for extra in (["--blocks", "2"], ["--partition", str(partition), "--blocks", "2"]):
+            assert run(args + extra) == 2
+            assert "one --signal only" in capsys.readouterr().err
+
+    def test_id_too_large_for_a_float_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("# nodes 3\n0\t1\n1\t" + "9" * 400 + "\n")
+        signal = tmp_path / "s.txt"
+        signal.write_text("0\t1\n1\t1\n2\t0\n")
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "out of [0,3)" in capsys.readouterr().err
+
     def test_missing_inputs_exit_2(self):
         assert run(["detect", "--budget", "5"]) == 2
 

@@ -76,16 +76,16 @@ class TestGraph:
 
 
 BAD_WEIGHTS = (0.0, -1.5, float("nan"), float("inf"), float("-inf"))
-FAULTS = ("range", "loop", "repeat", "weight")
+FAULTS = ("range", "huge", "loop", "repeat", "weight")
 
 
 @st.composite
-def edge_lists(draw):
-    """Node count and edges, with any mix of faults: out-of-range ids,
-    self-loops, repeated pairs and zero, negative or non-finite weights.
-    Some lists give their ids as non-integral floats."""
+def edge_lists(draw, kinds=FAULTS):
+    """Node count and edges, with any mix of faults: out-of-range ids (some
+    too large for a float), self-loops, repeated pairs and zero, negative or
+    non-finite weights. Some lists give their ids as non-integral floats."""
     n = draw(st.integers(0, 9))
-    faults = sorted(draw(st.sets(st.sampled_from(FAULTS))))
+    faults = sorted(draw(st.sets(st.sampled_from(kinds))))
     as_float = draw(st.integers(0, 3)) == 0
     edges = []
     for _ in range(draw(st.integers(0, 12))):
@@ -99,7 +99,10 @@ def edge_lists(draw):
         elif kind == "repeat" and edges:
             v, u = draw(st.sampled_from(edges))[:2]
             u, v = (v, u) if draw(st.booleans()) else (u, v)
-        if as_float:  # ids are truncated as int() truncates them
+        elif kind == "huge":  # an id no float can hold, as a file may give
+            u = draw(st.sampled_from([10**400, -10**400]))
+            u, v = (v, u) if draw(st.booleans()) else (u, v)
+        if as_float and max(abs(u), abs(v)) < 2**53:  # truncated as int() truncates them
             u, v = u + draw(st.floats(0.0, 0.99)), v + draw(st.floats(0.0, 0.99))
         w = draw(st.sampled_from(BAD_WEIGHTS) if kind == "weight" else st.floats(0.01, 10.0))
         edges.append((u, v) if kind != "weight" and draw(st.booleans()) else (u, v, w))
@@ -129,7 +132,7 @@ class TestGraphAgainstReference:
             assert arr.dtype == ref.dtype and np.array_equal(arr, ref), name
 
     @settings(max_examples=100, deadline=None)
-    @given(edge_lists())
+    @given(edge_lists(kinds=tuple(f for f in FAULTS if f != "huge")))  # no array holds them
     def test_array_input_matches_tuple_input(self, case):
         n, edges = case
         rows = [(*edge, 1.0) if len(edge) == 2 else edge for edge in edges]
