@@ -49,7 +49,8 @@ EXIT_SOLVER = 5
 DEFAULT_LAMBDA_GRID = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand, by name."""
     parser = argparse.ArgumentParser(
         prog="gbgp",
         description="Block-structured subgraph detection in interdependent networks",
@@ -114,23 +115,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--budgets", required=True, help="comma-separated budgets")
     p.add_argument("--lambdas", default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID))
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config key=value pairs in as defaults; flags still win."""
-    if "--config" not in argv:
+def _apply_config_file(subcommands: dict[str, argparse.ArgumentParser],
+                       argv: list[str]) -> list[str]:
+    """Fold --config ``long-option=value`` lines in as subcommand defaults; flags win."""
+    pre = argparse.ArgumentParser(prog="gbgp", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        parser.error("--config needs a file path")
-    known = set()
-    for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        for sub_action in action._actions:
-            known.add(sub_action.dest)
-    defaults = {}
+    path = known.config
+    # long option name -> every (subcommand parser, action) that takes it
+    options: dict[str, list] = {}
+    for sub in subcommands.values():
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and action.dest != "help":
+                    options.setdefault(opt[2:], []).append((sub, action))
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -138,15 +141,22 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            dest = key.strip().replace("-", "_")
-            if dest == "lambda":
-                dest = "lam"
-            if dest not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-            defaults[dest] = value.strip()
-    parser.set_defaults(**defaults)
-    return argv[:idx] + argv[idx + 2:]
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in options:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            for sub, action in options[key]:
+                default = value
+                if isinstance(action, argparse._AppendAction):
+                    raise ValueError(f"{path}:{lineno}: {key} repeats; give it as --{key}")
+                if action.nargs == 0:  # a store_true flag
+                    if value not in ("true", "false"):
+                        raise ValueError(f"{path}:{lineno}: {key} must be true or false")
+                    default = value == "true"
+                elif action.choices is not None and value not in action.choices:
+                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                                     f"{', '.join(action.choices)}, not {value!r}")
+                sub.set_defaults(**{action.dest: default})
+    return argv
 
 
 def _write_manifest(out_dir: str, entries: list[str]) -> None:
@@ -322,9 +332,9 @@ def cmd_gridsearch(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subcommands = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(subcommands, argv)
         args = parser.parse_args(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,10 +183,6 @@ class BlockPartition:
             ]))
         return self._block_graphs[k]
 
-    def to_global(self, k: int, local_nodes: Iterable[int]) -> list[int]:
-        nodes = self.block_nodes[k]
-        return sorted(int(nodes[i]) for i in local_nodes)
-
     def __repr__(self):
         return f"BlockPartition(K={self.num_blocks}, cut={len(self.cut_edges)})"
 
@@ -232,8 +228,9 @@ def load_graph(path: str) -> Graph:
     """Load an edge-list file: whitespace-separated ``u v [w]`` per line.
 
     Lines starting with ``#`` are comments; a ``# nodes N`` comment fixes
-    the node count (otherwise max id + 1 is used). Sparse external ids
-    are remapped to [0, N) and the mapping written to ``<path>.idmap``.
+    the node count, 0 <= N < 2**63 (otherwise max id + 1 is used). Sparse
+    external ids are remapped to [0, N) and the mapping written to
+    ``<path>.idmap``.
     """
     raw_edges = []
     declared_n = None
@@ -251,6 +248,8 @@ def load_graph(path: str) -> Graph:
                         raise EdgeListError(
                             f"{path}:{lineno}: node count {parts[1]!r} is not an integer"
                         ) from None
+                    if not 0 <= declared_n < 2 ** 63:
+                        raise EdgeListError(f"{path}:{lineno}: node count out of [0, 2**63)")
                 continue
             parts = stripped.split()
             if len(parts) not in (2, 3):

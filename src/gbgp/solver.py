@@ -81,16 +81,8 @@ class SolverConfig:
             raise ValueError("parallel worker count must be >= 0")
         if self.num_components < 1:
             raise ValueError("num_components must be >= 1")
-
-    def budget_for(self, k: int, block_size: int) -> int:
-        budget = int(self.budgets)
-        if budget < 1:
-            raise ValueError(f"budget for block {k} must be >= 1")
-        if budget > block_size:
-            raise ValueError(
-                f"budget {budget} infeasible for block {k} of {block_size} nodes"
-            )
-        return budget
+        if self.budgets < 1:
+            raise ValueError("budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -193,24 +185,31 @@ def estimate_step_size(
 
 
 _POOL_GRAPHS: list[Graph] = []
+_POOL_CONFIG: Optional[SolverConfig] = None
 
 
-def _pool_init(graphs: list[Graph]) -> None:
-    global _POOL_GRAPHS
-    _POOL_GRAPHS = graphs
+def _pool_init(graphs: list[Graph], config: SolverConfig) -> None:
+    global _POOL_GRAPHS, _POOL_CONFIG
+    _POOL_GRAPHS, _POOL_CONFIG = graphs, config
 
 
 def _pool_project(
-    task: tuple, graphs: Optional[list[Graph]] = None
-) -> tuple[int, ProjectionOutcome]:
-    """Run one ``(kind, k, values, budget, kwargs)`` projection task.
+    task: tuple, graphs: Optional[list[Graph]] = None, config: Optional[SolverConfig] = None
+) -> ProjectionOutcome:
+    """Run one ``(kind, k, values, warm)`` projection task.
 
-    Pool workers read the block graphs that ``_pool_init`` installed.
+    Pool workers read the block graphs and config that ``_pool_init`` installed.
     """
-    kind, k, values, budget, kwargs = task
-    project = head_project if kind == "head" else tail_project
+    kind, k, values, warm = task
     graph = (_POOL_GRAPHS if graphs is None else graphs)[k]
-    return k, project(values, graph, budget, block_id=k, **kwargs)
+    config = _POOL_CONFIG if config is None else config
+    if kind == "head":
+        return head_project(values, graph, config.budgets,
+                            num_components=config.num_components,
+                            capacity_mode=config.head_capacity_mode,
+                            block_id=k, initial_multiplier=warm)
+    return tail_project(values, graph, config.budgets, num_components=config.num_components,
+                        block_id=k, initial_multiplier=warm)
 
 
 def _box_projected_gradient(grad: np.ndarray, x_k: np.ndarray) -> np.ndarray:
@@ -226,16 +225,6 @@ def _box_projected_gradient(grad: np.ndarray, x_k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_local_masks(partition: BlockPartition, omegas: list[set[int]]) -> list[np.ndarray]:
-    masks = []
-    for k in range(partition.num_blocks):
-        mask = np.zeros(len(partition.block_nodes[k]), dtype=bool)
-        if omegas[k]:
-            mask[sorted(omegas[k])] = True
-        masks.append(mask)
-    return masks
-
-
 def _restrict(x: np.ndarray, partition: BlockPartition, masks: list[np.ndarray]) -> None:
     """Zero every block of x outside its mask and clip it to [0, 1], in place."""
     for k in range(partition.num_blocks):
@@ -248,7 +237,7 @@ def _restrict(x: np.ndarray, partition: BlockPartition, masks: list[np.ndarray])
 
 def bcd_solve(
     objective: ObjectiveSpec,
-    omegas: list[set[int]],
+    masks: list[np.ndarray],
     x_init: np.ndarray,
     config: SolverConfig,
     trace: Optional[list] = None,
@@ -257,16 +246,16 @@ def bcd_solve(
 
     Visits blocks in index order; each visit extrapolates the block
     iterate, takes one proximal step restricted to the block's allowed
-    support, and advances the momentum sequence rho. Momentum restarts
-    (one plain step) whenever the extrapolated step would increase the
-    objective, which keeps the iteration monotone under backtracking.
+    support (``masks[k]``, a boolean over block k's local ids), and
+    advances the momentum sequence rho. Momentum restarts (one plain
+    step) whenever the extrapolated step would increase the objective,
+    which keeps the iteration monotone under backtracking.
     When given, ``trace`` collects the objective value after each visit.
     """
-    if not any(omegas):
+    if not any(mask.any() for mask in masks):
         raise ValueError("all blocks have empty allowed supports")
     partition = objective.partition
     K = partition.num_blocks
-    masks = _as_local_masks(partition, omegas)
     x = x_init.copy()
     _restrict(x, partition, masks)
     prev_blocks = [x[partition.block_nodes[k]].copy() for k in range(K)]
@@ -309,7 +298,7 @@ def bcd_solve(
 
 def parallel_bcd_solve(
     objective: ObjectiveSpec,
-    omegas: list[set[int]],
+    masks: list[np.ndarray],
     x_init: np.ndarray,
     config: SolverConfig,
     rng: Optional[np.random.Generator] = None,
@@ -322,7 +311,7 @@ def parallel_bcd_solve(
     size), then mixes the update into the accelerated iterate. With a
     fixed seed the trajectory is reproducible for any tau.
     """
-    if not any(omegas):
+    if not any(mask.any() for mask in masks):
         raise ValueError("all blocks have empty allowed supports")
     partition = objective.partition
     K = partition.num_blocks
@@ -330,7 +319,6 @@ def parallel_bcd_solve(
     tau = min(tau, K)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    masks = _as_local_masks(partition, omegas)
     x = x_init.copy()
     _restrict(x, partition, masks)
 
@@ -372,9 +360,11 @@ def gbgp_solve(
 ) -> DetectionResult:
     """Head-project, minimize restricted, tail-project until converged.
 
-    A projection is a pure function of its input vector, budget and
-    options (warm-start multiplier included), so a block whose head or
-    tail input is bit-identical to its previous one reuses that outcome
+    Each ``(kind, k)`` projection keeps one entry: its last search's input
+    bytes, warm start and outcome. The next search on that block starts
+    from the outcome's multiplier, and a projection is a pure function of
+    its input and warm start (budget and options are fixed per solve), so
+    a block whose input and warm start both repeat reuses the outcome
     instead of searching again; only the other blocks are projected, and
     the pool gets no work when every block repeats. Returns the per-block
     tail supports of the final iteration, the continuous iterate, and one
@@ -387,7 +377,10 @@ def gbgp_solve(
     K = partition.num_blocks
     block_graphs = [partition.block_graph(k) for k in range(K)]
     blocks = [k for k in range(K) if len(partition.block_nodes[k])]
-    budgets = {k: config.budget_for(k, len(partition.block_nodes[k])) for k in blocks}
+    for k in blocks:
+        if config.budgets > len(partition.block_nodes[k]):
+            raise ValueError(f"budget {config.budgets} infeasible for block {k} "
+                             f"of {len(partition.block_nodes[k])} nodes")
     rng = np.random.default_rng(config.seed)
 
     pool = None
@@ -395,33 +388,33 @@ def gbgp_solve(
         workers = min(config.parallel, os.cpu_count() or 1, K)
         if workers >= 2:
             pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init, initargs=(block_graphs,)
+                max_workers=workers, initializer=_pool_init, initargs=(block_graphs, config)
             )
 
-    # (kind, k) -> the last task's (values bytes, budget, kwargs) and outcome
-    last: dict[tuple[str, int], tuple[tuple, ProjectionOutcome]] = {}
+    # (kind, k) -> the last search's (input bytes, warm start, outcome)
+    last: dict[tuple[str, int], tuple[bytes, Optional[float], ProjectionOutcome]] = {}
 
-    def project_blocks(tasks: list[tuple], probes: dict) -> dict:
-        outcomes, missed, keys = {}, [], []
-        for task in tasks:
-            kind, k, values, budget, kwargs = task
-            key = (values.tobytes(), budget, kwargs)
-            entry = last.get((kind, k))
-            if entry is not None and entry[0] == key:
-                outcomes[k] = entry[1]
+    def project_blocks(kind: str, inputs: dict[int, np.ndarray],
+                       probes: dict) -> dict[int, ProjectionOutcome]:
+        outcomes, missed, datas = {}, [], []
+        for k, values in inputs.items():
+            data, entry = values.tobytes(), last.get((kind, k))
+            warm = None if entry is None else entry[2].multiplier
+            if entry is not None and entry[:2] == (data, warm):
+                outcomes[k] = entry[2]
             else:
-                missed.append(task)
-                keys.append(key)
+                missed.append((kind, k, values, warm))
+                datas.append(data)
         if pool is None:
-            fresh = [_pool_project(task, block_graphs) for task in missed]
+            fresh = [_pool_project(task, block_graphs, config) for task in missed]
         elif missed:
             chunk = math.ceil(len(missed) / workers)
             fresh = pool.map(_pool_project, missed, chunksize=chunk)
         else:
             fresh = []
-        for task, key, (k, outcome) in zip(missed, keys, fresh):
-            last[task[0], k] = (key, outcome)
-            probes[task[0], k] = outcome.search_iterations
+        for (_, k, _, warm), data, outcome in zip(missed, datas, fresh):
+            last[kind, k] = (data, warm, outcome)
+            probes[kind, k] = outcome.search_iterations
             outcomes[k] = outcome
         return outcomes
 
@@ -429,8 +422,6 @@ def gbgp_solve(
     iterations: list[OuterRecord] = []
     converged = False
     tail_supports: list[SupportSet] = [SupportSet(k, ()) for k in range(K)]
-    head_mults: list[Optional[float]] = [None] * K
-    tail_mults: list[Optional[float]] = [None] * K
 
     try:
         for outer in range(1, config.max_outer_iters + 1):
@@ -440,42 +431,30 @@ def gbgp_solve(
                 raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
             probes: dict[tuple[str, int], int] = {}
 
-            head_tasks = []
+            heads = project_blocks("head", {
+                k: _box_projected_gradient(objective.block_gradient(x, k),
+                                           x[partition.block_nodes[k]])
+                for k in blocks
+            }, probes)
+            # allowed support: the head support plus the current support
+            masks = [x[nodes] != 0.0 for nodes in partition.block_nodes]
             for k in blocks:
-                grad_k = _box_projected_gradient(
-                    objective.block_gradient(x, k), x[partition.block_nodes[k]]
-                )
-                kwargs = dict(num_components=config.num_components,
-                              capacity_mode=config.head_capacity_mode,
-                              initial_multiplier=head_mults[k])
-                head_tasks.append(("head", k, grad_k, budgets[k], kwargs))
-            head_outcomes = project_blocks(head_tasks, probes)
-            omega_sets: list[set[int]] = [set() for _ in range(K)]
-            for k in blocks:
-                outcome = head_outcomes[k]
-                head_mults[k] = outcome.multiplier
-                supp = np.flatnonzero(x[partition.block_nodes[k]] != 0.0).tolist()
-                omega_sets[k] = set(outcome.support.nodes).union(supp)
+                masks[k][list(heads[k].support.nodes)] = True
 
             if config.parallel >= 2 and K > 1:
-                b = parallel_bcd_solve(objective, omega_sets, x, config, rng)
+                b = parallel_bcd_solve(objective, masks, x, config, rng)
             else:
-                b = bcd_solve(objective, omega_sets, x, config)
+                b = bcd_solve(objective, masks, x, config)
 
-            tail_outcomes = project_blocks([
-                ("tail", k, b[partition.block_nodes[k]], budgets[k],
-                 dict(num_components=config.num_components, initial_multiplier=tail_mults[k]))
-                for k in blocks
-            ], probes)
+            tails = project_blocks(
+                "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
+            )
             x_new = np.zeros_like(x)
             new_supports = [SupportSet(k, ()) for k in range(K)]
             for k in blocks:
-                outcome = tail_outcomes[k]
-                tail_mults[k] = outcome.multiplier
-                psi = list(outcome.support.nodes)
-                kept = partition.block_nodes[k][psi]
+                kept = partition.block_nodes[k][list(tails[k].support.nodes)]
                 x_new[kept] = b[kept]
-                new_supports[k] = SupportSet(k, partition.to_global(k, psi))
+                new_supports[k] = SupportSet(k, kept.tolist())
 
             delta = sum(
                 float(np.linalg.norm(x_new[partition.block_nodes[k]] - x[partition.block_nodes[k]]))

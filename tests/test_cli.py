@@ -16,7 +16,7 @@ def run(argv):
     return main(argv)
 
 
-def _die_in_worker(task, graphs=None):
+def _die_in_worker(task, graphs=None, config=None):
     """Stand-in projection task that kills the pool worker running it."""
     os._exit(1)
 
@@ -176,6 +176,20 @@ class TestDetect:
                     "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "out of [0,3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["9" * 400, str(2 ** 63), "-1"],
+                             ids=["400-digits", "2**63", "-1"])
+    def test_node_count_out_of_range_exit_2(self, tmp_path, capfd, count):
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"# nodes {count}\n0\t1\n")
+        signal = tmp_path / "s.txt"
+        signal.write_text("0\t1\n1\t1\n")
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--blocks", "1", "--budget", "1", "--out", str(tmp_path / "o")])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "g.txt:1: node count out of [0, 2**63)" in err
+        assert "Traceback" not in err
 
     def test_missing_inputs_exit_2(self):
         assert run(["detect", "--budget", "5"]) == 2
@@ -377,3 +391,50 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key=1\n")
         assert run(["--config", str(cfg), "synth", "--n", "10"]) == 2
+
+    def test_config_values_reach_the_subcommand(self, temporal_bundle, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-outer-iters=1\n")
+        for i, form in enumerate((["--config", str(cfg)], [f"--config={cfg}"])):
+            out = tmp_path / f"run{i}"
+            code = run(form + ["detect", "--bundle", str(temporal_bundle),
+                               "--budget", "10", "--out", str(out)])
+            assert code in (0, 3)
+            assert len((out / "detect" / "trace.txt").read_text().splitlines()) == 1
+        # a flag wins over the file
+        code = run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
+                    "--budget", "10", "--max-outer-iters", "2", "--out", str(tmp_path / "flag")])
+        assert code in (0, 3)
+        assert len((tmp_path / "flag" / "detect" / "trace.txt").read_text().splitlines()) == 2
+
+    def test_config_matches_the_same_flags(self, temporal_bundle, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=0.05\nmax-outer-iters=7\nstep-mode=fixed\n"
+                       "normalize-signal=true\n")
+        base = ["detect", "--bundle", str(temporal_bundle), "--budget", "10"]
+        assert run(["--config", str(cfg)] + base + ["--out", str(tmp_path / "cfg")]) in (0, 3)
+        assert run(base + ["--lambda", "0.05", "--max-outer-iters", "7", "--step-mode", "fixed",
+                           "--normalize-signal", "--out", str(tmp_path / "flags")]) in (0, 3)
+        assert run(base + ["--out", str(tmp_path / "plain")]) in (0, 3)
+        for name in ("supports.txt", "x.txt"):
+            cfg_hash = file_hash(tmp_path / "cfg" / "detect" / name)
+            assert cfg_hash == file_hash(tmp_path / "flags" / "detect" / name)
+        assert file_hash(tmp_path / "cfg" / "detect" / "x.txt") != file_hash(
+            tmp_path / "plain" / "detect" / "x.txt")
+
+    @pytest.mark.parametrize("line", ["step-mode=sideways", "head-capacity=3s",
+                                      "normalize-signal=yes", "signal=s.txt"])
+    def test_bad_config_value_exit_2(self, temporal_bundle, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
+                    "--budget", "10", "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_value_of_the_wrong_type_exit_2(self, temporal_bundle, tmp_path):
+        # argparse converts the default through the option's type and exits 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-outer-iters=many\n")
+        with pytest.raises(SystemExit) as err:
+            run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
+                 "--budget", "10", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2

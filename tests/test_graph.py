@@ -285,7 +285,6 @@ class TestBlockPartition:
         assert bg.node_count == 3
         # nodes 1,2,3 -> local 0,1,2
         assert bg.edges == [(0, 1, 1.0), (1, 2, 1.0)]
-        assert part.to_global(1, [0, 2]) == [1, 3]
 
     def test_partition_file_round_trip(self, tmp_path):
         g = path_graph(3)

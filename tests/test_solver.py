@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -40,6 +42,13 @@ class QuadraticStub:
     def block_gradient(self, x, k):
         nodes = self.partition.block_nodes[k]
         return x[nodes] - self.target[nodes]
+
+
+def mask(n, allowed):
+    """Boolean allowed-support mask over n local ids."""
+    out = np.zeros(n, dtype=bool)
+    out[list(allowed)] = True
+    return out
 
 
 def single_block_stub(n, target):
@@ -140,7 +149,7 @@ class TestBcdSolve:
         n = 12
         stub = single_block_stub(n, target=np.full(n, 0.3))
         config = SolverConfig(budgets=n, inner_tol=1e-9, max_inner_cycles=200)
-        out = bcd_solve(stub, [set(range(n))], np.zeros(n), config)
+        out = bcd_solve(stub, [np.ones(n, dtype=bool)], np.zeros(n), config)
         assert np.allclose(out, 0.3, atol=1e-6)
 
     def test_support_restriction_respected(self):
@@ -148,22 +157,22 @@ class TestBcdSolve:
         stub = single_block_stub(n, target=np.full(n, 0.8))
         omega = {0, 2, 4}
         config = SolverConfig(budgets=n)
-        out = bcd_solve(stub, [omega], np.zeros(n), config)
+        out = bcd_solve(stub, [mask(n, omega)], np.zeros(n), config)
         assert set(np.flatnonzero(out != 0.0).tolist()) <= omega
 
     def test_monotone_objective_with_backtracking(self):
         obj = planted_objective(n=10, truth=(3, 4, 5, 6))
-        omega = [set(range(10))]
+        masks = [np.ones(10, dtype=bool)]
         x0 = obj.initial_x()
         trace = []
         config = SolverConfig(budgets=10, step_mode="backtracking", max_inner_cycles=30)
-        bcd_solve(obj, omega, x0, config, trace=trace)
+        bcd_solve(obj, masks, x0, config, trace=trace)
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_all_empty_omegas_rejected(self):
         stub = single_block_stub(3, target=np.zeros(3))
         with pytest.raises(ValueError):
-            bcd_solve(stub, [set()], np.zeros(3), SolverConfig(budgets=3))
+            bcd_solve(stub, [np.zeros(3, dtype=bool)], np.zeros(3), SolverConfig(budgets=3))
 
 
 class TestParallelBcdSolve:
@@ -175,12 +184,12 @@ class TestParallelBcdSolve:
         values = np.zeros(12)
         values[[4, 5, 6]] = 1.0
         obj = ObjectiveSpec("non", part, BlockSignal(values), lam=0.1)
-        omegas = [set(range(4)), set(range(4)), set(range(4))]
+        masks = [np.ones(4, dtype=bool) for _ in range(3)]
         x0 = obj.initial_x()
         outs = []
         for seed in (0, 99):
             config = SolverConfig(budgets=4, parallel=3, seed=seed, max_inner_cycles=40)
-            outs.append(parallel_bcd_solve(obj, omegas, x0, config))
+            outs.append(parallel_bcd_solve(obj, masks, x0, config))
         assert np.array_equal(outs[0], outs[1])
 
     def test_seeded_reproducibility(self):
@@ -188,11 +197,11 @@ class TestParallelBcdSolve:
         part = BlockPartition(graph, [0] * 4 + [1] * 4 + [2] * 4, 3)
         values = np.random.default_rng(5).normal(size=12)
         obj = ObjectiveSpec("non", part, BlockSignal(values), lam=0.05)
-        omegas = [set(range(4))] * 3
+        masks = [np.ones(4, dtype=bool)] * 3
         x0 = obj.initial_x()
         config = SolverConfig(budgets=4, parallel=2, seed=7, max_inner_cycles=40)
-        a = parallel_bcd_solve(obj, omegas, x0, config)
-        b = parallel_bcd_solve(obj, omegas, x0, config)
+        a = parallel_bcd_solve(obj, masks, x0, config)
+        b = parallel_bcd_solve(obj, masks, x0, config)
         assert np.array_equal(a, b)
 
     def test_stays_in_box_and_support(self):
@@ -202,7 +211,7 @@ class TestParallelBcdSolve:
         obj = ObjectiveSpec("non", part, BlockSignal(values), lam=0.2)
         omegas = [{0, 1}, {2, 3}]
         config = SolverConfig(budgets=4, parallel=2, seed=1, max_inner_cycles=60)
-        out = parallel_bcd_solve(obj, omegas, obj.initial_x(), config)
+        out = parallel_bcd_solve(obj, [mask(4, o) for o in omegas], obj.initial_x(), config)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert set(np.flatnonzero(out[part.block_nodes[0]]).tolist()) <= omegas[0]
         assert set(np.flatnonzero(out[part.block_nodes[1]]).tolist()) <= omegas[1]
@@ -275,10 +284,11 @@ class TestGbgpSolve:
             return set(np.flatnonzero(x[obj.partition.block_nodes[k]]).tolist())
 
         for i, (args, _) in enumerate(calls["inner"]):
-            omegas, x = args[1], args[2]
+            masks, x = args[1], args[2]
             for k in range(K):
                 head = set(calls["head"][i * K + k][1].support.nodes)
-                assert omegas[k] == head | support(x, k)
+                assert masks[k].dtype == bool
+                assert set(np.flatnonzero(masks[k]).tolist()) == head | support(x, k)
                 # the next iterate's support lives inside a connected tail set
                 tail = set(calls["tail"][i * K + k][1].support.nodes)
                 assert support(iterates[i + 1], k) <= tail
@@ -295,8 +305,13 @@ class TestGbgpSolve:
 
     def test_budget_infeasible_raises(self):
         obj = planted_objective(n=5, truth=(1, 2))
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(ValueError, match="budget 9 infeasible for block 0 of 5 nodes"):
             gbgp_solve(obj, SolverConfig(budgets=9))
+
+    def test_budget_below_one_rejected_at_construction(self):
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                SolverConfig(budgets=budget)
 
     def test_lambda_zero_decouples_into_independent_runs(self):
         # temporal coupling off: each timestamp solves as its own instance
@@ -397,8 +412,8 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
 
         return record
 
-    def inner(objective, omegas, x, cfg):
-        b = bcd_solve(objective, omegas, x, cfg)
+    def inner(objective, masks, x, cfg):
+        b = bcd_solve(objective, masks, x, cfg)
         events.append(("inner", None, x.copy(), None, b))
         return b
 
@@ -451,6 +466,37 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
     assert reused == 2 * K * iters - len(calls) > 0
 
 
+def test_a_changed_warm_start_searches_again(monkeypatch):
+    # every search reports a multiplier no search has used, so no warm start
+    # repeats and every projection must search, also when its input repeats
+    obj = non_objective()
+    config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
+    fresh = itertools.count(1)
+    calls, reported = [], {}
+
+    def spy(kind, fn):
+        def run(values, graph_k, budget, **kwargs):
+            k, warm = kwargs["block_id"], kwargs["initial_multiplier"]
+            assert warm == reported.get((kind, k))
+            calls.append((kind, k, values.tobytes()))
+            out = fn(values, graph_k, budget, **{**kwargs, "initial_multiplier": None})
+            reported[kind, k] = float(next(fresh))
+            return dataclasses.replace(out, multiplier=reported[kind, k])
+
+        return run
+
+    monkeypatch.setattr(solver, "head_project", spy("head", solver.head_project))
+    monkeypatch.setattr(solver, "tail_project", spy("tail", solver.tail_project))
+    result = gbgp_solve(obj, config)
+
+    assert len(calls) == 2 * obj.num_blocks * result.outer_iters
+    previous, repeats = {}, 0
+    for kind, k, data in calls:
+        repeats += previous.get((kind, k)) == data
+        previous[kind, k] = data
+    assert repeats > 0
+
+
 def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
@@ -474,9 +520,9 @@ def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
         searches.append((len(inner_inputs) - (kind == "tail"), kind, k, out[1]))
         return out
 
-    def inner(objective, omegas, x, cfg):
+    def inner(objective, masks, x, cfg):
         inner_inputs.append(x.copy())
-        return bcd_solve(objective, omegas, x, cfg)
+        return bcd_solve(objective, masks, x, cfg)
 
     monkeypatch.setattr(solver, "head_project", project("head", solver.head_project))
     monkeypatch.setattr(solver, "tail_project", project("tail", solver.tail_project))
