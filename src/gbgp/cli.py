@@ -36,6 +36,7 @@ from .graph import (
     load_signal,
     partition_contiguous,
     save_signal,
+    signal_length,
 )
 from .objectives import ObjectiveSpec
 from .solver import SolverConfig, gbgp_solve
@@ -193,7 +194,8 @@ def _load_detect_inputs(args):
         return instance.partition, instance.signal, None
     if not args.graph or not args.signal:
         raise ValueError("detect needs --bundle, or --graph with --signal")
-    graph = load_graph(args.graph)
+    # the signal length bounds the graph before its header can allocate anything
+    graph = load_graph(args.graph, max(signal_length(path) for path in args.signal))
     signals = [load_signal(path, graph.node_count) for path in args.signal]
     if len(signals) > 1:
         if args.partition or args.blocks:

@@ -27,6 +27,7 @@ __all__ = [
     "connected_components",
     "load_signal",
     "save_signal",
+    "signal_length",
 ]
 
 
@@ -224,13 +225,14 @@ class SupportSet:
         return f"SupportSet(block={self.block_id}, nodes={list(self.nodes)})"
 
 
-def load_graph(path: str) -> Graph:
+def load_graph(path: str, signal_length: int | None = None) -> Graph:
     """Load an edge-list file: whitespace-separated ``u v [w]`` per line.
 
     Lines starting with ``#`` are comments; a ``# nodes N`` comment fixes
-    the node count, 0 <= N < 2**63 (otherwise max id + 1 is used). Sparse
-    external ids are remapped to [0, N) and the mapping written to
-    ``<path>.idmap``.
+    the node count, 0 <= N < 2**63 (otherwise max id + 1 is used). Given
+    ``signal_length``, N must equal it; both checks run before anything
+    is allocated. Sparse external ids are remapped to [0, N) and the
+    mapping written to ``<path>.idmap``.
     """
     raw_edges = []
     declared_n = None
@@ -250,6 +252,9 @@ def load_graph(path: str) -> Graph:
                         ) from None
                     if not 0 <= declared_n < 2 ** 63:
                         raise EdgeListError(f"{path}:{lineno}: node count out of [0, 2**63)")
+                    if signal_length is not None and declared_n != signal_length:
+                        raise EdgeListError(f"{path}:{lineno}: node count {declared_n} differs "
+                                            f"from the signal length {signal_length}")
                 continue
             parts = stripped.split()
             if len(parts) not in (2, 3):
@@ -383,9 +388,8 @@ def connected_components(graph: Graph, nodes: Iterable[int]) -> list[set[int]]:
     return components
 
 
-def load_signal(path: str, node_count: int) -> BlockSignal:
-    """Load a ``node <TAB> value`` signal file; absent nodes default to 0."""
-    values = np.zeros(node_count, dtype=np.float64)
+def _signal_entries(path: str):
+    """(line number, node id, value text) of each entry of a signal file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -394,10 +398,21 @@ def load_signal(path: str, node_count: int) -> BlockSignal:
             parts = stripped.split()
             if len(parts) != 2:
                 raise SignalError(f"{path}:{lineno}: expected 'node value'")
-            node = int(parts[0])
-            if not (0 <= node < node_count):
-                raise SignalError(f"{path}:{lineno}: node id {node} out of range")
-            values[node] = float(parts[1])
+            yield lineno, int(parts[0]), parts[1]
+
+
+def signal_length(path: str) -> int:
+    """One more than the largest node id a signal file names (0 if none)."""
+    return max((node + 1 for _, node, _ in _signal_entries(path)), default=0)
+
+
+def load_signal(path: str, node_count: int) -> BlockSignal:
+    """Load a ``node <TAB> value`` signal file; absent nodes default to 0."""
+    values = np.zeros(node_count, dtype=np.float64)
+    for lineno, node, value in _signal_entries(path):
+        if not (0 <= node < node_count):
+            raise SignalError(f"{path}:{lineno}: node id {node} out of range")
+        values[node] = float(value)
     return BlockSignal(values)
 
 

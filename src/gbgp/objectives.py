@@ -88,10 +88,11 @@ class ObjectiveSpec:
             cut = partition.cut_edges
             ii, jj = self._cut_u, self._cut_v = cut.T
             blocks_u, blocks_v = partition.assignment[cut.T]
-            self._block_cut_ids = [
-                np.flatnonzero((blocks_u == k) | (blocks_v == k))
-                for k in range(self.num_blocks)
-            ]
+            # the endpoints of the cut edges that touch each block
+            self._block_cuts = []
+            for k in range(self.num_blocks):
+                ids = np.flatnonzero((blocks_u == k) | (blocks_v == k))
+                self._block_cuts.append((ii[ids], jj[ids]))
             if len(cut):
                 data = np.ones(len(cut))
                 rows = np.concatenate([ii, jj, ii, jj])
@@ -161,9 +162,9 @@ class ObjectiveSpec:
                 diff = x_k - self.block_slice(x, k + 1)
                 total += self.lam * float(diff @ diff)
             return total
-        ids = self._block_cut_ids[k]
-        if len(ids):
-            diff = x[self._cut_u[ids]] - x[self._cut_v[ids]]
+        cut_u, cut_v = self._block_cuts[k]
+        if len(cut_u):
+            diff = x[cut_u] - x[cut_v]
             total += self.lam * float(diff @ diff)
         return total
 

@@ -169,19 +169,23 @@ def estimate_step_size(
     y_k = y_hat[nodes_k]
     f_y = objective.local_value(y_hat, k)
     alpha = initial
-    trial = y_hat.copy()
-    while True:
-        x_k = _box_step(y_k, grad, alpha, omega_local)
-        trial[nodes_k] = x_k
-        step = x_k - y_k
-        bound = f_y + float(grad @ step) + float(step @ step) / (2.0 * alpha)
-        if objective.local_value(trial, k) <= bound + 1e-12:
-            return alpha, x_k
-        alpha *= 0.5
-        if alpha < _STEP_FLOOR:
-            raise RuntimeError(
-                f"backtracking underflow on block {k}: no step above {_STEP_FLOOR}"
-            )
+    # a trial point differs from y_hat on block k alone: it is written into
+    # y_hat and y_k put back on return, with no copy of the whole vector
+    try:
+        while True:
+            x_k = _box_step(y_k, grad, alpha, omega_local)
+            y_hat[nodes_k] = x_k
+            step = x_k - y_k
+            bound = f_y + float(grad @ step) + float(step @ step) / (2.0 * alpha)
+            if objective.local_value(y_hat, k) <= bound + 1e-12:
+                return alpha, x_k
+            alpha *= 0.5
+            if alpha < _STEP_FLOOR:
+                raise RuntimeError(
+                    f"backtracking underflow on block {k}: no step above {_STEP_FLOOR}"
+                )
+    finally:
+        y_hat[nodes_k] = y_k
 
 
 _POOL_GRAPHS: list[Graph] = []
@@ -270,22 +274,23 @@ def bcd_solve(
             omega_t = momentum_weight(rho)
             x_k = x[nodes_k]
             y_k = x_k + omega_t * (x_k - prev_blocks[k])
-            y_hat = x.copy()
-            y_hat[nodes_k] = y_k
-
+            # the points tried below differ from x on block k alone, so they
+            # are written into x's block k rather than into copies of x
             if config.step_mode == "fixed":
+                x[nodes_k] = y_k
                 new_k = proximal_block_update(
-                    objective, k, y_hat, config.step_size, masks[k]
+                    objective, k, x, config.step_size, masks[k]
                 )
             else:
                 f_before = objective.local_value(x, k)
-                _, new_k = estimate_step_size(objective, k, y_hat, masks[k], config.step_size)
-                trial = x.copy()
-                trial[nodes_k] = new_k
-                if objective.local_value(trial, k) > f_before + 1e-12 and omega_t > 0:
+                x[nodes_k] = y_k
+                _, new_k = estimate_step_size(objective, k, x, masks[k], config.step_size)
+                x[nodes_k] = new_k
+                if objective.local_value(x, k) > f_before + 1e-12 and omega_t > 0:
                     # momentum overshot: restart from the unextrapolated point
+                    x[nodes_k] = x_k
                     _, new_k = estimate_step_size(objective, k, x, masks[k], config.step_size)
-            prev_blocks[k] = x_k.copy()
+            prev_blocks[k] = x_k
             cycle_delta += float(np.linalg.norm(new_k - x_k))
             x[nodes_k] = new_k
             rho = momentum_next(rho)

@@ -1,13 +1,20 @@
-"""Brute-force reference computations shared across test modules.
+"""Reference computations shared across test modules.
 
-Everything here enumerates exhaustively and is only usable on small
-instances; the point is independence from the code under test.
+The brute-force oracles enumerate exhaustively and are only usable on
+small instances; the point is independence from the code under test.
+``ReferencePcstEngine`` and ``strong_prune`` are the PCST engine in
+pure Python, which the compiled engine must match byte for byte.
 """
+import heapq
 import itertools
+from typing import Sequence
 
 import numpy as np
 
 from gbgp.graph import EdgeListError, Graph, connected_components
+from gbgp.pcst import PcstResult
+
+_EPS = 1e-12
 
 
 def reference_edge_arrays(node_count: int, edges):
@@ -130,3 +137,318 @@ def small_graph_families(rng, sizes=(6, 9, 12)):
         yield "star", star_graph(n)
         yield "tree", random_tree(n, rng)
         yield "sparse", random_sparse(n, rng)
+
+
+class ReferencePcstEngine:
+    """The PCST engine in pure Python: what ``gbgp.pcst.PcstEngine`` replays.
+
+    The edge endpoints and the incidence come from the graph's CSR
+    adjacency (``adj_indptr``/``adj_eids``, ascending edge ids per node),
+    converted to Python lists once per graph. Only clusters that merge
+    take a private incidence list. ``labels`` holds each node's
+    connected component.
+    """
+
+    def __init__(self, graph: Graph):
+        self.n = graph.node_count
+        self.m = graph.edge_count
+        # Graph stores every edge with edge_u < edge_v
+        self.eu = graph.edge_u.tolist()
+        self.ev = graph.edge_v.tolist()
+        self.indptr = graph.adj_indptr.tolist()
+        self.adj_eids = graph.adj_eids.tolist()
+        self.labels = np.empty(self.n, dtype=np.intp)
+        for label, members in enumerate(connected_components(graph, range(self.n))):
+            self.labels[list(members)] = label
+
+    def solve(self, costs, prizes, num_trees: int = 1) -> PcstResult:
+        """Run moat growing and strong pruning.
+
+        ``costs`` (one per edge, in the graph's edge order) and
+        ``prizes`` (one per node) are array-likes. Growth starts from
+        the nodes with positive prize and proceeds until every cluster
+        has deactivated. Each final cluster holding a prized node is
+        pruned to its best subtree and the ``num_trees``
+        highest-net-worth subtrees (net worth > 0) are returned.
+        """
+        costs = np.asarray(costs, dtype=np.float64)
+        prizes = np.asarray(prizes, dtype=np.float64)
+        if costs.shape != (self.m,):
+            raise ValueError("costs length must match edges")
+        if prizes.shape != (self.n,):
+            raise ValueError("prizes length must match node count")
+        if not (np.isfinite(costs).all() and (costs > 0).all()):
+            raise ValueError("edge costs must be positive and finite")
+        if not (np.isfinite(prizes).all() and (prizes >= 0).all()):
+            raise ValueError("prizes must be nonnegative and finite")
+        if num_trees < 1:
+            raise ValueError("num_trees must be >= 1")
+
+        n = self.n
+        eu = self.eu
+        ev = self.ev
+        indptr = self.indptr
+        adj_eids = self.adj_eids
+        cost = costs.tolist()
+        prize = prizes.tolist()
+        seeds = np.flatnonzero(prizes > 0).tolist()
+
+        # union-find with per-node moat offsets: moat(u, t) equals the path
+        # weight from u to its root plus the root's accumulated growth
+        parent = list(range(n))
+        offset = [0.0] * n
+
+        def find(u: int) -> int:
+            stack = []
+            r = u
+            while parent[r] != r:
+                stack.append(r)
+                r = parent[r]
+            # path compression, folding offsets into direct-to-root weights
+            agg = 0.0
+            for x in reversed(stack):
+                agg += offset[x]
+                parent[x] = r
+                offset[x] = agg
+            return r
+
+        # per-root cluster state
+        active = [False] * n
+        slack = [0.0] * n
+        accum = [0.0] * n
+        last_t = [0.0] * n
+        version = [0] * n
+        minid = list(range(n))
+        # members, tree_edges and incident materialize on a root's first
+        # merge: a missing entry means the singleton {u}, no tree edges and
+        # u's CSR incidence
+        members: dict[int, list[int]] = {}
+        tree_edges: dict[int, list[int]] = {}
+        incident: dict[int, list[int]] = {}
+
+        heap: list[tuple] = []
+        heappush = heapq.heappush
+
+        def push_edge(eid: int, now: float) -> None:
+            # schedule the time edge eid goes tight; the fast paths skip
+            # find for a root or a child of one, where it changes nothing
+            u = eu[eid]
+            v = ev[eid]
+            ru = parent[u]
+            if parent[ru] != ru:
+                ru = find(u)
+            rv = parent[v]
+            if parent[rv] != rv:
+                rv = find(v)
+            if ru == rv:
+                return
+            # settle both clusters' moats at now
+            for r in (ru, rv):
+                dt = now - last_t[r]
+                if dt > 0:
+                    last_t[r] = now
+                    if active[r]:
+                        accum[r] += dt
+                        rest = slack[r] - dt
+                        slack[r] = 0.0 if rest < 0 else rest
+            filled = ((offset[u] + accum[ru]) if u != ru else accum[ru]) + (
+                (offset[v] + accum[rv]) if v != rv else accum[rv]
+            )
+            remaining = cost[eid] - filled
+            rate = active[ru] + active[rv]
+            if remaining <= _EPS:
+                t = now
+            elif rate == 0:
+                return
+            else:
+                t = now + remaining / rate
+            heappush(heap, (t, 0, u, v, eid, ru, version[ru], rv, version[rv]))
+
+        for u in seeds:
+            active[u] = True
+            slack[u] = prize[u]
+            # higher-minid clusters die first on ties so low ids survive
+            heap.append((0.0 + prize[u], 1, -u, u, 0))
+        heapq.heapify(heap)
+        active_count = len(seeds)
+        seen_edges: set[int] = set()
+        for u in seeds:
+            for eid in adj_eids[indptr[u]:indptr[u + 1]]:
+                if eid not in seen_edges:
+                    seen_edges.add(eid)
+                    push_edge(eid, 0.0)
+        # edges between two inactive endpoints enter the queue later, via
+        # rescheduling when a merge puts them next to an active cluster
+        del seen_edges
+
+        heappop = heapq.heappop
+        while heap and active_count > 0:
+            entry = heappop(heap)
+            now = entry[0]
+            if entry[1] == 1:
+                r = entry[3]
+                if parent[r] != r or version[r] != entry[4] or not active[r]:
+                    continue
+                # settle r at now; its slack is zeroed below
+                dt = now - last_t[r]
+                if dt > 0:
+                    accum[r] += dt
+                    last_t[r] = now
+                active[r] = False
+                slack[r] = 0.0
+                version[r] += 1
+                active_count -= 1
+                continue
+
+            eid = entry[4]
+            u = eu[eid]
+            v = ev[eid]
+            ru = parent[u]
+            if parent[ru] != ru:
+                ru = find(u)
+            rv = parent[v]
+            if parent[rv] != rv:
+                rv = find(v)
+            if ru == rv:
+                continue
+            if (ru != entry[5] or rv != entry[7]
+                    or version[ru] != entry[6] or version[rv] != entry[8]):
+                push_edge(eid, now)
+                continue
+
+            for r in (ru, rv):
+                dt = now - last_t[r]
+                if dt > 0:
+                    last_t[r] = now
+                    if active[r]:
+                        accum[r] += dt
+                        rest = slack[r] - dt
+                        slack[r] = 0.0 if rest < 0 else rest
+            was_active = active[ru] + active[rv]
+            merged_slack = slack[ru] + slack[rv]
+            result_active = merged_slack > _EPS
+
+            size_u = len(members[ru]) if ru in members else 1
+            size_v = len(members[rv]) if rv in members else 1
+            keeper, absorbed = (ru, rv) if size_u >= size_v else (rv, ru)
+            incident_u = incident.pop(ru, None)
+            if incident_u is None:
+                incident_u = adj_eids[indptr[ru]:indptr[ru + 1]]
+            incident_v = incident.pop(rv, None)
+            if incident_v is None:
+                incident_v = adj_eids[indptr[rv]:indptr[rv + 1]]
+            # sides that were inactive speed up once the merged cluster grows
+            resched: list[int] = []
+            if result_active:
+                if not active[ru]:
+                    resched += incident_u
+                if not active[rv]:
+                    resched += incident_v
+
+            version[ru] += 1
+            version[rv] += 1
+            parent[absorbed] = keeper
+            offset[absorbed] = accum[absorbed] - accum[keeper]
+            keeper_members = members.setdefault(keeper, [keeper])
+            keeper_members.extend(members.pop(absorbed, (absorbed,)))
+            keeper_tree = tree_edges.setdefault(keeper, [])
+            keeper_tree.append(eid)
+            keeper_tree.extend(tree_edges.pop(absorbed, ()))
+            # the longer list absorbs the shorter one
+            if len(incident_u) < len(incident_v):
+                incident_u, incident_v = incident_v, incident_u
+            incident_u.extend(incident_v)
+            incident[keeper] = incident_u
+            minid[keeper] = min(minid[keeper], minid[absorbed])
+            slack[keeper] = merged_slack
+            active[keeper] = result_active
+            last_t[keeper] = now
+            active_count += result_active - was_active
+
+            if result_active:
+                heappush(heap, (now + merged_slack, 1, -minid[keeper], keeper, version[keeper]))
+                for other in resched:
+                    push_edge(other, now)
+
+        # every cluster that merged holds a prized node, and a zero-prize
+        # singleton is never worth anything: prune the prized nodes' final
+        # clusters and keep the best num_trees by net worth
+        candidates = []
+        seen_roots: set[int] = set()
+        for u in seeds:
+            r = find(u)
+            if r in seen_roots:
+                continue
+            seen_roots.add(r)
+            if r not in members:
+                # a prized node that never merged is its own best subtree
+                if prize[r] > _EPS:
+                    candidates.append((-prize[r], r, ([r], [])))
+                continue
+            nodes_kept, edges_kept, worth = strong_prune(
+                members[r],
+                [(eu[e], ev[e], cost[e]) for e in tree_edges[r]],
+                prize,
+            )
+            if worth > _EPS:
+                candidates.append((-worth, nodes_kept[0], (nodes_kept, edges_kept)))
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        return PcstResult([comp for _, _, comp in candidates[:num_trees]])
+
+
+def strong_prune(
+    nodes: Sequence[int],
+    tree: Sequence[tuple[int, int, float]],
+    prize: Sequence[float],
+) -> tuple[list[int], list[tuple[int, int]], float]:
+    """Best-net-worth connected subtree of a non-empty tree (prizes minus costs).
+
+    Returns the sorted node list, its edges and its net worth; ties go
+    to the lowest node id.
+    """
+    adj: dict[int, list[tuple[int, float]]] = {u: [] for u in nodes}
+    for u, v, c in tree:
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    for u in adj:
+        adj[u].sort()
+
+    r0 = min(nodes)
+    parent: dict[int, int] = {r0: r0}
+    cost_up: dict[int, float] = {}
+    order = [r0]
+    stack = [r0]
+    while stack:
+        u = stack.pop()
+        for v, c in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                cost_up[v] = c
+                order.append(v)
+                stack.append(v)
+    best = {u: float(prize[u]) for u in nodes}
+    for u in reversed(order):
+        if u == r0:
+            continue
+        margin = best[u] - cost_up[u]
+        if margin > 0:
+            best[parent[u]] += margin
+
+    top = r0
+    for u in sorted(nodes):
+        if best[u] > best[top]:
+            top = u
+
+    keep_nodes = [top]
+    keep_edges: list[tuple[int, int]] = []
+    stack = [top]
+    included = {top}
+    while stack:
+        u = stack.pop()
+        for v, c in adj[u]:
+            if parent.get(v) == u and v not in included and best[v] - c > 0:
+                included.add(v)
+                keep_nodes.append(v)
+                keep_edges.append((min(u, v), max(u, v)))
+                stack.append(v)
+    return (sorted(keep_nodes), sorted(keep_edges), best[top])

@@ -191,6 +191,21 @@ class TestDetect:
         assert "g.txt:1: node count out of [0, 2**63)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("count", [str(2 ** 63 - 1), "3"], ids=["2**63-1", "signal+1"])
+    def test_node_count_other_than_the_signal_length_exit_2(self, tmp_path, capfd, count):
+        # checked before the graph allocates anything: 2**63 - 1 nodes would
+        # otherwise ask NumPy for an index of 2**63 entries
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"# nodes {count}\n0\t1\n")
+        signal = tmp_path / "s.txt"
+        signal.write_text("0\t1\n1\t1\n")
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--blocks", "1", "--budget", "1", "--out", str(tmp_path / "o")])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert f"g.txt:1: node count {count} differs from the signal length 2" in err
+        assert "Traceback" not in err
+
     def test_missing_inputs_exit_2(self):
         assert run(["detect", "--budget", "5"]) == 2
 

@@ -12,6 +12,9 @@ holds on those seeds and is not a guarantee.
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sysconfig
 import types
 
 import numpy as np
@@ -20,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgp.graph import Graph, connected_components
-from gbgp.pcst import PcstEngine, PcstResult, strong_prune
+from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel
+from oracles import ReferencePcstEngine, strong_prune
 
 
 def mst_cost(nodes, edges):
@@ -289,6 +293,138 @@ class TestGrowForestProperties:
             num_trees,
         )
         assert extended.components == base.components
+
+
+@st.composite
+def pcst_instances(draw):
+    """Small graphs, connected or cut into up to 3 parts, with tie-prone inputs.
+
+    Unit and scaled-unit costs and prizes from a few values make equal
+    event times common; all-zero and single-prize vectors are drawn too.
+    """
+    n = draw(st.integers(1, 14))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    edges = set()
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        for v in range(lo + 1, hi):
+            edges.add((draw(st.integers(lo, v - 1)), v))
+        pairs = [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+        if pairs:
+            edges.update(draw(st.lists(st.sampled_from(pairs), max_size=hi - lo)))
+    edges = sorted(edges)
+    kind = draw(st.sampled_from(["unit", "scaled", "random"]))
+    if kind == "unit":
+        costs = [1.0] * len(edges)
+    elif kind == "scaled":
+        costs = [draw(st.floats(0.01, 100.0))] * len(edges)
+    else:
+        costs = draw(st.lists(st.floats(0.05, 3.0), min_size=len(edges), max_size=len(edges)))
+    prized = draw(st.sampled_from(["mixed", "zero", "single"]))
+    if prized == "mixed":
+        value = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 5.0)
+        prizes = draw(st.lists(value, min_size=n, max_size=n))
+    else:
+        prizes = [0.0] * n
+        if prized == "single":
+            prizes[draw(st.integers(0, n - 1))] = draw(st.floats(1e-13, 5.0))
+    return n, edges, costs, prizes, draw(st.integers(1, 3))
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(pcst_instances())
+    def test_same_components_on_random_instances(self, instance):
+        n, edges, costs, prizes, num_trees = instance
+        graph = Graph(n, edges)
+        kernel = PcstEngine(graph).solve(costs, prizes, num_trees)
+        reference = ReferencePcstEngine(graph).solve(costs, prizes, num_trees)
+        assert repr(kernel.components) == repr(reference.components)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_components_on_blocks_of_a_solve(self, seed):
+        # a few hundred nodes with squared-Gaussian prizes, as a projection
+        # sees them, across the multipliers a budget search probes
+        rng = np.random.default_rng(seed)
+        n = 300
+        edges = {(int(rng.integers(0, v)), v) for v in range(1, n) if rng.random() < 0.97}
+        for _ in range(n):
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        graph = Graph(n, sorted(edges))
+        prizes = rng.standard_normal(n) ** 2 * (rng.random(n) < 0.3)
+        kernel, reference = PcstEngine(graph), ReferencePcstEngine(graph)
+        for mult in (1e-3, 0.1, 1.0, 10.0):
+            costs = graph.edge_w * mult
+            assert (repr(kernel.solve(costs, prizes, 2).components)
+                    == repr(reference.solve(costs, prizes, 2).components))
+
+    def test_same_errors_on_bad_input(self):
+        graph = Graph(2, [(0, 1)])
+        for costs, prizes, num_trees in [([0.0], [1.0, 1.0], 1), ([1.0], [-1.0, 1.0], 1),
+                                         ([1.0], [1.0], 1), ([1.0, 1.0], [1.0, 1.0], 1),
+                                         ([np.nan], [1.0, 1.0], 1), ([1.0], [np.inf, 0.0], 1),
+                                         ([1.0], [1.0, 1.0], 0)]:
+            with pytest.raises(ValueError) as kernel:
+                PcstEngine(graph).solve(costs, prizes, num_trees)
+            with pytest.raises(ValueError) as reference:
+                ReferencePcstEngine(graph).solve(costs, prizes, num_trees)
+            assert str(kernel.value) == str(reference.value)
+
+
+class TestKernelCache:
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        run = subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        return calls
+
+    def test_second_load_does_not_compile(self, tmp_path, compiles):
+        first = load_kernel(str(tmp_path))
+        assert len(compiles) == 1
+        second = load_kernel(str(tmp_path))
+        assert len(compiles) == 1
+        assert second._name == first._name
+        assert os.listdir(tmp_path) == [os.path.basename(first._name)]
+
+    def test_changed_source_changes_the_file_name(self, tmp_path):
+        with open(KERNEL_SOURCE, "rb") as fh:
+            text = fh.read()
+        edited = tmp_path / "edited.c"
+        edited.write_bytes(text + b"\n/* edited */\n")
+        cache = str(tmp_path / "cache")
+        assert (os.path.basename(load_kernel(cache)._name)
+                != os.path.basename(load_kernel(cache, str(edited))._name))
+
+    def test_interrupted_build_is_never_loaded(self, tmp_path, monkeypatch, compiles):
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            # a kill before the move: no clean-up either, the partial file stays
+            patch.setattr(os, "replace", interrupted)
+            patch.setattr(os, "remove", lambda path: None)
+            with pytest.raises(KeyboardInterrupt):
+                load_kernel(str(tmp_path))
+        leftover = os.listdir(tmp_path)
+        assert len(leftover) == 1 and leftover[0].endswith(".tmp")
+        lib = load_kernel(str(tmp_path))
+        assert len(compiles) == 2
+        assert not lib._name.endswith(".tmp")
+        assert os.path.basename(lib._name) in os.listdir(tmp_path)
+
+    def test_missing_compiler_names_it(self, tmp_path, monkeypatch):
+        config = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: "gbgp-no-such-cc" if name == "CC" else config(name))
+        with pytest.raises(ImportError, match="gbgp-no-such-cc"):
+            load_kernel(str(tmp_path))
 
 
 def test_import_binds_the_module():

@@ -138,6 +138,8 @@ class TestEstimateStepSize:
         y = np.array([0.9, 0.8])
         alpha, x_new = estimate_step_size(stub, 0, y, np.ones(2, bool), 1.0)
         assert alpha < 1.0
+        # the trial points are written into y and taken back out
+        assert y.tolist() == [0.9, 0.8]
         step = x_new - y
         bound = stub.local_value(y, 0) + float(stub.block_gradient(y, 0) @ step)
         bound += float(step @ step) / (2 * alpha)
