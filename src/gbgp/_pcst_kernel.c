@@ -1,19 +1,29 @@
 /*
- * Goemans-Williamson moat growing and strong pruning for gbgp.pcst.
+ * Goemans-Williamson moat growing, strong pruning and the budget search
+ * for gbgp.pcst.
  *
- * One call of gbgp_pcst_solve runs one PcstEngine.solve: the event loop
- * over a binary min-heap, the union-find with moat offsets, and strong
- * pruning of every final cluster that holds a prized node. It replays
- * the reference engine in tests/oracles.py step for step: the same heap
- * order, the same find/push_edge calls in the same order, and the same
- * floating-point expressions, so its forests are byte-identical. Build
- * with -std=c99 -O2 -ffp-contract=off and without fast-math.
+ * One forest() runs one PcstEngine.solve: the event loop over a binary
+ * min-heap, the union-find with moat offsets, and strong pruning of every
+ * final cluster that holds a prized node. It replays the reference
+ * engine in tests/oracles.py step for step: the same heap order, the
+ * same find/push_edge calls in the same order, and the same
+ * floating-point expressions, so its forests are byte-identical.
+ *
+ * gbgp_pcst_search runs one whole projections.budget_search: every
+ * probe's costs, its forest, the leaf trim to capacity, the support's
+ * score, the best-candidate rule and every exit test. It replays the
+ * reference loop in tests/oracles.py: libm's log and exp, NumPy's
+ * pairwise summation for the score, and the trim heap popped on
+ * (prize, -v). Build with -std=c99 -O2 -ffp-contract=off and without
+ * fast-math.
  *
  * The caller owns every buffer: the graph's edge and CSR arrays, an
  * int64 and a double work buffer sized by gbgp_pcst_work_sizes, and the
- * output buffer. Only the heap and the candidate list are allocated
- * here, and freed before returning.
+ * output buffers. Only the heap and the candidate list are allocated
+ * here, and freed before returning. Calls on distinct buffers share no
+ * state, so they may run at once on several threads.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -43,6 +53,12 @@ typedef struct {
     idx u, v;
 } pair;
 
+/* a trim-heap entry, popped on (prize, -v) */
+typedef struct {
+    double p;
+    idx v;
+} leaf;
+
 typedef struct {
     /* graph */
     const idx *eu, *ev, *indptr, *adj_eids;
@@ -62,21 +78,27 @@ typedef struct {
     double *cost_up, *best;
     idx *stage_nodes;
     pair *stage_edges;
+    /* search: a forest's sorted nodes, each one's tree degree (-1 once
+       trimmed) and the xor of its tree neighbours, the trim heap, and
+       the support's prizes in order */
+    idx *cur, *deg, *nbrx;
+    leaf *leaves;
+    double *gather;
     /* heap */
     entry *heap;
     idx heap_len, heap_cap, active_count;
 } state;
 
 /* per-node int64 and double arrays that carve hands out */
-#define NODE_INTS 20
-#define NODE_DOUBLES 6
+#define NODE_INTS 23
+#define NODE_DOUBLES 7
 
 /* sizes[0]: int64 work entries, sizes[1]: double work entries */
 void gbgp_pcst_work_sizes(idx n, idx m, idx *sizes)
 {
-    /* plus astart (n + 1), nbr, aeid and stage_edges (2n each),
-       eseen and intree (m each) */
-    sizes[0] = NODE_INTS * n + (n + 1) + 3 * (2 * n) + 2 * m;
+    /* plus astart (n + 1), nbr, aeid and stage_edges (2n each), the
+       trim heap (2n leaves of two words), eseen and intree (m each) */
+    sizes[0] = NODE_INTS * n + (n + 1) + 3 * (2 * n) + 4 * n + 2 * m;
     sizes[1] = NODE_DOUBLES * n;
 }
 
@@ -86,10 +108,10 @@ static void carve(state *s, idx n, idx m, idx *iw, double *dw)
         &s->parent, &s->active, &s->version, &s->minid, &s->size, &s->degsum,
         &s->head, &s->tail, &s->next, &s->stack, &s->mark, &s->roots,
         &s->mstart, &s->members, &s->loc, &s->par, &s->order, &s->pstack,
-        &s->included, &s->stage_nodes,
+        &s->included, &s->stage_nodes, &s->cur, &s->deg, &s->nbrx,
     };
     double **doubles[NODE_DOUBLES] = {
-        &s->offset, &s->slack, &s->accum, &s->last_t, &s->cost_up, &s->best,
+        &s->offset, &s->slack, &s->accum, &s->last_t, &s->cost_up, &s->best, &s->gather,
     };
     int i;
     for (i = 0; i < NODE_INTS; i++, iw += n)
@@ -102,6 +124,8 @@ static void carve(state *s, idx n, idx m, idx *iw, double *dw)
     iw += 2 * n;
     s->stage_edges = (pair *)iw;
     iw += 2 * n;
+    s->leaves = (leaf *)iw;
+    iw += 4 * n;
     s->eseen = iw;
     iw += m;
     s->intree = iw;
@@ -402,105 +426,96 @@ static void strong_prune(state *s, const idx *mem, idx k, idx nstart, idx estart
 }
 
 /*
- * Solve one prize-collecting Steiner forest. Writes the best num_trees
- * trees to out: out[0..k) their node counts, out[n..) their sorted node
- * lists back to back, out[2n..) their sorted edges as (u, v) pairs back
- * to back (node count - 1 edges each). Returns k, or -1 when memory ran
- * out.
+ * Solve one prize-collecting Steiner forest on the costs and prizes s
+ * points to. Writes the best num_trees trees to out: out[0..k) their
+ * node counts, out[n..) their sorted node lists back to back, out[2n..)
+ * their sorted edges as (u, v) pairs back to back (node count - 1 edges
+ * each). Returns k, or -1 when memory ran out. The heap stays allocated
+ * in s->heap for the next call.
  */
-idx gbgp_pcst_solve(idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
-                    const idx *adj_eids, const double *cost, const double *prize,
-                    idx num_trees, idx *iwork, double *dwork, idx *out)
+static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
 {
-    state s;
     entry item, seed;
     candidate *cands = NULL;
+    const idx *indptr = s->indptr, *adj_eids = s->adj_eids, *eu = s->eu, *ev = s->ev;
+    const double *prize = s->prize;
     idx u, r, j, eid, ncands = 0, nstage = 0, estage = 0, nroots = 0, pos = 0;
     idx trees, i, written = 0, ewritten = 0;
     idx *out_nodes = out + n;
     pair *out_edges = (pair *)(out + 2 * n);
     double now, dt;
 
-    s.eu = eu;
-    s.ev = ev;
-    s.indptr = indptr;
-    s.adj_eids = adj_eids;
-    s.cost = cost;
-    s.prize = prize;
-    s.heap = NULL;
-    s.heap_len = s.heap_cap = s.active_count = 0;
-    carve(&s, n, m, iwork, dwork);
-
+    s->heap_len = s->active_count = 0;
     for (u = 0; u < n; u++) {
-        s.parent[u] = u;
-        s.offset[u] = 0.0;
-        s.active[u] = 0;
-        s.slack[u] = 0.0;
-        s.accum[u] = 0.0;
-        s.last_t[u] = 0.0;
-        s.version[u] = 0;
-        s.minid[u] = u;
-        s.size[u] = 1;
-        s.degsum[u] = indptr[u + 1] - indptr[u];
-        s.head[u] = s.tail[u] = u;
-        s.next[u] = -1;
-        s.mark[u] = 0;
+        s->parent[u] = u;
+        s->offset[u] = 0.0;
+        s->active[u] = 0;
+        s->slack[u] = 0.0;
+        s->accum[u] = 0.0;
+        s->last_t[u] = 0.0;
+        s->version[u] = 0;
+        s->minid[u] = u;
+        s->size[u] = 1;
+        s->degsum[u] = indptr[u + 1] - indptr[u];
+        s->head[u] = s->tail[u] = u;
+        s->next[u] = -1;
+        s->mark[u] = 0;
     }
-    memset(s.eseen, 0, (size_t)m * sizeof(idx));
-    memset(s.intree, 0, (size_t)m * sizeof(idx));
+    memset(s->eseen, 0, (size_t)m * sizeof(idx));
+    memset(s->intree, 0, (size_t)m * sizeof(idx));
 
     for (u = 0; u < n; u++) {
         if (!(prize[u] > 0)) continue;
-        s.active[u] = 1;
-        s.slack[u] = prize[u];
-        s.active_count++;
+        s->active[u] = 1;
+        s->slack[u] = prize[u];
+        s->active_count++;
         /* higher-minid clusters die first on ties so low ids survive */
         seed.t = 0.0 + prize[u];
         seed.kind = 1;
         seed.a = -u;
         seed.b = u;
         seed.c = seed.d = seed.e = 0;
-        if (push(&s, seed)) goto fail;
+        if (push(s, seed)) return -1;
     }
     for (u = 0; u < n; u++) {
         if (!(prize[u] > 0)) continue;
         for (j = indptr[u]; j < indptr[u + 1]; j++) {
             eid = adj_eids[j];
-            if (!s.eseen[eid]) {
-                s.eseen[eid] = 1;
-                if (push_edge(&s, eid, 0.0)) goto fail;
+            if (!s->eseen[eid]) {
+                s->eseen[eid] = 1;
+                if (push_edge(s, eid, 0.0)) return -1;
             }
         }
     }
 
-    while (s.heap_len > 0 && s.active_count > 0) {
-        item = pop(&s);
+    while (s->heap_len > 0 && s->active_count > 0) {
+        item = pop(s);
         now = item.t;
         if (item.kind == 1) {
             r = item.b;
-            if (s.parent[r] != r || s.version[r] != item.c || !s.active[r]) continue;
+            if (s->parent[r] != r || s->version[r] != item.c || !s->active[r]) continue;
             /* settle r at now; its slack is zeroed below */
-            dt = now - s.last_t[r];
+            dt = now - s->last_t[r];
             if (dt > 0) {
-                s.accum[r] += dt;
-                s.last_t[r] = now;
+                s->accum[r] += dt;
+                s->last_t[r] = now;
             }
-            s.active[r] = 0;
-            s.slack[r] = 0.0;
-            s.version[r]++;
-            s.active_count--;
+            s->active[r] = 0;
+            s->slack[r] = 0.0;
+            s->version[r]++;
+            s->active_count--;
             continue;
         }
         eid = item.a;
         {
-            idx ru = root_of(&s, eu[eid]), rv = root_of(&s, ev[eid]);
+            idx ru = root_of(s, eu[eid]), rv = root_of(s, ev[eid]);
             if (ru == rv) continue;
-            if (ru != item.b || rv != item.d || s.version[ru] != item.c
-                    || s.version[rv] != item.e) {
-                if (push_edge(&s, eid, now)) goto fail;
+            if (ru != item.b || rv != item.d || s->version[ru] != item.c
+                    || s->version[rv] != item.e) {
+                if (push_edge(s, eid, now)) return -1;
                 continue;
             }
-            if (merge(&s, eid, ru, rv, now)) goto fail;
+            if (merge(s, eid, ru, rv, now)) return -1;
         }
     }
 
@@ -508,26 +523,26 @@ idx gbgp_pcst_solve(idx n, idx m, const idx *eu, const idx *ev, const idx *indpt
        holds one, and a zero-prize singleton is never worth anything */
     for (u = 0; u < n; u++) {
         if (!(prize[u] > 0)) continue;
-        r = find(&s, u);
-        if (s.mark[r]) continue;
-        s.mark[r] = 1;
-        s.roots[nroots++] = r;
-        s.mstart[r] = pos;
-        pos += s.size[r];
+        r = find(s, u);
+        if (s->mark[r]) continue;
+        s->mark[r] = 1;
+        s->roots[nroots++] = r;
+        s->mstart[r] = pos;
+        pos += s->size[r];
     }
     /* one pass lists every such cluster's members in ascending order */
     for (u = 0; u < n; u++) {
-        r = find(&s, u);
-        if (s.mark[r]) s.members[s.mstart[r]++] = u;
+        r = find(s, u);
+        if (s->mark[r]) s->members[s->mstart[r]++] = u;
     }
     cands = malloc((size_t)(nroots > 0 ? nroots : 1) * sizeof(candidate));
-    if (!cands) goto fail;
+    if (!cands) return -1;
     for (i = 0; i < nroots; i++) {
-        r = s.roots[i];
-        if (s.size[r] == 1) {
+        r = s->roots[i];
+        if (s->size[r] == 1) {
             /* a prized node that never merged is its own best subtree */
             if (prize[r] > EPS) {
-                s.stage_nodes[nstage] = r;
+                s->stage_nodes[nstage] = r;
                 cands[ncands].worth = prize[r];
                 cands[ncands].minnode = r;
                 cands[ncands].nstart = nstage++;
@@ -536,7 +551,7 @@ idx gbgp_pcst_solve(idx n, idx m, const idx *eu, const idx *ev, const idx *indpt
             }
             continue;
         }
-        strong_prune(&s, s.members + s.mstart[r] - s.size[r], s.size[r], nstage, estage,
+        strong_prune(s, s->members + s->mstart[r] - s->size[r], s->size[r], nstage, estage,
                      &cands[ncands]);
         if (cands[ncands].worth > EPS) {
             nstage += cands[ncands].ncount;
@@ -548,19 +563,251 @@ idx gbgp_pcst_solve(idx n, idx m, const idx *eu, const idx *ev, const idx *indpt
     trees = ncands < num_trees ? ncands : num_trees;
     for (i = 0; i < trees; i++) {
         out[i] = cands[i].ncount;
-        memcpy(out_nodes + written, s.stage_nodes + cands[i].nstart,
+        memcpy(out_nodes + written, s->stage_nodes + cands[i].nstart,
                (size_t)cands[i].ncount * sizeof(idx));
-        memcpy(out_edges + ewritten, s.stage_edges + cands[i].estart,
+        memcpy(out_edges + ewritten, s->stage_edges + cands[i].estart,
                (size_t)(cands[i].ncount - 1) * sizeof(pair));
         written += cands[i].ncount;
         ewritten += cands[i].ncount - 1;
     }
     free(cands);
+    return trees;
+}
+
+static void init(state *s, idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
+                 const idx *adj_eids, const double *cost, const double *prize,
+                 idx *iwork, double *dwork)
+{
+    s->eu = eu;
+    s->ev = ev;
+    s->indptr = indptr;
+    s->adj_eids = adj_eids;
+    s->cost = cost;
+    s->prize = prize;
+    s->heap = NULL;
+    s->heap_cap = 0;
+    carve(s, n, m, iwork, dwork);
+}
+
+/* one PcstEngine.solve: forest() on cost and prize; see there */
+idx gbgp_pcst_solve(idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
+                    const idx *adj_eids, const double *cost, const double *prize,
+                    idx num_trees, idx *iwork, double *dwork, idx *out)
+{
+    state s;
+    idx trees;
+    init(&s, n, m, eu, ev, indptr, adj_eids, cost, prize, iwork, dwork);
+    trees = forest(&s, n, m, num_trees, out);
     free(s.heap);
     return trees;
+}
 
-fail:
-    free(cands);
+static int cmp_idx(const void *x, const void *y)
+{
+    idx a = *(const idx *)x, b = *(const idx *)y;
+    return (a > b) - (a < b);
+}
+
+/* (prize, -v) order: the lower prize first, then the higher node id */
+static int leaf_less(const leaf *x, const leaf *y)
+{
+    if (x->p != y->p) return x->p < y->p;
+    return x->v > y->v;
+}
+
+static void leaf_push(leaf *heap, idx *len, double p, idx v)
+{
+    idx i = (*len)++, up;
+    leaf item;
+    item.p = p;
+    item.v = v;
+    while (i > 0) {
+        up = (i - 1) / 2;
+        if (!leaf_less(&item, &heap[up])) break;
+        heap[i] = heap[up];
+        i = up;
+    }
+    heap[i] = item;
+}
+
+static idx leaf_pop(leaf *heap, idx *len)
+{
+    leaf top = heap[0], last = heap[--*len];
+    idx i = 0, child, n = *len;
+    while ((child = 2 * i + 1) < n) {
+        if (child + 1 < n && leaf_less(&heap[child + 1], &heap[child])) child++;
+        if (!leaf_less(&heap[child], &last)) break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    if (n > 0) heap[i] = last;
+    return top.v;
+}
+
+/*
+ * Drop the lowest-prize leaves of the forest in out (trees trees, total
+ * nodes) until at most capacity nodes remain, ties toward the higher
+ * node id; removing a leaf keeps every tree connected. Compacts the
+ * sorted s->cur to the survivors and returns their number.
+ */
+static idx trim(state *s, idx n, const idx *out, idx trees, idx total, idx capacity)
+{
+    const idx *nodes = out + n;
+    const pair *edges = (const pair *)(out + 2 * n);
+    idx *deg = s->deg, *nbrx = s->nbrx, *cur = s->cur;
+    idx i, u, v, count = total, len = 0, kept = 0;
+
+    for (i = 0; i < total; i++) {
+        deg[nodes[i]] = 0;
+        nbrx[nodes[i]] = 0;
+    }
+    for (i = 0; i < total - trees; i++) {
+        deg[edges[i].u]++;
+        deg[edges[i].v]++;
+        nbrx[edges[i].u] ^= edges[i].v;
+        nbrx[edges[i].v] ^= edges[i].u;
+    }
+    for (i = 0; i < total; i++)
+        if (deg[nodes[i]] <= 1) leaf_push(s->leaves, &len, s->prize[nodes[i]], nodes[i]);
+    while (count > capacity && len > 0) {
+        v = leaf_pop(s->leaves, &len);
+        if (deg[v] < 0 || deg[v] > 1) continue;
+        /* a leaf's one neighbour is the xor of its neighbours */
+        if (deg[v] == 1) {
+            u = nbrx[v];
+            deg[u]--;
+            nbrx[u] ^= v;
+            if (deg[u] <= 1) leaf_push(s->leaves, &len, s->prize[u], u);
+        }
+        deg[v] = -1;
+        count--;
+    }
+    for (i = 0; i < total; i++)
+        if (deg[cur[i]] >= 0) cur[kept++] = cur[i];
+    return kept;
+}
+
+/*
+ * NumPy's pairwise summation of a contiguous double array, as its add
+ * reduction runs it: plain below 8 entries, 8 interleaved partial sums
+ * up to 128, and above that two halves split at a multiple of 8.
+ */
+static double pairwise_sum(const double *a, idx n)
+{
+    double r[8], res = 0.0;
+    idx i, n2;
+    int j;
+    if (n < 8) {
+        for (i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++) r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/*
+ * One budget search: bisect log(multiplier) over [log(low), log(high)],
+ * the first probe at the warm start clamped into [low, high] when
+ * has_warm is set. Each probe solves the forest on weight * multiplier
+ * and num_trees trees, trims an oversized forest to capacity, and scores
+ * the support by its prize sum. The best support is the least
+ * (-score, size, nodes), kept with the multiplier of the probe that first
+ * found it. The search ends once a forest of at least budget nodes fits
+ * the capacity, or its score reaches total - 1e-12, or the best score
+ * reaches exit_score, or the interval is below 1e-2, or after max_probes
+ * probes.
+ *
+ * Writes the best support, sorted, to best, its multiplier to *mult_out
+ * and the probe count to *probes_out, and returns the support's size (0
+ * when no probe found one). Returns -1 when memory ran out and -2 when a
+ * probe's cost is not positive and finite.
+ */
+idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
+                     const idx *adj_eids, const double *weight, double *cost,
+                     const double *prize, idx num_trees, idx budget, idx capacity,
+                     idx max_probes, idx has_warm, double warm, double low, double high,
+                     double total, double exit_score, idx *iwork, double *dwork, idx *out,
+                     idx *best, double *mult_out, idx *probes_out)
+{
+    state s;
+    idx probe, e, i, trees, count, len, best_len = -1, status = 0, oversized, better;
+    double lo = log(low), hi = log(high), mid, mult, score, best_score = 0.0, best_mult = 0.0;
+
+    init(&s, n, m, eu, ev, indptr, adj_eids, cost, prize, iwork, dwork);
+    for (probe = 0; probe < max_probes; probe++) {
+        if (probe == 0 && has_warm) {
+            /* min(max(warm, low), high) */
+            mid = warm;
+            if (low > mid) mid = low;
+            if (high < mid) mid = high;
+            mid = log(mid);
+        } else {
+            mid = 0.5 * (lo + hi);
+        }
+        mult = exp(mid);
+        for (e = 0; e < m; e++) {
+            cost[e] = weight[e] * mult;
+            if (!(cost[e] > 0 && isfinite(cost[e]))) {
+                status = -2;
+                goto done;
+            }
+        }
+        trees = forest(&s, n, m, num_trees, out);
+        if (trees < 0) {
+            status = -1;
+            goto done;
+        }
+        for (i = 0, count = 0; i < trees; i++) count += out[i];
+        memcpy(s.cur, out + n, (size_t)count * sizeof(idx));
+        qsort(s.cur, (size_t)count, sizeof(idx), cmp_idx);
+        oversized = count > capacity;
+        /* oversized forests still carry a usable feasible candidate */
+        len = oversized ? trim(&s, n, out, trees, count, capacity) : count;
+        for (i = 0; i < len; i++) s.gather[i] = prize[s.cur[i]];
+        score = len ? pairwise_sum(s.gather, len) : 0.0;
+
+        if (best_len < 0 || score != best_score) {
+            better = best_len < 0 || score > best_score;
+        } else if (len != best_len) {
+            better = len < best_len;
+        } else {
+            for (i = 0; i < len && s.cur[i] == best[i]; i++)
+                ;
+            better = i < len && s.cur[i] < best[i];
+        }
+        if (better) {
+            memcpy(best, s.cur, (size_t)len * sizeof(idx));
+            best_len = len;
+            best_score = score;
+            best_mult = mult;
+        }
+
+        if (oversized) {
+            lo = hi - 1e-9 < mid ? hi - 1e-9 : mid;
+        } else if (count >= budget || score >= total - 1e-12) {
+            probe++;
+            break;
+        } else {
+            hi = lo + 1e-9 > mid ? lo + 1e-9 : mid;
+        }
+        if (best_score >= exit_score || hi - lo < 1e-2) {
+            probe++;
+            break;
+        }
+    }
+    *probes_out = probe;
+    *mult_out = best_mult;
+    status = best_len;
+done:
     free(s.heap);
-    return -1;
+    return status;
 }

@@ -3,7 +3,7 @@
 Every command honors --seed and produces byte-identical non-timing
 output files on rerun. Exit codes: 0 success, 2 validation error,
 3 solver stopped on its iteration cap, 4 I/O error, 5 solver failed
-(non-finite objective, step-size underflow, broken worker pool).
+(non-finite objective, step-size underflow).
 
 ``detect`` takes its layout from the input (``--objective`` picks only
 the coupling): a temporal bundle or several ``--signal`` files stack
@@ -62,7 +62,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--parallel", type=int, default=0, help="worker count tau")
+        p.add_argument("--parallel", type=int, default=0,
+                       help="tau of the block-parallel inner solver (below 2: serial)")
 
     p = sub.add_parser("synth", help="generate a synthetic instance bundle")
     add_common(p)

@@ -29,6 +29,10 @@ forests:
   ``now + merged_slack``, the DFS-order sums of strong pruning), compiled
   with ``-std=c99 -O2 -ffp-contract=off`` and without fast-math.
 
+The same kernel runs a whole budget search (``PcstEngine.search``) in
+one call, with the GIL released; see ``projections.budget_search`` for
+how it replays the reference loop.
+
 The kernel is built on first import with the interpreter's C compiler
 (``sysconfig`` ``CC``) into ``__pycache__/``, under a name keyed by the
 sha256 of the source and the compile command, and reused from there.
@@ -41,6 +45,7 @@ import os
 import shlex
 import subprocess
 import sysconfig
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +57,8 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 KERNEL_SOURCE = os.path.join(_HERE, "_pcst_kernel.c")
 KERNEL_CACHE = os.path.join(_HERE, "__pycache__")
 KERNEL_FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# after the source, so that an as-needed linker keeps libm's log and exp
+KERNEL_LIBS = ("-lm",)
 
 
 def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> ctypes.CDLL:
@@ -65,14 +72,14 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     with open(source, "rb") as fh:
         text = fh.read()
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *KERNEL_FLAGS]
-    key = hashlib.sha256(text + b"\0" + "\0".join(command).encode()).hexdigest()
+    key = hashlib.sha256(text + b"\0" + "\0".join([*command, *KERNEL_LIBS]).encode()).hexdigest()
     path = os.path.join(cache_dir, f"_pcst_kernel-{key[:20]}.so")
     if not os.path.exists(path):
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             try:
-                proc = subprocess.run([*command, "-o", tmp, source],
+                proc = subprocess.run([*command, "-o", tmp, source, *KERNEL_LIBS],
                                       capture_output=True, text=True)
             except OSError as exc:
                 raise ImportError(f"gbgp needs a C compiler to build {source}: "
@@ -85,11 +92,14 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
             if os.path.exists(tmp):
                 os.remove(tmp)
     lib = ctypes.CDLL(path)
-    p, i64 = ctypes.c_void_p, ctypes.c_int64
+    p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.gbgp_pcst_work_sizes.argtypes = [i64, i64, p]
     lib.gbgp_pcst_work_sizes.restype = None
     lib.gbgp_pcst_solve.argtypes = [i64, i64, p, p, p, p, p, p, i64, p, p, p]
     lib.gbgp_pcst_solve.restype = i64
+    lib.gbgp_pcst_search.argtypes = [i64, i64, p, p, p, p, p, p, p, i64, i64, i64, i64, i64,
+                                     f64, f64, f64, f64, f64, p, p, p, p, p, p]
+    lib.gbgp_pcst_search.restype = i64
     return lib
 
 
@@ -126,6 +136,10 @@ class PcstEngine:
     for the engine's life, so a solve copies its costs and prizes in and
     makes one kernel call. ``labels`` holds each node's connected
     component, which no tree of a returned forest leaves.
+
+    Every call writes to the engine's own buffers, so one engine serves
+    one call at a time; engines of different graphs may run at once on
+    different threads, as the kernel runs without the GIL.
     """
 
     def __init__(self, graph: Graph):
@@ -137,6 +151,7 @@ class PcstEngine:
         # Graph stores every edge with edge_u < edge_v, sorted by (u, v)
         self._graph_arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in
                               (graph.edge_u, graph.edge_v, graph.adj_indptr, graph.adj_eids)]
+        self._weight = np.ascontiguousarray(graph.edge_w, dtype=np.float64)
         sizes = np.zeros(2, dtype=np.int64)
         _kernel.gbgp_pcst_work_sizes(self.n, self.m, sizes.ctypes.data)
         self._cost = np.empty(self.m, dtype=np.float64)
@@ -145,6 +160,10 @@ class PcstEngine:
         self._dwork = np.empty(int(sizes[1]), dtype=np.float64)
         # node counts per tree, then their node lists, then their edges as pairs
         self._out = np.empty(4 * self.n, dtype=np.int64)
+        # a search's best support, its multiplier and its probe count
+        self._best = np.empty(self.n, dtype=np.int64)
+        self._mult = np.empty(1, dtype=np.float64)
+        self._probes = np.empty(1, dtype=np.int64)
         ptr = [a.ctypes.data for a in self._graph_arrays]
         self._args = (self.n, self.m, *ptr, self._cost.ctypes.data, self._prize.ctypes.data)
         self._work = (self._iwork.ctypes.data, self._dwork.ctypes.data, self._out.ctypes.data)
@@ -194,3 +213,29 @@ class PcstEngine:
             components.append((nodes[start:start + size], edges[start - t:start + size - t - 1]))
             start += size
         return PcstResult(components)
+
+    def search(self, prizes: np.ndarray, budget: int, capacity: int, num_trees: int,
+               warm: Optional[float], low: float, high: float, total: float,
+               exit_score: float, max_probes: int) -> tuple[tuple[int, ...], int, float]:
+        """Run one ``projections.budget_search`` bisection in one kernel call.
+
+        ``prizes`` is a contiguous float64 array, already checked to be
+        nonnegative and finite; ``total``, ``exit_score`` and the warm
+        start are the caller's. Each probe solves on ``edge_w *
+        multiplier``. Returns the best support (empty when no probe found
+        one), the probe count and the best support's multiplier. A probe
+        whose costs are not positive and finite raises the ``ValueError``
+        :meth:`solve` raises.
+        """
+        size = _kernel.gbgp_pcst_search(
+            *self._args[:6], self._weight.ctypes.data, self._cost.ctypes.data,
+            prizes.ctypes.data, min(int(num_trees), self.n), budget, capacity, max_probes,
+            warm is not None, 0.0 if warm is None else warm, low, high, total, exit_score,
+            *self._work, self._best.ctypes.data, self._mult.ctypes.data,
+            self._probes.ctypes.data,
+        )
+        if size == -2:
+            raise ValueError("edge costs must be positive and finite")
+        if size < 0:
+            raise MemoryError("the PCST kernel ran out of memory")
+        return tuple(self._best[:size].tolist()), int(self._probes[0]), float(self._mult[0])

@@ -6,11 +6,12 @@ the sparsity budget: head projections use squared entries of the input
 as prizes to capture gradient mass, tail projections do the same to
 snap an iterate onto the constraint set. Ties always resolve toward
 low node ids so projections are deterministic.
+
+A search computes its bounds in Python and bisects in one call into the
+PCST kernel (``PcstEngine.search``), which runs without the GIL.
 """
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,38 +55,6 @@ def _fallback_node(prizes: np.ndarray) -> tuple[int, ...]:
     return (int(np.argmax(prizes)),)
 
 
-def _trim_to_capacity(components, prizes: np.ndarray, capacity: int) -> tuple[int, ...]:
-    """Drop lowest-prize leaves of a forest until it fits the capacity.
-
-    Removing a leaf keeps every remaining tree connected; ties resolve
-    toward removing the higher node id so low ids survive.
-    """
-    adj: dict[int, set[int]] = {}
-    total = 0
-    for nodes, edges in components:
-        total += len(nodes)
-        for v in nodes:
-            adj[v] = set()
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-    heap = [(prizes[v], -v, v) for v in adj if len(adj[v]) <= 1]
-    heapq.heapify(heap)
-    removed: set[int] = set()
-    while total > capacity and heap:
-        _, _, v = heapq.heappop(heap)
-        if v in removed or len(adj[v]) > 1:
-            continue
-        removed.add(v)
-        total -= 1
-        for u in adj[v]:
-            adj[u].discard(v)
-            if len(adj[u]) <= 1 and u not in removed:
-                heapq.heappush(heap, (prizes[u], -u, u))
-        adj[v] = set()
-    return tuple(sorted(v for v in adj if v not in removed))
-
-
 def budget_search(
     graph: Graph,
     prizes: np.ndarray,
@@ -118,10 +87,27 @@ def budget_search(
     Falls back to the single highest-prize node when nothing feasible
     is found. Returns the support, the probe count, and the multiplier
     that produced the support (reusable as the next warm start).
+
+    The bounds are computed here, the bisection in the kernel, which
+    replays the reference loop in ``tests/oracles.py`` bit for bit:
+    ``log``/``exp`` are libm's, as Python's ``math`` calls them; a
+    probe's costs are ``edge_w * multiplier``; a support's score sums its
+    prizes in ascending node order the way NumPy's pairwise summation
+    does (8 interleaved partial sums, halves split at a multiple of 8
+    above 128 entries); the trim pops leaves on ``(prize, -v)``; and a
+    probe replaces the best candidate only when ``(-score, size, nodes)``
+    is strictly less, so the first of equal candidates keeps its
+    multiplier.
     """
     if capacity is None:
         capacity = budget
-    prizes = np.asarray(prizes, dtype=np.float64)
+    prizes = np.ascontiguousarray(prizes, dtype=np.float64)
+    if prizes.shape != (graph.node_count,):
+        raise ValueError("prizes length must match node count")
+    if not (np.isfinite(prizes).all() and (prizes >= 0).all()):
+        raise ValueError("prizes must be nonnegative and finite")
+    if num_components < 1:
+        raise ValueError("num_trees must be >= 1")
     total = float(prizes.sum())
     if capacity < len(prizes):
         top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())
@@ -140,35 +126,13 @@ def budget_search(
     if reach < top_bound:
         exit_score = min(exit_score, reach - 1e-12 * reach)
 
-    lo, hi = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
-    best: Optional[tuple[float, int, tuple[int, ...], float]] = None
-    for probe in range(MAX_SEARCH_ITERATIONS):
-        if probe == 0 and initial_multiplier is not None:
-            mid = math.log(min(max(initial_multiplier, MULTIPLIER_LOW), MULTIPLIER_HIGH))
-        else:
-            mid = 0.5 * (lo + hi)
-        mult = math.exp(mid)
-        result = engine.solve(graph.edge_w * mult, prizes, num_trees=num_components)
-        nodes = tuple(result.nodes)
-        oversized = len(nodes) > capacity
-        # oversized forests still carry a usable feasible candidate
-        support = _trim_to_capacity(result.components, prizes, capacity) if oversized else nodes
-        score = float(prizes[list(support)].sum()) if support else 0.0
-        candidate = (-score, len(support), support, mult)
-        if best is None or candidate[:3] < best[:3]:
-            best = candidate
-        if oversized:
-            lo = min(mid, hi - 1e-9)
-        elif len(nodes) >= budget or score >= total - 1e-12:
-            break
-        else:
-            hi = max(mid, lo + 1e-9)
-        if -best[0] >= exit_score or hi - lo < 1e-2:
-            break
-
-    if not best[2]:
-        return _fallback_node(prizes), probe + 1, MULTIPLIER_HIGH
-    return best[2], probe + 1, best[3]
+    support, probes, multiplier = engine.search(
+        prizes, budget, capacity, num_components, initial_multiplier,
+        MULTIPLIER_LOW, MULTIPLIER_HIGH, total, exit_score, MAX_SEARCH_ITERATIONS,
+    )
+    if not support:
+        return _fallback_node(prizes), probes, MULTIPLIER_HIGH
+    return support, probes, multiplier
 
 
 def head_project(

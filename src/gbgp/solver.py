@@ -9,15 +9,15 @@ back onto the connected-subgraph constraint set.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+# perfbench/tracer.py patches this name; it stays until ROADMAP item 3
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .graph import BlockPartition, Graph, SupportSet
+from .graph import BlockPartition, SupportSet
 from .objectives import ObjectiveSpec
 from .projections import ProjectionOutcome, head_project, tail_project
 
@@ -78,7 +78,7 @@ class SolverConfig:
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
         if self.parallel < 0:
-            raise ValueError("parallel worker count must be >= 0")
+            raise ValueError("parallel (the inner solver's tau) must be >= 0")
         if self.num_components < 1:
             raise ValueError("num_components must be >= 1")
         if self.budgets < 1:
@@ -158,16 +158,21 @@ def estimate_step_size(
     y_hat: np.ndarray,
     omega_local: np.ndarray,
     initial: float = 1.0,
-) -> tuple[float, np.ndarray]:
-    """Backtracking step size for block k plus the accepted proximal update.
+    f_y: Optional[float] = None,
+) -> tuple[float, np.ndarray, float]:
+    """Backtracking step size for block k, the accepted update and its value.
 
     Halves from the initial value until the quadratic upper bound holds:
     F(x+) <= F(y) + <grad, x+ - y> + ||x+ - y||^2 / (2 alpha).
+    ``f_y`` is ``objective.local_value(y_hat, k)`` where the caller knows
+    it. Returns alpha, x+ on block k and ``local_value`` at x+ (y_hat with
+    block k replaced by x+).
     """
     nodes_k = objective.partition.block_nodes[k]
     grad = objective.block_gradient(y_hat, k)
     y_k = y_hat[nodes_k]
-    f_y = objective.local_value(y_hat, k)
+    if f_y is None:
+        f_y = objective.local_value(y_hat, k)
     alpha = initial
     # a trial point differs from y_hat on block k alone: it is written into
     # y_hat and y_k put back on return, with no copy of the whole vector
@@ -177,8 +182,9 @@ def estimate_step_size(
             y_hat[nodes_k] = x_k
             step = x_k - y_k
             bound = f_y + float(grad @ step) + float(step @ step) / (2.0 * alpha)
-            if objective.local_value(y_hat, k) <= bound + 1e-12:
-                return alpha, x_k
+            f_x = objective.local_value(y_hat, k)
+            if f_x <= bound + 1e-12:
+                return alpha, x_k, f_x
             alpha *= 0.5
             if alpha < _STEP_FLOOR:
                 raise RuntimeError(
@@ -186,34 +192,6 @@ def estimate_step_size(
                 )
     finally:
         y_hat[nodes_k] = y_k
-
-
-_POOL_GRAPHS: list[Graph] = []
-_POOL_CONFIG: Optional[SolverConfig] = None
-
-
-def _pool_init(graphs: list[Graph], config: SolverConfig) -> None:
-    global _POOL_GRAPHS, _POOL_CONFIG
-    _POOL_GRAPHS, _POOL_CONFIG = graphs, config
-
-
-def _pool_project(
-    task: tuple, graphs: Optional[list[Graph]] = None, config: Optional[SolverConfig] = None
-) -> ProjectionOutcome:
-    """Run one ``(kind, k, values, warm)`` projection task.
-
-    Pool workers read the block graphs and config that ``_pool_init`` installed.
-    """
-    kind, k, values, warm = task
-    graph = (_POOL_GRAPHS if graphs is None else graphs)[k]
-    config = _POOL_CONFIG if config is None else config
-    if kind == "head":
-        return head_project(values, graph, config.budgets,
-                            num_components=config.num_components,
-                            capacity_mode=config.head_capacity_mode,
-                            block_id=k, initial_multiplier=warm)
-    return tail_project(values, graph, config.budgets, num_components=config.num_components,
-                        block_id=k, initial_multiplier=warm)
 
 
 def _box_projected_gradient(grad: np.ndarray, x_k: np.ndarray) -> np.ndarray:
@@ -284,12 +262,13 @@ def bcd_solve(
             else:
                 f_before = objective.local_value(x, k)
                 x[nodes_k] = y_k
-                _, new_k = estimate_step_size(objective, k, x, masks[k], config.step_size)
-                x[nodes_k] = new_k
-                if objective.local_value(x, k) > f_before + 1e-12 and omega_t > 0:
+                _, new_k, f_new = estimate_step_size(objective, k, x, masks[k],
+                                                     config.step_size)
+                if f_new > f_before + 1e-12 and omega_t > 0:
                     # momentum overshot: restart from the unextrapolated point
                     x[nodes_k] = x_k
-                    _, new_k = estimate_step_size(objective, k, x, masks[k], config.step_size)
+                    _, new_k, _ = estimate_step_size(objective, k, x, masks[k],
+                                                     config.step_size, f_before)
             prev_blocks[k] = x_k
             cycle_delta += float(np.linalg.norm(new_k - x_k))
             x[nodes_k] = new_k
@@ -332,7 +311,7 @@ def parallel_bcd_solve(
     if config.step_mode == "backtracking":
         for k in range(K):
             if masks[k].any():
-                alphas[k], _ = estimate_step_size(objective, k, x, masks[k], config.step_size)
+                alphas[k] = estimate_step_size(objective, k, x, masks[k], config.step_size)[0]
 
     z = x.copy()
     theta = tau / K
@@ -370,13 +349,18 @@ def gbgp_solve(
     from the outcome's multiplier, and a projection is a pure function of
     its input and warm start (budget and options are fixed per solve), so
     a block whose input and warm start both repeat reuses the outcome
-    instead of searching again; only the other blocks are projected, and
-    the pool gets no work when every block repeats. Returns the per-block
-    tail supports of the final iteration, the continuous iterate, and one
-    :class:`OuterRecord` per outer iteration: its step, objective and wall
-    time, the whole iterate as ``(nodes, values)`` (so iterate i is
-    ``x = zeros(n); x[r.nodes] = r.values`` for ``r = iterations[i - 1]``),
-    and the probe count of every projection that searched.
+    instead of searching again; only the other blocks are projected.
+    Returns the per-block tail supports of the final iteration, the
+    continuous iterate, and one :class:`OuterRecord` per outer iteration:
+    its step, objective and wall time, the whole iterate as ``(nodes,
+    values)`` (so iterate i is ``x = zeros(n); x[r.nodes] = r.values`` for
+    ``r = iterations[i - 1]``), and the probe count of every projection
+    that searched.
+
+    ``parallel`` sets only the randomized inner solver's tau: projections
+    run in this thread, one block after another, because on 2 CPUs threads
+    running the kernel's searches side by side were slower than running
+    them in turn.
     """
     partition = objective.partition
     K = partition.num_blocks
@@ -388,36 +372,27 @@ def gbgp_solve(
                              f"of {len(partition.block_nodes[k])} nodes")
     rng = np.random.default_rng(config.seed)
 
-    pool = None
-    if config.parallel >= 2 and K > 1:
-        workers = min(config.parallel, os.cpu_count() or 1, K)
-        if workers >= 2:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init, initargs=(block_graphs, config)
-            )
-
     # (kind, k) -> the last search's (input bytes, warm start, outcome)
     last: dict[tuple[str, int], tuple[bytes, Optional[float], ProjectionOutcome]] = {}
 
     def project_blocks(kind: str, inputs: dict[int, np.ndarray],
                        probes: dict) -> dict[int, ProjectionOutcome]:
-        outcomes, missed, datas = {}, [], []
+        outcomes = {}
         for k, values in inputs.items():
             data, entry = values.tobytes(), last.get((kind, k))
             warm = None if entry is None else entry[2].multiplier
             if entry is not None and entry[:2] == (data, warm):
                 outcomes[k] = entry[2]
+                continue
+            if kind == "head":
+                outcome = head_project(values, block_graphs[k], config.budgets,
+                                       num_components=config.num_components,
+                                       capacity_mode=config.head_capacity_mode,
+                                       block_id=k, initial_multiplier=warm)
             else:
-                missed.append((kind, k, values, warm))
-                datas.append(data)
-        if pool is None:
-            fresh = [_pool_project(task, block_graphs, config) for task in missed]
-        elif missed:
-            chunk = math.ceil(len(missed) / workers)
-            fresh = pool.map(_pool_project, missed, chunksize=chunk)
-        else:
-            fresh = []
-        for (_, k, _, warm), data, outcome in zip(missed, datas, fresh):
+                outcome = tail_project(values, block_graphs[k], config.budgets,
+                                       num_components=config.num_components,
+                                       block_id=k, initial_multiplier=warm)
             last[kind, k] = (data, warm, outcome)
             probes[kind, k] = outcome.search_iterations
             outcomes[k] = outcome
@@ -428,54 +403,50 @@ def gbgp_solve(
     converged = False
     tail_supports: list[SupportSet] = [SupportSet(k, ()) for k in range(K)]
 
-    try:
-        for outer in range(1, config.max_outer_iters + 1):
-            iter_start = time.perf_counter()
-            f_x = objective.value(x)
-            if not np.isfinite(f_x):
-                raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
-            probes: dict[tuple[str, int], int] = {}
+    for outer in range(1, config.max_outer_iters + 1):
+        iter_start = time.perf_counter()
+        f_x = objective.value(x)
+        if not np.isfinite(f_x):
+            raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
+        probes: dict[tuple[str, int], int] = {}
 
-            heads = project_blocks("head", {
-                k: _box_projected_gradient(objective.block_gradient(x, k),
-                                           x[partition.block_nodes[k]])
-                for k in blocks
-            }, probes)
-            # allowed support: the head support plus the current support
-            masks = [x[nodes] != 0.0 for nodes in partition.block_nodes]
-            for k in blocks:
-                masks[k][list(heads[k].support.nodes)] = True
+        heads = project_blocks("head", {
+            k: _box_projected_gradient(objective.block_gradient(x, k),
+                                       x[partition.block_nodes[k]])
+            for k in blocks
+        }, probes)
+        # allowed support: the head support plus the current support
+        masks = [x[nodes] != 0.0 for nodes in partition.block_nodes]
+        for k in blocks:
+            masks[k][list(heads[k].support.nodes)] = True
 
-            if config.parallel >= 2 and K > 1:
-                b = parallel_bcd_solve(objective, masks, x, config, rng)
-            else:
-                b = bcd_solve(objective, masks, x, config)
+        if config.parallel >= 2 and K > 1:
+            b = parallel_bcd_solve(objective, masks, x, config, rng)
+        else:
+            b = bcd_solve(objective, masks, x, config)
 
-            tails = project_blocks(
-                "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
-            )
-            x_new = np.zeros_like(x)
-            new_supports = [SupportSet(k, ()) for k in range(K)]
-            for k in blocks:
-                kept = partition.block_nodes[k][list(tails[k].support.nodes)]
-                x_new[kept] = b[kept]
-                new_supports[k] = SupportSet(k, kept.tolist())
+        tails = project_blocks(
+            "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
+        )
+        x_new = np.zeros_like(x)
+        new_supports = [SupportSet(k, ()) for k in range(K)]
+        for k in blocks:
+            kept = partition.block_nodes[k][list(tails[k].support.nodes)]
+            x_new[kept] = b[kept]
+            new_supports[k] = SupportSet(k, kept.tolist())
 
-            delta = sum(
-                float(np.linalg.norm(x_new[partition.block_nodes[k]] - x[partition.block_nodes[k]]))
-                for k in range(K)
-            )
-            nodes = np.fromiter((v for supp in new_supports for v in supp.nodes), dtype=np.int64)
-            iterations.append(OuterRecord(delta, f_x, (time.perf_counter() - iter_start) * 1e3,
-                                          nodes, x_new[nodes], probes))
-            x = x_new
-            tail_supports = new_supports
-            if config.outer_tol > 0 and delta <= config.outer_tol:
-                converged = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        delta = sum(
+            float(np.linalg.norm(x_new[partition.block_nodes[k]] - x[partition.block_nodes[k]]))
+            for k in range(K)
+        )
+        nodes = np.fromiter((v for supp in new_supports for v in supp.nodes), dtype=np.int64)
+        iterations.append(OuterRecord(delta, f_x, (time.perf_counter() - iter_start) * 1e3,
+                                      nodes, x_new[nodes], probes))
+        x = x_new
+        tail_supports = new_supports
+        if config.outer_tol > 0 and delta <= config.outer_tol:
+            converged = True
+            break
 
     return DetectionResult(
         supports=tail_supports,

@@ -3,10 +3,13 @@
 The brute-force oracles enumerate exhaustively and are only usable on
 small instances; the point is independence from the code under test.
 ``ReferencePcstEngine`` and ``strong_prune`` are the PCST engine in
-pure Python, which the compiled engine must match byte for byte.
+pure Python, which the compiled engine must match byte for byte;
+``reference_budget_search`` and ``trim_to_capacity`` are the budget
+search in Python, which the kernel's search must match the same way.
 """
 import heapq
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -452,3 +455,93 @@ def strong_prune(
                 keep_edges.append((min(u, v), max(u, v)))
                 stack.append(v)
     return (sorted(keep_nodes), sorted(keep_edges), best[top])
+
+
+def trim_to_capacity(components, prizes: np.ndarray, capacity: int) -> tuple[int, ...]:
+    """Drop lowest-prize leaves of a forest until it fits the capacity.
+
+    Removing a leaf keeps every remaining tree connected; ties resolve
+    toward removing the higher node id so low ids survive.
+    """
+    adj: dict[int, set[int]] = {}
+    total = 0
+    for nodes, edges in components:
+        total += len(nodes)
+        for v in nodes:
+            adj[v] = set()
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+    heap = [(prizes[v], -v, v) for v in adj if len(adj[v]) <= 1]
+    heapq.heapify(heap)
+    removed: set[int] = set()
+    while total > capacity and heap:
+        _, _, v = heapq.heappop(heap)
+        if v in removed or len(adj[v]) > 1:
+            continue
+        removed.add(v)
+        total -= 1
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) <= 1 and u not in removed:
+                heapq.heappush(heap, (prizes[u], -u, u))
+        adj[v] = set()
+    return tuple(sorted(v for v in adj if v not in removed))
+
+
+def reference_budget_search(graph: Graph, prizes, budget: int, capacity=None,
+                            num_components: int = 1, initial_multiplier=None):
+    """``gbgp.projections.budget_search`` as a Python loop over engine solves.
+
+    What the kernel's search replays: the same bounds, one
+    ``PcstEngine.solve`` per probe, ``trim_to_capacity`` and NumPy's sum
+    for the score, and the same candidate rule and exits.
+    """
+    from gbgp.projections import (MAX_SEARCH_ITERATIONS, MULTIPLIER_HIGH, MULTIPLIER_LOW,
+                                  _engine_for)
+
+    if capacity is None:
+        capacity = budget
+    prizes = np.asarray(prizes, dtype=np.float64)
+    total = float(prizes.sum())
+    if capacity < len(prizes):
+        top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())
+    else:
+        top_bound = total
+    exit_score = top_bound - 1e-12 * max(1.0, top_bound)
+    engine = _engine_for(graph)
+    masses = np.bincount(engine.labels, weights=prizes)
+    if num_components < len(masses):
+        masses = np.partition(masses, -num_components)[-num_components:]
+    reach = float(np.minimum(masses, top_bound).sum())
+    if reach < top_bound:
+        exit_score = min(exit_score, reach - 1e-12 * reach)
+
+    lo, hi = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
+    best = None
+    for probe in range(MAX_SEARCH_ITERATIONS):
+        if probe == 0 and initial_multiplier is not None:
+            mid = math.log(min(max(initial_multiplier, MULTIPLIER_LOW), MULTIPLIER_HIGH))
+        else:
+            mid = 0.5 * (lo + hi)
+        mult = math.exp(mid)
+        result = engine.solve(graph.edge_w * mult, prizes, num_trees=num_components)
+        nodes = tuple(result.nodes)
+        oversized = len(nodes) > capacity
+        support = trim_to_capacity(result.components, prizes, capacity) if oversized else nodes
+        score = float(prizes[list(support)].sum()) if support else 0.0
+        candidate = (-score, len(support), support, mult)
+        if best is None or candidate[:3] < best[:3]:
+            best = candidate
+        if oversized:
+            lo = min(mid, hi - 1e-9)
+        elif len(nodes) >= budget or score >= total - 1e-12:
+            break
+        else:
+            hi = max(mid, lo + 1e-9)
+        if -best[0] >= exit_score or hi - lo < 1e-2:
+            break
+
+    if not best[2]:
+        return (int(np.argmax(prizes)),), probe + 1, MULTIPLIER_HIGH
+    return best[2], probe + 1, best[3]

@@ -16,11 +16,6 @@ def run(argv):
     return main(argv)
 
 
-def _die_in_worker(task, graphs=None, config=None):
-    """Stand-in projection task that kills the pool worker running it."""
-    os._exit(1)
-
-
 @pytest.fixture
 def temporal_bundle(tmp_path):
     out = tmp_path / "runA"
@@ -241,21 +236,22 @@ class TestDetect:
         assert code == 5
         assert "backtracking underflow" in capsys.readouterr().err
 
-    def test_dead_pool_worker_exit_5(self, tmp_path, capfd, monkeypatch):
-        import gbgp.solver as solver
+    def test_failing_search_under_parallel_exit_5(self, tmp_path, capfd, monkeypatch):
+        import gbgp.projections as projections
 
         synth = ["synth", "--n", "120", "--m", "3", "--size", "12", "--seed", "2",
                  "--kind", "non", "--blocks", "4", "--out", str(tmp_path / "inst")]
         assert run(synth) == 0
         capfd.readouterr()
-        # two workers even on a one-CPU host, each dying on its first task
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(solver, "_pool_project", _die_in_worker)
+        def fail(*args, **kwargs):
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(projections, "budget_search", fail)
         code = run(["detect", "--bundle", str(tmp_path / "inst" / "instance"),
                     "--budget", "8", "--parallel", "2", "--out", str(tmp_path / "o")])
         err = capfd.readouterr().err
         assert code == 5
-        assert "solver failed" in err
+        assert "solver failed: search failed" in err
         assert "Traceback" not in err
 
     def test_default_cut_budget_names_blocks_flag(self, tmp_path, capsys):

@@ -1,8 +1,12 @@
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbgp.datagen import SyntheticSpec, generate_non
 from gbgp.graph import Graph, connected_components
 from gbgp.projections import _engine_for, budget_search, head_project, tail_project
 
@@ -10,6 +14,7 @@ from oracles import (
     connected_subsets,
     head_optimum,
     path_graph,
+    reference_budget_search,
     small_graph_families,
     tail_optimum,
 )
@@ -274,3 +279,125 @@ class TestComponentBound:
             out = project(values, graph, budget, num_components, capacity_mode=mode)
             assert len(out.support) <= capacity
             assert len(connected_components(graph, out.support.nodes)) <= num_components
+
+
+@st.composite
+def wide_instances(draw):
+    """A connected graph of 150-400 nodes: a random tree plus random edges.
+
+    Real-valued prizes on a random share of the nodes, so that supports
+    of more than 128 nodes occur and their sums depend on the order.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(150, 401))
+    parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    edges = {(p, v) for v, p in enumerate(parents, start=1)}
+    for a, b in rng.integers(0, n, size=(n // 2, 2)).tolist():
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    edges = sorted(edges)
+    weights = rng.uniform(0.05, 2.0, size=len(edges))
+    graph = Graph(n, [(u, v, w) for (u, v), w in zip(edges, weights.tolist())])
+    prizes = rng.random(n) ** 3 * 10.0 ** rng.uniform(-3, 3)
+    prizes[rng.random(n) < rng.uniform(0.0, 0.9)] = 0.0
+    return graph, prizes
+
+
+@st.composite
+def search_arguments(draw):
+    graph, prizes = draw(st.one_of(disconnected_instances(), wide_instances()))
+    n = graph.node_count
+    if draw(st.booleans()):
+        # non-integer masses, whose sums depend on the summation order
+        prizes = prizes * draw(st.sampled_from([0.1, 0.37, 1.3]))
+    if draw(st.integers(0, 9)) == 0:
+        prizes = np.zeros(n)
+    budget = draw(st.integers(1, n))
+    # the capacity may sit above the budget, up to the block size
+    capacity = min(budget * draw(st.sampled_from([1, 2, 3])), n)
+    num_components = draw(st.integers(1, 3))
+    warm = draw(st.one_of(st.none(), st.floats(-25.0, 25.0).map(math.exp),
+                          st.sampled_from([1e-6, 1e6, 0.5e-6, 2e6])))
+    return graph, prizes, budget, capacity, num_components, warm
+
+
+def mirrored_path_search(rng, n: int, min_budget: int = 1):
+    """A path whose prizes mirror around its middle, and search arguments.
+
+    Both halves hold the same masses in opposite orders.
+    """
+    half = rng.random(n // 2) * 10.0 ** rng.uniform(-2, 2)
+    half[rng.random(n // 2) < 0.3] = 0.0
+    prizes = np.concatenate([half, [0.0] * (n % 2), half[::-1]])
+    graph = Graph(n, [(v - 1, v, 1.0) for v in range(1, n)])
+    budget = int(rng.integers(min_budget, n // 2 if min_budget > 1 else n))
+    capacity = min(n, budget * int(rng.integers(1, 3)))
+    num_components = int(rng.integers(1, 4))
+    warm = None if rng.random() < 0.5 else float(np.exp(rng.uniform(-14, 14)))
+    return graph, (prizes, budget, capacity, num_components, warm)
+
+
+class TestSearchReplaysTheReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(search_arguments())
+    def test_same_support_probes_and_multiplier(self, arguments):
+        graph, *args = arguments
+        got = budget_search(graph, *args)
+        assert got == reference_budget_search(graph, *args)
+        assert type(got[2]) is float and all(type(v) is int for v in got[0])
+
+    def test_equal_masses_compare_as_numpy_sums_them(self):
+        # which of two equal-mass supports wins can hang on the last bit of
+        # each sum; a plain left-to-right sum differed here within 30 draws
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            graph, args = mirrored_path_search(rng, int(rng.integers(20, 300)))
+            assert budget_search(graph, *args) == reference_budget_search(graph, *args)
+
+    @pytest.mark.parametrize("seed", [71, 173, 204, 271])
+    def test_equal_masses_above_128_nodes(self, seed):
+        # supports above 128 nodes, where the pairwise sum splits in halves;
+        # 8 interleaved sums over the whole support pick another one on these
+        rng = np.random.default_rng(seed)
+        graph, args = mirrored_path_search(rng, int(rng.integers(270, 600)), min_budget=129)
+        got = budget_search(graph, *args)
+        assert len(got[0]) > 128
+        assert got == reference_budget_search(graph, *args)
+
+    @pytest.mark.parametrize("weight, warm", [(1e-320, 1e-6), (1e305, 1e6)])
+    def test_a_cost_that_is_not_positive_and_finite_raises(self, weight, warm):
+        # 1e-320 * 1e-6 underflows to 0, 1e305 * 1e6 overflows to inf
+        graph = Graph(3, [(0, 1, 1.0), (1, 2, weight)])
+        prizes = np.array([1.0, 2.0, 3.0])
+        for search in (budget_search, reference_budget_search):
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match="edge costs must be positive and finite"):
+                search(graph, prizes, 2, 2, 1, warm)
+
+    def test_bad_prizes_raise_what_the_engine_raises(self):
+        graph = path_graph(3)
+        for prizes in ([1.0, -1.0, 0.0], [1.0, np.nan, 0.0], [1.0, np.inf, 0.0]):
+            with pytest.raises(ValueError, match="prizes must be nonnegative and finite"):
+                budget_search(graph, np.array(prizes), 2)
+        with pytest.raises(ValueError, match="prizes length must match node count"):
+            budget_search(graph, np.ones(4), 2)
+
+
+def test_a_phase_on_threads_equals_it_inline():
+    # every block graph has its own engine, so its searches can run at once
+    instance = generate_non(SyntheticSpec(n=1600, m=3, subgraph_size=0.1, mu=5.0, seed=4), 8)
+    partition = instance.partition
+    graphs = [partition.block_graph(k) for k in range(8)]
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=g.node_count) * (rng.random(g.node_count) < 0.4) for g in graphs]
+
+    def phase(k):
+        head = head_project(values[k], graphs[k], 40, block_id=k)
+        tail = tail_project(values[k], graphs[k], 40, 2, block_id=k,
+                            initial_multiplier=head.multiplier)
+        return head, tail
+
+    inline = [phase(k) for k in range(8)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(5):
+            assert list(pool.map(phase, range(8))) == inline

@@ -118,7 +118,7 @@ class TestEstimateStepSize:
     def test_quadratic_accepts_unit_step(self):
         stub = single_block_stub(4, target=np.zeros(4))
         x = np.array([0.9, 0.4, 0.7, 0.1])
-        alpha, _ = estimate_step_size(stub, 0, x, np.ones(4, bool), 1.0)
+        alpha, _, _ = estimate_step_size(stub, 0, x, np.ones(4, bool), 1.0)
         assert alpha == 1.0
 
     def test_steep_objective_halves_and_satisfies_bound(self):
@@ -136,14 +136,28 @@ class TestEstimateStepSize:
         part = BlockPartition(graph, [0, 0], 1)
         stub = Steep(part, np.zeros(2))
         y = np.array([0.9, 0.8])
-        alpha, x_new = estimate_step_size(stub, 0, y, np.ones(2, bool), 1.0)
+        alpha, x_new, f_new = estimate_step_size(stub, 0, y, np.ones(2, bool), 1.0)
         assert alpha < 1.0
+        assert f_new == stub.local_value(x_new, 0)
         # the trial points are written into y and taken back out
         assert y.tolist() == [0.9, 0.8]
         step = x_new - y
         bound = stub.local_value(y, 0) + float(stub.block_gradient(y, 0) @ step)
         bound += float(step @ step) / (2 * alpha)
         assert stub.local_value(x_new, 0) <= bound + 1e-9
+
+    def test_a_known_value_at_the_start_is_not_evaluated_again(self):
+        stub = single_block_stub(4, target=np.zeros(4))
+        x = np.array([0.9, 0.4, 0.7, 0.1])
+        calls = []
+        local_value = stub.local_value
+        stub.local_value = lambda y, k: calls.append(y.copy()) or local_value(y, k)
+        plain = estimate_step_size(stub, 0, x, np.ones(4, bool), 1.0)
+        assert len(calls) == 2
+        known = estimate_step_size(stub, 0, x, np.ones(4, bool), 1.0, f_y=local_value(x, 0))
+        assert len(calls) == 3
+        assert known[0] == plain[0] and known[2] == plain[2]
+        assert known[1].tobytes() == plain[1].tobytes()
 
 
 class TestBcdSolve:
@@ -386,16 +400,49 @@ GOLDEN_SOLVES = {
 }
 
 
+def wide_non_objective():
+    """The benchmark's NoN problem, seed 0 instance 0: 4,000 nodes in 8 blocks.
+
+    Its last blocks fall apart into many components and settle at other
+    iterations than the first ones, which the 4-block instance above
+    never does.
+    """
+    instance = generate_non(SyntheticSpec(n=4000, m=3, subgraph_size=0.1, mu=5.0, seed=0), 8)
+    return ObjectiveSpec("non", instance.partition, instance.signal, lam=0.01)
+
+
+# sha256 as above of 6 pinned outer iterations at budget 121, recorded
+# while searches still ran as Python loops, and projections in a process
+# pool at parallel 2
+GOLDEN_WIDE_SOLVES = {
+    0: "b65bf3a567e1045040a95e70bbf78fc3284c334c393d210614bad9557ccb1a8f",
+    2: "51f28d14588d13dcd14d2b27d526d8a6d8d50d126ff8504ae9db344e8cd8f06d",
+}
+
+
+def solve_digest(result) -> str:
+    digest = hashlib.sha256(result.x_final.tobytes())
+    for support in result.supports:
+        digest.update(repr((support.block_id, sorted(support.nodes))).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("parallel", sorted(GOLDEN_WIDE_SOLVES))
+def test_golden_wide_solves_are_byte_identical(parallel):
+    config = SolverConfig(budgets=121, max_outer_iters=6, outer_tol=0.0, seed=0,
+                          parallel=parallel)
+    result = gbgp_solve(wide_non_objective(), config)
+    assert result.outer_iters == 6
+    assert solve_digest(result) == GOLDEN_WIDE_SOLVES[parallel]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
 def test_golden_solves_are_byte_identical(name):
     make_objective, knobs, expected = GOLDEN_SOLVES[name]
     config = SolverConfig(max_outer_iters=8, outer_tol=0.0, **knobs)
     result = gbgp_solve(make_objective(), config)
-    digest = hashlib.sha256(result.x_final.tobytes())
-    for support in result.supports:
-        digest.update(repr((support.block_id, sorted(support.nodes))).encode())
     assert result.outer_iters == 8
-    assert digest.hexdigest() == expected
+    assert solve_digest(result) == expected
 
 
 def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
