@@ -17,6 +17,9 @@
  * (prize, -v). Build with -std=c99 -O2 -ffp-contract=off and without
  * fast-math.
  *
+ * gbgp_components labels the connected components of the engine's graph,
+ * numbered by their lowest member.
+ *
  * The caller owns every buffer: the graph's edge and CSR arrays, an
  * int64 and a double work buffer sized by gbgp_pcst_work_sizes, and the
  * output buffers. Only the heap and the candidate list are allocated
@@ -810,4 +813,28 @@ idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indp
 done:
     free(s.heap);
     return status;
+}
+
+/*
+ * Label the connected components of the graph on n nodes and the m edges
+ * eu/ev: labels[u] is the rank of u's component by its lowest member, the
+ * order graph.connected_components returns. A union-find in labels itself
+ * links each root to the lower id, so every node's parent is at most the
+ * node and a root is its component's lowest member. Returns the number of
+ * components.
+ */
+idx gbgp_components(idx n, idx m, const idx *eu, const idx *ev, idx *labels)
+{
+    idx u, e, r, q, count = 0;
+    for (u = 0; u < n; u++) labels[u] = u;
+    for (e = 0; e < m; e++) {
+        /* roots by path halving */
+        for (r = eu[e]; labels[r] != r; r = labels[r]) labels[r] = labels[labels[r]];
+        for (q = ev[e]; labels[q] != q; q = labels[q]) labels[q] = labels[labels[q]];
+        if (r < q) labels[q] = r;
+        else labels[r] = q;
+    }
+    /* a lower parent already holds its component's label */
+    for (u = 0; u < n; u++) labels[u] = labels[u] == u ? count++ : labels[labels[u]];
+    return count;
 }

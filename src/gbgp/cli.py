@@ -3,7 +3,7 @@
 Every command honors --seed and produces byte-identical non-timing
 output files on rerun. Exit codes: 0 success, 2 validation error,
 3 solver stopped on its iteration cap, 4 I/O error, 5 solver failed
-(non-finite objective, step-size underflow).
+(non-finite objective, step-size underflow, the PCST kernel out of memory).
 
 ``detect`` takes its layout from the input (``--objective`` picks only
 the coupling): a temporal bundle or several ``--signal`` files stack
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -18,7 +18,6 @@ from .graph import (
     BlockPartition,
     BlockSignal,
     Graph,
-    connected_components,
     load_graph,
     load_partition,
     load_signal,
@@ -27,6 +26,7 @@ from .graph import (
     save_partition,
     save_signal,
 )
+from .pcst import component_labels
 
 __all__ = [
     "SyntheticSpec",
@@ -142,11 +142,11 @@ def random_walk_subgraph(graph: Graph, size: int, seed: int = 0,
     if rng is None:
         rng = component_rng(seed, _STREAM_TRUTH)
     start = int(rng.integers(0, graph.node_count))
-    component = next(c for c in connected_components(graph, range(graph.node_count))
-                     if start in c)
-    if len(component) < size:
+    labels = component_labels(graph)
+    reachable = int(np.count_nonzero(labels == labels[start]))
+    if reachable < size:
         raise ValueError(
-            f"component of start node {start} has {len(component)} nodes < size {size}"
+            f"component of start node {start} has {reachable} nodes < size {size}"
         )
     visited = {start}
     order = [start]

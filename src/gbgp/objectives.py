@@ -11,7 +11,6 @@ epsilon so the zero vector is a safe evaluation point.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import BlockPartition, BlockSignal
 
@@ -44,6 +43,37 @@ def ems_block_gradient(c_k, x_k) -> np.ndarray:
     # below the guard the denominator is constant: no d(sum)/dx term
     d_denom = cx * cx if total >= EPS_DENOMINATOR else 0.0
     return -(2.0 * cx * c_k * denom - d_denom) / (denom * denom) + x_k
+
+
+def _cut_laplacian_rows(partition: BlockPartition) -> list[tuple[np.ndarray, ...]]:
+    """Each block's rows of the cut Laplacian as ``(local row, column, value)``.
+
+    Row i holds -1 at each cut neighbour of i and i's cut degree on the
+    diagonal, in ascending column order, so that ``np.bincount`` adds a
+    row's terms in the order a CSR product does, from 0.0. Built from the
+    graph's CSR adjacency, whose neighbours ascend, in O(n + cut).
+    """
+    graph, blocks = partition.graph, partition.assignment
+    n = graph.node_count
+    src = np.repeat(np.arange(n), np.diff(graph.adj_indptr))
+    crossing = blocks[src] != blocks[graph.adj_nodes]
+    rows, cols = src[crossing], graph.adj_nodes[crossing]
+    degree = np.bincount(rows, minlength=n)
+    hubs = np.flatnonzero(degree)
+    # the diagonal goes after the row's cut neighbours below it
+    at = (np.cumsum(degree) - degree + np.bincount(rows[cols < rows], minlength=n))[hubs]
+    cols = np.insert(cols, at, hubs)
+    vals = np.insert(np.full(len(rows), -1.0), at, degree[hubs].astype(np.float64))
+    # gather each node's run of entries in block order, then split by block
+    count = degree + (degree > 0)
+    order = np.concatenate(partition.block_nodes)
+    lens = count[order]
+    first = np.cumsum(count) - count
+    take = np.repeat(first[order] - (np.cumsum(lens) - lens), lens) + np.arange(len(cols))
+    local = np.concatenate([np.arange(len(nodes)) for nodes in partition.block_nodes])
+    bounds = np.cumsum(np.bincount(blocks, weights=count, minlength=partition.num_blocks))
+    return list(zip(*(np.split(a, bounds[:-1].astype(np.int64)) for a in
+                      (np.repeat(local, lens), cols[take], vals[take]))))
 
 
 class ObjectiveSpec:
@@ -84,7 +114,6 @@ class ObjectiveSpec:
                 )
         self._cut_rows = None
         if self.kind == "non":
-            n = partition.graph.node_count
             cut = partition.cut_edges
             ii, jj = self._cut_u, self._cut_v = cut.T
             blocks_u, blocks_v = partition.assignment[cut.T]
@@ -94,12 +123,7 @@ class ObjectiveSpec:
                 ids = np.flatnonzero((blocks_u == k) | (blocks_v == k))
                 self._block_cuts.append((ii[ids], jj[ids]))
             if len(cut):
-                data = np.ones(len(cut))
-                rows = np.concatenate([ii, jj, ii, jj])
-                cols = np.concatenate([ii, jj, jj, ii])
-                vals = np.concatenate([data, data, -data, -data])
-                lap = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-                self._cut_rows = [lap[nodes] for nodes in self._block_nodes]
+                self._cut_rows = _cut_laplacian_rows(partition)
 
     def block_signal(self, k: int) -> np.ndarray:
         return self._block_signals[k]
@@ -141,7 +165,9 @@ class ObjectiveSpec:
                 grad = grad + 2.0 * self.lam * (x_k - self.block_slice(x, k + 1))
             return grad
         if self._cut_rows is not None:
-            grad = grad + 2.0 * self.lam * self._cut_rows[k].dot(x)
+            rows, cols, vals = self._cut_rows[k]
+            grad = grad + 2.0 * self.lam * np.bincount(
+                rows, weights=vals * x[cols], minlength=len(x_k))
         return grad
 
     def local_value(self, x: np.ndarray, k: int) -> float:

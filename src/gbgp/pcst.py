@@ -24,14 +24,22 @@ forests:
 - Call order: the same ``find``/``push_edge`` calls in the same order,
   from the seed loop, the rescheduling order built from the pre-merge
   incident lists, and "the longer incident list absorbs the shorter".
-  Path compression folds its offsets in that order.
+  Path compression folds its offsets in that order. Of two equal-sized
+  clusters the root of the edge's lower end is kept, which decides how
+  later moats round and so can decide a tie. The order of two equal
+  incident lists is free: it only orders the pushes of one rescheduling,
+  which share one time with no merge between them, and compression sums
+  offsets from the root down (both pinned in ``tests/test_pcst.py``).
 - Floating point: the same expressions (``now + remaining / rate``,
   ``now + merged_slack``, the DFS-order sums of strong pruning), compiled
   with ``-std=c99 -O2 -ffp-contract=off`` and without fast-math.
 
 The same kernel runs a whole budget search (``PcstEngine.search``) in
 one call, with the GIL released; see ``projections.budget_search`` for
-how it replays the reference loop.
+how it replays the reference loop. It also labels a graph's connected
+components (``component_labels``, which fills ``PcstEngine.labels``) with
+a union-find, numbered by lowest member as
+``graph.connected_components`` orders them.
 
 The kernel is built on first import with the interpreter's C compiler
 (``sysconfig`` ``CC``) into ``__pycache__/``, under a name keyed by the
@@ -49,9 +57,9 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, connected_components
+from .graph import Graph
 
-__all__ = ["PcstResult", "PcstEngine"]
+__all__ = ["PcstResult", "PcstEngine", "component_labels"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 KERNEL_SOURCE = os.path.join(_HERE, "_pcst_kernel.c")
@@ -100,10 +108,25 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     lib.gbgp_pcst_search.argtypes = [i64, i64, p, p, p, p, p, p, p, i64, i64, i64, i64, i64,
                                      f64, f64, f64, f64, f64, p, p, p, p, p, p]
     lib.gbgp_pcst_search.restype = i64
+    lib.gbgp_components.argtypes = [i64, i64, p, p, p]
+    lib.gbgp_components.restype = i64
     return lib
 
 
 _kernel = load_kernel()
+
+
+def component_labels(graph: Graph) -> np.ndarray:
+    """Each node's connected component, numbered by its lowest member.
+
+    Label i marks the i-th set that ``gbgp.graph.connected_components``
+    returns for all nodes; one kernel call computes every label.
+    """
+    eu, ev = (np.ascontiguousarray(a, dtype=np.int64) for a in (graph.edge_u, graph.edge_v))
+    labels = np.empty(graph.node_count, dtype=np.int64)
+    _kernel.gbgp_components(graph.node_count, len(eu), eu.ctypes.data, ev.ctypes.data,
+                            labels.ctypes.data)
+    return labels
 
 
 class PcstResult:
@@ -135,7 +158,8 @@ class PcstEngine:
     They, the kernel's work space and its output stay in NumPy buffers
     for the engine's life, so a solve copies its costs and prizes in and
     makes one kernel call. ``labels`` holds each node's connected
-    component, which no tree of a returned forest leaves.
+    component, which no tree of a returned forest leaves; it comes from
+    :func:`component_labels`, one kernel call at construction.
 
     Every call writes to the engine's own buffers, so one engine serves
     one call at a time; engines of different graphs may run at once on
@@ -145,9 +169,7 @@ class PcstEngine:
     def __init__(self, graph: Graph):
         self.n = graph.node_count
         self.m = graph.edge_count
-        self.labels = np.empty(self.n, dtype=np.intp)
-        for label, members in enumerate(connected_components(graph, range(self.n))):
-            self.labels[list(members)] = label
+        self.labels = component_labels(graph)
         # Graph stores every edge with edge_u < edge_v, sorted by (u, v)
         self._graph_arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in
                               (graph.edge_u, graph.edge_v, graph.adj_indptr, graph.adj_eids)]

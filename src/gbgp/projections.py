@@ -107,7 +107,7 @@ def budget_search(
     if not (np.isfinite(prizes).all() and (prizes >= 0).all()):
         raise ValueError("prizes must be nonnegative and finite")
     if num_components < 1:
-        raise ValueError("num_trees must be >= 1")
+        raise ValueError("num_components must be >= 1")
     total = float(prizes.sum())
     if capacity < len(prizes):
         top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())

@@ -6,6 +6,8 @@ small instances; the point is independence from the code under test.
 pure Python, which the compiled engine must match byte for byte;
 ``reference_budget_search`` and ``trim_to_capacity`` are the budget
 search in Python, which the kernel's search must match the same way.
+``cut_laplacian_product`` is the NoN coupling's per-row product, summed
+as SciPy's CSR product summed it.
 """
 import heapq
 import itertools
@@ -53,6 +55,28 @@ def reference_edge_arrays(node_count: int, edges):
         np.asarray(vs, dtype=np.int64)[order],
         np.asarray(ws, dtype=np.float64)[order],
     )
+
+
+def cut_laplacian_product(partition, x, nodes) -> np.ndarray:
+    """Rows ``nodes`` of the cut Laplacian of ``partition`` times ``x``.
+
+    Each row adds its terms from 0.0 in ascending column order, as a CSR
+    product does: -x[j] for each neighbour j in another block, and the
+    number of such neighbours times x[i] on the diagonal.
+    """
+    blocks = partition.assignment.tolist()
+    cut = {i: [] for i in range(partition.graph.node_count)}
+    for u, v, _ in partition.graph.edges:
+        if blocks[u] != blocks[v]:
+            cut[u].append(v)
+            cut[v].append(u)
+    out = []
+    for i in (int(v) for v in nodes):
+        total = 0.0
+        for j in sorted(cut[i] + [i]) if cut[i] else []:
+            total += (float(len(cut[i])) if j == i else -1.0) * float(x[j])
+        out.append(total)
+    return np.array(out, dtype=np.float64)
 
 
 def connected_subsets(graph: Graph, max_size: int):

@@ -1,9 +1,12 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gbgp
 from gbgp.cli import main
 from gbgp.datagen import read_truth
 
@@ -254,6 +257,24 @@ class TestDetect:
         assert "solver failed: search failed" in err
         assert "Traceback" not in err
 
+    def test_kernel_out_of_memory_exit_5(self, tmp_path, capfd, monkeypatch):
+        from gbgp.pcst import PcstEngine
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("the PCST kernel ran out of memory")
+
+        monkeypatch.setattr(PcstEngine, "search", out_of_memory)
+        graph = tmp_path / "path.txt"
+        graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
+        signal = tmp_path / "signal.txt"
+        signal.write_text("".join(f"{i}\t{v}\n" for i, v in enumerate([0, 1, 5, 5, 1, 0])))
+        code = run(["detect", "--graph", str(graph), "--signal", str(signal),
+                    "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
+        err = capfd.readouterr().err
+        assert code == 5
+        assert "solver failed: the PCST kernel ran out of memory" in err
+        assert "Traceback" not in err
+
     def test_default_cut_budget_names_blocks_flag(self, tmp_path, capsys):
         # without --partition a 6-node path is cut into 4 blocks, two of
         # them single nodes, so budget 2 cannot fit
@@ -449,3 +470,13 @@ class TestConfigFile:
             run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
                  "--budget", "10", "--out", str(tmp_path / "o")])
         assert err.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    # SciPy's import alone adds about 20 MB to a process's peak RSS
+    src = os.path.dirname(os.path.dirname(gbgp.__file__))
+    code = ("import sys, gbgp, gbgp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

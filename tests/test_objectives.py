@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gbgp.graph import BlockPartition, BlockSignal, Graph
 from gbgp.objectives import ObjectiveSpec, ems_block_gradient, ems_block_value
+from oracles import cut_laplacian_product
 
 
 def finite_difference(fun, x, h=1e-5):
@@ -162,6 +163,59 @@ class TestNetworkOfNetworksObjective:
             for lam in (0.0, 0.1, 1.0, 10.0)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(couplings, couplings[1:]))
+
+
+@st.composite
+def non_instances(draw):
+    """Random NoN partitions, some with an island block, an isolated node or no cut.
+
+    An island block's edges all stay inside it, so it has no cut edges;
+    random block ids can also leave blocks empty.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    num_blocks = draw(st.integers(1, 5))
+    blocks = rng.integers(0, num_blocks, size=n).tolist()
+    pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 4))
+        edges |= {(v, v + 1) for v in range(n, n + size - 1)}
+        blocks += [num_blocks] * size
+        num_blocks += 1
+        n += size
+    if draw(st.booleans()):
+        blocks.append(int(rng.integers(0, num_blocks)))
+        n += 1
+    if draw(st.booleans()):
+        edges = {(u, v) for u, v in edges if blocks[u] == blocks[v]}
+    partition = BlockPartition(Graph(n, sorted(edges)), blocks, num_blocks)
+    x = rng.random(n) * 10.0 ** rng.uniform(-3, 3) - draw(st.sampled_from([0.0, 0.5]))
+    x[rng.random(n) < 0.3] = 0.0
+    lam = draw(st.sampled_from([0.01, 0.37, 2.0]))
+    return partition, BlockSignal(rng.normal(size=n)), x, lam
+
+
+class TestCutLaplacianRows:
+    @settings(max_examples=300, deadline=None)
+    @given(non_instances())
+    def test_block_gradient_is_bit_equal_to_the_per_row_product(self, instance):
+        partition, signal, x, lam = instance
+        obj = ObjectiveSpec("non", partition, signal, lam=lam)
+        for k, nodes in enumerate(partition.block_nodes):
+            expected = ems_block_gradient(signal.values[nodes], x[nodes])
+            if len(partition.cut_edges):
+                expected = expected + 2.0 * lam * cut_laplacian_product(partition, x, nodes)
+            assert obj.block_gradient(x, k).tobytes() == expected.tobytes()
+
+    def test_a_block_without_cut_edges_still_adds_zero(self):
+        # 0.0 + -0.0 is 0.0: a cut elsewhere turns the block's -0.0 entries into 0.0
+        graph = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        partition = BlockPartition(graph, [0, 1, 1, 2, 2], 3)
+        obj = ObjectiveSpec("non", partition, BlockSignal(np.zeros(5)), lam=1.0)
+        x = np.array([0.5, 0.5, 0.5, -0.0, -0.0])
+        assert np.signbit(ems_block_gradient(np.zeros(2), x[3:])).all()
+        assert not np.signbit(obj.block_gradient(x, 2)).any()
 
 
 class TestFullGradient:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gbgp.pcst
 from gbgp.graph import Graph, connected_components
 from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel
 from oracles import ReferencePcstEngine, strong_prune
@@ -359,6 +360,26 @@ class TestKernelMatchesReference:
             assert (repr(kernel.solve(costs, prizes, 2).components)
                     == repr(reference.solve(costs, prizes, 2).components))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0]),
+           st.integers(0, 2**32 - 1))
+    def test_same_labels_on_random_graphs(self, n, density, seed):
+        # below one edge per node most graphs fall into many components
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(int(density * n), 2)).tolist()
+        graph = Graph(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+        assert PcstEngine(graph).labels.tolist() == ReferencePcstEngine(graph).labels.tolist()
+
+    @pytest.mark.parametrize("graph", [
+        Graph(0), Graph(1), Graph(6),
+        # 20 two-node components whose members sit far apart
+        Graph(40, [(k, 39 - k) for k in range(20)]),
+        # a star on its highest node, reached from its lowest member last
+        Graph(9, [(k, 8) for k in range(8)]),
+    ], ids=["empty", "one-node", "no-edges", "many-components", "star"])
+    def test_same_labels_on_edge_cases(self, graph):
+        assert PcstEngine(graph).labels.tolist() == ReferencePcstEngine(graph).labels.tolist()
+
     def test_same_errors_on_bad_input(self):
         graph = Graph(2, [(0, 1)])
         for costs, prizes, num_trees in [([0.0], [1.0, 1.0], 1), ([1.0], [-1.0, 1.0], 1),
@@ -370,6 +391,64 @@ class TestKernelMatchesReference:
             with pytest.raises(ValueError) as reference:
                 ReferencePcstEngine(graph).solve(costs, prizes, num_trees)
             assert str(kernel.value) == str(reference.value)
+
+
+def flipped_kernel(tmp_path, old: str, new: str):
+    """The kernel built from its source with ``old`` replaced by ``new``."""
+    with open(KERNEL_SOURCE, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    source = tmp_path / "flipped.c"
+    source.write_text(text.replace(old, new), encoding="utf-8")
+    return load_kernel(str(tmp_path), str(source))
+
+
+class TestReplayedTieChoices:
+    """Two choices between equal clusters that the kernel replays.
+
+    Both runs of either choice are valid moat growing, and neither
+    changes an exact event time, only how later moats round.
+    """
+
+    def test_equal_sized_merge_keeps_the_lower_ends_root(self, tmp_path, monkeypatch):
+        # {1} (deactivated at 0.3) and {2} merge at 0.8, one node each. With
+        # root 1 kept, edge (0, 1) goes tight at 1.3000000000000003, after the
+        # merged cluster deactivates at 1.3, so node 0 stays a tree of its
+        # own; with root 2 kept it rounds to 1.3 and merges node 0 first
+        graph = Graph(3, [(0, 1), (1, 2)])
+        args = ([1.1, 1.1], [0.3, 0.3, 1.3], 2)
+        expected = [([2], []), ([0], [])]
+        assert ReferencePcstEngine(graph).solve(*args).components == expected
+        assert PcstEngine(graph).solve(*args).components == expected
+        monkeypatch.setattr(gbgp.pcst, "_kernel", flipped_kernel(
+            tmp_path, "if (s->size[ru] >= s->size[rv]) {", "if (s->size[ru] > s->size[rv]) {"))
+        assert PcstEngine(graph).solve(*args).components == [([2], [])]
+
+    def test_incident_list_order_on_equal_degsum_is_free(self, tmp_path, monkeypatch):
+        # the merged list only orders the pushes of a later rescheduling,
+        # which share one time with no merge between them, and path
+        # compression sums offsets from the root down: no value depends on
+        # their order, so the other order gives the same forests
+        rng = np.random.default_rng(5)
+        values = [0.1, 0.2, 0.3, 0.35, 0.6, 0.7, 1.1, 1.3]
+        instances = []
+        for _ in range(1500):
+            n = int(rng.integers(3, 16))
+            edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+            edges |= {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, (n, 2)).tolist()
+                      if u != v}
+            graph = Graph(n, sorted(edges))
+            costs = rng.choice(values, graph.edge_count) if rng.random() < 0.5 else \
+                np.full(graph.edge_count, rng.choice(values))
+            prizes = rng.choice(values + [0.0, 0.0], n)
+            instances.append((graph, costs, prizes, int(rng.integers(1, 3))))
+        solved = [PcstEngine(g).solve(c, p, t).components for g, c, p, t in instances]
+        for (graph, costs, prizes, trees), components in zip(instances[:300], solved):
+            assert ReferencePcstEngine(graph).solve(costs, prizes, trees).components == components
+        monkeypatch.setattr(gbgp.pcst, "_kernel", flipped_kernel(
+            tmp_path, "if (s->degsum[ru] < s->degsum[rv]) {",
+            "if (s->degsum[ru] <= s->degsum[rv]) {"))
+        assert [PcstEngine(g).solve(c, p, t).components for g, c, p, t in instances] == solved
 
 
 class TestKernelCache:

@@ -111,6 +111,11 @@ class TestBudgetSearch:
         nodes, _, _ = budget_search(g, np.zeros(3), budget=2)
         assert nodes == (0,)
 
+    @pytest.mark.parametrize("num_components", [0, -1])
+    def test_component_count_error_names_the_parameter(self, num_components):
+        with pytest.raises(ValueError, match=r"^num_components must be >= 1$"):
+            budget_search(path_graph(3), np.ones(3), budget=2, num_components=num_components)
+
 
 class TestOracleSuite:
     """Head/tail quality against exhaustive enumeration on small graphs."""
