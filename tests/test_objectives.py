@@ -191,7 +191,9 @@ def non_instances(draw):
         edges = {(u, v) for u, v in edges if blocks[u] == blocks[v]}
     partition = BlockPartition(Graph(n, sorted(edges)), blocks, num_blocks)
     x = rng.random(n) * 10.0 ** rng.uniform(-3, 3) - draw(st.sampled_from([0.0, 0.5]))
-    x[rng.random(n) < 0.3] = 0.0
+    # signed zeros: a block's gradient can hold -0.0, which adding 0.0 clears
+    zero = rng.random(n) < 0.3
+    x[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
     lam = draw(st.sampled_from([0.01, 0.37, 2.0]))
     return partition, BlockSignal(rng.normal(size=n)), x, lam
 
