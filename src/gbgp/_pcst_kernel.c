@@ -20,11 +20,17 @@
  * gbgp_components labels the connected components of the engine's graph,
  * numbered by their lowest member.
  *
+ * gbgp_objective evaluates objectives.ObjectiveSpec, and gbgp_bcd_solve
+ * runs the whole of solver.bcd_solve on it. Both replay the NumPy
+ * reference in tests/oracles.py to the bit: pairwise sums, np.bincount's
+ * entry order, and gbgp_dot, which sums as OpenBLAS's SkylakeX ddot does.
+ *
  * The caller owns every buffer: the graph's edge and CSR arrays, an
  * int64 and a double work buffer sized by gbgp_pcst_work_sizes, and the
- * output buffers. Only the heap and the candidate list are allocated
- * here, and freed before returning. Calls on distinct buffers share no
- * state, so they may run at once on several threads.
+ * output buffers. Only the heap, the candidate list and the objective's
+ * scratch are allocated here, and freed before returning. Calls on
+ * distinct buffers share no state, so they may run at once on several
+ * threads.
  */
 #include <math.h>
 #include <stdint.h>
@@ -837,4 +843,436 @@ idx gbgp_components(idx n, idx m, const idx *eu, const idx *ev, idx *labels)
     /* a lower parent already holds its component's label */
     for (u = 0; u < n; u++) labels[u] = labels[u] == u ? count++ : labels[labels[u]];
     return count;
+}
+
+/*
+ * x . y over n entries as NumPy's x @ y computes it on OpenBLAS 0.3.31's
+ * SkylakeX ddot: the first n & -16 entries in 4 x 8 fused multiply-add
+ * lanes over blocks of 32, each folded to 4 lanes (lane j plus lane j + 4)
+ * and continued over blocks of 16; the lanes summed ((a0 + a1) + a2) + a3
+ * and then (l0 + l2) + (l1 + l3); the rest added one fma at a time.
+ * fma() rounds once wherever it runs, since the kernel builds with
+ * -ffp-contract=off; on an x86-64 CPU with FMA the copy built for that
+ * target runs it as one instruction instead of a libm call.
+ */
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
+static inline double dot_body(const double *x, const double *y, idx n)
+{
+    double acc[4][8] = {{0.0}}, lane[4][4], s[4], res = 0.0;
+    idx i = 0, n16 = n & -16, n32 = n & -32;
+    int a, j;
+    if (n16 > 0) {
+        for (; i < n32; i += 32)
+            for (a = 0; a < 4; a++)
+                for (j = 0; j < 8; j++)
+                    acc[a][j] = fma(x[i + 8 * a + j], y[i + 8 * a + j], acc[a][j]);
+        for (a = 0; a < 4; a++)
+            for (j = 0; j < 4; j++)
+                lane[a][j] = acc[a][j] + acc[a][j + 4];
+        for (; i < n16; i += 16)
+            for (a = 0; a < 4; a++)
+                for (j = 0; j < 4; j++)
+                    lane[a][j] = fma(x[i + 4 * a + j], y[i + 4 * a + j], lane[a][j]);
+        for (j = 0; j < 4; j++)
+            s[j] = ((lane[0][j] + lane[1][j]) + lane[2][j]) + lane[3][j];
+        res = (s[0] + s[2]) + (s[1] + s[3]);
+    }
+    for (; i < n; i++)
+        res = fma(y[i], x[i], res);
+    return res;
+}
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#define DOT_FMA 1
+__attribute__((target("fma")))
+static double dot_fma(const double *x, const double *y, idx n)
+{
+    return dot_body(x, y, n);
+}
+#endif
+
+double gbgp_dot(const double *x, const double *y, idx n)
+{
+#ifdef DOT_FMA
+    if (__builtin_cpu_supports("fma"))
+        return dot_fma(x, y, n);
+#endif
+    return dot_body(x, y, n);
+}
+
+/*
+ * One objectives.ObjectiveSpec, filled in by its constructor. Block k's
+ * entries are [bstart[k], bstart[k + 1]) of nodes (its global ids) and
+ * signal. kind is 0 for ems, 1 for temporal and 2 for non. For non,
+ * block k's rows of the cut Laplacian are entries [rstart[k],
+ * rstart[k + 1]) of rows (local), cols (global) and vals, in CSR order;
+ * the cut edges that touch block k are entries [cstart[k], cstart[k + 1])
+ * of cu and cv, and all ncut of them are eu and ev. The row arrays are
+ * unset when ncut is 0.
+ */
+typedef struct {
+    idx num_blocks, kind, ncut;
+    double lam;
+    const idx *bstart, *nodes;
+    const double *signal;
+    const idx *rstart, *rows, *cols;
+    const double *vals;
+    const idx *cstart, *cu, *cv, *eu, *ev;
+} objective;
+
+#define EPS_DENOMINATOR 1e-6
+#define STEP_FLOOR 1e-12
+
+/* -(c.x)^2 / max(sum x, eps) + 0.5 ||x||^2, the sum pairwise as x.sum() */
+static double ems_value(const double *c, const double *x, idx len)
+{
+    double total = pairwise_sum(x, len), denom = EPS_DENOMINATOR > total ? EPS_DENOMINATOR : total;
+    double cx = gbgp_dot(c, x, len), quad = 0.5 * gbgp_dot(x, x, len);
+    return -(cx * cx) / denom + quad;
+}
+
+/* the gradient of ems_value, elementwise in NumPy's order */
+static void ems_gradient(const double *c, const double *x, idx len, double *g)
+{
+    double total = pairwise_sum(x, len), denom = EPS_DENOMINATOR > total ? EPS_DENOMINATOR : total;
+    double cx = gbgp_dot(c, x, len), twice = 2.0 * cx, sq = denom * denom;
+    /* below the guard the denominator is constant: no d(sum)/dx term */
+    double d_denom = total >= EPS_DENOMINATOR ? cx * cx : 0.0;
+    idx i;
+    for (i = 0; i < len; i++)
+        g[i] = -(twice * c[i] * denom - d_denom) / sq + x[i];
+}
+
+/* w[i] = x[a[i]] - x[b[i]] */
+static void diff(const double *x, const idx *a, const idx *b, idx len, double *w)
+{
+    idx i;
+    for (i = 0; i < len; i++)
+        w[i] = x[a[i]] - x[b[i]];
+}
+
+static idx block_len(const objective *o, idx k)
+{
+    return o->bstart[k + 1] - o->bstart[k];
+}
+
+static const idx *block_ids(const objective *o, idx k)
+{
+    return o->nodes + o->bstart[k];
+}
+
+/* the largest block: the size of a block's work vectors */
+static idx max_block(const objective *o)
+{
+    idx k, most = 0;
+    for (k = 0; k < o->num_blocks; k++)
+        if (block_len(o, k) > most) most = block_len(o, k);
+    return most;
+}
+
+/* doubles of scratch an objective call needs: a block or every cut edge */
+static idx scratch_len(const objective *o)
+{
+    idx most = max_block(o);
+    return (o->ncut > most ? o->ncut : most) + 1;
+}
+
+/* lam is 0, or ems: F is the sum of the blocks' ems terms */
+static int decoupled(const objective *o)
+{
+    return o->lam == 0.0 || o->kind == 0;
+}
+
+static double block_ems(const objective *o, const double *x, idx k, double *w)
+{
+    idx i, len = block_len(o, k);
+    const idx *nk = block_ids(o, k);
+    for (i = 0; i < len; i++)
+        w[i] = x[nk[i]];
+    return ems_value(o->signal + o->bstart[k], w, len);
+}
+
+/* ObjectiveSpec.local_value: the terms of F that depend on block k */
+static double local_value(const objective *o, const double *x, idx k, double *w)
+{
+    idx len = block_len(o, k), cnt, j;
+    double total = block_ems(o, x, k, w);
+    if (decoupled(o))
+        return total;
+    if (o->kind == 1) {
+        for (j = k - 1; j <= k + 1; j += 2) {
+            if (j < 0 || j >= o->num_blocks) continue;
+            diff(x, block_ids(o, k), block_ids(o, j), len, w);
+            total += o->lam * gbgp_dot(w, w, len);
+        }
+        return total;
+    }
+    cnt = o->cstart[k + 1] - o->cstart[k];
+    if (cnt) {
+        diff(x, o->cu + o->cstart[k], o->cv + o->cstart[k], cnt, w);
+        total += o->lam * gbgp_dot(w, w, cnt);
+    }
+    return total;
+}
+
+/* ObjectiveSpec.block_gradient: dF/dx on block k, into g */
+static void block_gradient(const objective *o, const double *x, idx k, double *g, double *w)
+{
+    idx i, j, len = block_len(o, k);
+    const idx *nk = block_ids(o, k), *nj;
+    double twice_lam = 2.0 * o->lam;
+    for (i = 0; i < len; i++)
+        w[i] = x[nk[i]];
+    ems_gradient(o->signal + o->bstart[k], w, len, g);
+    if (decoupled(o))
+        return;
+    if (o->kind == 1) {
+        for (j = k - 1; j <= k + 1; j += 2) {
+            if (j < 0 || j >= o->num_blocks) continue;
+            nj = block_ids(o, j);
+            for (i = 0; i < len; i++)
+                g[i] = g[i] + twice_lam * (x[nk[i]] - x[nj[i]]);
+        }
+        return;
+    }
+    if (!o->ncut)
+        return;
+    /* np.bincount: each row summed in entry order from 0.0, so a block
+       without cut rows still adds 0.0, which clears a -0.0 */
+    for (i = 0; i < len; i++)
+        w[i] = 0.0;
+    for (j = o->rstart[k]; j < o->rstart[k + 1]; j++)
+        w[o->rows[j]] += o->vals[j] * x[o->cols[j]];
+    for (i = 0; i < len; i++)
+        g[i] = g[i] + twice_lam * w[i];
+}
+
+/* ObjectiveSpec.coupling_value */
+static double coupling_value(const objective *o, const double *x, double *w)
+{
+    idx k, j, len;
+    double total = 0.0;
+    if (decoupled(o))
+        return 0.0;
+    if (o->kind == 1) {
+        for (k = 1; k < o->num_blocks; k++) {
+            len = block_len(o, k);
+            diff(x, block_ids(o, k), block_ids(o, k - 1), len, w);
+            total += gbgp_dot(w, w, len);
+        }
+        return o->lam * total;
+    }
+    /* np.square(diff).sum(): pairwise, not a dot */
+    diff(x, o->eu, o->ev, o->ncut, w);
+    for (j = 0; j < o->ncut; j++)
+        w[j] = w[j] * w[j];
+    return o->lam * pairwise_sum(w, o->ncut);
+}
+
+static double value(const objective *o, const double *x, double *w)
+{
+    idx k;
+    double total = 0.0;
+    for (k = 0; k < o->num_blocks; k++)
+        total += block_ems(o, x, k, w);
+    return total + coupling_value(o, x, w);
+}
+
+/*
+ * The objective's entry points for ObjectiveSpec: part 0 is value, 1
+ * coupling_value, 2 local_value of block k and 3 block_gradient of block
+ * k, written to out (one double for a value). Returns 0, or -1 when
+ * memory ran out.
+ */
+idx gbgp_objective(const objective *o, const double *x, idx part, idx k, double *out)
+{
+    double *w = malloc((size_t)scratch_len(o) * sizeof(double));
+    if (!w) return -1;
+    if (part == 0)
+        *out = value(o, x, w);
+    else if (part == 1)
+        *out = coupling_value(o, x, w);
+    else if (part == 2)
+        *out = local_value(o, x, k, w);
+    else
+        block_gradient(o, x, k, out, w);
+    free(w);
+    return 0;
+}
+
+/* ems_block_value (part 0) or ems_block_gradient (part 1) of one block */
+void gbgp_ems(const double *c, const double *x, idx len, idx part, double *out)
+{
+    if (part == 0)
+        *out = ems_value(c, x, len);
+    else
+        ems_gradient(c, x, len, out);
+}
+
+/* x - alpha * g, zeroed off the mask and clipped to [0, 1] as np.clip does */
+static void box_step(const double *y, const double *g, double alpha, const uint8_t *mask,
+                     idx len, double *out)
+{
+    idx i;
+    double v;
+    for (i = 0; i < len; i++) {
+        v = mask[i] ? y[i] - alpha * g[i] : 0.0;
+        v = v < 0.0 ? 0.0 : v;
+        out[i] = v > 1.0 ? 1.0 : v;
+    }
+}
+
+static void put(double *x, const idx *nk, const double *v, idx len)
+{
+    idx i;
+    for (i = 0; i < len; i++)
+        x[nk[i]] = v[i];
+}
+
+static double momentum_next(double rho)
+{
+    return 0.5 * (1.0 + sqrt(1.0 + 4.0 * rho * rho));
+}
+
+typedef struct {
+    double *grad, *step, *w;
+    idx *counts;
+} bcd_work;
+
+/*
+ * solver.estimate_step_size at y, block k of x: halve alpha from alpha0
+ * until F(x+) <= F(y) + <grad, x+ - y> + ||x+ - y||^2 / (2 alpha) + 1e-12,
+ * with f_y = local_value at y unless has_fy. Writes x+ to out and its
+ * local value to *f_out, and leaves x as it found it. Returns 0, or 1 when
+ * alpha fell below STEP_FLOOR.
+ */
+static int backtrack(const objective *o, double *x, idx k, const uint8_t *mask,
+                     const double *y, double alpha0, int has_fy, double f_y, double *out,
+                     double *f_out, bcd_work *bw)
+{
+    idx i, len = block_len(o, k);
+    const idx *nk = block_ids(o, k);
+    double alpha = alpha0, bound, f_x;
+    block_gradient(o, x, k, bw->grad, bw->w);
+    if (!has_fy)
+        f_y = local_value(o, x, k, bw->w);
+    for (;;) {
+        box_step(y, bw->grad, alpha, mask, len, out);
+        put(x, nk, out, len);
+        for (i = 0; i < len; i++)
+            bw->step[i] = out[i] - y[i];
+        bound = f_y + gbgp_dot(bw->grad, bw->step, len)
+              + gbgp_dot(bw->step, bw->step, len) / (2.0 * alpha);
+        f_x = local_value(o, x, k, bw->w);
+        if (f_x <= bound + 1e-12)
+            break;
+        alpha *= 0.5;
+        bw->counts[3]++;
+        if (alpha < STEP_FLOOR) {
+            put(x, nk, y, len);
+            return 1;
+        }
+    }
+    put(x, nk, y, len);
+    *f_out = f_x;
+    return 0;
+}
+
+/*
+ * solver.bcd_solve on x in place: zero every block off its mask (mask
+ * holds the blocks' local masks back to back) and clip it to [0, 1], then
+ * run cyclic accelerated proximal block-coordinate passes until a pass
+ * moves the blocks by at most inner_tol in summed norm, or for
+ * max_cycles passes. Each visit to a block with a nonempty mask
+ * extrapolates it with weight (rho - 1) / rho and takes one proximal step
+ * of size step_size when fixed, and otherwise a backtracking one, which
+ * restarts from the unextrapolated block when it ends above the block's
+ * value there. counts gets the passes, visits, restarts and halvings.
+ * Returns 0, -1 when memory ran out, or -2 - k when backtracking on block
+ * k fell below STEP_FLOOR.
+ */
+idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_cycles,
+                   idx fixed, double step_size, double inner_tol, idx *counts)
+{
+    idx K = o->num_blocks, nb = o->bstart[K], mb = max_block(o), cycle, k, i, len, b0;
+    idx status = 0;
+    const idx *nk;
+    const uint8_t *mk;
+    double *buf, *prev, *xk, *yk, *newk, rho = 1.0, omega, delta, f_before, f_new, v;
+    int any;
+    bcd_work bw;
+
+    buf = malloc((size_t)(nb + 5 * mb + scratch_len(o)) * sizeof(double));
+    if (!buf) return -1;
+    prev = buf;
+    xk = prev + nb;
+    yk = xk + mb;
+    newk = yk + mb;
+    bw.grad = newk + mb;
+    bw.step = bw.grad + mb;
+    bw.w = bw.step + mb;
+    bw.counts = counts;
+    for (i = 0; i < 4; i++) counts[i] = 0;
+
+    for (i = 0; i < nb; i++) {
+        v = mask[i] ? x[o->nodes[i]] : 0.0;
+        v = v < 0.0 ? 0.0 : v;
+        x[o->nodes[i]] = prev[i] = v > 1.0 ? 1.0 : v;
+    }
+    for (cycle = 0; cycle < max_cycles; cycle++) {
+        counts[0]++;
+        delta = 0.0;
+        for (k = 0; k < K; k++) {
+            b0 = o->bstart[k];
+            len = block_len(o, k);
+            nk = block_ids(o, k);
+            mk = mask + b0;
+            for (i = 0, any = 0; i < len && !any; i++) any = mk[i] != 0;
+            if (!any) {
+                rho = momentum_next(rho);
+                continue;
+            }
+            counts[1]++;
+            omega = (rho - 1.0) / rho;
+            for (i = 0; i < len; i++) {
+                xk[i] = x[nk[i]];
+                yk[i] = xk[i] + omega * (xk[i] - prev[b0 + i]);
+            }
+            if (fixed) {
+                put(x, nk, yk, len);
+                block_gradient(o, x, k, bw.grad, bw.w);
+                box_step(yk, bw.grad, step_size, mk, len, newk);
+            } else {
+                f_before = local_value(o, x, k, bw.w);
+                put(x, nk, yk, len);
+                if (backtrack(o, x, k, mk, yk, step_size, 0, 0.0, newk, &f_new, &bw)) {
+                    status = -2 - k;
+                    goto done;
+                }
+                if (f_new > f_before + 1e-12 && omega > 0) {
+                    /* momentum overshot: restart from the unextrapolated point */
+                    counts[2]++;
+                    put(x, nk, xk, len);
+                    if (backtrack(o, x, k, mk, xk, step_size, 1, f_before, newk, &f_new, &bw)) {
+                        status = -2 - k;
+                        goto done;
+                    }
+                }
+            }
+            for (i = 0; i < len; i++) {
+                prev[b0 + i] = xk[i];
+                bw.step[i] = newk[i] - xk[i];
+            }
+            delta += sqrt(gbgp_dot(bw.step, bw.step, len));
+            put(x, nk, newk, len);
+            rho = momentum_next(rho);
+        }
+        if (delta <= inner_tol)
+            break;
+    }
+done:
+    free(buf);
+    return status;
 }

@@ -7,73 +7,124 @@ consistency penalty lam * sum_k ||x^k - x^{k-1}||^2 (blocks are
 timestamps) or by a cut penalty lam * sum_{(i,j) cut} (x_i - x_j)^2
 (blocks are sub-networks). The denominator is guarded below by a small
 epsilon so the zero vector is a safe evaluation point.
+
+The arithmetic runs in the C kernel ``_pcst_kernel.c`` (see
+``gbgp.pcst``), which also runs ``solver.bcd_solve`` on it; the methods
+here are thin calls. The kernel evaluates every expression in the order
+the NumPy reference in ``tests/oracles.py`` does, so the two agree to the
+bit:
+
+- a sum such as ``x.sum()`` is NumPy's pairwise summation;
+- each ``a @ b`` is :func:`dot`, OpenBLAS's SkylakeX ``ddot`` order, and a
+  norm is ``sqrt(dot(x, x))``, as ``np.linalg.norm`` computes it;
+- the NoN gradient adds each block row of the cut Laplacian from 0.0 in
+  CSR order, as ``np.bincount`` does, also on a block without cut rows,
+  which clears a -0.0; ``2.0 * lam`` is formed first;
+- the NoN coupling value is ``np.square(diff).sum()``, pairwise.
 """
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from .graph import BlockPartition, BlockSignal
+from .pcst import _kernel
 
 __all__ = [
     "ObjectiveSpec",
+    "dot",
     "ems_block_value",
     "ems_block_gradient",
 ]
 
 EPS_DENOMINATOR = 1e-6
+KINDS = {"ems": 0, "temporal": 1, "non": 2}
+
+
+def _vector(a, name: str) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    return a
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _vector(a, "a block vector"), _vector(b, "a block vector")
+    if len(a) != len(b):
+        raise ValueError(f"block vectors of lengths {len(a)} and {len(b)}")
+    return a, b
+
+
+def dot(x, y) -> float:
+    """x @ y summed as OpenBLAS's SkylakeX ddot sums it, on any host."""
+    x, y = _pair(x, y)
+    return _kernel.gbgp_dot(x.ctypes.data, y.ctypes.data, len(x))
 
 
 def ems_block_value(c_k, x_k) -> float:
     """Relaxed negative elevated-mean-scan value of one block."""
-    c_k = np.asarray(c_k, dtype=np.float64)
-    x_k = np.asarray(x_k, dtype=np.float64)
-    denom = max(float(x_k.sum()), EPS_DENOMINATOR)
-    cx = float(c_k @ x_k)
-    quad = 0.5 * float(x_k @ x_k)
-    return -(cx * cx) / denom + quad
+    c_k, x_k = _pair(c_k, x_k)
+    out = ctypes.c_double()
+    _kernel.gbgp_ems(c_k.ctypes.data, x_k.ctypes.data, len(x_k), 0, ctypes.byref(out))
+    return out.value
 
 
 def ems_block_gradient(c_k, x_k) -> np.ndarray:
     """Analytic gradient of :func:`ems_block_value` with the same guard."""
-    c_k = np.asarray(c_k, dtype=np.float64)
-    x_k = np.asarray(x_k, dtype=np.float64)
-    total = float(x_k.sum())
-    denom = max(total, EPS_DENOMINATOR)
-    cx = float(c_k @ x_k)
-    # below the guard the denominator is constant: no d(sum)/dx term
-    d_denom = cx * cx if total >= EPS_DENOMINATOR else 0.0
-    return -(2.0 * cx * c_k * denom - d_denom) / (denom * denom) + x_k
+    c_k, x_k = _pair(c_k, x_k)
+    out = np.empty(len(x_k))
+    _kernel.gbgp_ems(c_k.ctypes.data, x_k.ctypes.data, len(x_k), 1, out.ctypes.data)
+    return out
 
 
-def _cut_laplacian_rows(partition: BlockPartition) -> list[tuple[np.ndarray, ...]]:
-    """Each block's rows of the cut Laplacian as ``(local row, column, value)``.
+class _KernelObjective(ctypes.Structure):
+    """The kernel's ``objective`` struct, field for field."""
 
-    Row i holds -1 at each cut neighbour of i and i's cut degree on the
-    diagonal, in ascending column order, so that ``np.bincount`` adds a
-    row's terms in the order a CSR product does, from 0.0. Built from the
-    graph's CSR adjacency, whose neighbours ascend, in O(n + cut).
+    _fields_ = [(name, ctypes.c_int64) for name in ("num_blocks", "kind", "ncut")]
+    _fields_ += [("lam", ctypes.c_double)]
+    _fields_ += [(name, ctypes.c_void_p) for name in
+                 ("bstart", "nodes", "signal", "rstart", "rows", "cols", "vals", "cstart",
+                  "cu", "cv", "eu", "ev")]
+
+
+def _cut_laplacian_rows(partition: BlockPartition) -> tuple[np.ndarray, ...]:
+    """The blocks' rows of the cut Laplacian as ``(local row, column, value, start)``.
+
+    Block k's entries are ``[start[k], start[k + 1])``. Row i holds -1 at
+    each cut neighbour of i and i's cut degree on the diagonal, in
+    ascending column order, so that adding a row's terms from 0.0 in entry
+    order, as ``np.bincount`` does, adds them in the order a CSR product
+    does. Built from the graph's CSR adjacency, whose neighbours ascend, in
+    O(n + cut).
     """
     graph, blocks = partition.graph, partition.assignment
     n = graph.node_count
     src = np.repeat(np.arange(n), np.diff(graph.adj_indptr))
-    crossing = blocks[src] != blocks[graph.adj_nodes]
+    crossing = np.flatnonzero(blocks[src] != blocks[graph.adj_nodes])
     rows, cols = src[crossing], graph.adj_nodes[crossing]
     degree = np.bincount(rows, minlength=n)
     hubs = np.flatnonzero(degree)
-    # the diagonal goes after the row's cut neighbours below it
-    at = (np.cumsum(degree) - degree + np.bincount(rows[cols < rows], minlength=n))[hubs]
-    cols = np.insert(cols, at, hubs)
-    vals = np.insert(np.full(len(rows), -1.0), at, degree[hubs].astype(np.float64))
-    # gather each node's run of entries in block order, then split by block
+    # a hub's run of entries: its cut neighbours and its diagonal, in block order
     count = degree + (degree > 0)
     order = np.concatenate(partition.block_nodes)
     lens = count[order]
-    first = np.cumsum(count) - count
-    take = np.repeat(first[order] - (np.cumsum(lens) - lens), lens) + np.arange(len(cols))
+    run = np.empty(n, dtype=np.int64)
+    run[order] = np.cumsum(lens) - lens
+    # within its run a cut neighbour keeps its rank in the row, one place
+    # on when it is above the row, and the diagonal follows those below it
+    rank = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
+    below = np.bincount(rows[cols < rows], minlength=n)[hubs]
+    diagonal = run[hubs] + below
+    out_cols = np.empty(len(rows) + len(hubs), dtype=np.int64)
+    out_cols[run[rows] + rank + (cols > rows)] = cols
+    out_cols[diagonal] = hubs
+    out_vals = np.full(len(out_cols), -1.0)
+    out_vals[diagonal] = degree[hubs]
     local = np.concatenate([np.arange(len(nodes)) for nodes in partition.block_nodes])
-    bounds = np.cumsum(np.bincount(blocks, weights=count, minlength=partition.num_blocks))
-    return list(zip(*(np.split(a, bounds[:-1].astype(np.int64)) for a in
-                      (np.repeat(local, lens), cols[take], vals[take]))))
+    start = np.zeros(partition.num_blocks + 1, dtype=np.int64)
+    start[1:] = np.cumsum(np.bincount(blocks, weights=count, minlength=partition.num_blocks))
+    return np.repeat(local, lens), out_cols, out_vals, start
 
 
 class ObjectiveSpec:
@@ -81,7 +132,10 @@ class ObjectiveSpec:
 
     The signal is one value per node of the partitioned graph; for
     temporal instances the graph holds one replica of the node set per
-    timestamp and block k is the snapshot at time k.
+    timestamp and block k is the snapshot at time k. ``x`` holds one
+    float per node. The constructor lays the blocks out for the kernel
+    once, and the methods' arithmetic runs there on that layout, so the
+    spec is read-only after construction: setting ``lam`` changes nothing.
     """
 
     def __init__(
@@ -91,39 +145,86 @@ class ObjectiveSpec:
         signal: BlockSignal,
         lam: float = 0.0,
     ):
-        if kind not in ("temporal", "non", "ems"):
+        if kind not in KINDS:
             raise ValueError(f"unknown objective kind {kind!r}")
         self.kind = kind
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if len(signal.values) != partition.graph.node_count:
+        n = partition.graph.node_count
+        if len(signal.values) != n:
             raise ValueError("signal length does not match graph")
         self.partition = partition
         self.signal = signal
         self.lam = float(lam)
-        self.num_blocks = partition.num_blocks
+        self.num_blocks = K = partition.num_blocks
         self._block_nodes = partition.block_nodes
-        self._block_signals = [
-            signal.values[nodes] for nodes in self._block_nodes
-        ]
-        if self.kind == "temporal":
-            sizes = {len(nodes) for nodes in self._block_nodes}
-            if len(sizes) > 1:
-                raise ValueError(
-                    "temporal coupling needs one equally-sized block per timestamp"
-                )
-        self._cut_rows = None
+        self._sizes = [len(nodes) for nodes in self._block_nodes]
+        if self.kind == "temporal" and len(set(self._sizes)) > 1:
+            raise ValueError("temporal coupling needs one equally-sized block per timestamp")
+        bstart = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(self._sizes, out=bstart[1:])
+        nodes = np.concatenate(self._block_nodes).astype(np.int64, copy=False)
+        signals = signal.values[nodes]
+        self._block_signals = np.split(signals, bstart[1:-1])
+        arrays = {"bstart": bstart, "nodes": nodes, "signal": signals}
+        ncut = 0
         if self.kind == "non":
             cut = partition.cut_edges
-            ii, jj = self._cut_u, self._cut_v = cut.T
+            ncut = len(cut)
+            eu, ev = cut.T
+            # the cut edges that touch each block, in edge order
             blocks_u, blocks_v = partition.assignment[cut.T]
-            # the endpoints of the cut edges that touch each block
-            self._block_cuts = []
-            for k in range(self.num_blocks):
-                ids = np.flatnonzero((blocks_u == k) | (blocks_v == k))
-                self._block_cuts.append((ii[ids], jj[ids]))
-            if len(cut):
-                self._cut_rows = _cut_laplacian_rows(partition)
+            touching = [np.flatnonzero((blocks_u == k) | (blocks_v == k)) for k in range(K)]
+            cstart = np.zeros(K + 1, dtype=np.int64)
+            np.cumsum([len(ids) for ids in touching], out=cstart[1:])
+            ids = np.concatenate(touching)
+            arrays.update(eu=eu, ev=ev, cu=eu[ids], cv=ev[ids], cstart=cstart)
+            if ncut:
+                arrays.update(zip(("rows", "cols", "vals", "rstart"),
+                                  _cut_laplacian_rows(partition)))
+        # the kernel reads these through the struct: they live as long as the spec
+        self._kernel_arrays = {
+            name: np.ascontiguousarray(a, dtype=np.float64 if name in ("signal", "vals")
+                                       else np.int64)
+            for name, a in arrays.items()
+        }
+        self._ncut = ncut
+        self._link_kernel()
+
+    def _link_kernel(self) -> None:
+        """Point the kernel's struct at this spec's arrays."""
+        self._kernel_struct = _KernelObjective(
+            num_blocks=self.num_blocks, kind=KINDS[self.kind], ncut=self._ncut, lam=self.lam,
+            **{name: a.ctypes.data for name, a in self._kernel_arrays.items()},
+        )
+        self._kernel_ref = ctypes.addressof(self._kernel_struct)
+
+    # a copy or an unpickled spec points its own struct at its own arrays
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_kernel_struct"], state["_kernel_ref"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._link_kernel()
+
+    def _block(self, k: int) -> int:
+        if not 0 <= k < self.num_blocks:
+            raise IndexError(f"block {k} out of range [0,{self.num_blocks})")
+        return k
+
+    def _call(self, x: np.ndarray, part: int, k: int, out) -> None:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.shape != (self.partition.graph.node_count,):
+            raise ValueError(f"x has shape {x.shape}, not one entry per node")
+        if _kernel.gbgp_objective(self._kernel_ref, x.ctypes.data, part, k, out) < 0:
+            raise MemoryError("the objective kernel ran out of memory")
+
+    def _scalar(self, x: np.ndarray, part: int, k: int = 0) -> float:
+        out = ctypes.c_double()
+        self._call(x, part, k, ctypes.byref(out))
+        return out.value
 
     def block_signal(self, k: int) -> np.ndarray:
         return self._block_signals[k]
@@ -132,43 +233,10 @@ class ObjectiveSpec:
         return x[self._block_nodes[k]]
 
     def value(self, x: np.ndarray) -> float:
-        total = 0.0
-        for k in range(self.num_blocks):
-            total += ems_block_value(self._block_signals[k], self.block_slice(x, k))
-        total += self.coupling_value(x)
-        return total
+        return self._scalar(x, 0)
 
     def coupling_value(self, x: np.ndarray) -> float:
-        if self.lam == 0.0 or self.kind == "ems":
-            return 0.0
-        if self.kind == "temporal":
-            total = 0.0
-            for k in range(1, self.num_blocks):
-                diff = self.block_slice(x, k) - self.block_slice(x, k - 1)
-                total += float(diff @ diff)
-            return self.lam * total
-        diff = x[self._cut_u] - x[self._cut_v]
-        # not diff @ diff: OpenBLAS threads a dot over more than 10,000
-        # entries (a 10,000-node NoN graph cuts about 20,000 edges), and its
-        # worker threads keep spinning afterwards, taking CPU from the solver
-        return self.lam * float(np.square(diff).sum())
-
-    def block_gradient(self, x: np.ndarray, k: int) -> np.ndarray:
-        x_k = self.block_slice(x, k)
-        grad = ems_block_gradient(self._block_signals[k], x_k)
-        if self.lam == 0.0 or self.kind == "ems":
-            return grad
-        if self.kind == "temporal":
-            if k > 0:
-                grad = grad + 2.0 * self.lam * (x_k - self.block_slice(x, k - 1))
-            if k < self.num_blocks - 1:
-                grad = grad + 2.0 * self.lam * (x_k - self.block_slice(x, k + 1))
-            return grad
-        if self._cut_rows is not None:
-            rows, cols, vals = self._cut_rows[k]
-            grad = grad + 2.0 * self.lam * np.bincount(
-                rows, weights=vals * x[cols], minlength=len(x_k))
-        return grad
+        return self._scalar(x, 1)
 
     def local_value(self, x: np.ndarray, k: int) -> float:
         """Terms of the objective that depend on block k.
@@ -176,23 +244,12 @@ class ObjectiveSpec:
         Differences of this quantity across changes confined to block k
         equal differences of the full objective.
         """
-        total = ems_block_value(self._block_signals[k], self.block_slice(x, k))
-        if self.lam == 0.0 or self.kind == "ems":
-            return total
-        if self.kind == "temporal":
-            x_k = self.block_slice(x, k)
-            if k > 0:
-                diff = x_k - self.block_slice(x, k - 1)
-                total += self.lam * float(diff @ diff)
-            if k < self.num_blocks - 1:
-                diff = x_k - self.block_slice(x, k + 1)
-                total += self.lam * float(diff @ diff)
-            return total
-        cut_u, cut_v = self._block_cuts[k]
-        if len(cut_u):
-            diff = x[cut_u] - x[cut_v]
-            total += self.lam * float(diff @ diff)
-        return total
+        return self._scalar(x, 2, self._block(k))
+
+    def block_gradient(self, x: np.ndarray, k: int) -> np.ndarray:
+        grad = np.empty(self._sizes[self._block(k)])
+        self._call(x, 3, k, grad.ctypes.data)
+        return grad
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         grad = np.empty_like(x)

@@ -39,7 +39,11 @@ one call, with the GIL released; see ``projections.budget_search`` for
 how it replays the reference loop. It also labels a graph's connected
 components (``component_labels``, which fills ``PcstEngine.labels``) with
 a union-find, numbered by lowest member as
-``graph.connected_components`` orders them.
+``graph.connected_components`` orders them. And it holds the objective's
+arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
+``gbgp.objectives``) and the serial inner solver (``gbgp_bcd_solve``,
+behind ``solver.bcd_solve``), which mirror NumPy's pairwise sums,
+``np.bincount`` and OpenBLAS's SkylakeX ``ddot``.
 
 The kernel is built on first import with the interpreter's C compiler
 (``sysconfig`` ``CC``) into ``__pycache__/``, under a name keyed by the
@@ -110,6 +114,14 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     lib.gbgp_pcst_search.restype = i64
     lib.gbgp_components.argtypes = [i64, i64, p, p, p]
     lib.gbgp_components.restype = i64
+    lib.gbgp_dot.argtypes = [p, p, i64]
+    lib.gbgp_dot.restype = f64
+    lib.gbgp_ems.argtypes = [p, p, i64, i64, p]
+    lib.gbgp_ems.restype = None
+    lib.gbgp_objective.argtypes = [p, p, i64, i64, p]
+    lib.gbgp_objective.restype = i64
+    lib.gbgp_bcd_solve.argtypes = [p, p, p, i64, i64, f64, f64, p]
+    lib.gbgp_bcd_solve.restype = i64
     return lib
 
 

@@ -5,6 +5,15 @@ search space, minimizes the objective restricted to that space with an
 accelerated block-coordinate pass (serial, or randomized across blocks
 for the parallel variant), then tail-projects the intermediate solution
 back onto the connected-subgraph constraint set.
+
+The serial inner solver, :func:`bcd_solve`, is one call of the C
+kernel's ``gbgp_bcd_solve`` per outer iteration; it replays the Python
+loop kept in ``tests/oracles.py`` bit for bit (see ``gbgp.objectives`` for
+the order of each sum and dot). The randomized :func:`parallel_bcd_solve`
+and :func:`estimate_step_size`, which it uses, stay in Python on the
+kernel's objective calls. Every dot product and norm here is the kernel's
+:func:`~gbgp.objectives.dot`, so the outputs do not depend on which BLAS
+kernel the host's NumPy picks.
 """
 from __future__ import annotations
 
@@ -18,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .graph import BlockPartition, SupportSet
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, dot
+from .pcst import _kernel
 from .projections import ProjectionOutcome, head_project, tail_project
 
 __all__ = [
@@ -83,6 +93,8 @@ class SolverConfig:
             raise ValueError("num_components must be >= 1")
         if self.budgets < 1:
             raise ValueError("budget must be >= 1")
+        if self.max_outer_iters < 1 or self.max_inner_cycles < 1:
+            raise ValueError("max_outer_iters and max_inner_cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,10 @@ class OuterRecord:
     iterate is zero off the tail supports, so ``nodes`` (the global ids
     the tail projections kept) with ``values`` (x on them) is all of it.
     ``probes`` maps each ``(kind, k)`` projection that searched to its
-    engine-solve count; a reused projection has no entry.
+    engine-solve count; a reused projection has no entry. The inner
+    solve's work follows: its passes over the blocks (rounds for the
+    parallel solver), block visits, momentum restarts and backtracking
+    halvings.
     """
 
     delta: float
@@ -103,6 +118,10 @@ class OuterRecord:
     nodes: np.ndarray
     values: np.ndarray
     probes: dict[tuple[str, int], int]
+    inner_cycles: int
+    block_visits: int
+    restarts: int
+    halvings: int
 
 
 @dataclass
@@ -181,7 +200,7 @@ def estimate_step_size(
             x_k = _box_step(y_k, grad, alpha, omega_local)
             y_hat[nodes_k] = x_k
             step = x_k - y_k
-            bound = f_y + float(grad @ step) + float(step @ step) / (2.0 * alpha)
+            bound = f_y + dot(grad, step) + dot(step, step) / (2.0 * alpha)
             f_x = objective.local_value(y_hat, k)
             if f_x <= bound + 1e-12:
                 return alpha, x_k, f_x
@@ -222,7 +241,7 @@ def bcd_solve(
     masks: list[np.ndarray],
     x_init: np.ndarray,
     config: SolverConfig,
-    trace: Optional[list] = None,
+    counts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Cyclic accelerated proximal block-coordinate descent.
 
@@ -232,51 +251,33 @@ def bcd_solve(
     advances the momentum sequence rho. Momentum restarts (one plain
     step) whenever the extrapolated step would increase the objective,
     which keeps the iteration monotone under backtracking.
-    When given, ``trace`` collects the objective value after each visit.
+
+    The whole solve is one call of the kernel's ``gbgp_bcd_solve``, with
+    the GIL released; it replays the Python loop in ``tests/oracles.py``
+    bit for bit. ``counts``, an int64 array of 4 when given, receives the
+    passes over the blocks, the block visits, the momentum restarts and
+    the backtracking halvings.
     """
-    if not any(mask.any() for mask in masks):
+    if [len(mask) for mask in masks] != objective._sizes:
+        raise ValueError("masks must hold one boolean per node of each block")
+    flat = np.ascontiguousarray(np.concatenate(masks), dtype=bool)
+    if not flat.any():
         raise ValueError("all blocks have empty allowed supports")
-    partition = objective.partition
-    K = partition.num_blocks
-    x = x_init.copy()
-    _restrict(x, partition, masks)
-    prev_blocks = [x[partition.block_nodes[k]].copy() for k in range(K)]
-    rho = 1.0
-    for _cycle in range(config.max_inner_cycles):
-        cycle_delta = 0.0
-        for k in range(K):
-            if not masks[k].any():
-                rho = momentum_next(rho)
-                continue
-            nodes_k = partition.block_nodes[k]
-            omega_t = momentum_weight(rho)
-            x_k = x[nodes_k]
-            y_k = x_k + omega_t * (x_k - prev_blocks[k])
-            # the points tried below differ from x on block k alone, so they
-            # are written into x's block k rather than into copies of x
-            if config.step_mode == "fixed":
-                x[nodes_k] = y_k
-                new_k = proximal_block_update(
-                    objective, k, x, config.step_size, masks[k]
-                )
-            else:
-                f_before = objective.local_value(x, k)
-                x[nodes_k] = y_k
-                _, new_k, f_new = estimate_step_size(objective, k, x, masks[k],
-                                                     config.step_size)
-                if f_new > f_before + 1e-12 and omega_t > 0:
-                    # momentum overshot: restart from the unextrapolated point
-                    x[nodes_k] = x_k
-                    _, new_k, _ = estimate_step_size(objective, k, x, masks[k],
-                                                     config.step_size, f_before)
-            prev_blocks[k] = x_k
-            cycle_delta += float(np.linalg.norm(new_k - x_k))
-            x[nodes_k] = new_k
-            rho = momentum_next(rho)
-            if trace is not None:
-                trace.append(objective.value(x))
-        if cycle_delta <= config.inner_tol:
-            break
+    x = np.array(x_init, dtype=np.float64)
+    if x.shape != (objective.partition.graph.node_count,):
+        raise ValueError(f"x has shape {x.shape}, not one entry per node")
+    if counts is None:
+        counts = np.zeros(4, dtype=np.int64)
+    status = _kernel.gbgp_bcd_solve(
+        objective._kernel_ref, flat.ctypes.data, x.ctypes.data, config.max_inner_cycles,
+        config.step_mode == "fixed", config.step_size, config.inner_tol, counts.ctypes.data,
+    )
+    if status == -1:
+        raise MemoryError("the inner solver kernel ran out of memory")
+    if status < -1:
+        raise RuntimeError(
+            f"backtracking underflow on block {-2 - status}: no step above {_STEP_FLOOR}"
+        )
     return x
 
 
@@ -286,6 +287,7 @@ def parallel_bcd_solve(
     x_init: np.ndarray,
     config: SolverConfig,
     rng: Optional[np.random.Generator] = None,
+    counts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Randomized accelerated block-coordinate descent over block subsets.
 
@@ -293,7 +295,10 @@ def parallel_bcd_solve(
     updates their z-components through the proximal subproblem with
     curvature weight K*theta/(2*tau) (scaled by the per-block step
     size), then mixes the update into the accelerated iterate. With a
-    fixed seed the trajectory is reproducible for any tau.
+    fixed seed the trajectory is reproducible for any tau. It runs in
+    Python on the kernel's objective calls and :func:`dot`. ``counts`` is
+    filled as :func:`bcd_solve` fills it: rounds, block updates, no
+    restarts, and the halvings of the per-block step estimates.
     """
     if not any(mask.any() for mask in masks):
         raise ValueError("all blocks have empty allowed supports")
@@ -312,28 +317,36 @@ def parallel_bcd_solve(
         for k in range(K):
             if masks[k].any():
                 alphas[k] = estimate_step_size(objective, k, x, masks[k], config.step_size)[0]
+    rounds = visits = 0
 
     z = x.copy()
     theta = tau / K
     max_rounds = max(1, math.ceil(config.max_inner_cycles * K / tau))
     for _round in range(max_rounds):
+        rounds += 1
         y = (1.0 - theta) * x + theta * z
         sampled = [k for k in range(K) if rng.random() < tau / K]
         z_new = z.copy()
         for k in sampled:
             if not masks[k].any():
                 continue
+            visits += 1
             nodes_k = partition.block_nodes[k]
             step = (tau * alphas[k]) / (K * theta)
             grad = objective.block_gradient(y, k)
             z_new[nodes_k] = _box_step(z[nodes_k], grad, step, masks[k])
         x_new = y + (K / tau) * theta * (z_new - z)
-        delta = float(np.linalg.norm(x_new - x))
+        change = x_new - x
+        delta = math.sqrt(dot(change, change))
         x, z = x_new, z_new
         theta = theta_next(theta)
         if delta <= config.inner_tol:
             break
     _restrict(x, partition, masks)
+    if counts is not None:
+        # each halving scales the step by an exact power of two
+        halvings = np.rint(np.log2(config.step_size / alphas)).sum()
+        counts[:] = (rounds, visits, 0, halvings)
     return x
 
 
@@ -420,10 +433,11 @@ def gbgp_solve(
         for k in blocks:
             masks[k][list(heads[k].support.nodes)] = True
 
+        counts = np.zeros(4, dtype=np.int64)
         if config.parallel >= 2 and K > 1:
-            b = parallel_bcd_solve(objective, masks, x, config, rng)
+            b = parallel_bcd_solve(objective, masks, x, config, rng, counts)
         else:
-            b = bcd_solve(objective, masks, x, config)
+            b = bcd_solve(objective, masks, x, config, counts)
 
         tails = project_blocks(
             "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
@@ -435,13 +449,11 @@ def gbgp_solve(
             x_new[kept] = b[kept]
             new_supports[k] = SupportSet(k, kept.tolist())
 
-        delta = sum(
-            float(np.linalg.norm(x_new[partition.block_nodes[k]] - x[partition.block_nodes[k]]))
-            for k in range(K)
-        )
+        changes = (x_new[nodes] - x[nodes] for nodes in partition.block_nodes)
+        delta = sum(math.sqrt(dot(change, change)) for change in changes)
         nodes = np.fromiter((v for supp in new_supports for v in supp.nodes), dtype=np.int64)
         iterations.append(OuterRecord(delta, f_x, (time.perf_counter() - iter_start) * 1e3,
-                                      nodes, x_new[nodes], probes))
+                                      nodes, x_new[nodes], probes, *counts.tolist()))
         x = x_new
         tail_supports = new_supports
         if config.outer_tol > 0 and delta <= config.outer_tol:

@@ -7,7 +7,12 @@ pure Python, which the compiled engine must match byte for byte;
 ``reference_budget_search`` and ``trim_to_capacity`` are the budget
 search in Python, which the kernel's search must match the same way.
 ``cut_laplacian_product`` is the NoN coupling's per-row product, summed
-as SciPy's CSR product summed it.
+as SciPy's CSR product summed it. ``ReferenceObjective`` and
+``reference_bcd_solve`` are the objective's NumPy formulas and the serial
+inner solver's Python loop, which the kernel's objective and
+``gbgp_bcd_solve`` must match byte for byte; their dot products are the
+kernel's ``dot``, which sums as NumPy's ``@`` does on a SkylakeX
+OpenBLAS, so that they agree on any host.
 """
 import heapq
 import itertools
@@ -569,3 +574,185 @@ def reference_budget_search(graph: Graph, prizes, budget: int, capacity=None,
     if not best[2]:
         return (int(np.argmax(prizes)),), probe + 1, MULTIPLIER_HIGH
     return best[2], probe + 1, best[3]
+
+
+def reference_ems_value(c_k, x_k) -> float:
+    """Relaxed negative elevated-mean-scan value of one block, in NumPy."""
+    from gbgp.objectives import EPS_DENOMINATOR, dot
+
+    denom = max(float(x_k.sum()), EPS_DENOMINATOR)
+    cx = dot(c_k, x_k)
+    quad = 0.5 * dot(x_k, x_k)
+    return -(cx * cx) / denom + quad
+
+
+def reference_ems_gradient(c_k, x_k) -> np.ndarray:
+    """Analytic gradient of :func:`reference_ems_value`, in NumPy."""
+    from gbgp.objectives import EPS_DENOMINATOR, dot
+
+    total = float(x_k.sum())
+    denom = max(total, EPS_DENOMINATOR)
+    cx = dot(c_k, x_k)
+    # below the guard the denominator is constant: no d(sum)/dx term
+    d_denom = cx * cx if total >= EPS_DENOMINATOR else 0.0
+    return -(2.0 * cx * c_k * denom - d_denom) / (denom * denom) + x_k
+
+
+class ReferenceObjective:
+    """``gbgp.objectives.ObjectiveSpec`` in NumPy, the formulas its kernel replays.
+
+    The NoN gradient multiplies each block's rows of the cut Laplacian,
+    listed one node at a time in ascending column order, with
+    ``np.bincount``; the local value sums the squared differences of the
+    cut edges that touch the block, in edge order.
+    """
+
+    def __init__(self, kind, partition, signal, lam=0.0):
+        self.kind, self.partition, self.lam = kind, partition, float(lam)
+        self.num_blocks = partition.num_blocks
+        self._block_nodes = partition.block_nodes
+        self._block_signals = [signal.values[nodes] for nodes in self._block_nodes]
+        cut = partition.cut_edges
+        self._cut_u, self._cut_v = cut.T
+        blocks_u, blocks_v = partition.assignment[cut.T]
+        self._block_cuts = []
+        for k in range(self.num_blocks):
+            ids = np.flatnonzero((blocks_u == k) | (blocks_v == k))
+            self._block_cuts.append((self._cut_u[ids], self._cut_v[ids]))
+        neighbours = {v: [] for nodes in self._block_nodes for v in nodes.tolist()}
+        for u, v in cut.tolist():
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        self._cut_rows = []
+        for nodes in self._block_nodes:
+            rows, cols, vals = [], [], []
+            for i, v in enumerate(nodes.tolist()):
+                for j in sorted(neighbours[v] + [v]) if neighbours[v] else []:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(float(len(neighbours[v])) if j == v else -1.0)
+            self._cut_rows.append((np.array(rows, dtype=np.int64),
+                                   np.array(cols, dtype=np.int64), np.array(vals)))
+
+    def value(self, x):
+        total = 0.0
+        for k in range(self.num_blocks):
+            total += reference_ems_value(self._block_signals[k], x[self._block_nodes[k]])
+        total += self.coupling_value(x)
+        return total
+
+    def coupling_value(self, x):
+        from gbgp.objectives import dot
+
+        if self.lam == 0.0 or self.kind == "ems":
+            return 0.0
+        if self.kind == "temporal":
+            total = 0.0
+            for k in range(1, self.num_blocks):
+                diff = x[self._block_nodes[k]] - x[self._block_nodes[k - 1]]
+                total += dot(diff, diff)
+            return self.lam * total
+        diff = x[self._cut_u] - x[self._cut_v]
+        return self.lam * float(np.square(diff).sum())
+
+    def block_gradient(self, x, k):
+        x_k = x[self._block_nodes[k]]
+        grad = reference_ems_gradient(self._block_signals[k], x_k)
+        if self.lam == 0.0 or self.kind == "ems":
+            return grad
+        if self.kind == "temporal":
+            if k > 0:
+                grad = grad + 2.0 * self.lam * (x_k - x[self._block_nodes[k - 1]])
+            if k < self.num_blocks - 1:
+                grad = grad + 2.0 * self.lam * (x_k - x[self._block_nodes[k + 1]])
+            return grad
+        if len(self._cut_u):
+            rows, cols, vals = self._cut_rows[k]
+            grad = grad + 2.0 * self.lam * np.bincount(
+                rows, weights=vals * x[cols], minlength=len(x_k))
+        return grad
+
+    def local_value(self, x, k):
+        from gbgp.objectives import dot
+
+        x_k = x[self._block_nodes[k]]
+        total = reference_ems_value(self._block_signals[k], x_k)
+        if self.lam == 0.0 or self.kind == "ems":
+            return total
+        if self.kind == "temporal":
+            for j in (k - 1, k + 1):
+                if 0 <= j < self.num_blocks:
+                    diff = x_k - x[self._block_nodes[j]]
+                    total += self.lam * dot(diff, diff)
+            return total
+        cut_u, cut_v = self._block_cuts[k]
+        if len(cut_u):
+            diff = x[cut_u] - x[cut_v]
+            total += self.lam * dot(diff, diff)
+        return total
+
+
+def reference_bcd_solve(objective, masks, x_init, config, trace=None, counts=None):
+    """``gbgp.solver.bcd_solve`` as the Python loop its kernel replays.
+
+    ``objective`` is anything with ``partition``, ``block_gradient`` and
+    ``local_value``. When given, ``trace`` collects ``objective.value``
+    after each block visit and ``counts`` (a list of 4) the passes,
+    visits, restarts and halvings the kernel reports.
+    """
+    from gbgp.objectives import dot
+    from gbgp.solver import (_restrict, estimate_step_size, momentum_next, momentum_weight,
+                             proximal_block_update)
+
+    if not any(mask.any() for mask in masks):
+        raise ValueError("all blocks have empty allowed supports")
+    partition = objective.partition
+    K = partition.num_blocks
+    x = np.array(x_init, dtype=np.float64)
+    _restrict(x, partition, masks)
+    prev_blocks = [x[partition.block_nodes[k]].copy() for k in range(K)]
+    tally = [0, 0, 0, 0]
+
+    def backtrack(k, f_y=None):
+        alpha, new_k, f_new = estimate_step_size(objective, k, x, masks[k], config.step_size, f_y)
+        # every halving scales the step by an exact power of two
+        tally[3] += round(math.log2(config.step_size / alpha))
+        return new_k, f_new
+
+    rho = 1.0
+    for _cycle in range(config.max_inner_cycles):
+        tally[0] += 1
+        cycle_delta = 0.0
+        for k in range(K):
+            if not masks[k].any():
+                rho = momentum_next(rho)
+                continue
+            tally[1] += 1
+            nodes_k = partition.block_nodes[k]
+            omega_t = momentum_weight(rho)
+            x_k = x[nodes_k]
+            y_k = x_k + omega_t * (x_k - prev_blocks[k])
+            if config.step_mode == "fixed":
+                x[nodes_k] = y_k
+                new_k = proximal_block_update(objective, k, x, config.step_size, masks[k])
+            else:
+                f_before = objective.local_value(x, k)
+                x[nodes_k] = y_k
+                new_k, f_new = backtrack(k)
+                if f_new > f_before + 1e-12 and omega_t > 0:
+                    # momentum overshot: restart from the unextrapolated point
+                    tally[2] += 1
+                    x[nodes_k] = x_k
+                    new_k, _ = backtrack(k, f_before)
+            prev_blocks[k] = x_k
+            change = new_k - x_k
+            cycle_delta += math.sqrt(dot(change, change))
+            x[nodes_k] = new_k
+            rho = momentum_next(rho)
+            if trace is not None:
+                trace.append(objective.value(x))
+        if cycle_delta <= config.inner_tol:
+            break
+    if counts is not None:
+        counts[:] = tally
+    return x

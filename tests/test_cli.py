@@ -222,22 +222,26 @@ class TestDetect:
         assert code == 5
         assert "non-finite" in capsys.readouterr().err
 
-    def test_backtracking_underflow_exit_5(self, tmp_path, capsys, monkeypatch):
-        # an uphill gradient can never meet the sufficient-decrease test,
-        # so backtracking halves the step below its floor
-        from gbgp.objectives import ObjectiveSpec
-
-        true_gradient = ObjectiveSpec.block_gradient
-        monkeypatch.setattr(ObjectiveSpec, "block_gradient",
-                            lambda self, *args: -true_gradient(self, *args))
+    def test_backtracking_underflow_exit_5(self, tmp_path, capsys):
+        # a cut penalty of 1e12 makes the objective's curvature across the
+        # cut 2e12, so backtracking halves the step below its 1e-12 floor
         graph = tmp_path / "path.txt"
         graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
         signal = tmp_path / "signal.txt"
-        signal.write_text("".join(f"{i}\t{v}\n" for i, v in enumerate([0, 1, 5, 5, 1, 0])))
+        signal.write_text("".join(f"{i}\t{v}\n" for i, v in enumerate([0, 1, 5, 1, 0, 5])))
         code = run(["detect", "--graph", str(graph), "--signal", str(signal),
-                    "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
+                    "--blocks", "2", "--budget", "2", "--lambda", "1e12",
+                    "--out", str(tmp_path / "o")])
         assert code == 5
         assert "backtracking underflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_iteration_cap_below_one_exit_2(self, temporal_bundle, tmp_path, capsys, cap):
+        code = run(["detect", "--bundle", str(temporal_bundle), "--budget", "11",
+                    "--max-outer-iters", cap, "--out", str(tmp_path / "cap")])
+        assert code == 2
+        assert "max_outer_iters" in capsys.readouterr().err
+        assert not (tmp_path / "cap" / "detect" / "supports.txt").exists()
 
     def test_failing_search_under_parallel_exit_5(self, tmp_path, capfd, monkeypatch):
         import gbgp.projections as projections

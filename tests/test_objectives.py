@@ -1,11 +1,17 @@
+import copy
+import ctypes
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgp.graph import BlockPartition, BlockSignal, Graph
-from gbgp.objectives import ObjectiveSpec, ems_block_gradient, ems_block_value
-from oracles import cut_laplacian_product
+from gbgp.objectives import ObjectiveSpec, dot, ems_block_gradient, ems_block_value
+from oracles import (ReferenceObjective, cut_laplacian_product, reference_ems_gradient,
+                     reference_ems_value)
 
 
 def finite_difference(fun, x, h=1e-5):
@@ -274,3 +280,96 @@ class TestInitialization:
         assert ObjectiveSpec("non", part, sig).kind == "non"
         with pytest.raises(ValueError):
             ObjectiveSpec("bogus", part, sig)
+
+
+@st.composite
+def objective_instances(draw):
+    """Random instances of every kind: NoN partitions as above, or stacked snapshots."""
+    kind = draw(st.sampled_from(["temporal", "non", "ems"]))
+    partition, signal, x, lam = draw(non_instances())
+    if kind == "temporal":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        K, size = draw(st.integers(1, 5)), draw(st.integers(0, 40))
+        edges = {(t * size + i, t * size + i + 1) for t in range(K) for i in range(size - 1)
+                 if rng.random() < 0.8}
+        partition = BlockPartition(Graph(K * size, sorted(edges)), np.repeat(np.arange(K), size),
+                                   K)
+        signal = BlockSignal(rng.normal(size=K * size))
+        x = np.resize(x, K * size)
+    return kind, partition, signal, x, lam
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestKernelMatchesTheReferenceFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_instances())
+    def test_every_entry_point_is_bit_equal(self, instance):
+        kind, partition, signal, x, lam = instance
+        obj = ObjectiveSpec(kind, partition, signal, lam=lam)
+        reference = ReferenceObjective(kind, partition, signal, lam=lam)
+        assert bits(obj.value(x)) == bits(reference.value(x))
+        assert bits(obj.coupling_value(x)) == bits(reference.coupling_value(x))
+        for k, nodes in enumerate(partition.block_nodes):
+            assert bits(obj.local_value(x, k)) == bits(reference.local_value(x, k))
+            assert obj.block_gradient(x, k).tobytes() == reference.block_gradient(x, k).tobytes()
+            c_k, x_k = signal.values[nodes], x[nodes]
+            assert bits(ems_block_value(c_k, x_k)) == bits(reference_ems_value(c_k, x_k))
+            assert (ems_block_gradient(c_k, x_k).tobytes()
+                    == reference_ems_gradient(c_k, x_k).tobytes())
+
+    def test_a_copy_reads_its_own_arrays(self):
+        obj = two_block_instance(lam=0.8, seed=6)
+        x = np.random.default_rng(7).uniform(0.1, 0.9, size=20)
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin._kernel_ref != obj._kernel_ref
+            assert twin.value(x) == obj.value(x)
+            for k in range(2):
+                assert twin.block_gradient(x, k).tobytes() == obj.block_gradient(x, k).tobytes()
+
+    def test_bad_shapes_are_refused(self):
+        obj = two_block_instance()
+        with pytest.raises(ValueError, match="one entry per node"):
+            obj.value(np.zeros(19))
+        with pytest.raises(IndexError):
+            obj.block_gradient(np.zeros(20), 2)
+        with pytest.raises(ValueError, match="lengths 2 and 3"):
+            ems_block_value([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def openblas_core():
+    """The kernel family NumPy's OpenBLAS chose at load time, or None if not found."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return None
+
+
+OPENBLAS_CORE = openblas_core()
+
+
+@pytest.mark.skipif(
+    (OPENBLAS_CORE or "").lower() != "skylakex",
+    reason=f"the kernel's dot sums as OpenBLAS's SkylakeX ddot does (an avx512f host), and "
+           f"NumPy's BLAS here runs {OPENBLAS_CORE or 'a kernel that does not name itself'}",
+)
+def test_dot_equals_numpy_on_a_skylakex_openblas():
+    rng = np.random.default_rng(0)
+    lengths = list(range(512)) + rng.integers(512, 10_000, size=1500).tolist()
+    for n in lengths:
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.normal(size=n)
+        assert bits(dot(x, y)) == bits(x @ y), n
+        assert bits(math.sqrt(dot(x, x))) == bits(np.linalg.norm(x)), n

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbgp.projections as projections
 import gbgp.solver as solver
@@ -22,7 +24,7 @@ from gbgp.solver import (
     theta_next,
 )
 
-from oracles import ems_optimum, path_graph
+from oracles import ReferenceObjective, ems_optimum, path_graph, reference_bcd_solve
 
 
 class QuadraticStub:
@@ -161,11 +163,13 @@ class TestEstimateStepSize:
 
 
 class TestBcdSolve:
+    """The Python loop in ``tests/oracles.py`` on stub objectives, and the kernel's errors."""
+
     def test_separable_quadratic_converges(self):
         n = 12
         stub = single_block_stub(n, target=np.full(n, 0.3))
         config = SolverConfig(budgets=n, inner_tol=1e-9, max_inner_cycles=200)
-        out = bcd_solve(stub, [np.ones(n, dtype=bool)], np.zeros(n), config)
+        out = reference_bcd_solve(stub, [np.ones(n, dtype=bool)], np.zeros(n), config)
         assert np.allclose(out, 0.3, atol=1e-6)
 
     def test_support_restriction_respected(self):
@@ -173,7 +177,7 @@ class TestBcdSolve:
         stub = single_block_stub(n, target=np.full(n, 0.8))
         omega = {0, 2, 4}
         config = SolverConfig(budgets=n)
-        out = bcd_solve(stub, [mask(n, omega)], np.zeros(n), config)
+        out = reference_bcd_solve(stub, [mask(n, omega)], np.zeros(n), config)
         assert set(np.flatnonzero(out != 0.0).tolist()) <= omega
 
     def test_monotone_objective_with_backtracking(self):
@@ -182,13 +186,90 @@ class TestBcdSolve:
         x0 = obj.initial_x()
         trace = []
         config = SolverConfig(budgets=10, step_mode="backtracking", max_inner_cycles=30)
-        bcd_solve(obj, masks, x0, config, trace=trace)
+        out = reference_bcd_solve(obj, masks, x0, config, trace=trace)
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert bcd_solve(obj, masks, x0, config).tobytes() == out.tobytes()
 
     def test_all_empty_omegas_rejected(self):
         stub = single_block_stub(3, target=np.zeros(3))
         with pytest.raises(ValueError):
-            bcd_solve(stub, [np.zeros(3, dtype=bool)], np.zeros(3), SolverConfig(budgets=3))
+            reference_bcd_solve(stub, [np.zeros(3, dtype=bool)], np.zeros(3),
+                                SolverConfig(budgets=3))
+        obj = planted_objective(n=3, truth=(1,))
+        with pytest.raises(ValueError, match="empty allowed supports"):
+            bcd_solve(obj, [np.zeros(3, dtype=bool)], np.zeros(3), SolverConfig(budgets=3))
+
+    def test_masks_must_fit_the_blocks(self):
+        obj = planted_objective(n=4, truth=(1,))
+        with pytest.raises(ValueError, match="one boolean per node"):
+            bcd_solve(obj, [np.ones(3, dtype=bool)], np.zeros(4), SolverConfig(budgets=3))
+
+    def test_underflow_names_the_block_like_the_reference(self):
+        # a cut penalty of 1e12 needs steps below 1e-12 to move node 3 off
+        # its cut neighbour 2, which block 0's mask pins at 0
+        part = BlockPartition(path_graph(6), [0, 0, 0, 1, 1, 1], 2)
+        signal = BlockSignal([0.0, 1.0, 5.0, 1.0, 0.0, 5.0])
+        obj = ObjectiveSpec("non", part, signal, lam=1e12)
+        reference = ReferenceObjective("non", part, signal, lam=1e12)
+        masks = [mask(3, {0, 1}), np.ones(3, dtype=bool)]
+        x0, config = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), SolverConfig(budgets=2)
+        with pytest.raises(RuntimeError) as expected:
+            reference_bcd_solve(reference, masks, x0, config)
+        with pytest.raises(RuntimeError, match="backtracking underflow on block 1") as raised:
+            bcd_solve(obj, masks, x0, config)
+        assert str(raised.value) == str(expected.value)
+
+
+@st.composite
+def inner_solves(draw):
+    """A random objective of each kind, masks with empty blocks, a start and a config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["temporal", "non", "ems"]))
+    K = draw(st.integers(1, 5))
+    if kind == "temporal":
+        size = draw(st.integers(1, 40))
+        n = size * K
+        blocks = np.repeat(np.arange(K), size)
+        edges = {(t * size + i, t * size + i + 1) for t in range(K) for i in range(size - 1)}
+    else:
+        n = draw(st.integers(K, 120))
+        blocks = rng.permutation(np.arange(n) % K)
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+        edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    partition = BlockPartition(Graph(n, sorted(edges)), blocks, K)
+    signal = BlockSignal(rng.normal(size=n) * 10.0 ** rng.uniform(-1, 1)
+                         + (rng.random(n) < 0.2) * draw(st.sampled_from([0.0, 4.0])))
+    lam = draw(st.sampled_from([0.0, 0.01, 0.37, 3.0, 1e12]))
+    masks = [rng.random(len(nodes)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+             for nodes in partition.block_nodes]
+    if not any(m.any() for m in masks):
+        masks[int(rng.integers(0, K))][:] = True
+    x0 = rng.random(n) * draw(st.sampled_from([0.0, 1.0, 1.5])) - draw(st.sampled_from([0.0, 0.2]))
+    config = SolverConfig(budgets=1, step_mode=draw(st.sampled_from(["fixed", "backtracking"])),
+                          step_size=draw(st.sampled_from([1.0, 0.3, 4.0])),
+                          inner_tol=draw(st.sampled_from([1e-3, 1e-9])),
+                          max_inner_cycles=draw(st.integers(1, 40)))
+    return kind, partition, signal, lam, masks, x0, config
+
+
+class TestKernelMatchesTheReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(inner_solves())
+    def test_bit_equal_iterates_and_counts(self, solve):
+        kind, partition, signal, lam, masks, x0, config = solve
+        counts, expected_counts = np.zeros(4, dtype=np.int64), [0] * 4
+        try:
+            expected = reference_bcd_solve(ReferenceObjective(kind, partition, signal, lam),
+                                           masks, x0, config, counts=expected_counts)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                bcd_solve(ObjectiveSpec(kind, partition, signal, lam), masks, x0, config)
+            return
+        out = bcd_solve(ObjectiveSpec(kind, partition, signal, lam), masks, x0, config, counts)
+        assert out.tobytes() == expected.tobytes()
+        assert counts.tolist() == expected_counts
+        if config.step_mode == "fixed":
+            assert counts[2] == counts[3] == 0
 
 
 class TestParallelBcdSolve:
@@ -329,6 +410,12 @@ class TestGbgpSolve:
             with pytest.raises(ValueError, match="budget must be >= 1"):
                 SolverConfig(budgets=budget)
 
+    @pytest.mark.parametrize("knob", ["max_outer_iters", "max_inner_cycles"])
+    def test_iteration_caps_below_one_rejected_at_construction(self, knob):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                SolverConfig(**{knob: cap})
+
     def test_lambda_zero_decouples_into_independent_runs(self):
         # temporal coupling off: each timestamp solves as its own instance
         rng = np.random.default_rng(4)
@@ -461,8 +548,8 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
 
         return record
 
-    def inner(objective, masks, x, cfg):
-        b = bcd_solve(objective, masks, x, cfg)
+    def inner(objective, masks, x, cfg, counts):
+        b = bcd_solve(objective, masks, x, cfg, counts)
         events.append(("inner", None, x.copy(), None, b))
         return b
 
@@ -569,9 +656,9 @@ def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
         searches.append((len(inner_inputs) - (kind == "tail"), kind, k, out[1]))
         return out
 
-    def inner(objective, masks, x, cfg):
+    def inner(objective, masks, x, cfg, counts):
         inner_inputs.append(x.copy())
-        return bcd_solve(objective, masks, x, cfg)
+        return bcd_solve(objective, masks, x, cfg, counts)
 
     monkeypatch.setattr(solver, "head_project", project("head", solver.head_project))
     monkeypatch.setattr(solver, "tail_project", project("tail", solver.tail_project))
@@ -599,6 +686,29 @@ def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
     assert rebuilt[-1].tobytes() == result.x_final.tobytes()
     assert set(records[-1].nodes.tolist()) == result.support_nodes()
     assert all(np.isfinite(r.objective) and r.delta >= 0 and r.wall_ms >= 0 for r in records)
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_records_carry_the_inner_solver_counts(monkeypatch, parallel):
+    obj = non_objective()
+    config = SolverConfig(budgets=18, max_outer_iters=4, outer_tol=0.0, seed=2,
+                          parallel=parallel)
+    name = "parallel_bcd_solve" if parallel else "bcd_solve"
+    inner_solve, reported = getattr(solver, name), []
+
+    def inner(*args):
+        out = inner_solve(*args)
+        reported.append(tuple(args[-1].tolist()))
+        return out
+
+    monkeypatch.setattr(solver, name, inner)
+    records = gbgp_solve(obj, config).iterations
+    assert [(r.inner_cycles, r.block_visits, r.restarts, r.halvings)
+            for r in records] == reported
+    for cycles, visits, restarts, _ in reported:
+        assert 1 <= cycles <= config.max_inner_cycles * (obj.num_blocks if parallel else 1)
+        assert 1 <= visits <= cycles * obj.num_blocks
+        assert restarts <= visits and (restarts == 0 or not parallel)
 
 
 @pytest.mark.parametrize("parallel", [0, 2])
