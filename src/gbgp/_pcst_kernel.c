@@ -905,21 +905,19 @@ double gbgp_dot(const double *x, const double *y, idx n)
 /*
  * One objectives.ObjectiveSpec, filled in by its constructor. Block k's
  * entries are [bstart[k], bstart[k + 1]) of nodes (its global ids) and
- * signal. kind is 0 for ems, 1 for temporal and 2 for non. For non,
- * block k's rows of the cut Laplacian are entries [rstart[k],
- * rstart[k + 1]) of rows (local), cols (global) and vals, in CSR order;
- * the cut edges that touch block k are entries [cstart[k], cstart[k + 1])
- * of cu and cv, and all ncut of them are eu and ev. The row arrays are
- * unset when ncut is 0.
+ * signal. kind is 0 for ems, 1 for temporal and 2 for non. For non, the
+ * ncut cut edges are eu and ev; node v's cut neighbours, ascending, are
+ * entries [cut_indptr[v], cut_indptr[v + 1]) of cut_nodes (the graph's
+ * CSR adjacency less each node's same-block neighbours); and the ids of
+ * the cut edges that touch block k, in edge order, are entries
+ * [cstart[k], cstart[k + 1]) of cid.
  */
 typedef struct {
     idx num_blocks, kind, ncut;
     double lam;
     const idx *bstart, *nodes;
     const double *signal;
-    const idx *rstart, *rows, *cols;
-    const double *vals;
-    const idx *cstart, *cu, *cv, *eu, *ev;
+    const idx *cut_indptr, *cut_nodes, *cstart, *cid, *eu, *ev;
 } objective;
 
 #define EPS_DENOMINATOR 1e-6
@@ -998,6 +996,7 @@ static double block_ems(const objective *o, const double *x, idx k, double *w)
 static double local_value(const objective *o, const double *x, idx k, double *w)
 {
     idx len = block_len(o, k), cnt, j;
+    const idx *cid;
     double total = block_ems(o, x, k, w);
     if (decoupled(o))
         return total;
@@ -1009,9 +1008,11 @@ static double local_value(const objective *o, const double *x, idx k, double *w)
         }
         return total;
     }
+    cid = o->cid + o->cstart[k];
     cnt = o->cstart[k + 1] - o->cstart[k];
     if (cnt) {
-        diff(x, o->cu + o->cstart[k], o->cv + o->cstart[k], cnt, w);
+        for (j = 0; j < cnt; j++)
+            w[j] = x[o->eu[cid[j]]] - x[o->ev[cid[j]]];
         total += o->lam * gbgp_dot(w, w, cnt);
     }
     return total;
@@ -1020,9 +1021,9 @@ static double local_value(const objective *o, const double *x, idx k, double *w)
 /* ObjectiveSpec.block_gradient: dF/dx on block k, into g */
 static void block_gradient(const objective *o, const double *x, idx k, double *g, double *w)
 {
-    idx i, j, len = block_len(o, k);
+    idx i, j, v, end, len = block_len(o, k);
     const idx *nk = block_ids(o, k), *nj;
-    double twice_lam = 2.0 * o->lam;
+    double twice_lam = 2.0 * o->lam, row;
     for (i = 0; i < len; i++)
         w[i] = x[nk[i]];
     ems_gradient(o->signal + o->bstart[k], w, len, g);
@@ -1039,14 +1040,22 @@ static void block_gradient(const objective *o, const double *x, idx k, double *g
     }
     if (!o->ncut)
         return;
-    /* np.bincount: each row summed in entry order from 0.0, so a block
-       without cut rows still adds 0.0, which clears a -0.0 */
-    for (i = 0; i < len; i++)
-        w[i] = 0.0;
-    for (j = o->rstart[k]; j < o->rstart[k + 1]; j++)
-        w[o->rows[j]] += o->vals[j] * x[o->cols[j]];
-    for (i = 0; i < len; i++)
-        g[i] = g[i] + twice_lam * w[i];
+    /* row v of the cut Laplacian summed from 0.0 in column order, as
+       np.bincount sums its CSR-ordered entries: the cut neighbours below
+       v, the degree on the diagonal, then those above; a row without cut
+       neighbours adds 0.0, which clears a -0.0 */
+    for (i = 0; i < len; i++) {
+        v = nk[i];
+        end = o->cut_indptr[v + 1];
+        row = 0.0;
+        for (j = o->cut_indptr[v]; j < end && o->cut_nodes[j] < v; j++)
+            row += -1.0 * x[o->cut_nodes[j]];
+        if (end > o->cut_indptr[v])
+            row += (double)(end - o->cut_indptr[v]) * x[v];
+        for (; j < end; j++)
+            row += -1.0 * x[o->cut_nodes[j]];
+        g[i] = g[i] + twice_lam * row;
+    }
 }
 
 /* ObjectiveSpec.coupling_value */

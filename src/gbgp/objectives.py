@@ -17,9 +17,11 @@ bit:
 - a sum such as ``x.sum()`` is NumPy's pairwise summation;
 - each ``a @ b`` is :func:`dot`, OpenBLAS's SkylakeX ``ddot`` order, and a
   norm is ``sqrt(dot(x, x))``, as ``np.linalg.norm`` computes it;
-- the NoN gradient adds each block row of the cut Laplacian from 0.0 in
-  CSR order, as ``np.bincount`` does, also on a block without cut rows,
-  which clears a -0.0; ``2.0 * lam`` is formed first;
+- the NoN gradient sums each row of the cut Laplacian from 0.0 in
+  ascending column order, as ``np.bincount`` sums CSR-ordered entries,
+  from a cut CSR filtered out of the graph's own adjacency; a block
+  without cut rows still adds 0.0, which clears a -0.0; ``2.0 * lam`` is
+  formed first;
 - the NoN coupling value is ``np.square(diff).sum()``, pairwise.
 """
 from __future__ import annotations
@@ -84,47 +86,8 @@ class _KernelObjective(ctypes.Structure):
     _fields_ = [(name, ctypes.c_int64) for name in ("num_blocks", "kind", "ncut")]
     _fields_ += [("lam", ctypes.c_double)]
     _fields_ += [(name, ctypes.c_void_p) for name in
-                 ("bstart", "nodes", "signal", "rstart", "rows", "cols", "vals", "cstart",
-                  "cu", "cv", "eu", "ev")]
-
-
-def _cut_laplacian_rows(partition: BlockPartition) -> tuple[np.ndarray, ...]:
-    """The blocks' rows of the cut Laplacian as ``(local row, column, value, start)``.
-
-    Block k's entries are ``[start[k], start[k + 1])``. Row i holds -1 at
-    each cut neighbour of i and i's cut degree on the diagonal, in
-    ascending column order, so that adding a row's terms from 0.0 in entry
-    order, as ``np.bincount`` does, adds them in the order a CSR product
-    does. Built from the graph's CSR adjacency, whose neighbours ascend, in
-    O(n + cut).
-    """
-    graph, blocks = partition.graph, partition.assignment
-    n = graph.node_count
-    src = np.repeat(np.arange(n), np.diff(graph.adj_indptr))
-    crossing = np.flatnonzero(blocks[src] != blocks[graph.adj_nodes])
-    rows, cols = src[crossing], graph.adj_nodes[crossing]
-    degree = np.bincount(rows, minlength=n)
-    hubs = np.flatnonzero(degree)
-    # a hub's run of entries: its cut neighbours and its diagonal, in block order
-    count = degree + (degree > 0)
-    order = np.concatenate(partition.block_nodes)
-    lens = count[order]
-    run = np.empty(n, dtype=np.int64)
-    run[order] = np.cumsum(lens) - lens
-    # within its run a cut neighbour keeps its rank in the row, one place
-    # on when it is above the row, and the diagonal follows those below it
-    rank = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
-    below = np.bincount(rows[cols < rows], minlength=n)[hubs]
-    diagonal = run[hubs] + below
-    out_cols = np.empty(len(rows) + len(hubs), dtype=np.int64)
-    out_cols[run[rows] + rank + (cols > rows)] = cols
-    out_cols[diagonal] = hubs
-    out_vals = np.full(len(out_cols), -1.0)
-    out_vals[diagonal] = degree[hubs]
-    local = np.concatenate([np.arange(len(nodes)) for nodes in partition.block_nodes])
-    start = np.zeros(partition.num_blocks + 1, dtype=np.int64)
-    start[1:] = np.cumsum(np.bincount(blocks, weights=count, minlength=partition.num_blocks))
-    return np.repeat(local, lens), out_cols, out_vals, start
+                 ("bstart", "nodes", "signal", "cut_indptr", "cut_nodes", "cstart", "cid",
+                  "eu", "ev")]
 
 
 class ObjectiveSpec:
@@ -169,23 +132,23 @@ class ObjectiveSpec:
         arrays = {"bstart": bstart, "nodes": nodes, "signal": signals}
         ncut = 0
         if self.kind == "non":
+            graph, blocks = partition.graph, partition.assignment
             cut = partition.cut_edges
             ncut = len(cut)
-            eu, ev = cut.T
-            # the cut edges that touch each block, in edge order
-            blocks_u, blocks_v = partition.assignment[cut.T]
+            # the graph's CSR adjacency less each node's same-block neighbours
+            crossing = np.repeat(blocks, np.diff(graph.adj_indptr)) != blocks[graph.adj_nodes]
+            kept = np.zeros(len(crossing) + 1, dtype=np.int64)
+            np.cumsum(crossing, out=kept[1:])
+            # the ids of the cut edges that touch each block, in edge order
+            blocks_u, blocks_v = blocks[cut.T]
             touching = [np.flatnonzero((blocks_u == k) | (blocks_v == k)) for k in range(K)]
             cstart = np.zeros(K + 1, dtype=np.int64)
             np.cumsum([len(ids) for ids in touching], out=cstart[1:])
-            ids = np.concatenate(touching)
-            arrays.update(eu=eu, ev=ev, cu=eu[ids], cv=ev[ids], cstart=cstart)
-            if ncut:
-                arrays.update(zip(("rows", "cols", "vals", "rstart"),
-                                  _cut_laplacian_rows(partition)))
+            arrays.update(cut_indptr=kept[graph.adj_indptr], cut_nodes=graph.adj_nodes[crossing],
+                          cstart=cstart, cid=np.concatenate(touching), eu=cut[:, 0], ev=cut[:, 1])
         # the kernel reads these through the struct: they live as long as the spec
         self._kernel_arrays = {
-            name: np.ascontiguousarray(a, dtype=np.float64 if name in ("signal", "vals")
-                                       else np.int64)
+            name: np.ascontiguousarray(a, dtype=np.float64 if name == "signal" else np.int64)
             for name, a in arrays.items()
         }
         self._ncut = ncut

@@ -198,9 +198,23 @@ class PcstEngine:
         self._best = np.empty(self.n, dtype=np.int64)
         self._mult = np.empty(1, dtype=np.float64)
         self._probes = np.empty(1, dtype=np.int64)
+        self._link_buffers()
+
+    def _link_buffers(self) -> None:
+        """Point the kernel calls' address tuples at this engine's buffers."""
         ptr = [a.ctypes.data for a in self._graph_arrays]
         self._args = (self.n, self.m, *ptr, self._cost.ctypes.data, self._prize.ctypes.data)
         self._work = (self._iwork.ctypes.data, self._dwork.ctypes.data, self._out.ctypes.data)
+
+    # a copy or an unpickled engine points its calls at its own buffers
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_args"], state["_work"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._link_buffers()
 
     def solve(self, costs, prizes, num_trees: int = 1) -> PcstResult:
         """Run moat growing and strong pruning.

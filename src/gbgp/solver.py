@@ -38,24 +38,11 @@ __all__ = [
     "gbgp_solve",
     "bcd_solve",
     "parallel_bcd_solve",
-    "proximal_block_update",
     "estimate_step_size",
-    "momentum_next",
-    "momentum_weight",
     "theta_next",
 ]
 
 _STEP_FLOOR = 1e-12
-
-
-def momentum_next(rho: float) -> float:
-    """Momentum sequence: rho_{t+1} = (1 + sqrt(1 + 4 rho_t^2)) / 2."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho * rho))
-
-
-def momentum_weight(rho: float) -> float:
-    """Extrapolation weight omega_t = (rho_t - 1) / rho_t, in [0, 1)."""
-    return (rho - 1.0) / rho
 
 
 def theta_next(theta: float) -> float:
@@ -142,24 +129,6 @@ class DetectionResult:
         for support in self.supports:
             out.update(support.nodes)
         return out
-
-
-def proximal_block_update(
-    objective: ObjectiveSpec,
-    k: int,
-    y_hat: np.ndarray,
-    alpha: float,
-    omega_local: np.ndarray,
-) -> np.ndarray:
-    """Closed-form proximal step on block k around the point ``y_hat``.
-
-    Gradient step with size alpha, entries outside the allowed support
-    zeroed, then clipped to the box [0, 1].
-    """
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    grad = objective.block_gradient(y_hat, k)
-    return _box_step(y_hat[objective.partition.block_nodes[k]], grad, alpha, omega_local)
 
 
 def _box_step(y_k: np.ndarray, grad: np.ndarray, alpha: float,

@@ -8,11 +8,12 @@ pure Python, which the compiled engine must match byte for byte;
 search in Python, which the kernel's search must match the same way.
 ``cut_laplacian_product`` is the NoN coupling's per-row product, summed
 as SciPy's CSR product summed it. ``ReferenceObjective`` and
-``reference_bcd_solve`` are the objective's NumPy formulas and the serial
-inner solver's Python loop, which the kernel's objective and
-``gbgp_bcd_solve`` must match byte for byte; their dot products are the
-kernel's ``dot``, which sums as NumPy's ``@`` does on a SkylakeX
-OpenBLAS, so that they agree on any host.
+``reference_bcd_solve`` (with its momentum sequence and proximal step)
+are the objective's NumPy formulas and the serial inner solver's Python
+loop, which the kernel's objective and ``gbgp_bcd_solve`` must match
+byte for byte; their dot products are the kernel's ``dot``, which sums
+as NumPy's ``@`` does on a SkylakeX OpenBLAS, so that they agree on any
+host.
 """
 import heapq
 import itertools
@@ -692,6 +693,30 @@ class ReferenceObjective:
         return total
 
 
+def momentum_next(rho: float) -> float:
+    """Momentum sequence: rho_{t+1} = (1 + sqrt(1 + 4 rho_t^2)) / 2."""
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho * rho))
+
+
+def momentum_weight(rho: float) -> float:
+    """Extrapolation weight omega_t = (rho_t - 1) / rho_t, in [0, 1)."""
+    return (rho - 1.0) / rho
+
+
+def proximal_block_update(objective, k, y_hat, alpha, omega_local):
+    """Closed-form proximal step on block k around the point ``y_hat``.
+
+    Gradient step with size alpha, entries outside the allowed support
+    zeroed, then clipped to the box [0, 1].
+    """
+    from gbgp.solver import _box_step
+
+    if alpha <= 0:
+        raise ValueError("step size must be positive")
+    grad = objective.block_gradient(y_hat, k)
+    return _box_step(y_hat[objective.partition.block_nodes[k]], grad, alpha, omega_local)
+
+
 def reference_bcd_solve(objective, masks, x_init, config, trace=None, counts=None):
     """``gbgp.solver.bcd_solve`` as the Python loop its kernel replays.
 
@@ -701,8 +726,7 @@ def reference_bcd_solve(objective, masks, x_init, config, trace=None, counts=Non
     visits, restarts and halvings the kernel reports.
     """
     from gbgp.objectives import dot
-    from gbgp.solver import (_restrict, estimate_step_size, momentum_next, momentum_weight,
-                             proximal_block_update)
+    from gbgp.solver import _restrict, estimate_step_size
 
     if not any(mask.any() for mask in masks):
         raise ValueError("all blocks have empty allowed supports")

@@ -9,10 +9,13 @@ returns a single pruned best tree, which can break it (see
 ``test_single_best_tree_can_exceed_the_forest_bound``), so the check
 holds on those seeds and is not a guarantee.
 """
+import copy
+import gc
 import hashlib
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sysconfig
 import types
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 import gbgp.pcst
 from gbgp.graph import Graph, connected_components
 from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel
+from gbgp.projections import MAX_SEARCH_ITERATIONS, MULTIPLIER_HIGH, MULTIPLIER_LOW
 from oracles import ReferencePcstEngine, strong_prune
 
 
@@ -449,6 +453,29 @@ class TestReplayedTieChoices:
             tmp_path, "if (s->degsum[ru] < s->degsum[rv]) {",
             "if (s->degsum[ru] <= s->degsum[rv]) {"))
         assert [PcstEngine(g).solve(c, p, t).components for g, c, p, t in instances] == solved
+
+
+class TestEngineCopies:
+    @pytest.mark.parametrize("make_twin", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_calls_the_kernel_on_its_own_buffers(self, make_twin):
+        graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        engine = PcstEngine(graph)
+        engine.solve(graph.edge_w, np.ones(6))
+        twin = make_twin(engine)
+        own = {a.ctypes.data for a in (*twin._graph_arrays, twin._cost, twin._prize,
+                                       twin._iwork, twin._dwork, twin._out)}
+        assert set(twin._args[2:]) | set(twin._work) <= own
+        del engine
+        gc.collect()
+        fresh = PcstEngine(graph)
+        costs, prizes = graph.edge_w * 0.5, np.array([1.0, 0.0, 0.0, 2.0, 0.0, 1.5])
+        assert (repr(twin.solve(costs, prizes, 2).components)
+                == repr(fresh.solve(costs, prizes, 2).components))
+        total = float(prizes.sum())
+        args = (prizes, 2, 2, 1, None, MULTIPLIER_LOW, MULTIPLIER_HIGH, total, total,
+                MAX_SEARCH_ITERATIONS)
+        assert twin.search(*args) == fresh.search(*args)
 
 
 class TestKernelCache:

@@ -17,14 +17,12 @@ from gbgp.solver import (
     bcd_solve,
     estimate_step_size,
     gbgp_solve,
-    momentum_next,
-    momentum_weight,
     parallel_bcd_solve,
-    proximal_block_update,
     theta_next,
 )
 
-from oracles import ReferenceObjective, ems_optimum, path_graph, reference_bcd_solve
+from oracles import (ReferenceObjective, ems_optimum, momentum_next, momentum_weight, path_graph,
+                     proximal_block_update, reference_bcd_solve)
 
 
 class QuadraticStub:
