@@ -25,12 +25,11 @@
  * reference in tests/oracles.py to the bit: pairwise sums, np.bincount's
  * entry order, and gbgp_dot, which sums as OpenBLAS's SkylakeX ddot does.
  *
- * The caller owns every buffer: the graph's edge and CSR arrays, an
- * int64 and a double work buffer sized by gbgp_pcst_work_sizes, and the
- * output buffers. Only the heap, the candidate list and the objective's
- * scratch are allocated here, and freed before returning. Calls on
- * distinct buffers share no state, so they may run at once on several
- * threads.
+ * The caller owns the inputs and the outputs: the graph's edge and CSR
+ * arrays, costs, prizes and the arrays results are written to. Every call
+ * allocates its own work space and frees it before returning, and the
+ * inputs are only read, so calls share no state and may run at once on
+ * several threads, on one graph as on many.
  */
 #include <math.h>
 #include <stdint.h>
@@ -87,31 +86,28 @@ typedef struct {
     double *cost_up, *best;
     idx *stage_nodes;
     pair *stage_edges;
-    /* search: a forest's sorted nodes, each one's tree degree (-1 once
-       trimmed) and the xor of its tree neighbours, the trim heap, and
-       the support's prizes in order */
-    idx *cur, *deg, *nbrx;
+    candidate *cands;
+    /* search: a probe's forest as forest() writes it and its costs, the
+       forest's sorted nodes, each one's tree degree (-1 once trimmed) and
+       the xor of its tree neighbours, the trim heap, and the support's
+       prizes in order */
+    idx *found, *cur, *deg, *nbrx;
+    double *probe_cost;
     leaf *leaves;
     double *gather;
     /* heap */
     entry *heap;
     idx heap_len, heap_cap, active_count;
+    /* the one allocation every array above except the heap is carved from */
+    idx *work;
 } state;
 
 /* per-node int64 and double arrays that carve hands out */
 #define NODE_INTS 23
 #define NODE_DOUBLES 7
 
-/* sizes[0]: int64 work entries, sizes[1]: double work entries */
-void gbgp_pcst_work_sizes(idx n, idx m, idx *sizes)
-{
-    /* plus astart (n + 1), nbr, aeid and stage_edges (2n each), the
-       trim heap (2n leaves of two words), eseen and intree (m each) */
-    sizes[0] = NODE_INTS * n + (n + 1) + 3 * (2 * n) + 4 * n + 2 * m;
-    sizes[1] = NODE_DOUBLES * n;
-}
-
-static void carve(state *s, idx n, idx m, idx *iw, double *dw)
+/* hand out the arrays of state from iw, the int64 ones first */
+static void carve(state *s, idx n, idx m, idx *iw)
 {
     idx **ints[NODE_INTS] = {
         &s->parent, &s->active, &s->version, &s->minid, &s->size, &s->degsum,
@@ -135,11 +131,17 @@ static void carve(state *s, idx n, idx m, idx *iw, double *dw)
     iw += 2 * n;
     s->leaves = (leaf *)iw;
     iw += 4 * n;
+    s->found = iw;
+    iw += 4 * n;
+    s->cands = (candidate *)iw;
+    iw += 5 * n;
     s->eseen = iw;
     iw += m;
     s->intree = iw;
-    for (i = 0; i < NODE_DOUBLES; i++, dw += n)
-        *doubles[i] = dw;
+    iw += m;
+    for (i = 0; i < NODE_DOUBLES; i++, iw += n)
+        *doubles[i] = (double *)iw;
+    s->probe_cost = (double *)iw;
 }
 
 static int less(const entry *x, const entry *y)
@@ -440,12 +442,12 @@ static void strong_prune(state *s, const idx *mem, idx k, idx nstart, idx estart
  * node counts, out[n..) their sorted node lists back to back, out[2n..)
  * their sorted edges as (u, v) pairs back to back (node count - 1 edges
  * each). Returns k, or -1 when memory ran out. The heap stays allocated
- * in s->heap for the next call.
+ * in s->heap for the next call on s.
  */
 static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
 {
     entry item, seed;
-    candidate *cands = NULL;
+    candidate *cands = s->cands;
     const idx *indptr = s->indptr, *adj_eids = s->adj_eids, *eu = s->eu, *ev = s->ev;
     const double *prize = s->prize;
     idx u, r, j, eid, ncands = 0, nstage = 0, estage = 0, nroots = 0, pos = 0;
@@ -544,8 +546,6 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
         r = find(s, u);
         if (s->mark[r]) s->members[s->mstart[r]++] = u;
     }
-    cands = malloc((size_t)(nroots > 0 ? nroots : 1) * sizeof(candidate));
-    if (!cands) return -1;
     for (i = 0; i < nroots; i++) {
         r = s->roots[i];
         if (s->size[r] == 1) {
@@ -579,14 +579,22 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
         written += cands[i].ncount;
         ewritten += cands[i].ncount - 1;
     }
-    free(cands);
     return trees;
 }
 
-static void init(state *s, idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
-                 const idx *adj_eids, const double *cost, const double *prize,
-                 idx *iwork, double *dwork)
+/*
+ * Point s at the graph, the costs and the prizes, and allocate the words
+ * carve() hands out: the per-node arrays, astart (n + 1), nbr, aeid and
+ * stage_edges (2n each), the trim heap (2n leaves of two words), found
+ * (4n), cands (n of five words), eseen, intree and probe_cost (m each).
+ * Never empty, so a null s->work means out of memory: returns -1. The
+ * caller frees s->work and s->heap, which forest() grows.
+ */
+static int init(state *s, idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
+                const idx *adj_eids, const double *cost, const double *prize)
 {
+    idx words = (NODE_INTS + NODE_DOUBLES) * n + (n + 1) + 3 * (2 * n) + 4 * n + 4 * n + 5 * n
+                + 3 * m;
     s->eu = eu;
     s->ev = ev;
     s->indptr = indptr;
@@ -595,19 +603,23 @@ static void init(state *s, idx n, idx m, const idx *eu, const idx *ev, const idx
     s->prize = prize;
     s->heap = NULL;
     s->heap_cap = 0;
-    carve(s, n, m, iwork, dwork);
+    s->work = malloc((size_t)words * sizeof(idx));
+    if (!s->work) return -1;
+    carve(s, n, m, s->work);
+    return 0;
 }
 
 /* one PcstEngine.solve: forest() on cost and prize; see there */
 idx gbgp_pcst_solve(idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
                     const idx *adj_eids, const double *cost, const double *prize,
-                    idx num_trees, idx *iwork, double *dwork, idx *out)
+                    idx num_trees, idx *out)
 {
     state s;
-    idx trees;
-    init(&s, n, m, eu, ev, indptr, adj_eids, cost, prize, iwork, dwork);
-    trees = forest(&s, n, m, num_trees, out);
+    idx trees = -1;
+    if (init(&s, n, m, eu, ev, indptr, adj_eids, cost, prize) == 0)
+        trees = forest(&s, n, m, num_trees, out);
     free(s.heap);
+    free(s.work);
     return trees;
 }
 
@@ -741,17 +753,20 @@ static double pairwise_sum(const double *a, idx n)
  * probe's cost is not positive and finite.
  */
 idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
-                     const idx *adj_eids, const double *weight, double *cost,
-                     const double *prize, idx num_trees, idx budget, idx capacity,
-                     idx max_probes, idx has_warm, double warm, double low, double high,
-                     double total, double exit_score, idx *iwork, double *dwork, idx *out,
+                     const idx *adj_eids, const double *weight, const double *prize,
+                     idx num_trees, idx budget, idx capacity, idx max_probes, idx has_warm,
+                     double warm, double low, double high, double total, double exit_score,
                      idx *best, double *mult_out, idx *probes_out)
 {
     state s;
-    idx probe, e, i, trees, count, len, best_len = -1, status = 0, oversized, better;
+    idx probe, e, i, trees, count, len, best_len = -1, status = -1, oversized, better, *out;
     double lo = log(low), hi = log(high), mid, mult, score, best_score = 0.0, best_mult = 0.0;
+    double *cost;
 
-    init(&s, n, m, eu, ev, indptr, adj_eids, cost, prize, iwork, dwork);
+    if (init(&s, n, m, eu, ev, indptr, adj_eids, NULL, prize))
+        goto done;
+    out = s.found;
+    s.cost = cost = s.probe_cost;
     for (probe = 0; probe < max_probes; probe++) {
         if (probe == 0 && has_warm) {
             /* min(max(warm, low), high) */
@@ -771,10 +786,8 @@ idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indp
             }
         }
         trees = forest(&s, n, m, num_trees, out);
-        if (trees < 0) {
-            status = -1;
+        if (trees < 0)
             goto done;
-        }
         for (i = 0, count = 0; i < trees; i++) count += out[i];
         memcpy(s.cur, out + n, (size_t)count * sizeof(idx));
         qsort(s.cur, (size_t)count, sizeof(idx), cmp_idx);
@@ -818,6 +831,7 @@ idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indp
     status = best_len;
 done:
     free(s.heap);
+    free(s.work);
     return status;
 }
 

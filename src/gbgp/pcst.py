@@ -45,6 +45,10 @@ arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
 behind ``solver.bcd_solve``), which mirror NumPy's pairwise sums,
 ``np.bincount`` and OpenBLAS's SkylakeX ``ddot``.
 
+Every kernel call allocates its own work space, frees it before
+returning and writes only to the caller's fresh output arrays. Calls
+share no state, so any of them may run at once on several threads.
+
 The kernel is built on first import with the interpreter's C compiler
 (``sysconfig`` ``CC``) into ``__pycache__/``, under a name keyed by the
 sha256 of the source and the compile command, and reused from there.
@@ -105,12 +109,10 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
                 os.remove(tmp)
     lib = ctypes.CDLL(path)
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.gbgp_pcst_work_sizes.argtypes = [i64, i64, p]
-    lib.gbgp_pcst_work_sizes.restype = None
-    lib.gbgp_pcst_solve.argtypes = [i64, i64, p, p, p, p, p, p, i64, p, p, p]
+    lib.gbgp_pcst_solve.argtypes = [i64, i64, p, p, p, p, p, p, i64, p]
     lib.gbgp_pcst_solve.restype = i64
-    lib.gbgp_pcst_search.argtypes = [i64, i64, p, p, p, p, p, p, p, i64, i64, i64, i64, i64,
-                                     f64, f64, f64, f64, f64, p, p, p, p, p, p]
+    lib.gbgp_pcst_search.argtypes = [i64, i64, p, p, p, p, p, p, i64, i64, i64, i64, i64,
+                                     f64, f64, f64, f64, f64, p, p, p]
     lib.gbgp_pcst_search.restype = i64
     lib.gbgp_components.argtypes = [i64, i64, p, p, p]
     lib.gbgp_components.restype = i64
@@ -167,15 +169,14 @@ class PcstEngine:
 
     The edge endpoints and the incidence come from the graph's CSR
     adjacency (``adj_indptr``/``adj_eids``, ascending edge ids per node).
-    They, the kernel's work space and its output stay in NumPy buffers
-    for the engine's life, so a solve copies its costs and prizes in and
-    makes one kernel call. ``labels`` holds each node's connected
-    component, which no tree of a returned forest leaves; it comes from
+    The engine keeps them, the edge weights and ``labels``: each node's
+    connected component, which no tree of a returned forest leaves, from
     :func:`component_labels`, one kernel call at construction.
 
-    Every call writes to the engine's own buffers, so one engine serves
-    one call at a time; engines of different graphs may run at once on
-    different threads, as the kernel runs without the GIL.
+    A solve or a search is one kernel call, which allocates its own work
+    space, frees it before returning and only reads the engine's arrays.
+    Calls share no state, so one engine may serve several threads at once;
+    the kernel runs without the GIL.
     """
 
     def __init__(self, graph: Graph):
@@ -186,35 +187,9 @@ class PcstEngine:
         self._graph_arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in
                               (graph.edge_u, graph.edge_v, graph.adj_indptr, graph.adj_eids)]
         self._weight = np.ascontiguousarray(graph.edge_w, dtype=np.float64)
-        sizes = np.zeros(2, dtype=np.int64)
-        _kernel.gbgp_pcst_work_sizes(self.n, self.m, sizes.ctypes.data)
-        self._cost = np.empty(self.m, dtype=np.float64)
-        self._prize = np.empty(self.n, dtype=np.float64)
-        self._iwork = np.empty(int(sizes[0]), dtype=np.int64)
-        self._dwork = np.empty(int(sizes[1]), dtype=np.float64)
-        # node counts per tree, then their node lists, then their edges as pairs
-        self._out = np.empty(4 * self.n, dtype=np.int64)
-        # a search's best support, its multiplier and its probe count
-        self._best = np.empty(self.n, dtype=np.int64)
-        self._mult = np.empty(1, dtype=np.float64)
-        self._probes = np.empty(1, dtype=np.int64)
-        self._link_buffers()
 
-    def _link_buffers(self) -> None:
-        """Point the kernel calls' address tuples at this engine's buffers."""
-        ptr = [a.ctypes.data for a in self._graph_arrays]
-        self._args = (self.n, self.m, *ptr, self._cost.ctypes.data, self._prize.ctypes.data)
-        self._work = (self._iwork.ctypes.data, self._dwork.ctypes.data, self._out.ctypes.data)
-
-    # a copy or an unpickled engine points its calls at its own buffers
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_args"], state["_work"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._link_buffers()
+    def _graph_args(self) -> tuple:
+        return (self.n, self.m, *(a.ctypes.data for a in self._graph_arrays))
 
     def solve(self, costs, prizes, num_trees: int = 1) -> PcstResult:
         """Run moat growing and strong pruning.
@@ -244,16 +219,19 @@ class PcstEngine:
         if num_trees < 1:
             raise ValueError("num_trees must be >= 1")
 
-        self._cost[:] = costs
-        self._prize[:] = prizes
-        trees = _kernel.gbgp_pcst_solve(*self._args, min(int(num_trees), self.n), *self._work)
+        costs, prizes = np.ascontiguousarray(costs), np.ascontiguousarray(prizes)
+        # node counts per tree, then their node lists, then their edges as pairs
+        out = np.empty(4 * self.n, dtype=np.int64)
+        trees = _kernel.gbgp_pcst_solve(*self._graph_args(), costs.ctypes.data,
+                                        prizes.ctypes.data, min(int(num_trees), self.n),
+                                        out.ctypes.data)
         if trees < 0:
             raise MemoryError("the PCST kernel ran out of memory")
         n = self.n
-        sizes = self._out[:trees].tolist()
+        sizes = out[:trees].tolist()
         total = sum(sizes)
-        nodes = self._out[n:n + total].tolist()
-        ends = self._out[2 * n:2 * n + 2 * (total - trees)].tolist()
+        nodes = out[n:n + total].tolist()
+        ends = out[2 * n:2 * n + 2 * (total - trees)].tolist()
         edges = list(zip(ends[0::2], ends[1::2]))
         components = []
         start = 0
@@ -275,15 +253,16 @@ class PcstEngine:
         whose costs are not positive and finite raises the ``ValueError``
         :meth:`solve` raises.
         """
+        best = np.empty(self.n, dtype=np.int64)
+        multiplier, probes = ctypes.c_double(), ctypes.c_int64()
         size = _kernel.gbgp_pcst_search(
-            *self._args[:6], self._weight.ctypes.data, self._cost.ctypes.data,
-            prizes.ctypes.data, min(int(num_trees), self.n), budget, capacity, max_probes,
-            warm is not None, 0.0 if warm is None else warm, low, high, total, exit_score,
-            *self._work, self._best.ctypes.data, self._mult.ctypes.data,
-            self._probes.ctypes.data,
+            *self._graph_args(), self._weight.ctypes.data, prizes.ctypes.data,
+            min(int(num_trees), self.n), budget, capacity, max_probes, warm is not None,
+            0.0 if warm is None else warm, low, high, total, exit_score, best.ctypes.data,
+            ctypes.byref(multiplier), ctypes.byref(probes),
         )
         if size == -2:
             raise ValueError("edge costs must be positive and finite")
         if size < 0:
             raise MemoryError("the PCST kernel ran out of memory")
-        return tuple(self._best[:size].tolist()), int(self._probes[0]), float(self._mult[0])
+        return tuple(best[:size].tolist()), probes.value, multiplier.value

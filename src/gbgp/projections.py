@@ -43,7 +43,10 @@ class ProjectionOutcome:
 
 
 def _engine_for(graph: Graph) -> PcstEngine:
-    """One engine per graph object, cached on the graph itself."""
+    """One engine per graph object, cached on the graph itself.
+
+    Its kernel calls share no state, so every thread shares the one engine.
+    """
     engine = getattr(graph, "_pcst_engine", None)
     if engine is None:
         engine = PcstEngine(graph)
@@ -70,7 +73,8 @@ def budget_search(
     start) and keeps the feasible support with the largest collected
     prize mass; among equal masses, the fewest nodes, then the lowest
     ids, over the probes made. Oversized forests contribute a feasible
-    candidate by dropping their weakest leaves.
+    candidate by dropping their weakest leaves. ``capacity`` defaults to
+    ``budget``; a ``ValueError`` is raised unless 1 <= budget <= capacity.
 
     The search exits early once a support lands inside [budget,
     capacity], or once the best mass reaches what no support can
@@ -101,6 +105,8 @@ def budget_search(
     """
     if capacity is None:
         capacity = budget
+    if not 1 <= budget <= capacity:
+        raise ValueError(f"budget {budget} must be in [1, capacity {capacity}]")
     prizes = np.ascontiguousarray(prizes, dtype=np.float64)
     if prizes.shape != (graph.node_count,):
         raise ValueError("prizes length must match node count")

@@ -463,9 +463,6 @@ class TestEngineCopies:
         engine = PcstEngine(graph)
         engine.solve(graph.edge_w, np.ones(6))
         twin = make_twin(engine)
-        own = {a.ctypes.data for a in (*twin._graph_arrays, twin._cost, twin._prize,
-                                       twin._iwork, twin._dwork, twin._out)}
-        assert set(twin._args[2:]) | set(twin._work) <= own
         del engine
         gc.collect()
         fresh = PcstEngine(graph)

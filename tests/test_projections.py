@@ -116,6 +116,11 @@ class TestBudgetSearch:
         with pytest.raises(ValueError, match=r"^num_components must be >= 1$"):
             budget_search(path_graph(3), np.ones(3), budget=2, num_components=num_components)
 
+    @pytest.mark.parametrize("budget, capacity", [(0, None), (-2, None), (1, 0), (3, 2)])
+    def test_a_budget_outside_one_to_capacity_raises(self, budget, capacity):
+        with pytest.raises(ValueError, match=r"^budget -?\d+ must be in \[1, capacity -?\d+\]$"):
+            budget_search(path_graph(4), np.array([1.0, 2.0, 3.0, 4.0]), budget, capacity)
+
 
 class TestOracleSuite:
     """Head/tail quality against exhaustive enumeration on small graphs."""
@@ -388,11 +393,15 @@ class TestSearchReplaysTheReferenceLoop:
             budget_search(graph, np.ones(4), 2)
 
 
-def test_a_phase_on_threads_equals_it_inline():
-    # every block graph has its own engine, so its searches can run at once
+@pytest.mark.parametrize("shared", [False, True], ids=["own-graphs", "one-shared-graph"])
+def test_a_phase_on_threads_equals_it_inline(shared):
+    # each kernel call allocates its own work space, so searches run at once
+    # whether every block has its own engine or 4 threads share one engine
     instance = generate_non(SyntheticSpec(n=1600, m=3, subgraph_size=0.1, mu=5.0, seed=4), 8)
-    partition = instance.partition
-    graphs = [partition.block_graph(k) for k in range(8)]
+    if shared:
+        graphs = [instance.graph] * 8
+    else:
+        graphs = [instance.partition.block_graph(k) for k in range(8)]
     rng = np.random.default_rng(9)
     values = [rng.normal(size=g.node_count) * (rng.random(g.node_count) < 0.4) for g in graphs]
 
