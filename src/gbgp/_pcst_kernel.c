@@ -20,16 +20,20 @@
  * gbgp_components labels the connected components of the engine's graph,
  * numbered by their lowest member.
  *
- * gbgp_objective evaluates objectives.ObjectiveSpec, and gbgp_bcd_solve
- * runs the whole of solver.bcd_solve on it. Both replay the NumPy
- * reference in tests/oracles.py to the bit: pairwise sums, np.bincount's
- * entry order, and gbgp_dot, which sums as OpenBLAS's SkylakeX ddot does.
+ * gbgp_objective evaluates objectives.ObjectiveSpec. gbgp_bcd_solve runs
+ * the whole of solver.bcd_solve on it, and gbgp_rbcd_solve the whole of
+ * solver.parallel_bcd_solve, drawing from the caller's NumPy bit
+ * generator. All three replay the NumPy reference in tests/oracles.py to
+ * the bit: pairwise sums, np.bincount's entry order, and gbgp_dot, which
+ * sums as OpenBLAS's SkylakeX ddot does.
  *
  * The caller owns the inputs and the outputs: the graph's edge and CSR
  * arrays, costs, prizes and the arrays results are written to. Every call
  * allocates its own work space and frees it before returning, and the
  * inputs are only read, so calls share no state and may run at once on
- * several threads, on one graph as on many.
+ * several threads, on one graph as on many. The one exception is
+ * gbgp_rbcd_solve's bit generator, which it advances: its caller holds
+ * the generator's lock.
  */
 #include <math.h>
 #include <stdint.h>
@@ -1154,6 +1158,26 @@ static void put(double *x, const idx *nk, const double *v, idx len)
         x[nk[i]] = v[i];
 }
 
+/* zero x off mask (the blocks' local masks back to back) and clip it to [0, 1] */
+static void restrict_x(const objective *o, const uint8_t *mask, double *x)
+{
+    idx i;
+    double v;
+    for (i = 0; i < o->bstart[o->num_blocks]; i++) {
+        v = mask[i] ? x[o->nodes[i]] : 0.0;
+        v = v < 0.0 ? 0.0 : v;
+        x[o->nodes[i]] = v > 1.0 ? 1.0 : v;
+    }
+}
+
+static int any_set(const uint8_t *mask, idx len)
+{
+    idx i;
+    for (i = 0; i < len; i++)
+        if (mask[i]) return 1;
+    return 0;
+}
+
 static double momentum_next(double rho)
 {
     return 0.5 * (1.0 + sqrt(1.0 + 4.0 * rho * rho));
@@ -1223,8 +1247,7 @@ idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_c
     idx status = 0;
     const idx *nk;
     const uint8_t *mk;
-    double *buf, *prev, *xk, *yk, *newk, rho = 1.0, omega, delta, f_before, f_new, v;
-    int any;
+    double *buf, *prev, *xk, *yk, *newk, rho = 1.0, omega, delta, f_before, f_new;
     bcd_work bw;
 
     buf = malloc((size_t)(nb + 5 * mb + scratch_len(o)) * sizeof(double));
@@ -1239,11 +1262,9 @@ idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_c
     bw.counts = counts;
     for (i = 0; i < 4; i++) counts[i] = 0;
 
-    for (i = 0; i < nb; i++) {
-        v = mask[i] ? x[o->nodes[i]] : 0.0;
-        v = v < 0.0 ? 0.0 : v;
-        x[o->nodes[i]] = prev[i] = v > 1.0 ? 1.0 : v;
-    }
+    restrict_x(o, mask, x);
+    for (i = 0; i < nb; i++)
+        prev[i] = x[o->nodes[i]];
     for (cycle = 0; cycle < max_cycles; cycle++) {
         counts[0]++;
         delta = 0.0;
@@ -1252,8 +1273,7 @@ idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_c
             len = block_len(o, k);
             nk = block_ids(o, k);
             mk = mask + b0;
-            for (i = 0, any = 0; i < len && !any; i++) any = mk[i] != 0;
-            if (!any) {
+            if (!any_set(mk, len)) {
                 rho = momentum_next(rho);
                 continue;
             }
@@ -1295,6 +1315,128 @@ idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_c
         if (delta <= inner_tol)
             break;
     }
+done:
+    free(buf);
+    return status;
+}
+
+/*
+ * solver.parallel_bcd_solve's sampling sequence,
+ * theta' = (sqrt(theta^4 + 4 theta^2) - theta^2) / 2, with the powers
+ * taken as CPython's float ** takes them: by libm's pow. The exponents are
+ * volatile so that the compiler cannot turn pow(theta, 2.0) into a product.
+ */
+static double theta_next(double theta)
+{
+    volatile double four = 4.0, two = 2.0;
+    double t4 = pow(theta, four), t2 = pow(theta, two);
+    return 0.5 * (sqrt(t4 + 4.0 * t2) - t2);
+}
+
+/*
+ * solver.parallel_bcd_solve on x in place, x holding one entry per node
+ * (every node lies in one block): restrict x to the masks as
+ * gbgp_bcd_solve does, then freeze each block's step size alpha_k. That is
+ * step_size when fixed; otherwise it is step_size halved once per halving
+ * of a backtrack at x, for a block with a nonempty mask. z starts as x, and
+ * theta as tau / K. Each of at most max_rounds rounds
+ * - sets y = (1 - theta) x + theta z;
+ * - draws next_double(rng_state) once per block, in block order, and
+ *   samples the block when the draw is below tau / K;
+ * - sets z_new to z, then each sampled block with a nonempty mask to the
+ *   proximal step from z at y's gradient of size tau alpha_k / (K theta);
+ * - sets x to y + ((K / tau) theta) (z_new - z), z to z_new and theta to
+ *   theta_next(theta), and stops once x moved by at most inner_tol in norm.
+ * x is restricted once more at the end. counts gets the rounds, the block
+ * updates, 0 restarts and the halvings. Returns 0, -1 when memory ran out,
+ * or -2 - k when backtracking on block k fell below STEP_FLOOR, which
+ * happens before the first draw.
+ */
+idx gbgp_rbcd_solve(const objective *o, const uint8_t *mask, double *x, idx tau, idx max_rounds,
+                    idx fixed, double step_size, double inner_tol,
+                    double (*next_double)(void *), void *rng_state, idx *counts)
+{
+    idx K = o->num_blocks, n = o->bstart[K], mb = max_block(o), r, k, i, h, len;
+    idx status = 0;
+    const idx *nk;
+    const uint8_t *mk;
+    double *buf, *alpha, *cur, *nxt, *z, *zn, *y, *blk, *newk, *swap;
+    double theta = (double)tau / K, chance = (double)tau / K, scale, delta, f_new;
+    bcd_work bw;
+
+    buf = malloc((size_t)(K + 5 * n + 4 * mb + scratch_len(o)) * sizeof(double));
+    if (!buf) return -1;
+    alpha = buf;
+    nxt = alpha + K;
+    z = nxt + n;
+    zn = z + n;
+    y = zn + n;
+    cur = y + n;
+    blk = cur + n;
+    newk = blk + mb;
+    bw.grad = newk + mb;
+    bw.step = bw.grad + mb;
+    bw.w = bw.step + mb;
+    bw.counts = counts;
+    for (i = 0; i < 4; i++) counts[i] = 0;
+
+    restrict_x(o, mask, x);
+    for (k = 0; k < K; k++) {
+        alpha[k] = step_size;
+        len = block_len(o, k);
+        nk = block_ids(o, k);
+        mk = mask + o->bstart[k];
+        if (fixed || !any_set(mk, len))
+            continue;
+        for (i = 0; i < len; i++)
+            blk[i] = x[nk[i]];
+        h = counts[3];
+        if (backtrack(o, x, k, mk, blk, step_size, 0, 0.0, newk, &f_new, &bw)) {
+            status = -2 - k;
+            goto done;
+        }
+        for (h = counts[3] - h; h > 0; h--)
+            alpha[k] *= 0.5;
+    }
+
+    memcpy(cur, x, (size_t)n * sizeof(double));
+    memcpy(z, x, (size_t)n * sizeof(double));
+    for (r = 0; r < max_rounds; r++) {
+        counts[0]++;
+        for (i = 0; i < n; i++)
+            y[i] = (1.0 - theta) * cur[i] + theta * z[i];
+        memcpy(zn, z, (size_t)n * sizeof(double));
+        for (k = 0; k < K; k++) {
+            if (!(next_double(rng_state) < chance))
+                continue;
+            len = block_len(o, k);
+            nk = block_ids(o, k);
+            mk = mask + o->bstart[k];
+            if (!any_set(mk, len))
+                continue;
+            counts[1]++;
+            block_gradient(o, y, k, bw.grad, bw.w);
+            for (i = 0; i < len; i++)
+                blk[i] = z[nk[i]];
+            box_step(blk, bw.grad, ((double)tau * alpha[k]) / ((double)K * theta), mk, len,
+                     newk);
+            put(zn, nk, newk, len);
+        }
+        /* x_new into nxt and its change from x into y, which it has read */
+        scale = ((double)K / tau) * theta;
+        for (i = 0; i < n; i++) {
+            nxt[i] = y[i] + scale * (zn[i] - z[i]);
+            y[i] = nxt[i] - cur[i];
+        }
+        delta = sqrt(gbgp_dot(y, y, n));
+        swap = cur, cur = nxt, nxt = swap;
+        swap = z, z = zn, zn = swap;
+        theta = theta_next(theta);
+        if (delta <= inner_tol)
+            break;
+    }
+    memcpy(x, cur, (size_t)n * sizeof(double));
+    restrict_x(o, mask, x);
 done:
     free(buf);
     return status;

@@ -41,8 +41,9 @@ components (``component_labels``, which fills ``PcstEngine.labels``) with
 a union-find, numbered by lowest member as
 ``graph.connected_components`` orders them. And it holds the objective's
 arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
-``gbgp.objectives``) and the serial inner solver (``gbgp_bcd_solve``,
-behind ``solver.bcd_solve``), which mirror NumPy's pairwise sums,
+``gbgp.objectives``) and both inner solvers (``gbgp_bcd_solve`` behind
+``solver.bcd_solve`` and ``gbgp_rbcd_solve`` behind
+``solver.parallel_bcd_solve``), which mirror NumPy's pairwise sums,
 ``np.bincount`` and OpenBLAS's SkylakeX ``ddot``.
 
 Every kernel call allocates its own work space, frees it before
@@ -124,6 +125,8 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     lib.gbgp_objective.restype = i64
     lib.gbgp_bcd_solve.argtypes = [p, p, p, i64, i64, f64, f64, p]
     lib.gbgp_bcd_solve.restype = i64
+    lib.gbgp_rbcd_solve.argtypes = [p, p, p, i64, i64, i64, f64, f64, p, p, p]
+    lib.gbgp_rbcd_solve.restype = i64
     return lib
 
 
@@ -251,8 +254,10 @@ class PcstEngine:
         multiplier``. Returns the best support (empty when no probe found
         one), the probe count and the best support's multiplier. A probe
         whose costs are not positive and finite raises the ``ValueError``
-        :meth:`solve` raises.
+        :meth:`solve` raises, and so does a ``max_probes`` below 1.
         """
+        if max_probes < 1:
+            raise ValueError("max_probes must be >= 1")
         best = np.empty(self.n, dtype=np.int64)
         multiplier, probes = ctypes.c_double(), ctypes.c_int64()
         size = _kernel.gbgp_pcst_search(

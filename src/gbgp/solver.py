@@ -6,27 +6,27 @@ accelerated block-coordinate pass (serial, or randomized across blocks
 for the parallel variant), then tail-projects the intermediate solution
 back onto the connected-subgraph constraint set.
 
-The serial inner solver, :func:`bcd_solve`, is one call of the C
-kernel's ``gbgp_bcd_solve`` per outer iteration; it replays the Python
-loop kept in ``tests/oracles.py`` bit for bit (see ``gbgp.objectives`` for
-the order of each sum and dot). The randomized :func:`parallel_bcd_solve`
-and :func:`estimate_step_size`, which it uses, stay in Python on the
-kernel's objective calls. Every dot product and norm here is the kernel's
+Each inner solver is one call of the C kernel per outer iteration:
+:func:`bcd_solve` of ``gbgp_bcd_solve`` and :func:`parallel_bcd_solve` of
+``gbgp_rbcd_solve``. Each replays its Python loop, kept in
+``tests/oracles.py``, bit for bit (see ``gbgp.objectives`` for the order
+of each sum and dot). Every dot product and norm here is the kernel's
 :func:`~gbgp.objectives.dot`, so the outputs do not depend on which BLAS
 kernel the host's NumPy picks.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import time
-# perfbench/tracer.py patches this name; it stays until ROADMAP item 3
+# perfbench/tracer.py patches this name; it stays until ROADMAP item 1
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .graph import BlockPartition, SupportSet
+from .graph import SupportSet
 from .objectives import ObjectiveSpec, dot
 from .pcst import _kernel
 from .projections import ProjectionOutcome, head_project, tail_project
@@ -39,15 +39,9 @@ __all__ = [
     "bcd_solve",
     "parallel_bcd_solve",
     "estimate_step_size",
-    "theta_next",
 ]
 
 _STEP_FLOOR = 1e-12
-
-
-def theta_next(theta: float) -> float:
-    """Sampling sequence: theta_{t+1} = (sqrt(theta^4+4 theta^2)-theta^2)/2."""
-    return 0.5 * (math.sqrt(theta**4 + 4.0 * theta**2) - theta**2)
 
 
 @dataclass
@@ -131,6 +125,10 @@ class DetectionResult:
         return out
 
 
+# Neither inner solver calls estimate_step_size or _box_step: both run in
+# the kernel, whose backtrack() mirrors them. They stay because
+# perfbench/tracer.py patches solver.estimate_step_size by name (ROADMAP
+# item 1) and the reference loops in tests/oracles.py call them.
 def _box_step(y_k: np.ndarray, grad: np.ndarray, alpha: float,
               omega_local: np.ndarray) -> np.ndarray:
     """y_k - alpha * grad, zeroed outside ``omega_local`` and clipped to [0, 1]."""
@@ -195,14 +193,28 @@ def _box_projected_gradient(grad: np.ndarray, x_k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _restrict(x: np.ndarray, partition: BlockPartition, masks: list[np.ndarray]) -> None:
-    """Zero every block of x outside its mask and clip it to [0, 1], in place."""
-    for k in range(partition.num_blocks):
-        nodes = partition.block_nodes[k]
-        x_k = x[nodes]
-        x_k[~masks[k]] = 0.0
-        np.clip(x_k, 0.0, 1.0, out=x_k)
-        x[nodes] = x_k
+def _inner_args(objective: ObjectiveSpec, masks: list[np.ndarray],
+                x_init: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An inner solver's masks, back to back, and a float64 copy of its start."""
+    if [len(mask) for mask in masks] != objective._sizes:
+        raise ValueError("masks must hold one boolean per node of each block")
+    flat = np.ascontiguousarray(np.concatenate(masks), dtype=bool)
+    if not flat.any():
+        raise ValueError("all blocks have empty allowed supports")
+    x = np.array(x_init, dtype=np.float64)
+    if x.shape != (objective.partition.graph.node_count,):
+        raise ValueError(f"x has shape {x.shape}, not one entry per node")
+    return flat, x
+
+
+def _check_inner(status: int) -> None:
+    """Raise what an inner solver kernel's status code reports."""
+    if status == -1:
+        raise MemoryError("the inner solver kernel ran out of memory")
+    if status < -1:
+        raise RuntimeError(
+            f"backtracking underflow on block {-2 - status}: no step above {_STEP_FLOOR}"
+        )
 
 
 def bcd_solve(
@@ -227,26 +239,14 @@ def bcd_solve(
     passes over the blocks, the block visits, the momentum restarts and
     the backtracking halvings.
     """
-    if [len(mask) for mask in masks] != objective._sizes:
-        raise ValueError("masks must hold one boolean per node of each block")
-    flat = np.ascontiguousarray(np.concatenate(masks), dtype=bool)
-    if not flat.any():
-        raise ValueError("all blocks have empty allowed supports")
-    x = np.array(x_init, dtype=np.float64)
-    if x.shape != (objective.partition.graph.node_count,):
-        raise ValueError(f"x has shape {x.shape}, not one entry per node")
+    flat, x = _inner_args(objective, masks, x_init)
     if counts is None:
         counts = np.zeros(4, dtype=np.int64)
     status = _kernel.gbgp_bcd_solve(
         objective._kernel_ref, flat.ctypes.data, x.ctypes.data, config.max_inner_cycles,
         config.step_mode == "fixed", config.step_size, config.inner_tol, counts.ctypes.data,
     )
-    if status == -1:
-        raise MemoryError("the inner solver kernel ran out of memory")
-    if status < -1:
-        raise RuntimeError(
-            f"backtracking underflow on block {-2 - status}: no step above {_STEP_FLOOR}"
-        )
+    _check_inner(status)
     return x
 
 
@@ -264,58 +264,34 @@ def parallel_bcd_solve(
     updates their z-components through the proximal subproblem with
     curvature weight K*theta/(2*tau) (scaled by the per-block step
     size), then mixes the update into the accelerated iterate. With a
-    fixed seed the trajectory is reproducible for any tau. It runs in
-    Python on the kernel's objective calls and :func:`dot`. ``counts`` is
-    filled as :func:`bcd_solve` fills it: rounds, block updates, no
-    restarts, and the halvings of the per-block step estimates.
+    fixed seed the trajectory is reproducible for any tau.
+
+    The whole solve is one call of the kernel's ``gbgp_rbcd_solve``, with
+    the GIL released; it replays the Python loop in ``tests/oracles.py``
+    bit for bit. The kernel draws K doubles a round from ``rng``'s bit
+    generator, as that loop's ``rng.random()`` calls do, while this call
+    holds the generator's lock; ``rng`` defaults to a generator seeded
+    with ``config.seed``. ``counts`` is filled as :func:`bcd_solve` fills
+    it: rounds, block updates, no restarts, and the halvings of the
+    per-block step estimates.
     """
-    if not any(mask.any() for mask in masks):
-        raise ValueError("all blocks have empty allowed supports")
-    partition = objective.partition
-    K = partition.num_blocks
-    tau = max(1, config.parallel)
-    tau = min(tau, K)
+    flat, x = _inner_args(objective, masks, x_init)
+    K = objective.num_blocks
+    tau = min(max(1, config.parallel), K)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    x = x_init.copy()
-    _restrict(x, partition, masks)
-
-    # per-block curvature estimates, frozen for the whole inner solve
-    alphas = np.full(K, config.step_size)
-    if config.step_mode == "backtracking":
-        for k in range(K):
-            if masks[k].any():
-                alphas[k] = estimate_step_size(objective, k, x, masks[k], config.step_size)[0]
-    rounds = visits = 0
-
-    z = x.copy()
-    theta = tau / K
+    if counts is None:
+        counts = np.zeros(4, dtype=np.int64)
     max_rounds = max(1, math.ceil(config.max_inner_cycles * K / tau))
-    for _round in range(max_rounds):
-        rounds += 1
-        y = (1.0 - theta) * x + theta * z
-        sampled = [k for k in range(K) if rng.random() < tau / K]
-        z_new = z.copy()
-        for k in sampled:
-            if not masks[k].any():
-                continue
-            visits += 1
-            nodes_k = partition.block_nodes[k]
-            step = (tau * alphas[k]) / (K * theta)
-            grad = objective.block_gradient(y, k)
-            z_new[nodes_k] = _box_step(z[nodes_k], grad, step, masks[k])
-        x_new = y + (K / tau) * theta * (z_new - z)
-        change = x_new - x
-        delta = math.sqrt(dot(change, change))
-        x, z = x_new, z_new
-        theta = theta_next(theta)
-        if delta <= config.inner_tol:
-            break
-    _restrict(x, partition, masks)
-    if counts is not None:
-        # each halving scales the step by an exact power of two
-        halvings = np.rint(np.log2(config.step_size / alphas)).sum()
-        counts[:] = (rounds, visits, 0, halvings)
+    bits = rng.bit_generator
+    with bits.lock:
+        status = _kernel.gbgp_rbcd_solve(
+            objective._kernel_ref, flat.ctypes.data, x.ctypes.data, tau, max_rounds,
+            config.step_mode == "fixed", config.step_size, config.inner_tol,
+            ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p), bits.ctypes.state_address,
+            counts.ctypes.data,
+        )
+    _check_inner(status)
     return x
 
 

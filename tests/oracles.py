@@ -10,10 +10,11 @@ search in Python, which the kernel's search must match the same way.
 as SciPy's CSR product summed it. ``ReferenceObjective`` and
 ``reference_bcd_solve`` (with its momentum sequence and proximal step)
 are the objective's NumPy formulas and the serial inner solver's Python
-loop, which the kernel's objective and ``gbgp_bcd_solve`` must match
-byte for byte; their dot products are the kernel's ``dot``, which sums
-as NumPy's ``@`` does on a SkylakeX OpenBLAS, so that they agree on any
-host.
+loop; ``reference_parallel_bcd_solve`` (with ``theta_next``) is the
+randomized inner solver's. The kernel's objective, ``gbgp_bcd_solve`` and
+``gbgp_rbcd_solve`` must match them byte for byte. Their dot products are
+the kernel's ``dot``, which sums as NumPy's ``@`` does on a SkylakeX
+OpenBLAS, so that they agree on any host.
 """
 import heapq
 import itertools
@@ -693,6 +694,21 @@ class ReferenceObjective:
         return total
 
 
+def restrict(x, partition, masks) -> None:
+    """Zero every block of x outside its mask and clip it to [0, 1], in place."""
+    for k in range(partition.num_blocks):
+        nodes = partition.block_nodes[k]
+        x_k = x[nodes]
+        x_k[~masks[k]] = 0.0
+        np.clip(x_k, 0.0, 1.0, out=x_k)
+        x[nodes] = x_k
+
+
+def theta_next(theta: float) -> float:
+    """Sampling sequence: theta_{t+1} = (sqrt(theta^4+4 theta^2)-theta^2)/2."""
+    return 0.5 * (math.sqrt(theta**4 + 4.0 * theta**2) - theta**2)
+
+
 def momentum_next(rho: float) -> float:
     """Momentum sequence: rho_{t+1} = (1 + sqrt(1 + 4 rho_t^2)) / 2."""
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho * rho))
@@ -726,14 +742,14 @@ def reference_bcd_solve(objective, masks, x_init, config, trace=None, counts=Non
     visits, restarts and halvings the kernel reports.
     """
     from gbgp.objectives import dot
-    from gbgp.solver import _restrict, estimate_step_size
+    from gbgp.solver import estimate_step_size
 
     if not any(mask.any() for mask in masks):
         raise ValueError("all blocks have empty allowed supports")
     partition = objective.partition
     K = partition.num_blocks
     x = np.array(x_init, dtype=np.float64)
-    _restrict(x, partition, masks)
+    restrict(x, partition, masks)
     prev_blocks = [x[partition.block_nodes[k]].copy() for k in range(K)]
     tally = [0, 0, 0, 0]
 
@@ -779,4 +795,64 @@ def reference_bcd_solve(objective, masks, x_init, config, trace=None, counts=Non
             break
     if counts is not None:
         counts[:] = tally
+    return x
+
+
+def reference_parallel_bcd_solve(objective, masks, x_init, config, rng=None, counts=None):
+    """``gbgp.solver.parallel_bcd_solve`` as the Python loop its kernel replays.
+
+    ``rng`` is drawn from K times a round with ``rng.random()``; it
+    defaults to a generator seeded with ``config.seed``. ``counts`` (a
+    list of 4) gets the rounds, block updates, 0 restarts and the halvings
+    of the per-block step estimates.
+    """
+    from gbgp.objectives import dot
+    from gbgp.solver import _box_step, estimate_step_size
+
+    if not any(mask.any() for mask in masks):
+        raise ValueError("all blocks have empty allowed supports")
+    partition = objective.partition
+    K = partition.num_blocks
+    tau = min(max(1, config.parallel), K)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    x = np.array(x_init, dtype=np.float64)
+    restrict(x, partition, masks)
+
+    # per-block curvature estimates, frozen for the whole inner solve
+    alphas = np.full(K, config.step_size)
+    if config.step_mode == "backtracking":
+        for k in range(K):
+            if masks[k].any():
+                alphas[k] = estimate_step_size(objective, k, x, masks[k], config.step_size)[0]
+    rounds = visits = 0
+
+    z = x.copy()
+    theta = tau / K
+    max_rounds = max(1, math.ceil(config.max_inner_cycles * K / tau))
+    for _round in range(max_rounds):
+        rounds += 1
+        y = (1.0 - theta) * x + theta * z
+        sampled = [k for k in range(K) if rng.random() < tau / K]
+        z_new = z.copy()
+        for k in sampled:
+            if not masks[k].any():
+                continue
+            visits += 1
+            nodes_k = partition.block_nodes[k]
+            step = (tau * alphas[k]) / (K * theta)
+            grad = objective.block_gradient(y, k)
+            z_new[nodes_k] = _box_step(z[nodes_k], grad, step, masks[k])
+        x_new = y + (K / tau) * theta * (z_new - z)
+        change = x_new - x
+        delta = math.sqrt(dot(change, change))
+        x, z = x_new, z_new
+        theta = theta_next(theta)
+        if delta <= config.inner_tol:
+            break
+    restrict(x, partition, masks)
+    if counts is not None:
+        # each halving scales the step by an exact power of two
+        halvings = int(np.rint(np.log2(config.step_size / alphas)).sum())
+        counts[:] = (rounds, visits, 0, halvings)
     return x

@@ -475,6 +475,15 @@ class TestEngineCopies:
         assert twin.search(*args) == fresh.search(*args)
 
 
+@pytest.mark.parametrize("max_probes", [0, -1])
+def test_a_search_without_probes_is_rejected(max_probes):
+    # the kernel has no best support to return after no probe at all
+    engine = PcstEngine(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    prizes = np.array([1.0, 0.0, 2.0, 0.5])
+    with pytest.raises(ValueError, match="max_probes must be >= 1"):
+        engine.search(prizes, 2, 2, 1, None, 1e-6, 1e6, 10.0, 10.0, max_probes)
+
+
 class TestKernelCache:
     @pytest.fixture
     def compiles(self, monkeypatch):

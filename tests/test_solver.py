@@ -18,11 +18,11 @@ from gbgp.solver import (
     estimate_step_size,
     gbgp_solve,
     parallel_bcd_solve,
-    theta_next,
 )
 
 from oracles import (ReferenceObjective, ems_optimum, momentum_next, momentum_weight, path_graph,
-                     proximal_block_update, reference_bcd_solve)
+                     proximal_block_update, reference_bcd_solve, reference_parallel_bcd_solve,
+                     theta_next)
 
 
 class QuadraticStub:
@@ -268,6 +268,37 @@ class TestKernelMatchesTheReferenceLoop:
         assert counts.tolist() == expected_counts
         if config.step_mode == "fixed":
             assert counts[2] == counts[3] == 0
+
+
+class TestRandomizedKernelMatchesTheReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(inner_solves(), st.data())
+    def test_bit_equal_iterates_counts_and_generator(self, solve, data):
+        kind, partition, signal, lam, masks, x0, config = solve
+        tau = data.draw(st.integers(1, partition.num_blocks))
+        config = dataclasses.replace(config, parallel=tau)
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts, expected_counts = np.zeros(4, dtype=np.int64), [0] * 4
+        try:
+            expected = reference_parallel_bcd_solve(
+                ReferenceObjective(kind, partition, signal, lam), masks, x0, config,
+                expected_rng, expected_counts)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as raised:
+                parallel_bcd_solve(ObjectiveSpec(kind, partition, signal, lam), masks, x0,
+                                   config, rng)
+            assert str(raised.value) == str(exc)
+            # the step estimates fail before the first draw
+            unmoved = np.random.default_rng(seed).bit_generator.state
+            assert rng.bit_generator.state == expected_rng.bit_generator.state == unmoved
+            return
+        out = parallel_bcd_solve(ObjectiveSpec(kind, partition, signal, lam), masks, x0,
+                                 config, rng, counts)
+        assert out.tobytes() == expected.tobytes()
+        assert counts.tolist() == expected_counts
+        assert counts[2] == 0
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestParallelBcdSolve:
