@@ -31,12 +31,13 @@ from .datagen import (
 from .evaluation import precision_recall_f1, scaling_bench, solve_instance, support_pairs
 from .graph import (
     BlockSignal,
+    SignalFile,
+    _Lines,
+    _write_lines,
     load_graph,
     load_partition,
-    load_signal,
     partition_contiguous,
     save_signal,
-    signal_length,
 )
 from .objectives import ObjectiveSpec
 from .solver import SolverConfig, gbgp_solve
@@ -128,7 +129,6 @@ def _apply_config_file(subcommands: dict[str, argparse.ArgumentParser],
     known, argv = pre.parse_known_args(argv)
     if known.config is None:
         return argv
-    path = known.config
     # long option name -> every (subcommand parser, action) that takes it
     options: dict[str, list] = {}
     for sub in subcommands.values():
@@ -136,35 +136,29 @@ def _apply_config_file(subcommands: dict[str, argparse.ArgumentParser],
             for opt in action.option_strings:
                 if opt.startswith("--") and action.dest != "help":
                     options.setdefault(opt[2:], []).append((sub, action))
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
+    with _Lines(known.config) as lines:
+        for key, value in lines.pairs():
             if key not in options:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             for sub, action in options[key]:
                 default = value
                 if isinstance(action, argparse._AppendAction):
-                    raise ValueError(f"{path}:{lineno}: {key} repeats; give it as --{key}")
+                    raise ValueError(f"{key} repeats; give it as --{key}")
                 if action.nargs == 0:  # a store_true flag
                     if value not in ("true", "false"):
-                        raise ValueError(f"{path}:{lineno}: {key} must be true or false")
+                        raise ValueError(f"{key} must be true or false")
                     default = value == "true"
                 elif action.choices is not None and value not in action.choices:
-                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                    raise ValueError(f"{key} must be one of "
                                      f"{', '.join(action.choices)}, not {value!r}")
+                elif action.type is not None:
+                    default = action.type(value)
                 sub.set_defaults(**{action.dest: default})
     return argv
 
 
 def _write_manifest(out_dir: str, entries: list[str]) -> None:
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        for entry in sorted(entries):
-            fh.write(entry + "\n")
+    _write_lines(os.path.join(out_dir, "manifest.txt"), sorted(entries))
 
 
 def cmd_synth(args) -> int:
@@ -195,9 +189,11 @@ def _load_detect_inputs(args):
         return instance.partition, instance.signal, None
     if not args.graph or not args.signal:
         raise ValueError("detect needs --bundle, or --graph with --signal")
-    # the signal length bounds the graph before its header can allocate anything
-    graph = load_graph(args.graph, max(signal_length(path) for path in args.signal))
-    signals = [load_signal(path, graph.node_count) for path in args.signal]
+    # each signal file is parsed once; the longest bounds the graph before its
+    # header can allocate anything
+    files = [SignalFile(path) for path in args.signal]
+    graph = load_graph(args.graph, max(f.length for f in files))
+    signals = [f.place(graph.node_count) for f in files]
     if len(signals) > 1:
         if args.partition or args.blocks:
             raise ValueError("--partition/--blocks apply to one --signal only")
@@ -256,13 +252,12 @@ def cmd_detect(args) -> int:
 
     out_dir = os.path.join(args.out, "detect")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "supports.txt"), "w", encoding="utf-8") as fh:
-        for t, node in support_pairs(result.supports, snapshot_size):
-            fh.write(f"{t}\t{node}\n")
+    _write_lines(os.path.join(out_dir, "supports.txt"),
+                 (f"{t}\t{node}" for t, node in support_pairs(result.supports, snapshot_size)))
     save_signal(BlockSignal(result.x_final), os.path.join(out_dir, "x.txt"))
-    with open(os.path.join(out_dir, "trace.txt"), "w", encoding="utf-8") as fh:
-        for i, record in enumerate(result.iterations, start=1):
-            fh.write(f"{i}\t{record.delta!r}\t{record.objective!r}\t{record.wall_ms:.3f}\n")
+    _write_lines(os.path.join(out_dir, "trace.txt"), (
+        f"{i}\t{record.delta!r}\t{record.objective!r}\t{record.wall_ms:.3f}"
+        for i, record in enumerate(result.iterations, start=1)))
     _write_manifest(out_dir, ["supports.txt", "x.txt", "trace.txt"])
     print(out_dir)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -274,12 +269,11 @@ def cmd_eval(args) -> int:
     row = precision_recall_f1(detected, truth)
     out_dir = os.path.join(args.out, "eval")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"precision={row.precision:.6f}\n")
-        fh.write(f"recall={row.recall:.6f}\n")
-        fh.write(f"f1={row.f_measure:.6f}\n")
+    summary = [f"precision={row.precision:.6f}", f"recall={row.recall:.6f}",
+               f"f1={row.f_measure:.6f}"]
+    _write_lines(os.path.join(out_dir, "summary.txt"), summary)
     _write_manifest(out_dir, ["summary.txt"])
-    print(f"precision={row.precision:.6f} recall={row.recall:.6f} f1={row.f_measure:.6f}")
+    print(" ".join(summary))
     return EXIT_OK
 
 
@@ -298,17 +292,19 @@ def cmd_bench(args) -> int:
             f"{row['n']}\t{row['edges']}\t{row['blocks']}\t{row['tau']}"
             f"\t{row['wall_s']:.4f}\t{row['f1']:.6f}"
         )
-    with open(os.path.join(out_dir, "scaling.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out_dir, "scaling.tsv"), lines)
     _write_manifest(out_dir, ["scaling.tsv"])
     print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_gridsearch(args) -> int:
-    instance = read_bundle(args.bundle)
     budgets = [int(v) for v in args.budgets.split(",") if v]
     lambdas = [float(v) for v in args.lambdas.split(",") if v]
+    for flag, grid in (("--budgets", budgets), ("--lambdas", lambdas)):
+        if not grid:
+            raise ValueError(f"{flag} names no value")
+    instance = read_bundle(args.bundle)
     cells = []
     for budget in budgets:
         for lam in lambdas:
@@ -323,11 +319,10 @@ def cmd_gridsearch(args) -> int:
     lines = ["budget\tlambda\tprecision\trecall\tf1"]
     for f1, budget, lam, row in cells:
         lines.append(f"{budget}\t{lam}\t{row.precision:.6f}\t{row.recall:.6f}\t{f1:.6f}")
-    with open(os.path.join(out_dir, "gridsearch.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out_dir, "gridsearch.tsv"), lines)
     best = cells[0]
-    with open(os.path.join(out_dir, "best.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"budget={best[1]}\nlambda={best[2]}\nf1={best[0]:.6f}\n")
+    _write_lines(os.path.join(out_dir, "best.txt"),
+                 [f"budget={best[1]}", f"lambda={best[2]}", f"f1={best[0]:.6f}"])
     _write_manifest(out_dir, ["gridsearch.tsv", "best.txt"])
     print(f"best budget={best[1]} lambda={best[2]} f1={best[0]:.4f}")
     return EXIT_OK

@@ -9,7 +9,7 @@ split per component so regenerating any part is reproducible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +18,8 @@ from .graph import (
     BlockPartition,
     BlockSignal,
     Graph,
+    _Lines,
+    _write_lines,
     load_graph,
     load_partition,
     load_signal,
@@ -315,16 +317,7 @@ def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
     """Write graph, partition, signals, truth and metadata files."""
     os.makedirs(out_dir, exist_ok=True)
     spec = instance.spec
-    meta = {
-        "rng": RNG_NAME,
-        "seed": spec.seed,
-        "n": spec.n,
-        "m": spec.m,
-        "T": spec.T,
-        "subgraph_size": spec.resolved_size(),
-        "overlap": spec.overlap,
-        "mu": spec.mu,
-    }
+    meta = {**asdict(spec), "rng": RNG_NAME, "subgraph_size": spec.resolved_size()}
     if isinstance(instance, TemporalInstance):
         meta["kind"] = "temporal"
         save_graph(instance.base_graph, os.path.join(out_dir, "graph.txt"))
@@ -336,27 +329,16 @@ def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
         save_graph(instance.graph, os.path.join(out_dir, "graph.txt"))
         save_partition(instance.partition, os.path.join(out_dir, "partition.txt"))
         save_signal(instance.signal, os.path.join(out_dir, "signal_t0.txt"))
-    with open(os.path.join(out_dir, "truth.txt"), "w", encoding="utf-8") as fh:
-        for t, node in sorted(instance.truth_pairs()):
-            fh.write(f"{t}\t{node}\n")
-    with open(os.path.join(out_dir, "metadata.txt"), "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"{key}={meta[key]}\n")
+    _write_lines(os.path.join(out_dir, "truth.txt"),
+                 (f"{t}\t{node}" for t, node in sorted(instance.truth_pairs())))
+    _write_lines(os.path.join(out_dir, "metadata.txt"), (f"{k}={meta[k]}" for k in sorted(meta)))
     return out_dir
 
 
 def read_bundle(bundle_dir: str) -> TemporalInstance | NonInstance:
     """Load an instance bundle written by :func:`write_bundle`."""
     meta = read_metadata(os.path.join(bundle_dir, "metadata.txt"))
-    spec = SyntheticSpec(
-        n=int(meta["n"]),
-        m=int(meta["m"]),
-        T=int(meta["T"]),
-        subgraph_size=int(meta["subgraph_size"]),
-        overlap=float(meta["overlap"]),
-        mu=float(meta["mu"]),
-        seed=int(meta["seed"]),
-    )
+    spec = SyntheticSpec(**{field.name: meta[field.name] for field in fields(SyntheticSpec)})
     graph = load_graph(os.path.join(bundle_dir, "graph.txt"))
     truth_pairs = read_truth(os.path.join(bundle_dir, "truth.txt"))
     if meta["kind"] == "temporal":
@@ -368,35 +350,39 @@ def read_bundle(bundle_dir: str) -> TemporalInstance | NonInstance:
             tuple(sorted(v for t2, v in truth_pairs if t2 == t)) for t in range(spec.T)
         ]
         return TemporalInstance(spec, graph, truths, signals)
-    num_blocks = int(meta["num_blocks"])
     partition = load_partition(
-        os.path.join(bundle_dir, "partition.txt"), graph, num_blocks
+        os.path.join(bundle_dir, "partition.txt"), graph, meta["num_blocks"]
     )
     signal = load_signal(os.path.join(bundle_dir, "signal_t0.txt"), graph.node_count)
     truth = tuple(sorted(v for _, v in truth_pairs))
     return NonInstance(spec, graph, partition, truth, signal)
 
 
+# the type of each metadata.txt key
+_METADATA = {"T": int, "kind": str, "m": int, "mu": float, "n": int, "num_blocks": int,
+             "overlap": float, "rng": str, "seed": int, "subgraph_size": int}
+
+
 def read_metadata(path: str) -> dict:
+    """A bundle's ``key=value`` metadata, each value of its key's type.
+
+    Every key :func:`write_bundle` writes must be there, ``num_blocks``
+    only in a ``non`` bundle; other keys are kept as text.
+    """
     meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            meta[key] = value
+    with _Lines(path) as lines:
+        for key, value in lines.pairs():
+            if key == "kind" and value not in ("temporal", "non"):
+                raise ValueError(f"kind must be temporal or non, not {value!r}")
+            meta[key] = _METADATA.get(key, str)(value)
+        missing = set(_METADATA) - set(meta) - (
+            set() if meta.get("kind") == "non" else {"num_blocks"})
+        if missing:
+            raise ValueError(f"missing key {', '.join(sorted(missing))}")
     return meta
 
 
 def read_truth(path: str) -> set[tuple[int, int]]:
     """Read ``t <TAB> node`` truth rows."""
-    out = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            t, node = line.split()
-            out.add((int(t), int(node)))
-    return out
+    with _Lines(path) as lines:
+        return set(zip(*lines.columns(int, int)))

@@ -1,11 +1,17 @@
 """Graph, block-partition, and node-signal data model with file I/O.
 
-All values in this module are immutable after construction and safe to
-share across threads. Node ids are dense integers in [0, N); loaders
-remap sparse external ids and persist the mapping in a side file.
+Values here are not changed after construction and are safe to share
+across threads, but for two caches filled on first use: the block graphs
+in ``BlockPartition._block_graphs`` and the ``_pcst_engine`` that
+``projections._engine_for`` attaches to a ``Graph``. Threads racing on
+first use each build an equal value, so either may be kept. Node ids are
+dense integers in [0, N); loaders remap sparse external ids and persist
+the mapping in a side file. The loaders skip blank lines and ``#``
+comments and raise each parse or range error as ``<path>:<line>: ...``.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -19,6 +25,7 @@ __all__ = [
     "EdgeListError",
     "PartitionError",
     "SignalError",
+    "SignalFile",
     "load_graph",
     "save_graph",
     "load_partition",
@@ -27,12 +34,11 @@ __all__ = [
     "connected_components",
     "load_signal",
     "save_signal",
-    "signal_length",
 ]
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list input (parse failure, self-loop, bad weight)."""
+    """Malformed edge-list input (field count, self-loop, bad weight, duplicate)."""
 
 
 class PartitionError(ValueError):
@@ -41,6 +47,68 @@ class PartitionError(ValueError):
 
 class SignalError(ValueError):
     """Malformed node-signal input."""
+
+
+class _Lines:
+    """``with _Lines(path) as lines:`` reads a text file's non-blank lines.
+
+    A ``ValueError`` raised in the ``with`` block gains ``<path>:<line>: ``
+    before its message: the line being read, or the last once the loop is
+    done. Iterating yields each line stripped; :meth:`columns` and
+    :meth:`pairs` parse them and skip ``#`` comments.
+    """
+
+    def __init__(self, path: str):
+        self.path, self.line = path, 0
+
+    def __enter__(self):
+        self._file = open(self.path, "r", encoding="utf-8")
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        self._file.close()
+        if isinstance(exc, ValueError):
+            exc.args = (f"{self.path}:{self.line}: {exc}",)
+
+    def __iter__(self):
+        for self.line, text in enumerate(self._file, start=1):
+            if text := text.strip():
+                yield text
+
+    def columns(self, *types) -> list[list]:
+        """The fields of every line but comments, converted, one list per type.
+
+        Each line must hold one field per type; ``numbers`` gets their numbers.
+        """
+        table, self.numbers = [], []
+        for text in self:
+            if text[0] != "#":
+                table.append(fields := text.split())
+                if len(fields) != len(types):
+                    raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
+                self.numbers.append(self.line)
+        columns = list(zip(*table)) or [()] * len(types)
+        try:  # a column at a time; the line of a bad field is looked for only then
+            return [list(map(kind, column)) for kind, column in zip(types, columns)]
+        except ValueError:
+            for self.line, fields in zip(self.numbers, table):
+                for kind, field in zip(types, fields):
+                    kind(field)
+            raise
+
+    def pairs(self):
+        """``(key, value)`` of each ``key=value`` line, both sides stripped."""
+        for key, equals, value in (text.partition("=") for text in self if text[0] != "#"):
+            if not equals:
+                raise ValueError("expected key=value")
+            yield key.strip(), value.strip()
+
+
+def _write_lines(path: str, lines: Iterable) -> None:
+    lines = list(map(str, lines))
+    with open(path, "w", encoding="utf-8") as fh:
+        if lines:
+            fh.write("\n".join(lines) + "\n")
 
 
 class Graph:
@@ -86,12 +154,15 @@ class Graph:
             i = int(np.argmax(bad))
             u, v = int(edges[i][0]), int(edges[i][1])
             if outside[i]:
-                raise ValueError(f"edge ({u},{v}) has node id out of [0,{node_count})")
-            if u == v:
-                raise EdgeListError(f"self-loop at node {u}")
-            if bad_weight[i]:
-                raise EdgeListError(f"edge ({u},{v}) has non-positive weight {float(w[i])}")
-            raise EdgeListError(f"duplicate undirected edge ({min(u, v)},{max(u, v)})")
+                error = ValueError(f"edge ({u},{v}) has node id out of [0,{node_count})")
+            elif u == v:
+                error = EdgeListError(f"self-loop at node {u}")
+            elif bad_weight[i]:
+                error = EdgeListError(f"edge ({u},{v}) has non-positive weight {float(w[i])}")
+            else:
+                error = EdgeListError(f"duplicate undirected edge ({min(u, v)},{max(u, v)})")
+            error.row = i  # the input edge, so a file loader can name its line
+            raise error
         self.edge_u = lo[order].astype(np.int64)
         self.edge_v = hi[order].astype(np.int64)
         self.edge_w = w[order]
@@ -234,89 +305,68 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
     is allocated. Sparse external ids are remapped to [0, N) and the
     mapping written to ``<path>.idmap``.
     """
-    raw_edges = []
+    raw_edges, edge_lines = [], []
     declared_n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                parts = stripped[1:].split()
+    with _Lines(path) as lines:
+        for text in lines:
+            if text.startswith("#"):
+                parts = text[1:].split()
                 if len(parts) == 2 and parts[0] == "nodes":
                     try:
                         declared_n = int(parts[1])
                     except ValueError:
-                        raise EdgeListError(
-                            f"{path}:{lineno}: node count {parts[1]!r} is not an integer"
-                        ) from None
+                        raise EdgeListError(f"node count {parts[1]!r} is not an integer") from None
                     if not 0 <= declared_n < 2 ** 63:
-                        raise EdgeListError(f"{path}:{lineno}: node count out of [0, 2**63)")
+                        raise EdgeListError("node count out of [0, 2**63)")
                     if signal_length is not None and declared_n != signal_length:
-                        raise EdgeListError(f"{path}:{lineno}: node count {declared_n} differs "
+                        raise EdgeListError(f"node count {declared_n} differs "
                                             f"from the signal length {signal_length}")
                 continue
-            parts = stripped.split()
+            parts = text.split()
             if len(parts) not in (2, 3):
-                raise EdgeListError(f"{path}:{lineno}: expected 'u v [w]', got {stripped!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise EdgeListError(f"{path}:{lineno}: {exc}") from None
+                raise EdgeListError(f"expected 'u v [w]', got {text!r}")
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
             if u == v:
-                raise EdgeListError(f"{path}:{lineno}: self-loop at node {u}")
+                raise EdgeListError(f"self-loop at node {u}")
             if w < 0:
-                raise EdgeListError(f"{path}:{lineno}: negative weight {w}")
+                raise EdgeListError(f"negative weight {w}")
             raw_edges.append((u, v, w))
+            edge_lines.append(lines.line)
 
-    ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
-    n = len(ids) if declared_n is None else declared_n
-    if declared_n is None and ids != list(range(n)):
-        remap = {old: new for new, old in enumerate(ids)}
-        with open(path + ".idmap", "w", encoding="utf-8") as fh:
-            for old in ids:
-                fh.write(f"{remap[old]}\t{old}\n")
-        raw_edges = [(remap[u], remap[v], w) for u, v, w in raw_edges]
-    try:
-        return Graph(n, raw_edges)
-    except EdgeListError as exc:
-        raise EdgeListError(f"{path}: {exc}") from None
+        ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
+        n = len(ids) if declared_n is None else declared_n
+        if declared_n is None and ids != list(range(n)):
+            _write_lines(path + ".idmap", (f"{new}\t{old}" for new, old in enumerate(ids)))
+            remap = {old: new for new, old in enumerate(ids)}
+            raw_edges = [(remap[u], remap[v], w) for u, v, w in raw_edges]
+        try:
+            return Graph(n, raw_edges)
+        except ValueError as exc:
+            if hasattr(exc, "row"):  # name the first bad edge's line
+                lines.line = edge_lines[exc.row]
+            raise
 
 
 def save_graph(graph: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes {graph.node_count}\n")
-        for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-            if w == 1.0:
-                fh.write(f"{u}\t{v}\n")
-            else:
-                fh.write(f"{u}\t{v}\t{float(w)!r}\n")
+    _write_lines(path, [f"# nodes {graph.node_count}"] + [
+        f"{u}\t{v}" if w == 1.0 else f"{u}\t{v}\t{float(w)!r}"
+        for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w)
+    ])
 
 
 def load_partition(path: str, graph: Graph, num_blocks: int) -> BlockPartition:
-    """Load a partition file: line i holds the block id of node i."""
-    assignment = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                assignment.append(int(stripped))
-            except ValueError:
-                raise PartitionError(f"{path}:{lineno}: expected integer block id") from None
-    if len(assignment) != graph.node_count:
-        raise PartitionError(
-            f"{path}: {len(assignment)} lines for a graph with {graph.node_count} nodes"
-        )
-    return BlockPartition(graph, assignment, num_blocks)
+    """Load a partition file: its i-th block id is node i's."""
+    with _Lines(path) as lines:
+        (assignment,) = lines.columns(int)
+        for lines.line, k in zip(lines.numbers, assignment):  # an error names k's line
+            if not 0 <= k < num_blocks:
+                raise PartitionError(f"block id {k} out of range [0,{num_blocks})")
+        return BlockPartition(graph, assignment, num_blocks)  # a wrong count names the last line
 
 
 def save_partition(partition: BlockPartition, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for k in partition.assignment:
-            fh.write(f"{k}\n")
+    _write_lines(path, partition.assignment)
 
 
 def partition_contiguous(graph: Graph, num_blocks: int) -> BlockPartition:
@@ -388,35 +438,37 @@ def connected_components(graph: Graph, nodes: Iterable[int]) -> list[set[int]]:
     return components
 
 
-def _signal_entries(path: str):
-    """(line number, node id, value text) of each entry of a signal file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise SignalError(f"{path}:{lineno}: expected 'node value'")
-            yield lineno, int(parts[0]), parts[1]
+class SignalFile:
+    """A ``node <TAB> value`` signal file, parsed once.
 
+    ``length``, one more than its largest node id (0 if none), can bound a
+    graph before it loads; :meth:`place` then lays the values over it.
+    """
 
-def signal_length(path: str) -> int:
-    """One more than the largest node id a signal file names (0 if none)."""
-    return max((node + 1 for _, node, _ in _signal_entries(path)), default=0)
+    def __init__(self, path: str):
+        self.path = path
+        with _Lines(path) as lines:
+            self.nodes, self.values = lines.columns(int, float)
+        self.lines = lines.numbers
+        self.length = max(self.nodes, default=-1) + 1
+
+    def place(self, node_count: int) -> BlockSignal:
+        """The signal over ``node_count`` nodes: absent nodes are 0, and of
+        two entries for one node the later wins."""
+        values = np.zeros(node_count, dtype=np.float64)
+        for line, node, value in zip(self.lines, self.nodes, self.values):
+            if not 0 <= node < node_count:
+                raise SignalError(f"{self.path}:{line}: node id {node} out of range")
+            if not math.isfinite(value):
+                raise SignalError(f"{self.path}:{line}: non-finite value {value}")
+            values[node] = value
+        return BlockSignal(values)
 
 
 def load_signal(path: str, node_count: int) -> BlockSignal:
     """Load a ``node <TAB> value`` signal file; absent nodes default to 0."""
-    values = np.zeros(node_count, dtype=np.float64)
-    for lineno, node, value in _signal_entries(path):
-        if not (0 <= node < node_count):
-            raise SignalError(f"{path}:{lineno}: node id {node} out of range")
-        values[node] = float(value)
-    return BlockSignal(values)
+    return SignalFile(path).place(node_count)
 
 
 def save_signal(signal: BlockSignal, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, value in enumerate(signal.values):
-            fh.write(f"{node}\t{float(value)!r}\n")
+    _write_lines(path, (f"{node}\t{float(value)!r}" for node, value in enumerate(signal.values)))

@@ -316,9 +316,13 @@ def gbgp_solve(
     that searched.
 
     ``parallel`` sets only the randomized inner solver's tau: projections
-    run in this thread, one block after another, because on 2 CPUs threads
-    running the kernel's searches side by side were slower than running
-    them in turn.
+    run in this thread, one block after another. On 2 CPUs, a phase's
+    searches on a thread pool were slower than in turn (``BENCH_11.json``).
+    Measured again once kernel calls were safe to run at once (ROADMAP
+    item 3): a cold head phase of 8 searches ran 1.57x faster on 2 threads,
+    but whole solves threaded that way stayed within the host's +-10%
+    run-to-run noise, since most warm searches take one probe and each
+    search's Python holds the GIL.
     """
     partition = objective.partition
     K = partition.num_blocks

@@ -12,7 +12,8 @@ from gbgp.datagen import read_truth
 
 
 def file_hash(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def run(argv):
@@ -173,7 +174,7 @@ class TestDetect:
         code = run(["detect", "--graph", str(graph), "--signal", str(signal),
                     "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "out of [0,3)" in capsys.readouterr().err
+        assert "g.txt:3: edge (1," in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["9" * 400, str(2 ** 63), "-1"],
                              ids=["400-digits", "2**63", "-1"])
@@ -408,6 +409,73 @@ class TestGridsearch:
         assert hits >= 4  # 70% of seeds, rounded up
 
 
+def _drop_line(prefix):
+    return lambda text: "".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith(prefix))
+
+
+# (bundle kind, file, edit of its text, line named, message); each edit
+# leaves the other lines as synth wrote them
+MALFORMED = {
+    "signal-id-x": ("temporal", "signal_t0.txt", lambda t: t.replace("3\t", "x\t", 1), 4,
+                    "invalid literal for int() with base 10: 'x'"),
+    "signal-value-oops": ("temporal", "signal_t1.txt",
+                          lambda t: t.replace("\n4\t", "\n4\toops\n#", 1), 5,
+                          "could not convert string to float: 'oops'"),
+    "signal-value-nan": ("temporal", "signal_t0.txt",
+                         lambda t: t.replace("\n4\t", "\n4\tnan\n#", 1), 5,
+                         "non-finite value nan"),
+    "partition-id-7": ("non", "partition.txt", lambda t: t.replace("0\n", "7\n", 1), 1,
+                       "block id 7 out of range [0,2)"),
+    "partition-id-minus-1": ("non", "partition.txt", lambda t: t.replace("0\n", "-1\n", 1), 1,
+                             "block id -1 out of range [0,2)"),
+    "truth-three-fields": ("temporal", "truth.txt", lambda t: t.replace("\n", "\t3\n", 1), 1,
+                           "expected 2 fields, got 3"),
+    "truth-id-not-integer": ("temporal", "truth.txt", lambda t: t.replace("\n", "\n1\ty\n", 1),
+                             2, "invalid literal for int() with base 10: 'y'"),
+    # missing keys are named at the file's last line
+    "metadata-without-n": ("temporal", "metadata.txt", _drop_line("n="), 8, "missing key n"),
+    "metadata-without-kind": ("non", "metadata.txt", _drop_line("kind="), 9,
+                              "missing key kind"),
+    "metadata-mu-abc": ("temporal", "metadata.txt", lambda t: t.replace("mu=5.0", "mu=abc"), 4,
+                        "could not convert string to float: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_bundle_file_names_its_line(tmp_path, capfd, case):
+    kind, name, edit, line, message = MALFORMED[case]
+    synth = ["synth", "--n", "40", "--m", "2", "--size", "5", "--seed", "1",
+             "--kind", kind, "--out", str(tmp_path)]
+    assert run(synth + (["--T", "2"] if kind == "temporal" else ["--blocks", "2"])) == 0
+    path = tmp_path / "instance" / name
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    if name == "truth.txt":
+        argv = ["eval", "--detected", str(path), "--truth", str(path)]
+    else:
+        argv = ["detect", "--bundle", str(tmp_path / "instance"), "--budget", "3"]
+    capfd.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert f"{name}:{line}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--budgets", "--lambdas"])
+@pytest.mark.parametrize("grid", [",", ""])
+def test_gridsearch_empty_grid_exit_2(temporal_bundle, tmp_path, capfd, flag, grid):
+    argv = ["gridsearch", "--bundle", str(temporal_bundle), "--budgets", "10",
+            "--out", str(tmp_path / "o"), flag, grid]
+    capfd.readouterr()
+    assert run(argv) == 2
+    err = capfd.readouterr().err
+    assert f"{flag} names no value" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, temporal_bundle, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -423,10 +491,11 @@ class TestConfigFile:
             per_block.setdefault(t, set()).add(v)
         assert max(len(s) for s in per_block.values()) <= 12
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key=1\n")
         assert run(["--config", str(cfg), "synth", "--n", "10"]) == 2
+        assert "run.cfg:1: unknown config key 'bogus_key'" in capsys.readouterr().err
 
     def test_config_values_reach_the_subcommand(self, temporal_bundle, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -460,20 +529,20 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["step-mode=sideways", "head-capacity=3s",
                                       "normalize-signal=yes", "signal=s.txt"])
-    def test_bad_config_value_exit_2(self, temporal_bundle, tmp_path, line):
+    def test_bad_config_value_exit_2(self, temporal_bundle, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_text("# defaults\n" + line + "\n")
         assert run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
                     "--budget", "10", "--out", str(tmp_path / "o")]) == 2
+        assert "run.cfg:2: " in capsys.readouterr().err
 
-    def test_config_value_of_the_wrong_type_exit_2(self, temporal_bundle, tmp_path):
-        # argparse converts the default through the option's type and exits 2
+    def test_config_value_of_the_wrong_type_exit_2(self, temporal_bundle, tmp_path, capsys):
+        # the value goes through the option's type as the file is read
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max-outer-iters=many\n")
-        with pytest.raises(SystemExit) as err:
-            run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
-                 "--budget", "10", "--out", str(tmp_path / "o")])
-        assert err.value.code == 2
+        assert run(["--config", str(cfg), "detect", "--bundle", str(temporal_bundle),
+                    "--budget", "10", "--out", str(tmp_path / "o")]) == 2
+        assert "run.cfg:1: invalid literal for int()" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

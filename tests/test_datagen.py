@@ -194,9 +194,19 @@ class TestInstances:
         meta = read_metadata(str(tmp_path / "bundle" / "metadata.txt"))
         assert meta["kind"] == "temporal"
         assert meta["rng"] == "pcg64"
-        assert int(meta["T"]) == 3
+        assert meta["T"] == 3 and meta["mu"] == spec.mu
         truth = read_truth(str(tmp_path / "bundle" / "truth.txt"))
         assert truth == inst.truth_pairs()
+
+    @pytest.mark.parametrize("line, message", [
+        ("kind=other", r"md\.txt:2: kind must be temporal or non, not 'other'"),
+        ("no equals sign", r"md\.txt:2: expected key=value"),
+    ], ids=["bad-kind", "no-equals-sign"])
+    def test_metadata_rejects_bad_lines(self, tmp_path, line, message):
+        p = tmp_path / "md.txt"
+        p.write_text(f"# metadata\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            read_metadata(str(p))
 
     def test_bundle_bytes_reproducible(self, tmp_path):
         spec = SyntheticSpec(n=40, m=2, T=2, subgraph_size=5, seed=11)

@@ -9,6 +9,8 @@ from gbgp.graph import (
     EdgeListError,
     Graph,
     PartitionError,
+    SignalError,
+    SignalFile,
     SupportSet,
     connected_components,
     load_graph,
@@ -162,19 +164,32 @@ class TestGraphIO:
     def test_load_self_loop_error(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("3 3\n")
-        with pytest.raises(EdgeListError, match="self-loop"):
+        with pytest.raises(EdgeListError, match=r"g\.txt:1: self-loop"):
             load_graph(str(p))
 
     def test_load_negative_weight_error(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1 -1.5\n")
-        with pytest.raises(EdgeListError, match="negative"):
+        with pytest.raises(EdgeListError, match=r"g\.txt:1: negative"):
             load_graph(str(p))
 
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1\nnot an edge line at all\n")
         with pytest.raises(EdgeListError, match=":2"):
+            load_graph(str(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("# nodes 3\n0 1\n# x\n1 0 2.0\n1 2\n", r"g\.txt:4: duplicate undirected edge \(0,1\)"),
+        ("# nodes 3\n0 1\n1 5\n1 2\n", r"g\.txt:3: edge \(1,5\) has node id out of \[0,3\)"),
+        ("0 1 0\n1 2\n", r"g\.txt:1: edge \(0,1\) has non-positive weight 0\.0"),
+    ], ids=["duplicate", "id-out-of-range", "zero-weight"])
+    def test_graph_errors_name_the_edge_line(self, tmp_path, text, message):
+        # the checks Graph makes over all edges name the first bad edge's
+        # line, not the file's last
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
             load_graph(str(p))
 
     def test_bad_node_count_reports_line(self, tmp_path):
@@ -299,7 +314,7 @@ class TestBlockPartition:
         g = path_graph(3)
         p = tmp_path / "part.txt"
         p.write_text("0\n0\n")
-        with pytest.raises(PartitionError):
+        with pytest.raises(PartitionError, match=r"part\.txt:2: assignment length 2 != node count 3"):
             load_partition(str(p), g, 2)
 
 
@@ -396,6 +411,27 @@ class TestSignal:
         save_signal(sig, str(p))
         loaded = load_signal(str(p), 3)
         assert np.array_equal(loaded.values, sig.values)
+
+    def test_signal_file_parsed_once_then_placed(self, tmp_path):
+        # absent nodes are 0 and of two entries for one node the later wins
+        p = tmp_path / "sig.txt"
+        p.write_text("# node value\n2\t1.5\n0\t-1\n\n2\t3.0\n")
+        entries = SignalFile(str(p))
+        assert entries.length == 3
+        assert entries.place(5).values.tolist() == [-1.0, 0.0, 3.0, 0.0, 0.0]
+        with pytest.raises(SignalError, match=r"sig\.txt:2: node id 2 out of range"):
+            entries.place(2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1\n", r"sig\.txt:2: expected 2 fields, got 1"),
+        ("0 1\n-1 2\n", r"sig\.txt:2: node id -1 out of range"),
+        ("0 inf\n", r"sig\.txt:1: non-finite value inf"),
+    ], ids=["one-field", "negative-id", "infinite-value"])
+    def test_signal_errors_name_the_line(self, tmp_path, text, message):
+        p = tmp_path / "sig.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_signal(str(p), 3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
