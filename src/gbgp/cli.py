@@ -31,8 +31,9 @@ from .datagen import (
 from .evaluation import precision_recall_f1, scaling_bench, solve_instance, support_pairs
 from .graph import (
     BlockSignal,
-    SignalFile,
     _Lines,
+    _place_signal,
+    _read_signal,
     _write_lines,
     load_graph,
     load_partition,
@@ -191,9 +192,9 @@ def _load_detect_inputs(args):
         raise ValueError("detect needs --bundle, or --graph with --signal")
     # each signal file is parsed once; the longest bounds the graph before its
     # header can allocate anything
-    files = [SignalFile(path) for path in args.signal]
-    graph = load_graph(args.graph, max(f.length for f in files))
-    signals = [f.place(graph.node_count) for f in files]
+    entries = [_read_signal(path) for path in args.signal]
+    graph = load_graph(args.graph, max(max(nodes, default=-1) + 1 for _, nodes, _ in entries))
+    signals = [_place_signal(signal, graph.node_count) for signal in entries]
     if len(signals) > 1:
         if args.partition or args.blocks:
             raise ValueError("--partition/--blocks apply to one --signal only")

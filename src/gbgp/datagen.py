@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -358,27 +358,25 @@ def read_bundle(bundle_dir: str) -> TemporalInstance | NonInstance:
     return NonInstance(spec, graph, partition, truth, signal)
 
 
-# the type of each metadata.txt key
-_METADATA = {"T": int, "kind": str, "m": int, "mu": float, "n": int, "num_blocks": int,
-             "overlap": float, "rng": str, "seed": int, "subgraph_size": int}
-
-
 def read_metadata(path: str) -> dict:
-    """A bundle's ``key=value`` metadata, each value of its key's type.
+    """A bundle's ``key=value`` metadata.
 
-    Every key :func:`write_bundle` writes must be there, ``num_blocks``
-    only in a ``non`` bundle; other keys are kept as text.
+    It must name ``kind`` and each :class:`SyntheticSpec` field, and a
+    ``non`` bundle ``num_blocks``. A field's value takes the field's type,
+    but ``subgraph_size``, written resolved, and ``num_blocks`` are ints;
+    other values stay text.
     """
+    types = {**get_type_hints(SyntheticSpec), "subgraph_size": int, "num_blocks": int}
     meta = {}
     with _Lines(path) as lines:
         for key, value in lines.pairs():
             if key == "kind" and value not in ("temporal", "non"):
                 raise ValueError(f"kind must be temporal or non, not {value!r}")
-            meta[key] = _METADATA.get(key, str)(value)
-        missing = set(_METADATA) - set(meta) - (
-            set() if meta.get("kind") == "non" else {"num_blocks"})
+            meta[key] = types.get(key, str)(value)
+        needed = set(types) if meta.get("kind") == "non" else set(types) - {"num_blocks"}
+        missing = sorted((needed | {"kind"}) - meta.keys())
         if missing:
-            raise ValueError(f"missing key {', '.join(sorted(missing))}")
+            raise ValueError(f"missing key {', '.join(missing)}")
     return meta
 
 

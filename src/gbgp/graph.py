@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "EdgeListError",
     "PartitionError",
     "SignalError",
-    "SignalFile",
     "load_graph",
     "save_graph",
     "load_partition",
@@ -68,7 +68,12 @@ class _Lines:
     def __exit__(self, kind, exc, traceback):
         self._file.close()
         if isinstance(exc, ValueError):
-            exc.args = (f"{self.path}:{self.line}: {exc}",)
+            self.located(exc)
+
+    def located(self, error: ValueError) -> ValueError:
+        """``error`` with ``<path>:<line>: `` put before its message."""
+        error.args = (f"{self.path}:{self.line}: {error}",)
+        return error
 
     def __iter__(self):
         for self.line, text in enumerate(self._file, start=1):
@@ -105,10 +110,8 @@ class _Lines:
 
 
 def _write_lines(path: str, lines: Iterable) -> None:
-    lines = list(map(str, lines))
     with open(path, "w", encoding="utf-8") as fh:
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 class Graph:
@@ -349,19 +352,20 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
 
 
 def save_graph(graph: Graph, path: str) -> None:
-    _write_lines(path, [f"# nodes {graph.node_count}"] + [
-        f"{u}\t{v}" if w == 1.0 else f"{u}\t{v}\t{float(w)!r}"
-        for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w)
-    ])
+    edges = (f"{u}\t{v}" if w == 1.0 else f"{u}\t{v}\t{float(w)!r}"
+             for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w))
+    _write_lines(path, chain([f"# nodes {graph.node_count}"], edges))
 
 
 def load_partition(path: str, graph: Graph, num_blocks: int) -> BlockPartition:
     """Load a partition file: its i-th block id is node i's."""
     with _Lines(path) as lines:
         (assignment,) = lines.columns(int)
-        for lines.line, k in zip(lines.numbers, assignment):  # an error names k's line
-            if not 0 <= k < num_blocks:
-                raise PartitionError(f"block id {k} out of range [0,{num_blocks})")
+        # on Python ints, so no id is too large to check; a bad id's line is looked for only then
+        if not 0 <= min(assignment, default=0) <= max(assignment, default=0) < num_blocks:
+            for lines.line, k in zip(lines.numbers, assignment):
+                if not 0 <= k < num_blocks:
+                    raise PartitionError(f"block id {k} out of range [0,{num_blocks})")
         return BlockPartition(graph, assignment, num_blocks)  # a wrong count names the last line
 
 
@@ -438,36 +442,31 @@ def connected_components(graph: Graph, nodes: Iterable[int]) -> list[set[int]]:
     return components
 
 
-class SignalFile:
-    """A ``node <TAB> value`` signal file, parsed once.
+def _read_signal(path: str) -> tuple[_Lines, list[int], list[float]]:
+    """A ``node <TAB> value`` signal file, parsed once: its reader, whose
+    ``numbers`` are the entries' lines, their node ids and their values."""
+    with _Lines(path) as lines:
+        nodes, values = lines.columns(int, float)
+    return lines, nodes, values
 
-    ``length``, one more than its largest node id (0 if none), can bound a
-    graph before it loads; :meth:`place` then lays the values over it.
-    """
 
-    def __init__(self, path: str):
-        self.path = path
-        with _Lines(path) as lines:
-            self.nodes, self.values = lines.columns(int, float)
-        self.lines = lines.numbers
-        self.length = max(self.nodes, default=-1) + 1
-
-    def place(self, node_count: int) -> BlockSignal:
-        """The signal over ``node_count`` nodes: absent nodes are 0, and of
-        two entries for one node the later wins."""
-        values = np.zeros(node_count, dtype=np.float64)
-        for line, node, value in zip(self.lines, self.nodes, self.values):
-            if not 0 <= node < node_count:
-                raise SignalError(f"{self.path}:{line}: node id {node} out of range")
-            if not math.isfinite(value):
-                raise SignalError(f"{self.path}:{line}: non-finite value {value}")
-            values[node] = value
-        return BlockSignal(values)
+def _place_signal(entries: tuple[_Lines, list[int], list[float]], node_count: int) -> BlockSignal:
+    """The signal of :func:`_read_signal`'s entries over ``node_count`` nodes:
+    absent nodes are 0, and of two entries for one node the later wins."""
+    lines, nodes, values = entries
+    placed = np.zeros(node_count, dtype=np.float64)
+    for lines.line, node, value in zip(lines.numbers, nodes, values):
+        if not 0 <= node < node_count:
+            raise lines.located(SignalError(f"node id {node} out of range"))
+        if not math.isfinite(value):
+            raise lines.located(SignalError(f"non-finite value {value}"))
+        placed[node] = value
+    return BlockSignal(placed)
 
 
 def load_signal(path: str, node_count: int) -> BlockSignal:
     """Load a ``node <TAB> value`` signal file; absent nodes default to 0."""
-    return SignalFile(path).place(node_count)
+    return _place_signal(_read_signal(path), node_count)
 
 
 def save_signal(signal: BlockSignal, path: str) -> None:

@@ -173,8 +173,10 @@ class TestDetect:
         signal.write_text("0\t1\n1\t1\n2\t0\n")
         code = run(["detect", "--graph", str(graph), "--signal", str(signal),
                     "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "g.txt:3: edge (1," in capsys.readouterr().err
+        assert "out of [0,3)" in err
+        assert "g.txt:3: edge (1," in err
 
     @pytest.mark.parametrize("count", ["9" * 400, str(2 ** 63), "-1"],
                              ids=["400-digits", "2**63", "-1"])

@@ -10,8 +10,9 @@ from gbgp.graph import (
     Graph,
     PartitionError,
     SignalError,
-    SignalFile,
     SupportSet,
+    _place_signal,
+    _read_signal,
     connected_components,
     load_graph,
     load_partition,
@@ -317,6 +318,14 @@ class TestBlockPartition:
         with pytest.raises(PartitionError, match=r"part\.txt:2: assignment length 2 != node count 3"):
             load_partition(str(p), g, 2)
 
+    def test_partition_id_too_large_for_int64_names_its_line(self, tmp_path):
+        g = path_graph(3)
+        p = tmp_path / "part.txt"
+        p.write_text("0\n" + "9" * 30 + "\n1\n")
+        message = r"part\.txt:2: block id 9{30} out of range \[0,2\)"
+        with pytest.raises(PartitionError, match=message):
+            load_partition(str(p), g, 2)
+
 
 class TestPartitionContiguous:
     def test_path_two_blocks(self):
@@ -416,11 +425,11 @@ class TestSignal:
         # absent nodes are 0 and of two entries for one node the later wins
         p = tmp_path / "sig.txt"
         p.write_text("# node value\n2\t1.5\n0\t-1\n\n2\t3.0\n")
-        entries = SignalFile(str(p))
-        assert entries.length == 3
-        assert entries.place(5).values.tolist() == [-1.0, 0.0, 3.0, 0.0, 0.0]
+        entries = _read_signal(str(p))
+        assert entries[1:] == ([2, 0, 2], [1.5, -1.0, 3.0])
+        assert _place_signal(entries, 5).values.tolist() == [-1.0, 0.0, 3.0, 0.0, 0.0]
         with pytest.raises(SignalError, match=r"sig\.txt:2: node id 2 out of range"):
-            entries.place(2)
+            _place_signal(entries, 2)
 
     @pytest.mark.parametrize("text, message", [
         ("0 1\n1\n", r"sig\.txt:2: expected 2 fields, got 1"),
