@@ -278,9 +278,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _grid(flag: str, text: str, kind) -> list:
+    """The values of a comma-separated grid flag; a grid naming none is an error."""
+    values = [kind(v) for v in text.split(",") if v]
+    if not values:
+        raise ValueError(f"{flag} names no value")
+    return values
+
+
 def cmd_bench(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",") if v]
-    taus = [int(v) for v in args.taus.split(",") if v != ""]
+    sizes, taus = _grid("--sizes", args.sizes, int), _grid("--taus", args.taus, int)
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
     config = SolverConfig(seed=args.seed)
     table = scaling_bench(
         sizes, config, lam=args.lam, tau_list=taus, repeats=args.repeats, seed=args.seed
@@ -300,11 +309,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    budgets = [int(v) for v in args.budgets.split(",") if v]
-    lambdas = [float(v) for v in args.lambdas.split(",") if v]
-    for flag, grid in (("--budgets", budgets), ("--lambdas", lambdas)):
-        if not grid:
-            raise ValueError(f"{flag} names no value")
+    budgets = _grid("--budgets", args.budgets, int)
+    lambdas = _grid("--lambdas", args.lambdas, float)
     instance = read_bundle(args.bundle)
     cells = []
     for budget in budgets:

@@ -242,8 +242,9 @@ def expand_temporal(
 
     Snapshot t becomes block t over nodes [t*n, (t+1)*n): the base edge
     arrays are tiled T times with t*n added to snapshot t's ids, so every
-    block graph equals the base graph. No edges join snapshots; the
-    temporal coupling lives in the objective.
+    block graph equals the base graph; the partition is given
+    ``base_graph`` itself as each, so all share one PCST engine. No edges
+    join snapshots; the temporal coupling lives in the objective.
     """
     n, T = base_graph.node_count, len(signals)
     offsets = np.repeat(np.arange(T, dtype=np.int64) * n, base_graph.edge_count)
@@ -255,6 +256,7 @@ def expand_temporal(
     big = Graph(n * T, edges)
     assignment = np.repeat(np.arange(T), n)
     partition = BlockPartition(big, assignment, T)
+    partition._block_graphs = [base_graph] * T
     signal = BlockSignal(np.concatenate([s.values for s in signals]))
     return big, partition, signal
 

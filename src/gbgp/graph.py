@@ -2,12 +2,14 @@
 
 Values here are not changed after construction and are safe to share
 across threads, but for two caches filled on first use: the block graphs
-in ``BlockPartition._block_graphs`` and the ``_pcst_engine`` that
-``projections._engine_for`` attaches to a ``Graph``. Threads racing on
-first use each build an equal value, so either may be kept. Node ids are
-dense integers in [0, N); loaders remap sparse external ids and persist
-the mapping in a side file. The loaders skip blank lines and ``#``
-comments and raise each parse or range error as ``<path>:<line>: ...``.
+in ``BlockPartition._block_graphs`` (which ``datagen.expand_temporal``
+fills with its base graph, so snapshots share one graph and engine) and
+the ``_pcst_engine`` that ``projections._engine_for`` attaches to a
+``Graph``. Threads racing on first use each build an equal value, so
+either may be kept. Node ids are dense integers in [0, N); loaders remap
+sparse external ids and persist the mapping in a side file. The loaders
+skip blank lines and ``#`` comments and raise each parse or range error
+as ``<path>:<line>: ...``.
 """
 from __future__ import annotations
 
@@ -50,19 +52,20 @@ class SignalError(ValueError):
 
 
 class _Lines:
-    """``with _Lines(path) as lines:`` reads a text file's non-blank lines.
+    """``with _Lines(path) as lines:`` reads a UTF-8 text file's non-blank lines.
 
     A ``ValueError`` raised in the ``with`` block gains ``<path>:<line>: ``
     before its message: the line being read, or the last once the loop is
-    done. Iterating yields each line stripped; :meth:`columns` and
-    :meth:`pairs` parse them and skip ``#`` comments.
+    done. Each line is decoded alone, so one that is not UTF-8 is named.
+    Iterating yields each line stripped; :meth:`columns` and :meth:`pairs`
+    parse them and skip ``#`` comments.
     """
 
     def __init__(self, path: str):
         self.path, self.line = path, 0
 
     def __enter__(self):
-        self._file = open(self.path, "r", encoding="utf-8")
+        self._file = open(self.path, "rb")
         return self
 
     def __exit__(self, kind, exc, traceback):
@@ -76,7 +79,11 @@ class _Lines:
         return error
 
     def __iter__(self):
-        for self.line, text in enumerate(self._file, start=1):
+        for self.line, raw in enumerate(self._file, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"not UTF-8 text ({exc.reason})") from None
             if text := text.strip():
                 yield text
 
@@ -282,7 +289,7 @@ class SupportSet:
 
     def __init__(self, block_id: int, nodes: Iterable[int]):
         self.block_id = int(block_id)
-        self.nodes = tuple(sorted(set(int(v) for v in nodes)))
+        self.nodes = tuple(sorted(set(map(int, nodes))))
 
     def __len__(self):
         return len(self.nodes)
@@ -305,8 +312,8 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
     Lines starting with ``#`` are comments; a ``# nodes N`` comment fixes
     the node count, 0 <= N < 2**63 (otherwise max id + 1 is used). Given
     ``signal_length``, N must equal it; both checks run before anything
-    is allocated. Sparse external ids are remapped to [0, N) and the
-    mapping written to ``<path>.idmap``.
+    is allocated. Sparse external ids are remapped to [0, N) and, once
+    the edges are accepted, the mapping written to ``<path>.idmap``.
     """
     raw_edges, edge_lines = [], []
     declared_n = None
@@ -339,16 +346,19 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
 
         ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
         n = len(ids) if declared_n is None else declared_n
-        if declared_n is None and ids != list(range(n)):
-            _write_lines(path + ".idmap", (f"{new}\t{old}" for new, old in enumerate(ids)))
+        sparse = declared_n is None and ids != list(range(n))
+        if sparse:
             remap = {old: new for new, old in enumerate(ids)}
             raw_edges = [(remap[u], remap[v], w) for u, v, w in raw_edges]
         try:
-            return Graph(n, raw_edges)
+            graph = Graph(n, raw_edges)
         except ValueError as exc:
             if hasattr(exc, "row"):  # name the first bad edge's line
                 lines.line = edge_lines[exc.row]
             raise
+    if sparse:  # only once the edges are accepted
+        _write_lines(path + ".idmap", (f"{new}\t{old}" for new, old in enumerate(ids)))
+    return graph
 
 
 def save_graph(graph: Graph, path: str) -> None:

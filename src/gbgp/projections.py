@@ -182,7 +182,6 @@ def _project(values, graph_k, budget, num_components, capacity_mode, block_id,
              initial_multiplier, captured: bool) -> ProjectionOutcome:
     """Budget search on squared entries; reports captured or left-out mass."""
     values = np.asarray(values, dtype=np.float64)
-    _validate_projection_args(values, graph_k, budget)
     capacity = _capacity(budget, capacity_mode, graph_k.node_count)
     prizes = values * values
     nodes, iterations, multiplier = budget_search(
@@ -206,17 +205,3 @@ def _capacity(budget: int, mode: str, block_size: int) -> int:
         raise ValueError(f"unknown capacity mode {mode!r}")
     return min(cap, block_size)
 
-
-def _validate_projection_args(values: np.ndarray, graph_k: Graph, budget: int) -> None:
-    if graph_k.node_count == 0:
-        raise ValueError("cannot project on an empty block")
-    if len(values) != graph_k.node_count:
-        raise ValueError(
-            f"vector length {len(values)} != block size {graph_k.node_count}"
-        )
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if budget > graph_k.node_count:
-        raise ValueError(
-            f"budget {budget} infeasible for block of {graph_k.node_count} nodes"
-        )

@@ -308,7 +308,8 @@ def gbgp_solve(
     its input and warm start (budget and options are fixed per solve), so
     a block whose input and warm start both repeat reuses the outcome
     instead of searching again; only the other blocks are projected.
-    Returns the per-block tail supports of the final iteration, the
+    Returns the per-block tail supports of the final iteration (kept as
+    global ids; each :class:`SupportSet` is built once, after the loop), the
     continuous iterate, and one :class:`OuterRecord` per outer iteration:
     its step, objective and wall time, the whole iterate as ``(nodes,
     values)`` (so iterate i is ``x = zeros(n); x[r.nodes] = r.values`` for
@@ -339,6 +340,9 @@ def gbgp_solve(
 
     def project_blocks(kind: str, inputs: dict[int, np.ndarray],
                        probes: dict) -> dict[int, ProjectionOutcome]:
+        # read at call time, so a caller may wrap either one on this module
+        project = head_project if kind == "head" else tail_project
+        mode = config.head_capacity_mode if kind == "head" else "s"
         outcomes = {}
         for k, values in inputs.items():
             data, entry = values.tobytes(), last.get((kind, k))
@@ -346,15 +350,9 @@ def gbgp_solve(
             if entry is not None and entry[:2] == (data, warm):
                 outcomes[k] = entry[2]
                 continue
-            if kind == "head":
-                outcome = head_project(values, block_graphs[k], config.budgets,
-                                       num_components=config.num_components,
-                                       capacity_mode=config.head_capacity_mode,
-                                       block_id=k, initial_multiplier=warm)
-            else:
-                outcome = tail_project(values, block_graphs[k], config.budgets,
-                                       num_components=config.num_components,
-                                       block_id=k, initial_multiplier=warm)
+            outcome = project(values, block_graphs[k], config.budgets,
+                              num_components=config.num_components, capacity_mode=mode,
+                              block_id=k, initial_multiplier=warm)
             last[kind, k] = (data, warm, outcome)
             probes[kind, k] = outcome.search_iterations
             outcomes[k] = outcome
@@ -363,7 +361,8 @@ def gbgp_solve(
     x = objective.initial_x() if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     iterations: list[OuterRecord] = []
     converged = False
-    tail_supports: list[SupportSet] = [SupportSet(k, ()) for k in range(K)]
+    # each block's tail support, as global ids in ascending order
+    kept = [np.empty(0, dtype=np.int64)] * K
 
     for outer in range(1, config.max_outer_iters + 1):
         iter_start = time.perf_counter()
@@ -391,26 +390,23 @@ def gbgp_solve(
         tails = project_blocks(
             "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
         )
-        x_new = np.zeros_like(x)
-        new_supports = [SupportSet(k, ()) for k in range(K)]
         for k in blocks:
-            kept = partition.block_nodes[k][list(tails[k].support.nodes)]
-            x_new[kept] = b[kept]
-            new_supports[k] = SupportSet(k, kept.tolist())
+            kept[k] = partition.block_nodes[k][list(tails[k].support.nodes)]
+        nodes = np.concatenate(kept)
+        x_new = np.zeros_like(x)
+        x_new[nodes] = b[nodes]
 
-        changes = (x_new[nodes] - x[nodes] for nodes in partition.block_nodes)
+        changes = (x_new[block] - x[block] for block in partition.block_nodes)
         delta = sum(math.sqrt(dot(change, change)) for change in changes)
-        nodes = np.fromiter((v for supp in new_supports for v in supp.nodes), dtype=np.int64)
         iterations.append(OuterRecord(delta, f_x, (time.perf_counter() - iter_start) * 1e3,
                                       nodes, x_new[nodes], probes, *counts.tolist()))
         x = x_new
-        tail_supports = new_supports
         if config.outer_tol > 0 and delta <= config.outer_tol:
             converged = True
             break
 
     return DetectionResult(
-        supports=tail_supports,
+        supports=[SupportSet(k, block) for k, block in enumerate(kept)],
         x_final=x,
         converged=converged,
         iterations=iterations,

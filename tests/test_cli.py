@@ -478,6 +478,34 @@ def test_gridsearch_empty_grid_exit_2(temporal_bundle, tmp_path, capfd, flag, gr
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sizes", ",", "--sizes names no value"),
+    ("--taus", ",", "--taus names no value"),
+    ("--repeats", "0", "--repeats must be >= 1"),
+])
+def test_bench_rejects_an_empty_grid_or_no_repeats(tmp_path, capfd, flag, value, message):
+    argv = ["bench", "--sizes", "300", "--repeats", "1", "--out", str(tmp_path / "o"),
+            flag, value]
+    capfd.readouterr()
+    assert run(argv) == 2
+    err = capfd.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_names_the_line_of_a_byte_not_utf8(tmp_path, capfd):
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "bad.txt").write_bytes(b"0\t1.0\n1\t\xff\n2\t0.5\n")
+    capfd.readouterr()
+    code = run(["detect", "--graph", str(tmp_path / "g.txt"), "--signal",
+                str(tmp_path / "bad.txt"), "--budget", "1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capfd.readouterr().err
+    assert "bad.txt:2: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, temporal_bundle, tmp_path):
         cfg = tmp_path / "run.cfg"

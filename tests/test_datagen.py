@@ -16,7 +16,10 @@ from gbgp.datagen import (
     read_truth,
     write_bundle,
 )
-from gbgp.graph import BlockSignal, Graph, connected_components, load_graph
+from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components, load_graph
+from gbgp.objectives import ObjectiveSpec
+from gbgp.pcst import PcstEngine
+from gbgp.solver import SolverConfig, gbgp_solve
 
 
 class TestBarabasiAlbert:
@@ -167,16 +170,30 @@ class TestInstances:
         assert len(signal) == 240
         assert len(inst.truth_pairs()) == 4 * 8
 
-    def test_every_temporal_block_graph_is_the_base_graph(self):
+    def test_every_temporal_block_graph_is_the_base_graph(self, monkeypatch):
         spec = SyntheticSpec(n=60, m=3, T=4, subgraph_size=8, seed=3)
         inst = generate_temporal(spec)
         base = inst.base_graph
-        _, part, _ = inst.expand()
+        big, part, signal = inst.expand()
+        # what a partition of the tiled graph would build for each block
+        fresh = BlockPartition(big, part.assignment, part.num_blocks)
         for k in range(part.num_blocks):
-            block = part.block_graph(k)
+            assert part.block_graph(k) is base
+            block = fresh.block_graph(k)
             assert block == base
             for name in ("adj_indptr", "adj_nodes", "adj_eids"):
                 assert np.array_equal(getattr(block, name), getattr(base, name))
+        # so a whole solve builds one engine, on the base graph
+        built, init = [], PcstEngine.__init__
+
+        def counted(engine, graph):
+            built.append(graph)
+            init(engine, graph)
+
+        monkeypatch.setattr(PcstEngine, "__init__", counted)
+        objective = ObjectiveSpec("temporal", part, signal, lam=0.02)
+        gbgp_solve(objective, SolverConfig(budgets=8, max_outer_iters=3))
+        assert len(built) == 1 and built[0] is base
 
     def test_non_instance(self):
         spec = SyntheticSpec(n=120, m=3, subgraph_size=0.1, seed=4)

@@ -226,6 +226,13 @@ class TestGraphIO:
         idmap = (tmp_path / "g.txt.idmap").read_text().splitlines()
         assert idmap == ["0\t10", "1\t20", "2\t77"]
 
+    def test_rejected_sparse_edges_leave_no_idmap(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("10 20\n20 30\n20 10\n")
+        with pytest.raises(EdgeListError, match=r"g\.txt:3: duplicate undirected edge"):
+            load_graph(str(p))
+        assert not (tmp_path / "g.txt.idmap").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_round_trip_property(self, seed):
@@ -441,6 +448,15 @@ class TestSignal:
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_signal(str(p), 3)
+
+    def test_a_line_not_utf8_is_named_past_the_first_chunk(self, tmp_path):
+        # text mode would decode 8 KB at a time and name no line
+        p = tmp_path / "sig.txt"
+        lines = [f"{i}\t0.5\n".encode() for i in range(3000)]
+        lines[2500] = b"2500\t0.5\xff\n"
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=r"sig\.txt:2501: not UTF-8 text \(invalid start"):
+            load_signal(str(p), 3000)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import gbgp.projections as projections
 import gbgp.solver as solver
 from gbgp.datagen import SyntheticSpec, generate_non, generate_temporal
-from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components
+from gbgp.graph import BlockPartition, BlockSignal, Graph, SupportSet, connected_components
 from gbgp.objectives import ObjectiveSpec
 from gbgp.solver import (
     SolverConfig,
@@ -559,6 +559,28 @@ def test_golden_solves_are_byte_identical(name):
     result = gbgp_solve(make_objective(), config)
     assert result.outer_iters == 8
     assert solve_digest(result) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
+def test_supports_are_built_once_per_search_and_once_per_block(monkeypatch, name):
+    make_objective, knobs, _ = GOLDEN_SOLVES[name]
+    obj = make_objective()
+    built, init = [], SupportSet.__init__
+
+    def counted(support, block_id, nodes):
+        built.append(block_id)
+        init(support, block_id, nodes)
+
+    monkeypatch.setattr(SupportSet, "__init__", counted)
+    result = gbgp_solve(obj, SolverConfig(max_outer_iters=8, outer_tol=0.0, **knobs))
+    searched = sum(len(record.probes) for record in result.iterations)
+    assert len(built) <= searched + obj.num_blocks
+    # the supports are the last iterate's nodes, grouped by block, as Python ints
+    last, assignment = result.iterations[-1].nodes, obj.partition.assignment
+    assert [support.block_id for support in result.supports] == list(range(obj.num_blocks))
+    for k, support in enumerate(result.supports):
+        assert support.nodes == tuple(last[assignment[last] == k].tolist())
+        assert all(type(v) is int for v in support.nodes)
 
 
 def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
