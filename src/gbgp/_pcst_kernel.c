@@ -9,13 +9,13 @@
  * same find/push_edge calls in the same order, and the same
  * floating-point expressions, so its forests are byte-identical.
  *
- * gbgp_pcst_search runs one whole projections.budget_search: every
- * probe's costs, its forest, the leaf trim to capacity, the support's
- * score, the best-candidate rule and every exit test. It replays the
- * reference loop in tests/oracles.py: libm's log and exp, NumPy's
- * pairwise summation for the score, and the trim heap popped on
- * (prize, -v). Build with -std=c99 -O2 -ffp-contract=off and without
- * fast-math.
+ * gbgp_pcst_phase runs a phase's projections.budget_search calls, each
+ * search whole: every probe's costs, its forest, the leaf trim to
+ * capacity, the support's score, the best-candidate rule and every exit
+ * test. It replays the reference loop in tests/oracles.py: libm's log and
+ * exp, NumPy's pairwise summation for the score, and the trim heap popped
+ * on (prize, -v). The searches are spread over a few pthreads. Build with
+ * -std=c99 -O2 -ffp-contract=off -pthread and without fast-math.
  *
  * gbgp_components labels the connected components of the engine's graph,
  * numbered by their lowest member.
@@ -36,6 +36,7 @@
  * the generator's lock.
  */
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -740,6 +741,21 @@ static double pairwise_sum(const double *a, idx n)
 }
 
 /*
+ * One budget search of a phase: the engine's graph, the search's inputs,
+ * and the slots search() writes its results to.
+ */
+typedef struct {
+    idx n, m;
+    const idx *eu, *ev, *indptr, *adj_eids;
+    const double *weight, *prize;
+    idx num_trees, budget, capacity, has_warm;
+    double warm, total, exit_score;
+    idx *best;
+    idx size, probes;
+    double mult;
+} search_task;
+
+/*
  * One budget search: bisect log(multiplier) over [log(low), log(high)],
  * the first probe at the warm start clamped into [low, high] when
  * has_warm is set. Each probe solves the forest on weight * multiplier
@@ -751,30 +767,28 @@ static double pairwise_sum(const double *a, idx n)
  * reaches exit_score, or the interval is below 1e-2, or after max_probes
  * probes.
  *
- * Writes the best support, sorted, to best, its multiplier to *mult_out
- * and the probe count to *probes_out, and returns the support's size (0
- * when no probe found one). Returns -1 when memory ran out and -2 when a
+ * Writes the best support, sorted, to t->best, its multiplier to t->mult,
+ * the probe count to t->probes, and the support's size to t->size (0 when
+ * no probe found one); t->size is -1 when memory ran out and -2 when a
  * probe's cost is not positive and finite.
  */
-idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indptr,
-                     const idx *adj_eids, const double *weight, const double *prize,
-                     idx num_trees, idx budget, idx capacity, idx max_probes, idx has_warm,
-                     double warm, double low, double high, double total, double exit_score,
-                     idx *best, double *mult_out, idx *probes_out)
+static void search(search_task *t, idx max_probes, double low, double high)
 {
     state s;
+    idx n = t->n, m = t->m, capacity = t->capacity, *best = t->best;
+    const double *weight = t->weight, *prize = t->prize;
     idx probe, e, i, trees, count, len, best_len = -1, status = -1, oversized, better, *out;
     double lo = log(low), hi = log(high), mid, mult, score, best_score = 0.0, best_mult = 0.0;
     double *cost;
 
-    if (init(&s, n, m, eu, ev, indptr, adj_eids, NULL, prize))
+    if (init(&s, n, m, t->eu, t->ev, t->indptr, t->adj_eids, NULL, prize))
         goto done;
     out = s.found;
     s.cost = cost = s.probe_cost;
     for (probe = 0; probe < max_probes; probe++) {
-        if (probe == 0 && has_warm) {
+        if (probe == 0 && t->has_warm) {
             /* min(max(warm, low), high) */
-            mid = warm;
+            mid = t->warm;
             if (low > mid) mid = low;
             if (high < mid) mid = high;
             mid = log(mid);
@@ -789,7 +803,7 @@ idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indp
                 goto done;
             }
         }
-        trees = forest(&s, n, m, num_trees, out);
+        trees = forest(&s, n, m, t->num_trees, out);
         if (trees < 0)
             goto done;
         for (i = 0, count = 0; i < trees; i++) count += out[i];
@@ -819,24 +833,67 @@ idx gbgp_pcst_search(idx n, idx m, const idx *eu, const idx *ev, const idx *indp
 
         if (oversized) {
             lo = hi - 1e-9 < mid ? hi - 1e-9 : mid;
-        } else if (count >= budget || score >= total - 1e-12) {
+        } else if (count >= t->budget || score >= t->total - 1e-12) {
             probe++;
             break;
         } else {
             hi = lo + 1e-9 > mid ? lo + 1e-9 : mid;
         }
-        if (best_score >= exit_score || hi - lo < 1e-2) {
+        if (best_score >= t->exit_score || hi - lo < 1e-2) {
             probe++;
             break;
         }
     }
-    *probes_out = probe;
-    *mult_out = best_mult;
+    t->probes = probe;
+    t->mult = best_mult;
     status = best_len;
 done:
     free(s.heap);
     free(s.work);
-    return status;
+    t->size = status;
+}
+
+typedef struct {
+    search_task *tasks;
+    idx count, next, max_probes;
+    double low, high;
+} phase;
+
+/* run the phase's tasks, each taken off the shared counter, until none is left */
+static void *run_tasks(void *arg)
+{
+    phase *p = arg;
+    idx i;
+    while ((i = __atomic_fetch_add(&p->next, 1, __ATOMIC_RELAXED)) < p->count)
+        search(&p->tasks[i], p->max_probes, p->low, p->high);
+    return NULL;
+}
+
+/*
+ * Run count budget searches on the calling thread and up to threads - 1
+ * more. Each search writes only to its own task, so the results do not
+ * depend on which thread ran it. No thread is created when threads <= 1;
+ * when memory for the thread ids runs out or pthread_create fails, the
+ * threads already running finish the work.
+ */
+void gbgp_pcst_phase(search_task *tasks, idx count, idx threads, idx max_probes, double low,
+                     double high)
+{
+    phase p = {tasks, count, 0, max_probes, low, high};
+    pthread_t *ids = NULL;
+    idx started = 0, i;
+
+    if (threads > count)
+        threads = count;
+    if (threads > 1)
+        ids = malloc((size_t)(threads - 1) * sizeof(pthread_t));
+    if (ids)
+        while (started < threads - 1 && pthread_create(&ids[started], NULL, run_tasks, &p) == 0)
+            started++;
+    run_tasks(&p);
+    for (i = 0; i < started; i++)
+        pthread_join(ids[i], NULL);
+    free(ids);
 }
 
 /*

@@ -163,6 +163,7 @@ class Graph:
         if bad.any():
             i = int(np.argmax(bad))
             u, v = int(edges[i][0]), int(edges[i][1])
+            edge = (u, v)
             if outside[i]:
                 error = ValueError(f"edge ({u},{v}) has node id out of [0,{node_count})")
             elif u == v:
@@ -170,8 +171,11 @@ class Graph:
             elif bad_weight[i]:
                 error = EdgeListError(f"edge ({u},{v}) has non-positive weight {float(w[i])}")
             else:
-                error = EdgeListError(f"duplicate undirected edge ({min(u, v)},{max(u, v)})")
-            error.row = i  # the input edge, so a file loader can name its line
+                edge = (min(u, v), max(u, v))
+                error = EdgeListError(f"duplicate undirected edge ({edge[0]},{edge[1]})")
+            # the input edge and the ids the message names, so a file loader
+            # can name its line and, if it remapped ids, the file's ids
+            error.row, error.edge = i, edge
             raise error
         self.edge_u = lo[order].astype(np.int64)
         self.edge_v = hi[order].astype(np.int64)
@@ -355,6 +359,9 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
         except ValueError as exc:
             if hasattr(exc, "row"):  # name the first bad edge's line
                 lines.line = edge_lines[exc.row]
+                if sparse:  # and its ids as the file gives them
+                    u, v = exc.edge
+                    exc.args = (str(exc).replace(f"({u},{v})", f"({ids[u]},{ids[v]})", 1),)
             raise
     if sparse:  # only once the edges are accepted
         _write_lines(path + ".idmap", (f"{new}\t{old}" for new, old in enumerate(ids)))

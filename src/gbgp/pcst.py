@@ -34,9 +34,13 @@ forests:
   ``now + merged_slack``, the DFS-order sums of strong pruning), compiled
   with ``-std=c99 -O2 -ffp-contract=off`` and without fast-math.
 
-The same kernel runs a whole budget search (``PcstEngine.search``) in
-one call, with the GIL released; see ``projections.budget_search`` for
-how it replays the reference loop. It also labels a graph's connected
+The same kernel runs a phase's budget searches (:func:`run_searches`),
+each one whole, in one call with the GIL released: the calling thread
+and up to T - 1 pthreads take the searches off a shared counter, where T
+is the number of searches or of CPUs this process may use, whichever is
+smaller. Each search writes only its own results, so they do not depend
+on T. See ``projections.budget_search`` for how a search replays the
+reference loop. It also labels a graph's connected
 components (``component_labels``, which fills ``PcstEngine.labels``) with
 a union-find, numbered by lowest member as
 ``graph.connected_components`` orders them. And it holds the objective's
@@ -62,18 +66,18 @@ import os
 import shlex
 import subprocess
 import sysconfig
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["PcstResult", "PcstEngine", "component_labels"]
+__all__ = ["PcstResult", "PcstEngine", "component_labels", "run_searches"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 KERNEL_SOURCE = os.path.join(_HERE, "_pcst_kernel.c")
 KERNEL_CACHE = os.path.join(_HERE, "__pycache__")
-KERNEL_FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+KERNEL_FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # after the source, so that an as-needed linker keeps libm's log and exp
 KERNEL_LIBS = ("-lm",)
 
@@ -112,9 +116,8 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.gbgp_pcst_solve.argtypes = [i64, i64, p, p, p, p, p, p, i64, p]
     lib.gbgp_pcst_solve.restype = i64
-    lib.gbgp_pcst_search.argtypes = [i64, i64, p, p, p, p, p, p, i64, i64, i64, i64, i64,
-                                     f64, f64, f64, f64, f64, p, p, p]
-    lib.gbgp_pcst_search.restype = i64
+    lib.gbgp_pcst_phase.argtypes = [p, i64, i64, i64, f64, f64]
+    lib.gbgp_pcst_phase.restype = None
     lib.gbgp_components.argtypes = [i64, i64, p, p, p]
     lib.gbgp_components.restype = i64
     lib.gbgp_dot.argtypes = [p, p, i64]
@@ -176,10 +179,11 @@ class PcstEngine:
     connected component, which no tree of a returned forest leaves, from
     :func:`component_labels`, one kernel call at construction.
 
-    A solve or a search is one kernel call, which allocates its own work
-    space, frees it before returning and only reads the engine's arrays.
-    Calls share no state, so one engine may serve several threads at once;
-    the kernel runs without the GIL.
+    A solve is one kernel call and a search one task of a
+    :func:`run_searches` call; each allocates its own work space, frees it
+    before returning and only reads the engine's arrays. They share no
+    state, so one engine may serve several threads at once; the kernel
+    runs without the GIL.
     """
 
     def __init__(self, graph: Graph):
@@ -243,31 +247,58 @@ class PcstEngine:
             start += size
         return PcstResult(components)
 
-    def search(self, prizes: np.ndarray, budget: int, capacity: int, num_trees: int,
-               warm: Optional[float], low: float, high: float, total: float,
-               exit_score: float, max_probes: int) -> tuple[tuple[int, ...], int, float]:
-        """Run one ``projections.budget_search`` bisection in one kernel call.
 
-        ``prizes`` is a contiguous float64 array, already checked to be
-        nonnegative and finite; ``total``, ``exit_score`` and the warm
-        start are the caller's. Each probe solves on ``edge_w *
-        multiplier``. Returns the best support (empty when no probe found
-        one), the probe count and the best support's multiplier. A probe
-        whose costs are not positive and finite raises the ``ValueError``
-        :meth:`solve` raises, and so does a ``max_probes`` below 1.
-        """
-        if max_probes < 1:
-            raise ValueError("max_probes must be >= 1")
-        best = np.empty(self.n, dtype=np.int64)
-        multiplier, probes = ctypes.c_double(), ctypes.c_int64()
-        size = _kernel.gbgp_pcst_search(
-            *self._graph_args(), self._weight.ctypes.data, prizes.ctypes.data,
-            min(int(num_trees), self.n), budget, capacity, max_probes, warm is not None,
-            0.0 if warm is None else warm, low, high, total, exit_score, best.ctypes.data,
-            ctypes.byref(multiplier), ctypes.byref(probes),
-        )
-        if size == -2:
+class _SearchTask(ctypes.Structure):
+    """The kernel's ``search_task``: one search's graph, inputs and results."""
+
+    _i, _p, _f = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    _fields_ = [
+        ("n", _i), ("m", _i), ("eu", _p), ("ev", _p), ("indptr", _p), ("adj_eids", _p),
+        ("weight", _p), ("prize", _p),
+        ("num_trees", _i), ("budget", _i), ("capacity", _i), ("has_warm", _i),
+        ("warm", _f), ("total", _f), ("exit_score", _f),
+        ("best", _p), ("size", _i), ("probes", _i), ("mult", _f),
+    ]
+
+
+def _thread_count(tasks: int) -> int:
+    """The CPUs this process may run on, at most one per task."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(tasks, cpus))
+
+
+def run_searches(searches: Sequence[tuple], low: float, high: float,
+                 max_probes: int) -> list[tuple[tuple[int, ...], int, float]]:
+    """Run ``projections.budget_search`` bisections in one kernel call.
+
+    Each search is ``(engine, prizes, budget, capacity, num_trees, warm,
+    total, exit_score)``, with ``prizes`` a contiguous float64 array
+    already checked and the bounds and warm start (or None) the caller's.
+    The kernel runs them without the GIL on up to :func:`_thread_count`
+    threads. Returns, per search, the best support (empty when no probe
+    found one), the probe count and that support's multiplier. The first
+    failing search in order raises: ``ValueError`` for a probe cost that
+    is not positive and finite, as :meth:`PcstEngine.solve` does, or
+    ``MemoryError``; so does a ``max_probes`` below 1.
+    """
+    if max_probes < 1:
+        raise ValueError("max_probes must be >= 1")
+    best = [np.empty(engine.n, dtype=np.int64) for engine, *_ in searches]
+    tasks = (_SearchTask * len(searches))(*(
+        _SearchTask(*engine._graph_args(), engine._weight.ctypes.data, prizes.ctypes.data,
+                    min(int(num_trees), engine.n), budget, capacity, warm is not None,
+                    0.0 if warm is None else warm, total, exit_score, out.ctypes.data)
+        for (engine, prizes, budget, capacity, num_trees, warm, total, exit_score), out
+        in zip(searches, best)
+    ))
+    _kernel.gbgp_pcst_phase(tasks, len(tasks), _thread_count(len(tasks)), max_probes, low, high)
+    for task in tasks:
+        if task.size == -2:
             raise ValueError("edge costs must be positive and finite")
-        if size < 0:
+        if task.size < 0:
             raise MemoryError("the PCST kernel ran out of memory")
-        return tuple(best[:size].tolist()), probes.value, multiplier.value
+    return [(tuple(out[:task.size].tolist()), task.probes, task.mult)
+            for task, out in zip(tasks, best)]

@@ -7,8 +7,10 @@ as prizes to capture gradient mass, tail projections do the same to
 snap an iterate onto the constraint set. Ties always resolve toward
 low node ids so projections are deterministic.
 
-A search computes its bounds in Python and bisects in one call into the
-PCST kernel (``PcstEngine.search``), which runs without the GIL.
+A phase of searches computes each one's bounds in Python and runs every
+bisection in one call into the PCST kernel (``pcst.run_searches``),
+spread over a few threads without the GIL. ``budget_search`` and both
+projections are the one-search case of that call.
 """
 from __future__ import annotations
 
@@ -18,12 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import Graph, SupportSet
-from .pcst import PcstEngine
+from .pcst import PcstEngine, run_searches
 
 __all__ = [
     "ProjectionOutcome",
     "budget_search",
     "head_project",
+    "project_phase",
+    "search_phase",
     "tail_project",
 ]
 
@@ -103,6 +107,28 @@ def budget_search(
     is strictly less, so the first of equal candidates keeps its
     multiplier.
     """
+    return search_phase([(graph, prizes, budget, capacity, num_components,
+                          initial_multiplier)])[0]
+
+
+def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, float]]:
+    """Run several :func:`budget_search` calls at once, in one kernel call.
+
+    Each search is a tuple of :func:`budget_search`'s arguments and gets
+    the result that call would return. Arguments are checked and bounds
+    computed here, in order, so the first bad search raises; the
+    bisections run on a few threads (``pcst.run_searches``).
+    """
+    tasks = [_bounded(*search) for search in searches]
+    found = run_searches(tasks, MULTIPLIER_LOW, MULTIPLIER_HIGH, MAX_SEARCH_ITERATIONS)
+    return [(support, probes, multiplier) if support
+            else (_fallback_node(prizes), probes, MULTIPLIER_HIGH)
+            for (_, prizes, *_), (support, probes, multiplier) in zip(tasks, found)]
+
+
+def _bounded(graph: Graph, prizes, budget: int, capacity: Optional[int] = None,
+             num_components: int = 1, initial_multiplier: Optional[float] = None) -> tuple:
+    """Check one search's arguments and add its bounds: a ``run_searches`` task."""
     if capacity is None:
         capacity = budget
     if not 1 <= budget <= capacity:
@@ -132,13 +158,8 @@ def budget_search(
     if reach < top_bound:
         exit_score = min(exit_score, reach - 1e-12 * reach)
 
-    support, probes, multiplier = engine.search(
-        prizes, budget, capacity, num_components, initial_multiplier,
-        MULTIPLIER_LOW, MULTIPLIER_HIGH, total, exit_score, MAX_SEARCH_ITERATIONS,
-    )
-    if not support:
-        return _fallback_node(prizes), probes, MULTIPLIER_HIGH
-    return support, probes, multiplier
+    return (engine, prizes, budget, capacity, num_components, initial_multiplier, total,
+            exit_score)
 
 
 def head_project(
@@ -157,8 +178,8 @@ def head_project(
     2*budget by default ("2s") or budget ("s"). ``residual_sq`` holds
     the captured squared mass.
     """
-    return _project(weights, graph_k, budget, num_components, capacity_mode,
-                    block_id, initial_multiplier, captured=True)
+    return project_phase([(block_id, weights, graph_k, initial_multiplier)], budget,
+                         num_components, capacity_mode, captured=True)[0]
 
 
 def tail_project(
@@ -174,26 +195,35 @@ def tail_project(
 
     ``residual_sq`` is the squared mass left outside the support.
     """
-    return _project(values, graph_k, budget, num_components, capacity_mode,
-                    block_id, initial_multiplier, captured=False)
+    return project_phase([(block_id, values, graph_k, initial_multiplier)], budget,
+                         num_components, capacity_mode, captured=False)[0]
 
 
-def _project(values, graph_k, budget, num_components, capacity_mode, block_id,
-             initial_multiplier, captured: bool) -> ProjectionOutcome:
-    """Budget search on squared entries; reports captured or left-out mass."""
-    values = np.asarray(values, dtype=np.float64)
-    capacity = _capacity(budget, capacity_mode, graph_k.node_count)
-    prizes = values * values
-    nodes, iterations, multiplier = budget_search(
-        graph_k, prizes, budget, capacity, num_components, initial_multiplier,
-    )
-    mass = float(prizes[list(nodes)].sum())
-    return ProjectionOutcome(
-        support=SupportSet(block_id, nodes),
-        residual_sq=mass if captured else max(float(prizes.sum()) - mass, 0.0),
-        search_iterations=iterations,
-        multiplier=multiplier,
-    )
+def project_phase(blocks: Sequence[tuple], budget: int, num_components: int,
+                  capacity_mode: str, captured: bool) -> list[ProjectionOutcome]:
+    """Project several blocks with one :func:`search_phase` call.
+
+    Each block is ``(block_id, values, graph, initial_multiplier)``. Its
+    outcome is the one :func:`head_project` (``captured``) or
+    :func:`tail_project` returns for that block alone: a budget search on
+    the squared entries, reporting the captured or the left-out mass.
+    """
+    searches = []
+    for _, values, graph, warm in blocks:
+        values = np.asarray(values, dtype=np.float64)
+        capacity = _capacity(budget, capacity_mode, graph.node_count)
+        searches.append((graph, values * values, budget, capacity, num_components, warm))
+    outcomes = []
+    for (block_id, *_), (_, prizes, *_), (nodes, iterations, multiplier) in zip(
+            blocks, searches, search_phase(searches)):
+        mass = float(prizes[list(nodes)].sum())
+        outcomes.append(ProjectionOutcome(
+            support=SupportSet(block_id, nodes),
+            residual_sq=mass if captured else max(float(prizes.sum()) - mass, 0.0),
+            search_iterations=iterations,
+            multiplier=multiplier,
+        ))
+    return outcomes
 
 
 def _capacity(budget: int, mode: str, block_size: int) -> int:

@@ -29,7 +29,9 @@ import numpy as np
 from .graph import SupportSet
 from .objectives import ObjectiveSpec, dot
 from .pcst import _kernel
-from .projections import ProjectionOutcome, head_project, tail_project
+from .projections import ProjectionOutcome, project_phase
+# perfbench/tracer.py patches these names, which no solve calls any more
+from .projections import head_project, tail_project  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -83,7 +85,10 @@ class OuterRecord:
     """What one outer iteration did and where it left the iterate.
 
     ``delta`` is the step ||x_new - x|| summed over blocks, ``objective``
-    F(x) at the iteration's start and ``wall_ms`` its wall time. The
+    F(x) at the iteration's start and ``wall_ms`` its wall time, of which
+    ``head_ms`` went to the head phase (block gradients and their
+    projections), ``inner_ms`` to the inner solve and its masks, and
+    ``tail_ms`` to the tail projections and the new iterate. The
     iterate is zero off the tail supports, so ``nodes`` (the global ids
     the tail projections kept) with ``values`` (x on them) is all of it.
     ``probes`` maps each ``(kind, k)`` projection that searched to its
@@ -96,6 +101,9 @@ class OuterRecord:
     delta: float
     objective: float
     wall_ms: float
+    head_ms: float
+    inner_ms: float
+    tail_ms: float
     nodes: np.ndarray
     values: np.ndarray
     probes: dict[tuple[str, int], int]
@@ -311,19 +319,19 @@ def gbgp_solve(
     Returns the per-block tail supports of the final iteration (kept as
     global ids; each :class:`SupportSet` is built once, after the loop), the
     continuous iterate, and one :class:`OuterRecord` per outer iteration:
-    its step, objective and wall time, the whole iterate as ``(nodes,
+    its step, objective, wall time and phase times, the whole iterate as ``(nodes,
     values)`` (so iterate i is ``x = zeros(n); x[r.nodes] = r.values`` for
     ``r = iterations[i - 1]``), and the probe count of every projection
     that searched.
 
-    ``parallel`` sets only the randomized inner solver's tau: projections
-    run in this thread, one block after another. On 2 CPUs, a phase's
-    searches on a thread pool were slower than in turn (``BENCH_11.json``).
-    Measured again once kernel calls were safe to run at once (ROADMAP
-    item 3): a cold head phase of 8 searches ran 1.57x faster on 2 threads,
-    but whole solves threaded that way stayed within the host's +-10%
-    run-to-run noise, since most warm searches take one probe and each
-    search's Python holds the GIL.
+    Each phase's searches, the head or the tail projections of the blocks
+    not reused, run in one kernel call (``projections.project_phase``) on
+    up to T threads, T = min(searches, CPUs this process may use); each
+    search is a pure function of its input, so outputs do not depend on
+    T. ``parallel`` sets only the randomized inner solver's tau. On 2 CPUs
+    a phase's searches ran 1.2-1.5x faster at T=2 than at T=1, but the
+    tau=4/serial ratio of criterion 08 stayed at 0.63x (0.60-0.73 over 7
+    processes, medians of 15 solves each): both solves gain alike.
     """
     partition = objective.partition
     K = partition.num_blocks
@@ -340,20 +348,21 @@ def gbgp_solve(
 
     def project_blocks(kind: str, inputs: dict[int, np.ndarray],
                        probes: dict) -> dict[int, ProjectionOutcome]:
-        # read at call time, so a caller may wrap either one on this module
-        project = head_project if kind == "head" else tail_project
-        mode = config.head_capacity_mode if kind == "head" else "s"
-        outcomes = {}
+        outcomes, searched, data = {}, [], {}
         for k, values in inputs.items():
-            data, entry = values.tobytes(), last.get((kind, k))
+            data[k], entry = values.tobytes(), last.get((kind, k))
             warm = None if entry is None else entry[2].multiplier
-            if entry is not None and entry[:2] == (data, warm):
+            if entry is not None and entry[:2] == (data[k], warm):
                 outcomes[k] = entry[2]
-                continue
-            outcome = project(values, block_graphs[k], config.budgets,
-                              num_components=config.num_components, capacity_mode=mode,
-                              block_id=k, initial_multiplier=warm)
-            last[kind, k] = (data, warm, outcome)
+            else:
+                searched.append((k, values, block_graphs[k], warm))
+        mode = config.head_capacity_mode if kind == "head" else "s"
+        # one phase call for every block searched; read at call time, so a
+        # caller may wrap it on this module
+        found = project_phase(searched, config.budgets, config.num_components, mode,
+                              captured=kind == "head")
+        for (k, _, _, warm), outcome in zip(searched, found):
+            last[kind, k] = (data[k], warm, outcome)
             probes[kind, k] = outcome.search_iterations
             outcomes[k] = outcome
         return outcomes
@@ -371,11 +380,13 @@ def gbgp_solve(
             raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
         probes: dict[tuple[str, int], int] = {}
 
+        head_start = time.perf_counter()
         heads = project_blocks("head", {
             k: _box_projected_gradient(objective.block_gradient(x, k),
                                        x[partition.block_nodes[k]])
             for k in blocks
         }, probes)
+        inner_start = time.perf_counter()
         # allowed support: the head support plus the current support
         masks = [x[nodes] != 0.0 for nodes in partition.block_nodes]
         for k in blocks:
@@ -387,6 +398,7 @@ def gbgp_solve(
         else:
             b = bcd_solve(objective, masks, x, config, counts)
 
+        tail_start = time.perf_counter()
         tails = project_blocks(
             "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
         )
@@ -395,11 +407,15 @@ def gbgp_solve(
         nodes = np.concatenate(kept)
         x_new = np.zeros_like(x)
         x_new[nodes] = b[nodes]
+        tail_end = time.perf_counter()
 
         changes = (x_new[block] - x[block] for block in partition.block_nodes)
         delta = sum(math.sqrt(dot(change, change)) for change in changes)
-        iterations.append(OuterRecord(delta, f_x, (time.perf_counter() - iter_start) * 1e3,
-                                      nodes, x_new[nodes], probes, *counts.tolist()))
+        iterations.append(OuterRecord(
+            delta, f_x, (time.perf_counter() - iter_start) * 1e3,
+            (inner_start - head_start) * 1e3, (tail_start - inner_start) * 1e3,
+            (tail_end - tail_start) * 1e3, nodes, x_new[nodes], probes, *counts.tolist(),
+        ))
         x = x_new
         if config.outer_tol > 0 and delta <= config.outer_tol:
             converged = True

@@ -256,7 +256,7 @@ class TestDetect:
         def fail(*args, **kwargs):
             raise RuntimeError("search failed")
 
-        monkeypatch.setattr(projections, "budget_search", fail)
+        monkeypatch.setattr(projections, "search_phase", fail)
         code = run(["detect", "--bundle", str(tmp_path / "inst" / "instance"),
                     "--budget", "8", "--parallel", "2", "--out", str(tmp_path / "o")])
         err = capfd.readouterr().err
@@ -265,12 +265,20 @@ class TestDetect:
         assert "Traceback" not in err
 
     def test_kernel_out_of_memory_exit_5(self, tmp_path, capfd, monkeypatch):
-        from gbgp.pcst import PcstEngine
+        import gbgp.pcst
 
-        def out_of_memory(*args, **kwargs):
-            raise MemoryError("the PCST kernel ran out of memory")
+        class OutOfMemory:
+            """The kernel, but every search of a phase reports no memory."""
 
-        monkeypatch.setattr(PcstEngine, "search", out_of_memory)
+            def __getattr__(self, name):
+                return getattr(kernel, name)
+
+            def gbgp_pcst_phase(self, tasks, *args):
+                for task in tasks:
+                    task.size = -1
+
+        kernel = gbgp.pcst._kernel
+        monkeypatch.setattr(gbgp.pcst, "_kernel", OutOfMemory())
         graph = tmp_path / "path.txt"
         graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
         signal = tmp_path / "signal.txt"

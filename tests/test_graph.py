@@ -233,6 +233,17 @@ class TestGraphIO:
             load_graph(str(p))
         assert not (tmp_path / "g.txt.idmap").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("10 20\n20 30\n20 10\n", r"g\.txt:3: duplicate undirected edge \(10,20\)$"),
+        ("10 20\n30 40 0\n", r"g\.txt:2: edge \(30,40\) has non-positive weight 0\.0$"),
+        ("7 5\n5 300 inf\n", r"g\.txt:2: edge \(5,300\) has non-positive weight inf$"),
+    ])
+    def test_an_edge_error_names_the_files_sparse_ids(self, tmp_path, text, message):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(EdgeListError, match=message):
+            load_graph(str(p))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_round_trip_property(self, seed):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import gbgp.pcst
 from gbgp.graph import Graph, connected_components
-from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel
+from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel, run_searches
 from gbgp.projections import MAX_SEARCH_ITERATIONS, MULTIPLIER_HIGH, MULTIPLIER_LOW
 from oracles import ReferencePcstEngine, strong_prune
 
@@ -470,9 +470,9 @@ class TestEngineCopies:
         assert (repr(twin.solve(costs, prizes, 2).components)
                 == repr(fresh.solve(costs, prizes, 2).components))
         total = float(prizes.sum())
-        args = (prizes, 2, 2, 1, None, MULTIPLIER_LOW, MULTIPLIER_HIGH, total, total,
-                MAX_SEARCH_ITERATIONS)
-        assert twin.search(*args) == fresh.search(*args)
+        task = (prizes, 2, 2, 1, None, total, total)
+        limits = (MULTIPLIER_LOW, MULTIPLIER_HIGH, MAX_SEARCH_ITERATIONS)
+        assert run_searches([(twin, *task)], *limits) == run_searches([(fresh, *task)], *limits)
 
 
 @pytest.mark.parametrize("max_probes", [0, -1])
@@ -481,7 +481,7 @@ def test_a_search_without_probes_is_rejected(max_probes):
     engine = PcstEngine(Graph(4, [(0, 1), (1, 2), (2, 3)]))
     prizes = np.array([1.0, 0.0, 2.0, 0.5])
     with pytest.raises(ValueError, match="max_probes must be >= 1"):
-        engine.search(prizes, 2, 2, 1, None, 1e-6, 1e6, 10.0, 10.0, max_probes)
+        run_searches([(engine, prizes, 2, 2, 1, None, 10.0, 10.0)], 1e-6, 1e6, max_probes)
 
 
 class TestKernelCache:

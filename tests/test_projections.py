@@ -1,5 +1,9 @@
 import math
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from hypothesis import strategies as st
 
 from gbgp.datagen import SyntheticSpec, generate_non
 from gbgp.graph import Graph, connected_components
-from gbgp.projections import _engine_for, budget_search, head_project, tail_project
+import gbgp.pcst
+from gbgp.projections import (_engine_for, budget_search, head_project, search_phase,
+                              tail_project)
 
 from oracles import (
     connected_subsets,
@@ -415,3 +421,116 @@ def test_a_phase_on_threads_equals_it_inline(shared):
     with ThreadPoolExecutor(max_workers=4) as pool:
         for _ in range(5):
             assert list(pool.map(phase, range(8))) == inline
+
+
+def cpus(count: int):
+    """Let this process see ``count`` CPUs, as ``pcst`` counts them."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)),
+                             create=True)
+
+
+@st.composite
+def phases(draw):
+    """1-5 searches; on one shared graph, or each on its own."""
+    searches = draw(st.lists(search_arguments(), min_size=1, max_size=5))
+    if len(searches) > 1 and draw(st.booleans()):
+        # every search on the first one's graph: one engine for all
+        graph, prizes = searches[0][:2]
+        n = graph.node_count
+        searches = [(graph, prizes * draw(st.sampled_from([1.0, 0.5, 3.0])), min(budget, n),
+                     min(capacity, n), num_components, warm)
+                    for _, _, budget, capacity, num_components, warm in searches]
+    return searches
+
+
+class TestSearchPhase:
+    @settings(max_examples=120, deadline=None)
+    @given(phases())
+    def test_every_thread_count_replays_each_search_alone(self, searches):
+        expected = [reference_budget_search(*search) for search in searches]
+        for count in (1, 2, len(searches) + 3):
+            with cpus(count):
+                assert search_phase(searches) == expected
+
+    @pytest.mark.parametrize("count, visible", [(1, 1), (2, 2), (3, 64), (5, 4)])
+    def test_one_thread_per_visible_cpu_and_at_most_one_per_search(self, count, visible):
+        kernel, threads = gbgp.pcst._kernel, []
+
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(kernel, name)
+
+            def gbgp_pcst_phase(self, tasks, count, thread_count, *args):
+                threads.append(thread_count)
+                kernel.gbgp_pcst_phase(tasks, count, thread_count, *args)
+
+        graph = path_graph(6)
+        search = (graph, np.arange(6.0), 2)
+        with cpus(visible), mock.patch.object(gbgp.pcst, "_kernel", Counted()):
+            search_phase([search] * count)
+        assert threads == [min(count, visible)]
+
+    def test_without_affinity_every_cpu_counts(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert gbgp.pcst._thread_count(8) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert gbgp.pcst._thread_count(8) == 1
+
+    @pytest.mark.parametrize("sizes, error", [
+        ([0, -1, -2], MemoryError), ([-2, -1], ValueError), ([3, 0, -2], ValueError),
+    ])
+    def test_the_first_failing_search_raises(self, sizes, error):
+        # whichever thread ran it, the error reported is the lowest search's
+        kernel = gbgp.pcst._kernel
+
+        class Failing:
+            def __getattr__(self, name):
+                return getattr(kernel, name)
+
+            def gbgp_pcst_phase(self, tasks, *args):
+                kernel.gbgp_pcst_phase(tasks, *args)
+                for task, size in zip(tasks, sizes):
+                    task.size = size
+
+        search = (path_graph(4), np.array([1.0, 0.0, 2.0, 0.5]), 2)
+        for count in (1, 2):
+            with cpus(count), mock.patch.object(gbgp.pcst, "_kernel", Failing()):
+                with pytest.raises(error):
+                    search_phase([search] * len(sizes))
+
+    def test_a_bad_argument_names_the_first_bad_search(self):
+        graph = path_graph(3)
+        good = (graph, np.ones(3), 2)
+        with pytest.raises(ValueError, match=r"budget 3 must be in \[1, capacity 2\]"):
+            search_phase([good, (graph, np.ones(3), 3, 2), (graph, np.ones(4), 2)])
+
+    def test_four_threads_share_one_engine(self):
+        # phases on one shared engine at once, each also spread over threads
+        instance = generate_non(SyntheticSpec(n=1200, m=3, subgraph_size=0.1, mu=5.0, seed=6), 1)
+        graph = instance.graph
+        rng = np.random.default_rng(3)
+        searches = [(graph, rng.random(graph.node_count) ** 4 * (rng.random(graph.node_count) < 0.3),
+                     int(rng.integers(5, 60)), None, int(rng.integers(1, 3)),
+                     None if k % 2 else float(np.exp(rng.uniform(-5, 5))))
+                    for k in range(6)]
+        inline = [budget_search(*search) for search in searches]
+        results: list = [None] * 4
+        start = threading.Barrier(4)
+
+        def run(i):
+            start.wait(timeout=30)
+            results[i] = [search_phase(searches) for _ in range(3)]
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [[inline] * 3] * 4

@@ -396,9 +396,15 @@ class TestGbgpSolve:
 
             return record
 
-        monkeypatch.setattr(solver, "head_project", spy("head", solver.head_project))
+        def phase(blocks, *args, captured):
+            # one entry per projected block, as a call of its own
+            out = project_phase(blocks, *args, captured=captured)
+            calls["head" if captured else "tail"].extend(zip(blocks, out))
+            return out
+
+        project_phase = solver.project_phase
+        monkeypatch.setattr(solver, "project_phase", phase)
         monkeypatch.setattr(solver, "bcd_solve", spy("inner", solver.bcd_solve))
-        monkeypatch.setattr(solver, "tail_project", spy("tail", solver.tail_project))
         result = gbgp_solve(obj, SolverConfig(budgets=3, max_outer_iters=5))
 
         K = obj.num_blocks
@@ -586,26 +592,22 @@ def test_supports_are_built_once_per_search_and_once_per_block(monkeypatch, name
 def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
-    head_project, tail_project = solver.head_project, solver.tail_project
-    bcd_solve = solver.bcd_solve
+    head_project, tail_project = projections.head_project, projections.tail_project
+    project_phase, bcd_solve = solver.project_phase, solver.bcd_solve
     events = []
 
-    def spy(kind, fn):
-        def record(values, graph_k, budget, **kwargs):
-            out = fn(values, graph_k, budget, **kwargs)
-            events.append((kind, kwargs["block_id"], np.array(values),
-                           kwargs["initial_multiplier"], out))
-            return out
-
-        return record
+    def phase(blocks, *args, captured):
+        out = project_phase(blocks, *args, captured=captured)
+        for (k, values, _, warm), outcome in zip(blocks, out):
+            events.append(("head" if captured else "tail", k, np.array(values), warm, outcome))
+        return out
 
     def inner(objective, masks, x, cfg, counts):
         b = bcd_solve(objective, masks, x, cfg, counts)
         events.append(("inner", None, x.copy(), None, b))
         return b
 
-    monkeypatch.setattr(solver, "head_project", spy("head", head_project))
-    monkeypatch.setattr(solver, "tail_project", spy("tail", tail_project))
+    monkeypatch.setattr(solver, "project_phase", phase)
     monkeypatch.setattr(solver, "bcd_solve", inner)
     result = gbgp_solve(obj, config)
 
@@ -660,20 +662,21 @@ def test_a_changed_warm_start_searches_again(monkeypatch):
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
     fresh = itertools.count(1)
     calls, reported = [], {}
+    project_phase = solver.project_phase
 
-    def spy(kind, fn):
-        def run(values, graph_k, budget, **kwargs):
-            k, warm = kwargs["block_id"], kwargs["initial_multiplier"]
+    def phase(blocks, *args, captured):
+        kind = "head" if captured else "tail"
+        for k, values, _, warm in blocks:
             assert warm == reported.get((kind, k))
             calls.append((kind, k, values.tobytes()))
-            out = fn(values, graph_k, budget, **{**kwargs, "initial_multiplier": None})
+        cold = [(k, values, graph_k, None) for k, values, graph_k, _ in blocks]
+        out = []
+        for (k, *_), outcome in zip(blocks, project_phase(cold, *args, captured=captured)):
             reported[kind, k] = float(next(fresh))
-            return dataclasses.replace(out, multiplier=reported[kind, k])
+            out.append(dataclasses.replace(outcome, multiplier=reported[kind, k]))
+        return out
 
-        return run
-
-    monkeypatch.setattr(solver, "head_project", spy("head", solver.head_project))
-    monkeypatch.setattr(solver, "tail_project", spy("tail", solver.tail_project))
+    monkeypatch.setattr(solver, "project_phase", phase)
     result = gbgp_solve(obj, config)
 
     assert len(calls) == 2 * obj.num_blocks * result.outer_iters
@@ -687,33 +690,32 @@ def test_a_changed_warm_start_searches_again(monkeypatch):
 def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
-    budget_search, bcd_solve = projections.budget_search, solver.bcd_solve
+    project_phase, search_phase = solver.project_phase, projections.search_phase
+    bcd_solve = solver.bcd_solve
     inner_inputs, projecting, searches = [], [], []
 
-    def project(kind, fn):
-        def run(values, graph_k, budget, **kwargs):
-            projecting.append((kind, kwargs["block_id"]))
-            try:
-                return fn(values, graph_k, budget, **kwargs)
-            finally:
-                projecting.pop()
+    def project(blocks, *args, captured):
+        projecting.append(("head" if captured else "tail", [block[0] for block in blocks]))
+        try:
+            return project_phase(blocks, *args, captured=captured)
+        finally:
+            projecting.pop()
 
-        return run
-
-    def search(*args, **kwargs):
-        out = budget_search(*args, **kwargs)
-        kind, k = projecting[-1]
-        # head searches precede their iteration's inner solve, tail ones follow it
-        searches.append((len(inner_inputs) - (kind == "tail"), kind, k, out[1]))
+    def search(tasks):
+        out = search_phase(tasks)
+        kind, ks = projecting[-1]
+        assert len(ks) == len(out)
+        for k, (_, probes, _) in zip(ks, out):
+            # head searches precede their iteration's inner solve, tail ones follow it
+            searches.append((len(inner_inputs) - (kind == "tail"), kind, k, probes))
         return out
 
     def inner(objective, masks, x, cfg, counts):
         inner_inputs.append(x.copy())
         return bcd_solve(objective, masks, x, cfg, counts)
 
-    monkeypatch.setattr(solver, "head_project", project("head", solver.head_project))
-    monkeypatch.setattr(solver, "tail_project", project("tail", solver.tail_project))
-    monkeypatch.setattr(projections, "budget_search", search)
+    monkeypatch.setattr(solver, "project_phase", project)
+    monkeypatch.setattr(projections, "search_phase", search)
     monkeypatch.setattr(solver, "bcd_solve", inner)
     result = gbgp_solve(obj, config)
 
@@ -737,6 +739,10 @@ def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
     assert rebuilt[-1].tobytes() == result.x_final.tobytes()
     assert set(records[-1].nodes.tolist()) == result.support_nodes()
     assert all(np.isfinite(r.objective) and r.delta >= 0 and r.wall_ms >= 0 for r in records)
+    # the phases are disjoint parts of the iteration
+    for r in records:
+        assert min(r.head_ms, r.inner_ms, r.tail_ms) >= 0
+        assert r.head_ms + r.inner_ms + r.tail_ms <= r.wall_ms
 
 
 @pytest.mark.parametrize("parallel", [0, 2])
