@@ -182,6 +182,8 @@ def cmd_synth(args) -> int:
 def _load_detect_inputs(args):
     """(partition, signal, snapshot size) from the input alone: a temporal
     bundle or several ``--signal`` files stack snapshots of that size; else None."""
+    if args.blocks is not None and args.blocks < 1:
+        raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
     if args.bundle:
         instance = read_bundle(args.bundle)
         if isinstance(instance, TemporalInstance):
@@ -196,16 +198,16 @@ def _load_detect_inputs(args):
     graph = load_graph(args.graph, max(max(nodes, default=-1) + 1 for _, nodes, _ in entries))
     signals = [_place_signal(signal, graph.node_count) for signal in entries]
     if len(signals) > 1:
-        if args.partition or args.blocks:
+        if args.partition or args.blocks is not None:
             raise ValueError("--partition/--blocks apply to one --signal only")
         _, partition, signal = expand_temporal(graph, signals)
         return partition, signal, graph.node_count
     if args.partition:
-        if not args.blocks:
+        if args.blocks is None:
             raise ValueError("--partition needs --blocks")
         partition = load_partition(args.partition, graph, args.blocks)
     else:
-        blocks = args.blocks or 4
+        blocks = 4 if args.blocks is None else args.blocks
         partition = partition_contiguous(graph, blocks)
         for k, nodes in enumerate(partition.block_nodes):
             if args.budget > len(nodes):
@@ -338,15 +340,6 @@ def cmd_gridsearch(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
-    try:
-        argv = _apply_config_file(subcommands, argv)
-        args = parser.parse_args(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     handlers = {
         "synth": cmd_synth,
         "detect": cmd_detect,
@@ -355,6 +348,7 @@ def main(argv=None) -> int:
         "gridsearch": cmd_gridsearch,
     }
     try:
+        args = parser.parse_args(_apply_config_file(subcommands, argv))
         return handlers[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

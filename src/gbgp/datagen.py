@@ -2,9 +2,11 @@
 
 Preferential-attachment graphs, random-walk ground-truth subgraphs,
 evolving subgraphs with controlled overlap between consecutive steps,
-Gaussian feature injection, and sensor bit-flip noise. Every generator
-is a pure function of its arguments and seed: the PCG64 streams are
-split per component so regenerating any part is reproducible.
+Gaussian feature injection, and sensor bit-flip noise. The walk's
+reachability check and each step's retained core are breadth-first
+searches from ``gbgp.graph``, so no generator calls the PCST kernel.
+Every generator is a pure function of its arguments and seed: the PCG64
+streams are split per component so regenerating any part is reproducible.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .graph import (
     BlockSignal,
     Graph,
     _Lines,
+    _bfs,
     _write_lines,
     load_graph,
     load_partition,
@@ -28,7 +31,6 @@ from .graph import (
     save_partition,
     save_signal,
 )
-from .pcst import component_labels
 
 __all__ = [
     "SyntheticSpec",
@@ -144,8 +146,8 @@ def random_walk_subgraph(graph: Graph, size: int, seed: int = 0,
     if rng is None:
         rng = component_rng(seed, _STREAM_TRUTH)
     start = int(rng.integers(0, graph.node_count))
-    labels = component_labels(graph)
-    reachable = int(np.count_nonzero(labels == labels[start]))
+    # a search that stops short of size has found the whole component
+    reachable = len(_bfs(graph, start, lambda v: True, size))
     if reachable < size:
         raise ValueError(
             f"component of start node {start} has {reachable} nodes < size {size}"
@@ -177,19 +179,7 @@ def evolving_subgraphs(graph: Graph, T: int, sizes: Sequence[int], overlap: floa
         if keep > 0:
             ordered = sorted(current)
             core_seed = ordered[int(rng.integers(0, len(ordered)))]
-            core: list[int] = [core_seed]
-            seen = {core_seed}
-            queue = [core_seed]
-            while queue and len(core) < keep:
-                u = queue.pop(0)
-                for v in graph.neighbors(u):
-                    v = int(v)
-                    if v in current and v not in seen:
-                        seen.add(v)
-                        core.append(v)
-                        queue.append(v)
-                        if len(core) >= keep:
-                            break
+            core = _bfs(graph, core_seed, current.__contains__, keep)
             visited = set(core)
             order = list(core)
         else:

@@ -124,24 +124,20 @@ def scaling_bench(
     sizes: Sequence[int],
     config: SolverConfig,
     lam: float = 0.01,
-    edge_factor: int = 3,
     tau_list: Sequence[int] = (0,),
     repeats: int = 3,
     block_nodes: int = 500,
     seed: int = 0,
-    fixed_outer_iters: Optional[int] = 6,
 ) -> list[dict]:
     """Median wall time of detection as the network grows.
 
-    Instances keep |E| = edge_factor * |V| and a truth of 10% of the
-    nodes; block count scales so blocks stay near ``block_nodes`` nodes.
-    Each repeat runs a freshly seeded instance so the median reflects
-    the algorithm's scaling rather than one instance's luck. By default
-    every timed run executes the same number of outer iterations
-    (``fixed_outer_iters``): the iteration count depends on conditioning
-    rather than size, and pinning it isolates the per-size cost that the
-    nearly-linear-time claim is about. Pass None to time natural
-    convergence instead.
+    Instances keep |E| = 3 |V| and a truth of 10% of the nodes; block
+    count scales so blocks stay near ``block_nodes`` nodes. Each repeat
+    runs a freshly seeded instance so the median reflects the algorithm's
+    scaling rather than one instance's luck. Every timed run executes 6
+    outer iterations: the iteration count depends on conditioning rather
+    than size, and pinning it isolates the per-size cost that the
+    nearly-linear-time claim is about.
     """
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
@@ -152,15 +148,12 @@ def scaling_bench(
         instances = []
         for rep in range(repeats):
             spec = SyntheticSpec(
-                n=int(n), m=edge_factor, subgraph_size=0.1, mu=5.0, seed=seed + rep
+                n=int(n), m=3, subgraph_size=0.1, mu=5.0, seed=seed + rep
             )
             instances.append(generate_non(spec, num_blocks))
         for tau in tau_list:
-            run_config = replace(config, parallel=int(tau), budgets=budget)
-            if fixed_outer_iters is not None:
-                run_config = replace(
-                    run_config, max_outer_iters=fixed_outer_iters, outer_tol=0.0
-                )
+            run_config = replace(config, parallel=int(tau), budgets=budget,
+                                 max_outer_iters=6, outer_tol=0.0)
             walls, fs = [], []
             for instance in instances:
                 pairs, _, wall = solve_instance(instance, lam, run_config)

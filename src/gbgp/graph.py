@@ -14,7 +14,6 @@ as ``<path>:<line>: ...``.
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -390,44 +389,52 @@ def save_partition(partition: BlockPartition, path: str) -> None:
     _write_lines(path, partition.assignment)
 
 
+def _bfs(graph: Graph, start: int, allowed, limit: int | None = None) -> list[int]:
+    """Breadth-first discovery order from ``start`` through the nodes ``allowed`` accepts.
+
+    Each node's neighbours are taken in ascending id order, and a node is
+    listed when it is found; the search stops once it holds ``limit``
+    nodes. ``start`` itself is not tested.
+    """
+    order, seen = [start], {start}
+    for u in order:
+        if len(order) == limit:
+            break
+        for v in graph.neighbors(u).tolist():
+            if v not in seen and allowed(v):
+                seen.add(v)
+                order.append(v)
+                if len(order) == limit:
+                    break
+    return order
+
+
 def partition_contiguous(graph: Graph, num_blocks: int) -> BlockPartition:
     """Deterministic BFS-grown partition into size-balanced blocks.
 
-    Each block is within one node of N/K in size; seeds and traversal
-    order are fixed by node id. A block whose BFS runs dry restarts at
-    the lowest unassigned node, so the last blocks take the leftovers
-    and can be disconnected: a 4,000-node graph from ``generate_non``
-    (seed 0) cut into 8 has 4, 137 and 406 components in blocks 5-7.
+    Each block is within one node of N/K in size. It grows by breadth-first
+    search from the lowest unassigned node through unassigned nodes until it
+    has its size; a search that runs dry restarts at the lowest unassigned
+    node. So the last blocks take the leftovers and can be disconnected: a
+    4,000-node graph from ``generate_non`` (seed 0) cut into 8 has 4, 137
+    and 406 components in blocks 5-7.
     """
     n = graph.node_count
     if num_blocks < 1 or num_blocks > max(n, 1):
         raise PartitionError(f"num_blocks {num_blocks} out of range [1,{n}]")
     assignment = np.full(n, -1, dtype=np.int64)
+    unassigned = set(range(n))
     base, extra = divmod(n, num_blocks)
-    sizes = [base + (1 if k < extra else 0) for k in range(num_blocks)]
-    next_unassigned = 0
+    lowest = 0
     for k in range(num_blocks):
-        filled = 0
-        queue: deque[int] = deque()
-        while filled < sizes[k]:
-            if not queue:
-                while next_unassigned < n and assignment[next_unassigned] >= 0:
-                    next_unassigned += 1
-                if next_unassigned >= n:
-                    break
-                queue.append(next_unassigned)
-                assignment[next_unassigned] = k
-                filled += 1
-                if filled >= sizes[k]:
-                    break
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if assignment[v] < 0:
-                    assignment[v] = k
-                    filled += 1
-                    queue.append(int(v))
-                    if filled >= sizes[k]:
-                        break
+        need = base + (1 if k < extra else 0)
+        while need > 0:
+            while lowest not in unassigned:
+                lowest += 1
+            block = _bfs(graph, lowest, unassigned.__contains__, need)
+            assignment[block] = k
+            unassigned.difference_update(block)
+            need -= len(block)
     return BlockPartition(graph, assignment, num_blocks)
 
 
@@ -440,22 +447,11 @@ def connected_components(graph: Graph, nodes: Iterable[int]) -> list[set[int]]:
     for v in node_set:
         if not (0 <= v < graph.node_count):
             raise ValueError(f"node id {v} out of range [0,{graph.node_count})")
-    remaining = set(node_set)
-    components = []
+    components, reached = [], set()
     for start in sorted(node_set):
-        if start not in remaining:
-            continue
-        comp = {start}
-        remaining.discard(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u).tolist():
-                if v in remaining:
-                    remaining.discard(v)
-                    comp.add(v)
-                    queue.append(v)
-        components.append(comp)
+        if start not in reached:
+            components.append(set(_bfs(graph, start, node_set.__contains__)))
+            reached |= components[-1]
     return components
 
 

@@ -111,8 +111,8 @@ class ObjectiveSpec:
         if kind not in KINDS:
             raise ValueError(f"unknown objective kind {kind!r}")
         self.kind = kind
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         n = partition.graph.node_count
         if len(signal.values) != n:
             raise ValueError("signal length does not match graph")

@@ -40,9 +40,8 @@ and up to T - 1 pthreads take the searches off a shared counter, where T
 is the number of searches or of CPUs this process may use, whichever is
 smaller. Each search writes only its own results, so they do not depend
 on T. See ``projections.budget_search`` for how a search replays the
-reference loop. It also labels a graph's connected
-components (``component_labels``, which fills ``PcstEngine.labels``) with
-a union-find, numbered by lowest member as
+reference loop. It also labels a graph's connected components
+(``PcstEngine.labels``) with a union-find, numbered by lowest member as
 ``graph.connected_components`` orders them. And it holds the objective's
 arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
 ``gbgp.objectives``) and both inner solvers (``gbgp_bcd_solve`` behind
@@ -72,7 +71,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["PcstResult", "PcstEngine", "component_labels", "run_searches"]
+__all__ = ["PcstResult", "PcstEngine", "run_searches"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 KERNEL_SOURCE = os.path.join(_HERE, "_pcst_kernel.c")
@@ -136,19 +135,6 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
 _kernel = load_kernel()
 
 
-def component_labels(graph: Graph) -> np.ndarray:
-    """Each node's connected component, numbered by its lowest member.
-
-    Label i marks the i-th set that ``gbgp.graph.connected_components``
-    returns for all nodes; one kernel call computes every label.
-    """
-    eu, ev = (np.ascontiguousarray(a, dtype=np.int64) for a in (graph.edge_u, graph.edge_v))
-    labels = np.empty(graph.node_count, dtype=np.int64)
-    _kernel.gbgp_components(graph.node_count, len(eu), eu.ctypes.data, ev.ctypes.data,
-                            labels.ctypes.data)
-    return labels
-
-
 class PcstResult:
     """Forest returned by :meth:`PcstEngine.solve`: one entry per tree."""
 
@@ -176,8 +162,8 @@ class PcstEngine:
     The edge endpoints and the incidence come from the graph's CSR
     adjacency (``adj_indptr``/``adj_eids``, ascending edge ids per node).
     The engine keeps them, the edge weights and ``labels``: each node's
-    connected component, which no tree of a returned forest leaves, from
-    :func:`component_labels`, one kernel call at construction.
+    connected component, which no tree of a returned forest leaves,
+    numbered by lowest member; one kernel call at construction labels them all.
 
     A solve is one kernel call and a search one task of a
     :func:`run_searches` call; each allocates its own work space, frees it
@@ -189,10 +175,13 @@ class PcstEngine:
     def __init__(self, graph: Graph):
         self.n = graph.node_count
         self.m = graph.edge_count
-        self.labels = component_labels(graph)
         # Graph stores every edge with edge_u < edge_v, sorted by (u, v)
         self._graph_arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in
                               (graph.edge_u, graph.edge_v, graph.adj_indptr, graph.adj_eids)]
+        eu, ev = self._graph_arrays[:2]
+        self.labels = np.empty(self.n, dtype=np.int64)
+        _kernel.gbgp_components(self.n, self.m, eu.ctypes.data, ev.ctypes.data,
+                                self.labels.ctypes.data)
         self._weight = np.ascontiguousarray(graph.edge_w, dtype=np.float64)
 
     def _graph_args(self) -> tuple:

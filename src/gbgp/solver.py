@@ -63,13 +63,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # outer_tol 0 disables the convergence exit (fixed-iteration runs)
-        if self.outer_tol < 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # outer_tol 0 disables the convergence exit (fixed-iteration runs); a
+        # NaN or infinite tolerance or step would stop a loop at once or never
+        if not (0 <= self.outer_tol < math.inf and 0 < self.inner_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.step_mode not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step mode {self.step_mode!r}")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step size must be positive and finite")
+        if self.head_capacity_mode not in ("s", "2s"):
+            raise ValueError(f"unknown head capacity mode {self.head_capacity_mode!r}")
         if self.parallel < 0:
             raise ValueError("parallel (the inner solver's tau) must be >= 0")
         if self.num_components < 1:

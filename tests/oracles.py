@@ -14,11 +14,15 @@ loop; ``reference_parallel_bcd_solve`` (with ``theta_next``) is the
 randomized inner solver's. The kernel's objective, ``gbgp_bcd_solve`` and
 ``gbgp_rbcd_solve`` must match them byte for byte. Their dot products are
 the kernel's ``dot``, which sums as NumPy's ``@`` does on a SkylakeX
-OpenBLAS, so that they agree on any host.
+OpenBLAS, so that they agree on any host. ``reference_partition_contiguous``,
+``reference_connected_components`` and ``reference_truth_core`` are the
+three hand-written breadth-first searches that ``gbgp.graph._bfs``
+replaced, which its callers must match exactly.
 """
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +88,79 @@ def cut_laplacian_product(partition, x, nodes) -> np.ndarray:
             total += (float(len(cut[i])) if j == i else -1.0) * float(x[j])
         out.append(total)
     return np.array(out, dtype=np.float64)
+
+
+def reference_partition_contiguous(graph: Graph, num_blocks: int) -> np.ndarray:
+    """``partition_contiguous``'s assignment, grown one queue entry at a time."""
+    n = graph.node_count
+    assignment = np.full(n, -1, dtype=np.int64)
+    base, extra = divmod(n, num_blocks)
+    sizes = [base + (1 if k < extra else 0) for k in range(num_blocks)]
+    next_unassigned = 0
+    for k in range(num_blocks):
+        filled = 0
+        queue: deque[int] = deque()
+        while filled < sizes[k]:
+            if not queue:
+                while next_unassigned < n and assignment[next_unassigned] >= 0:
+                    next_unassigned += 1
+                if next_unassigned >= n:
+                    break
+                queue.append(next_unassigned)
+                assignment[next_unassigned] = k
+                filled += 1
+                if filled >= sizes[k]:
+                    break
+            u = queue.popleft()
+            for v in graph.neighbors(u):
+                if assignment[v] < 0:
+                    assignment[v] = k
+                    filled += 1
+                    queue.append(int(v))
+                    if filled >= sizes[k]:
+                        break
+    return assignment
+
+
+def reference_connected_components(graph: Graph, nodes) -> list[set[int]]:
+    """``connected_components``, by one queue per smallest unreached member."""
+    node_set = set(int(v) for v in nodes)
+    remaining = set(node_set)
+    components = []
+    for start in sorted(node_set):
+        if start not in remaining:
+            continue
+        comp = {start}
+        remaining.discard(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in graph.neighbors(u).tolist():
+                if v in remaining:
+                    remaining.discard(v)
+                    comp.add(v)
+                    queue.append(v)
+        components.append(comp)
+    return components
+
+
+def reference_truth_core(graph: Graph, current: set, core_seed: int, keep: int) -> list[int]:
+    """``evolving_subgraphs``'s retained core: up to ``keep`` nodes of
+    ``current`` in breadth-first order from ``core_seed``."""
+    core = [core_seed]
+    seen = {core_seed}
+    queue = [core_seed]
+    while queue and len(core) < keep:
+        u = queue.pop(0)
+        for v in graph.neighbors(u):
+            v = int(v)
+            if v in current and v not in seen:
+                seen.add(v)
+                core.append(v)
+                queue.append(v)
+                if len(core) >= keep:
+                    break
+    return core
 
 
 def connected_subsets(graph: Graph, max_size: int):

@@ -166,6 +166,18 @@ class TestDetect:
             assert run(args + extra) == 2
             assert "one --signal only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", ["cut", "partition", "several-signals"])
+    def test_blocks_below_one_exit_2(self, temporal_bundle, tmp_path, capsys, layout):
+        partition = tmp_path / "p.txt"
+        partition.write_text("".join(f"{i % 2}\n" for i in range(80)))
+        extra = {"cut": [], "partition": ["--partition", str(partition)],
+                 "several-signals": ["--signal", str(temporal_bundle / "signal_t1.txt")]}
+        code = run(["detect", "--graph", str(temporal_bundle / "graph.txt"),
+                    "--signal", str(temporal_bundle / "signal_t0.txt"), "--blocks", "0",
+                    "--budget", "5", "--out", str(tmp_path / "o")] + extra[layout])
+        assert code == 2
+        assert "--blocks must be >= 1, got 0" in capsys.readouterr().err
+
     def test_id_too_large_for_a_float_exit_2(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("# nodes 3\n0\t1\n1\t" + "9" * 400 + "\n")

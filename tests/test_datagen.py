@@ -85,6 +85,15 @@ class TestRandomWalkSubgraph:
         with pytest.raises(ValueError, match="component"):
             random_walk_subgraph(g, 3, rng=np.random.default_rng(4))
 
+    def test_error_names_the_component_size(self):
+        # two paths of 3 nodes: every start reaches exactly 3
+        g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        for seed in range(10):
+            assert len(random_walk_subgraph(g, 3, seed=seed)) == 3
+            with pytest.raises(ValueError,
+                               match=r"^component of start node \d has 3 nodes < size 4$"):
+                random_walk_subgraph(g, 4, seed=seed)
+
 
 class TestEvolvingSubgraphs:
     def test_full_overlap_is_constant(self):

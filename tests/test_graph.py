@@ -11,6 +11,7 @@ from gbgp.graph import (
     PartitionError,
     SignalError,
     SupportSet,
+    _bfs,
     _place_signal,
     _read_signal,
     connected_components,
@@ -22,7 +23,8 @@ from gbgp.graph import (
     save_partition,
     save_signal,
 )
-from oracles import reference_edge_arrays
+from oracles import (reference_connected_components, reference_edge_arrays,
+                     reference_partition_contiguous, reference_truth_core)
 
 
 def path_graph(n):
@@ -429,6 +431,43 @@ class TestConnectedComponents:
                 assert not (union & comp)
                 union |= comp
             assert union == subset
+
+
+@st.composite
+def grouped_graphs(draw):
+    """Up to 24 nodes in up to 4 groups, with edges only inside a group: so
+    several components, and often isolated nodes."""
+    n = draw(st.integers(1, 24))
+    groups = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if groups[u] == groups[v]]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    return Graph(n, sorted(edges))
+
+
+class TestBreadthFirstSearchesMatchTheirReferences:
+    """Every caller of ``_bfs`` gives what its hand-written loop gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=grouped_graphs())
+    def test_partition_contiguous_every_block_count(self, graph):
+        for K in range(1, graph.node_count + 1):
+            assert np.array_equal(partition_contiguous(graph, K).assignment,
+                                  reference_partition_contiguous(graph, K))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=grouped_graphs(), data=st.data())
+    def test_connected_components_of_node_subsets(self, graph, data):
+        nodes = data.draw(st.sets(st.integers(0, graph.node_count - 1)))
+        assert connected_components(graph, nodes) == reference_connected_components(graph, nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=grouped_graphs(), data=st.data())
+    def test_truth_core(self, graph, data):
+        current = data.draw(st.sets(st.integers(0, graph.node_count - 1), min_size=1))
+        seed = data.draw(st.sampled_from(sorted(current)))
+        keep = data.draw(st.integers(1, len(current)))
+        assert (_bfs(graph, seed, current.__contains__, keep)
+                == reference_truth_core(graph, current, seed, keep))
 
 
 class TestSignal:

@@ -281,6 +281,13 @@ class TestInitialization:
         with pytest.raises(ValueError):
             ObjectiveSpec("bogus", part, sig)
 
+    @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf])
+    def test_lambda_negative_or_non_finite_rejected(self, lam):
+        graph = Graph(2, [(0, 1)])
+        part = BlockPartition(graph, [0, 1], 2)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            ObjectiveSpec("non", part, BlockSignal([1.0, 1.0]), lam=lam)
+
 
 @st.composite
 def objective_instances(draw):

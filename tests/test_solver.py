@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -444,6 +445,23 @@ class TestGbgpSolve:
         for budget in (0, -3):
             with pytest.raises(ValueError, match="budget must be >= 1"):
                 SolverConfig(budgets=budget)
+
+    @pytest.mark.parametrize("knob, value, message", [
+        ("step_size", math.nan, "step size must be positive and finite"),
+        ("step_size", math.inf, "step size must be positive and finite"),
+        ("step_size", 0.0, "step size must be positive and finite"),
+        ("outer_tol", math.nan, "tolerances must be positive and finite"),
+        ("outer_tol", math.inf, "tolerances must be positive and finite"),
+        ("outer_tol", -1e-3, "tolerances must be positive and finite"),
+        ("inner_tol", math.nan, "tolerances must be positive and finite"),
+        ("inner_tol", math.inf, "tolerances must be positive and finite"),
+        ("inner_tol", 0.0, "tolerances must be positive and finite"),
+        ("head_capacity_mode", "3s", "unknown head capacity mode '3s'"),
+    ])
+    def test_bad_step_tolerance_or_capacity_mode_rejected_at_construction(
+            self, knob, value, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{knob: value})
 
     @pytest.mark.parametrize("knob", ["max_outer_iters", "max_inner_cycles"])
     def test_iteration_caps_below_one_rejected_at_construction(self, knob):
