@@ -742,7 +742,9 @@ static double pairwise_sum(const double *a, idx n)
 
 /*
  * One budget search of a phase: the engine's graph, the search's inputs,
- * and the slots search() writes its results to.
+ * and the slots search() writes its results to. score is the best
+ * support's prize sum, pairwise in ascending node order: the
+ * prizes[nodes].sum() NumPy gives, so the caller need not gather it again.
  */
 typedef struct {
     idx n, m;
@@ -752,7 +754,7 @@ typedef struct {
     double warm, total, exit_score;
     idx *best;
     idx size, probes;
-    double mult;
+    double mult, score;
 } search_task;
 
 /*
@@ -768,9 +770,9 @@ typedef struct {
  * probes.
  *
  * Writes the best support, sorted, to t->best, its multiplier to t->mult,
- * the probe count to t->probes, and the support's size to t->size (0 when
- * no probe found one); t->size is -1 when memory ran out and -2 when a
- * probe's cost is not positive and finite.
+ * its score to t->score, the probe count to t->probes, and the support's
+ * size to t->size (0 when no probe found one); t->size is -1 when memory
+ * ran out and -2 when a probe's cost is not positive and finite.
  */
 static void search(search_task *t, idx max_probes, double low, double high)
 {
@@ -846,6 +848,7 @@ static void search(search_task *t, idx max_probes, double low, double high)
     }
     t->probes = probe;
     t->mult = best_mult;
+    t->score = best_score;
     status = best_len;
 done:
     free(s.heap);
@@ -1166,9 +1169,10 @@ static double value(const objective *o, const double *x, double *w)
 
 /*
  * The objective's entry points for ObjectiveSpec: part 0 is value, 1
- * coupling_value, 2 local_value of block k and 3 block_gradient of block
- * k, written to out (one double for a value). Returns 0, or -1 when
- * memory ran out.
+ * coupling_value, 2 local_value of block k, 3 block_gradient of block k,
+ * and 4 every block's gradient, back to back in bstart order (k unused),
+ * written to out (one double for a value). Returns 0, or -1 when memory
+ * ran out.
  */
 idx gbgp_objective(const objective *o, const double *x, idx part, idx k, double *out)
 {
@@ -1180,8 +1184,11 @@ idx gbgp_objective(const objective *o, const double *x, idx part, idx k, double 
         *out = coupling_value(o, x, w);
     else if (part == 2)
         *out = local_value(o, x, k, w);
-    else
+    else if (part == 3)
         block_gradient(o, x, k, out, w);
+    else
+        for (k = 0; k < o->num_blocks; k++)
+            block_gradient(o, x, k, out + o->bstart[k], w);
     free(w);
     return 0;
 }

@@ -7,14 +7,16 @@ output files on rerun. Exit codes: 0 success, 2 validation error,
 
 ``detect`` takes its layout from the input (``--objective`` picks only
 the coupling): a temporal bundle or several ``--signal`` files stack
-snapshots, and only they take the temporal coupling. Otherwise blocks come
-from ``--partition`` (which needs ``--blocks``) or from cutting the graph
-into ``--blocks`` (default 4) contiguous BFS blocks; ``--budget`` must fit
-every block.
+snapshots, and only they take the temporal coupling. A bundle holds its
+own layout, so ``--partition`` and ``--blocks`` are refused with one.
+Otherwise blocks come from ``--partition`` (which needs ``--blocks``) or
+from cutting the graph into ``--blocks`` (default 4) contiguous BFS
+blocks; ``--budget`` must fit every block.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -163,7 +165,7 @@ def _write_manifest(out_dir: str, entries: list[str]) -> None:
 
 
 def cmd_synth(args) -> int:
-    size = args.size if args.size < 1 else int(args.size)
+    size = int(args.size) if 1 <= args.size < math.inf else args.size
     spec = SyntheticSpec(
         n=args.n, m=args.m, T=args.T, subgraph_size=size,
         overlap=args.overlap, mu=args.mu, seed=args.seed,
@@ -185,6 +187,9 @@ def _load_detect_inputs(args):
     if args.blocks is not None and args.blocks < 1:
         raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
     if args.bundle:
+        if args.partition or args.blocks is not None:
+            raise ValueError("--partition/--blocks do not apply to --bundle, "
+                             "which holds its own layout")
         instance = read_bundle(args.bundle)
         if isinstance(instance, TemporalInstance):
             _, partition, signal = instance.expand()

@@ -10,6 +10,7 @@ streams are split per component so regenerating any part is reproducible.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence, get_type_hints
@@ -82,8 +83,10 @@ class SyntheticSpec:
             raise ValueError("T must be >= 1")
         if not (0.0 <= self.overlap <= 1.0):
             raise ValueError("overlap must be in [0, 1]")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
+        if not math.isfinite(self.subgraph_size):
+            raise ValueError(f"subgraph_size must be finite, got {self.subgraph_size}")
         if self.resolved_size() > self.n:
             raise ValueError("subgraph size exceeds node count")
 
@@ -234,16 +237,15 @@ def expand_temporal(
     arrays are tiled T times with t*n added to snapshot t's ids, so every
     block graph equals the base graph; the partition is given
     ``base_graph`` itself as each, so all share one PCST engine. No edges
-    join snapshots; the temporal coupling lives in the objective.
+    join snapshots; the temporal coupling lives in the objective. The
+    tiled edges are valid and still sorted by (u, v), so the stacked graph
+    takes them without a second check or sort.
     """
     n, T = base_graph.node_count, len(signals)
     offsets = np.repeat(np.arange(T, dtype=np.int64) * n, base_graph.edge_count)
-    edges = np.column_stack([
-        np.tile(base_graph.edge_u, T) + offsets,
-        np.tile(base_graph.edge_v, T) + offsets,
-        np.tile(base_graph.edge_w, T),
-    ])
-    big = Graph(n * T, edges)
+    big = Graph._of_sorted(n * T, np.tile(base_graph.edge_u, T) + offsets,
+                           np.tile(base_graph.edge_v, T) + offsets,
+                           np.tile(base_graph.edge_w, T))
     assignment = np.repeat(np.arange(T), n)
     partition = BlockPartition(big, assignment, T)
     partition._block_graphs = [base_graph] * T

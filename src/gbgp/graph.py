@@ -181,17 +181,37 @@ class Graph:
         self.edge_w = w[order]
         self._build_adjacency()
 
+    @classmethod
+    def _of_sorted(cls, node_count: int, edge_u: np.ndarray, edge_v: np.ndarray,
+                   edge_w: np.ndarray) -> "Graph":
+        """The graph of edges that are already valid and sorted by ``(u, v)``
+        with ``u < v``, as the constructor leaves them; they are not checked."""
+        graph = cls.__new__(cls)
+        graph.node_count = node_count
+        graph.edge_u, graph.edge_v, graph.edge_w = edge_u, edge_v, edge_w
+        graph._build_adjacency()
+        return graph
+
     def _build_adjacency(self):
-        # one entry per half-edge, sorted by (node, neighbor); with edges
-        # sorted by (u, v), ascending neighbors are also ascending edge ids
+        """The CSR adjacency: one entry per half-edge, sorted by (node, neighbour).
+
+        This is the order ``np.lexsort`` on (node, neighbour) gives, from two
+        stable sorts on one key each. As the edges are sorted by (u, v) with
+        u < v, a stable sort on v lists each node's lower neighbours in
+        ascending order, and the edge order lists its upper ones so; every
+        lower neighbour precedes every upper one, so a stable sort of the
+        half-edges by node, the lower ones first, leaves each node's
+        neighbours ascending. Ascending neighbours are ascending edge ids.
+        """
         m = len(self.edge_u)
-        src = np.concatenate([self.edge_u, self.edge_v])
-        dst = np.concatenate([self.edge_v, self.edge_u])
-        order = np.lexsort((dst, src))
+        below = np.argsort(self.edge_v, kind="stable")
+        src = np.concatenate([self.edge_v[below], self.edge_u])
+        dst = np.concatenate([self.edge_u[below], self.edge_v])
+        order = np.argsort(src, kind="stable")
         self.adj_indptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=self.node_count), out=self.adj_indptr[1:])
         self.adj_nodes = dst[order]
-        self.adj_eids = np.tile(np.arange(m, dtype=np.int64), 2)[order]
+        self.adj_eids = np.concatenate([below, np.arange(m, dtype=np.int64)])[order]
 
     @property
     def edge_count(self) -> int:
@@ -256,16 +276,19 @@ class BlockPartition:
     def block_graph(self, k: int) -> Graph:
         """Subgraph induced by block k, sliced from the graph's edge arrays.
 
-        Local id i is ``block_nodes[k][i]``, so edge and CSR order follow the graph's.
+        Local id i is ``block_nodes[k][i]``. The graph's edges are valid and
+        sorted by (u, v), and ``block_nodes[k]`` is ascending, so block k's
+        edges mapped to local ids are still sorted: only the CSR adjacency is
+        built, with no second check or sort, and edge and CSR order follow
+        the graph's.
         """
         if self._block_graphs[k] is None:
             nodes, g = self.block_nodes[k], self.graph
-            inside = self._edge_block == k
-            self._block_graphs[k] = Graph(len(nodes), np.column_stack([
-                np.searchsorted(nodes, g.edge_u[inside]),
-                np.searchsorted(nodes, g.edge_v[inside]),
-                g.edge_w[inside],
-            ]))
+            inside = np.flatnonzero(self._edge_block == k)
+            local = np.empty(g.node_count, dtype=np.int64)  # set on block k's nodes only
+            local[nodes] = np.arange(len(nodes))
+            self._block_graphs[k] = Graph._of_sorted(
+                len(nodes), local[g.edge_u[inside]], local[g.edge_v[inside]], g.edge_w[inside])
         return self._block_graphs[k]
 
     def __repr__(self):

@@ -127,6 +127,9 @@ class ObjectiveSpec:
         bstart = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(self._sizes, out=bstart[1:])
         nodes = np.concatenate(self._block_nodes).astype(np.int64, copy=False)
+        # the blocks' global ids back to back; block k's are entries
+        # [block_starts[k], block_starts[k + 1]), the layout of block_gradients
+        self.block_order, self.block_starts = nodes, bstart
         signals = signal.values[nodes]
         self._block_signals = np.split(signals, bstart[1:-1])
         arrays = {"bstart": bstart, "nodes": nodes, "signal": signals}
@@ -214,10 +217,16 @@ class ObjectiveSpec:
         self._call(x, 3, k, grad.ctypes.data)
         return grad
 
+    def block_gradients(self, x: np.ndarray) -> np.ndarray:
+        """Every block's gradient in one kernel call, back to back: entries
+        [block_starts[k], block_starts[k + 1]) are ``block_gradient(x, k)``."""
+        grad = np.empty(len(self.block_order))
+        self._call(x, 4, 0, grad.ctypes.data)
+        return grad
+
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         grad = np.empty_like(x)
-        for k in range(self.num_blocks):
-            grad[self._block_nodes[k]] = self.block_gradient(x, k)
+        grad[self.block_order] = self.block_gradients(x)
         return grad
 
     def initial_x(self) -> np.ndarray:

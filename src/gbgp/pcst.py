@@ -39,10 +39,12 @@ each one whole, in one call with the GIL released: the calling thread
 and up to T - 1 pthreads take the searches off a shared counter, where T
 is the number of searches or of CPUs this process may use, whichever is
 smaller. Each search writes only its own results, so they do not depend
-on T. See ``projections.budget_search`` for how a search replays the
-reference loop. It also labels a graph's connected components
-(``PcstEngine.labels``) with a union-find, numbered by lowest member as
-``graph.connected_components`` orders them. And it holds the objective's
+on T; they include the support's ``score``, its prize sum as NumPy's
+``prizes[nodes].sum()`` gives it. See ``projections.budget_search`` for
+how a search replays the reference loop. The kernel also labels a
+graph's connected components (``PcstEngine.labels``) with a union-find,
+numbered by lowest member as ``graph.connected_components`` orders
+them. And it holds the objective's
 arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
 ``gbgp.objectives``) and both inner solvers (``gbgp_bcd_solve`` behind
 ``solver.bcd_solve`` and ``gbgp_rbcd_solve`` behind
@@ -55,7 +57,8 @@ share no state, so any of them may run at once on several threads.
 
 The kernel is built on first import with the interpreter's C compiler
 (``sysconfig`` ``CC``) into ``__pycache__/``, under a name keyed by the
-sha256 of the source and the compile command, and reused from there.
+sha256 of the source and the compile command, and reused from there;
+``subprocess`` is imported only to build it.
 """
 from __future__ import annotations
 
@@ -63,7 +66,6 @@ import ctypes
 import hashlib
 import os
 import shlex
-import subprocess
 import sysconfig
 from typing import Sequence
 
@@ -95,6 +97,8 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     key = hashlib.sha256(text + b"\0" + "\0".join([*command, *KERNEL_LIBS]).encode()).hexdigest()
     path = os.path.join(cache_dir, f"_pcst_kernel-{key[:20]}.so")
     if not os.path.exists(path):
+        import subprocess  # only to build: 4 ms of every import otherwise
+
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -183,9 +187,23 @@ class PcstEngine:
         _kernel.gbgp_components(self.n, self.m, eu.ctypes.data, ev.ctypes.data,
                                 self.labels.ctypes.data)
         self._weight = np.ascontiguousarray(graph.edge_w, dtype=np.float64)
+        self._link_kernel()
 
-    def _graph_args(self) -> tuple:
-        return (self.n, self.m, *(a.ctypes.data for a in self._graph_arrays))
+    def _link_kernel(self) -> None:
+        """The kernel's view of the graph and the weights, taken once: ``n``,
+        ``m``, the four graph arrays' addresses, then the weights'."""
+        self._task_args = (self.n, self.m, *(a.ctypes.data for a in self._graph_arrays),
+                           self._weight.ctypes.data)
+
+    # a copy or an unpickled engine points the kernel at its own arrays
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_task_args"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._link_kernel()
 
     def solve(self, costs, prizes, num_trees: int = 1) -> PcstResult:
         """Run moat growing and strong pruning.
@@ -218,7 +236,7 @@ class PcstEngine:
         costs, prizes = np.ascontiguousarray(costs), np.ascontiguousarray(prizes)
         # node counts per tree, then their node lists, then their edges as pairs
         out = np.empty(4 * self.n, dtype=np.int64)
-        trees = _kernel.gbgp_pcst_solve(*self._graph_args(), costs.ctypes.data,
+        trees = _kernel.gbgp_pcst_solve(*self._task_args[:6], costs.ctypes.data,
                                         prizes.ctypes.data, min(int(num_trees), self.n),
                                         out.ctypes.data)
         if trees < 0:
@@ -246,7 +264,7 @@ class _SearchTask(ctypes.Structure):
         ("weight", _p), ("prize", _p),
         ("num_trees", _i), ("budget", _i), ("capacity", _i), ("has_warm", _i),
         ("warm", _f), ("total", _f), ("exit_score", _f),
-        ("best", _p), ("size", _i), ("probes", _i), ("mult", _f),
+        ("best", _p), ("size", _i), ("probes", _i), ("mult", _f), ("score", _f),
     ]
 
 
@@ -260,7 +278,7 @@ def _thread_count(tasks: int) -> int:
 
 
 def run_searches(searches: Sequence[tuple], low: float, high: float,
-                 max_probes: int) -> list[tuple[tuple[int, ...], int, float]]:
+                 max_probes: int) -> list[tuple[tuple[int, ...], int, float, float]]:
     """Run ``projections.budget_search`` bisections in one kernel call.
 
     Each search is ``(engine, prizes, budget, capacity, num_trees, warm,
@@ -268,7 +286,8 @@ def run_searches(searches: Sequence[tuple], low: float, high: float,
     already checked and the bounds and warm start (or None) the caller's.
     The kernel runs them without the GIL on up to :func:`_thread_count`
     threads. Returns, per search, the best support (empty when no probe
-    found one), the probe count and that support's multiplier. The first
+    found one), the probe count, that support's multiplier and its score:
+    ``float(prizes[list(support)].sum())`` to the bit. The first
     failing search in order raises: ``ValueError`` for a probe cost that
     is not positive and finite, as :meth:`PcstEngine.solve` does, or
     ``MemoryError``; so does a ``max_probes`` below 1.
@@ -277,7 +296,7 @@ def run_searches(searches: Sequence[tuple], low: float, high: float,
         raise ValueError("max_probes must be >= 1")
     best = [np.empty(engine.n, dtype=np.int64) for engine, *_ in searches]
     tasks = (_SearchTask * len(searches))(*(
-        _SearchTask(*engine._graph_args(), engine._weight.ctypes.data, prizes.ctypes.data,
+        _SearchTask(*engine._task_args, prizes.ctypes.data,
                     min(int(num_trees), engine.n), budget, capacity, warm is not None,
                     0.0 if warm is None else warm, total, exit_score, out.ctypes.data)
         for (engine, prizes, budget, capacity, num_trees, warm, total, exit_score), out
@@ -289,5 +308,5 @@ def run_searches(searches: Sequence[tuple], low: float, high: float,
             raise ValueError("edge costs must be positive and finite")
         if task.size < 0:
             raise MemoryError("the PCST kernel ran out of memory")
-    return [(tuple(out[:task.size].tolist()), task.probes, task.mult)
+    return [(tuple(out[:task.size].tolist()), task.probes, task.mult, task.score)
             for task, out in zip(tasks, best)]

@@ -111,19 +111,37 @@ def budget_search(
                           initial_multiplier)])[0]
 
 
+class _Found(tuple):
+    """One search's ``(support, probes, multiplier)``, compared and unpacked
+    as that plain tuple, with the support's prize sum ``mass`` and the sum
+    of all prizes ``total``, each as NumPy's ``sum`` gives it."""
+
+    def __new__(cls, support: tuple[int, ...], probes: int, multiplier: float,
+                mass: float, total: float):
+        found = super().__new__(cls, (support, probes, multiplier))
+        found.mass, found.total = mass, total
+        return found
+
+
 def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, float]]:
     """Run several :func:`budget_search` calls at once, in one kernel call.
 
     Each search is a tuple of :func:`budget_search`'s arguments and gets
-    the result that call would return. Arguments are checked and bounds
-    computed here, in order, so the first bad search raises; the
-    bisections run on a few threads (``pcst.run_searches``).
+    the result that call would return, which also carries its support's
+    prize sum and the total prize (``mass`` and ``total``). Arguments are
+    checked and bounds computed here, in order, so the first bad search
+    raises; the bisections run on a few threads (``pcst.run_searches``),
+    which score each support as it goes.
     """
     tasks = [_bounded(*search) for search in searches]
     found = run_searches(tasks, MULTIPLIER_LOW, MULTIPLIER_HIGH, MAX_SEARCH_ITERATIONS)
-    return [(support, probes, multiplier) if support
-            else (_fallback_node(prizes), probes, MULTIPLIER_HIGH)
-            for (_, prizes, *_), (support, probes, multiplier) in zip(tasks, found)]
+    results = []
+    for (_, prizes, *_, total, _), (support, probes, multiplier, mass) in zip(tasks, found):
+        if not support:
+            support, multiplier = _fallback_node(prizes), MULTIPLIER_HIGH
+            mass = float(prizes[support[0]])
+        results.append(_Found(support, probes, multiplier, mass, total))
+    return results
 
 
 def _bounded(graph: Graph, prizes, budget: int, capacity: Optional[int] = None,
@@ -206,7 +224,9 @@ def project_phase(blocks: Sequence[tuple], budget: int, num_components: int,
     Each block is ``(block_id, values, graph, initial_multiplier)``. Its
     outcome is the one :func:`head_project` (``captured``) or
     :func:`tail_project` returns for that block alone: a budget search on
-    the squared entries, reporting the captured or the left-out mass.
+    the squared entries, reporting the captured or the left-out mass. The
+    captured mass is the search's own score of its support, the left-out
+    mass the total less it, both as NumPy sums them.
     """
     searches = []
     for _, values, graph, warm in blocks:
@@ -214,12 +234,11 @@ def project_phase(blocks: Sequence[tuple], budget: int, num_components: int,
         capacity = _capacity(budget, capacity_mode, graph.node_count)
         searches.append((graph, values * values, budget, capacity, num_components, warm))
     outcomes = []
-    for (block_id, *_), (_, prizes, *_), (nodes, iterations, multiplier) in zip(
-            blocks, searches, search_phase(searches)):
-        mass = float(prizes[list(nodes)].sum())
+    for (block_id, *_), found in zip(blocks, search_phase(searches)):
+        nodes, iterations, multiplier = found
         outcomes.append(ProjectionOutcome(
             support=SupportSet(block_id, nodes),
-            residual_sq=mass if captured else max(float(prizes.sum()) - mass, 0.0),
+            residual_sq=found.mass if captured else max(found.total - found.mass, 0.0),
             search_iterations=iterations,
             multiplier=multiplier,
         ))

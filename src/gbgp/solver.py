@@ -19,8 +19,6 @@ from __future__ import annotations
 import ctypes
 import math
 import time
-# perfbench/tracer.py patches this name; it stays until ROADMAP item 1
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +42,16 @@ __all__ = [
 ]
 
 _STEP_FLOOR = 1e-12
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py patches ProcessPoolExecutor here, which no solve
+    # uses; it is imported on first lookup, as concurrent.futures.process
+    # and the subprocess module it loads cost about 10 ms of every import
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -191,16 +199,17 @@ def estimate_step_size(
         y_hat[nodes_k] = y_k
 
 
-def _box_projected_gradient(grad: np.ndarray, x_k: np.ndarray) -> np.ndarray:
+def _box_projected_gradient(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Zero out gradient components that point outside the box [0, 1].
 
     At a coordinate pinned to 0 only a negative gradient permits
     movement, at 1 only a positive one; the head projection should see
-    only mass it can actually act on.
+    only mass it can actually act on. Elementwise, so one call serves
+    every block's entries at once.
     """
     out = grad.copy()
-    out[(x_k <= 0.0) & (grad > 0.0)] = 0.0
-    out[(x_k >= 1.0) & (grad < 0.0)] = 0.0
+    out[(x <= 0.0) & (grad > 0.0)] = 0.0
+    out[(x >= 1.0) & (grad < 0.0)] = 0.0
     return out
 
 
@@ -335,10 +344,17 @@ def gbgp_solve(
     a phase's searches ran 1.2-1.5x faster at T=2 than at T=1, but the
     tau=4/serial ratio of criterion 08 stayed at 0.63x (0.60-0.73 over 7
     processes, medians of 15 solves each): both solves gain alike.
+
+    Around the kernel calls, vectors are gathered once into block order
+    (``objective.block_order``) and each block gets a view of its slice: a
+    head phase makes one ``block_gradients`` call and one box projection.
     """
     partition = objective.partition
     K = partition.num_blocks
     block_graphs = [partition.block_graph(k) for k in range(K)]
+    # a vector gathered into block order is cut into one view per block
+    order, starts = objective.block_order, objective.block_starts.tolist()
+    views = [slice(starts[k], starts[k + 1]) for k in range(K)]
     blocks = [k for k in range(K) if len(partition.block_nodes[k])]
     for k in blocks:
         if config.budgets > len(partition.block_nodes[k]):
@@ -384,14 +400,13 @@ def gbgp_solve(
         probes: dict[tuple[str, int], int] = {}
 
         head_start = time.perf_counter()
-        heads = project_blocks("head", {
-            k: _box_projected_gradient(objective.block_gradient(x, k),
-                                       x[partition.block_nodes[k]])
-            for k in blocks
-        }, probes)
+        x_blocks = x[order]
+        grads = _box_projected_gradient(objective.block_gradients(x), x_blocks)
+        heads = project_blocks("head", {k: grads[views[k]] for k in blocks}, probes)
         inner_start = time.perf_counter()
         # allowed support: the head support plus the current support
-        masks = [x[nodes] != 0.0 for nodes in partition.block_nodes]
+        allowed = x_blocks != 0.0
+        masks = [allowed[view] for view in views]
         for k in blocks:
             masks[k][list(heads[k].support.nodes)] = True
 
@@ -402,9 +417,8 @@ def gbgp_solve(
             b = bcd_solve(objective, masks, x, config, counts)
 
         tail_start = time.perf_counter()
-        tails = project_blocks(
-            "tail", {k: b[partition.block_nodes[k]] for k in blocks}, probes
-        )
+        b_blocks = b[order]
+        tails = project_blocks("tail", {k: b_blocks[views[k]] for k in blocks}, probes)
         for k in blocks:
             kept[k] = partition.block_nodes[k][list(tails[k].support.nodes)]
         nodes = np.concatenate(kept)
@@ -412,8 +426,8 @@ def gbgp_solve(
         x_new[nodes] = b[nodes]
         tail_end = time.perf_counter()
 
-        changes = (x_new[block] - x[block] for block in partition.block_nodes)
-        delta = sum(math.sqrt(dot(change, change)) for change in changes)
+        changes = x_new[order] - x_blocks
+        delta = sum(math.sqrt(dot(changes[view], changes[view])) for view in views)
         iterations.append(OuterRecord(
             delta, f_x, (time.perf_counter() - iter_start) * 1e3,
             (inner_start - head_start) * 1e3, (tail_start - inner_start) * 1e3,

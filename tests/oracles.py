@@ -17,7 +17,11 @@ the kernel's ``dot``, which sums as NumPy's ``@`` does on a SkylakeX
 OpenBLAS, so that they agree on any host. ``reference_partition_contiguous``,
 ``reference_connected_components`` and ``reference_truth_core`` are the
 three hand-written breadth-first searches that ``gbgp.graph._bfs``
-replaced, which its callers must match exactly.
+replaced, which its callers must match exactly. ``reference_adjacency``
+and ``reference_block_graph`` build the CSR adjacency with one
+``np.lexsort`` and each block graph through the checking ``Graph``
+constructor, as ``Graph`` and ``BlockPartition.block_graph`` once did;
+the sliced block graphs must match them array for array.
 """
 import heapq
 import itertools
@@ -66,6 +70,37 @@ def reference_edge_arrays(node_count: int, edges):
         np.asarray(vs, dtype=np.int64)[order],
         np.asarray(ws, dtype=np.float64)[order],
     )
+
+
+def reference_adjacency(node_count: int, edge_u, edge_v):
+    """``(adj_indptr, adj_nodes, adj_eids)`` of edges sorted by ``(u, v)``
+    with ``u < v``: every half-edge sorted by (node, neighbour) by one lexsort."""
+    m = len(edge_u)
+    src = np.concatenate([edge_u, edge_v])
+    dst = np.concatenate([edge_v, edge_u])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, dst[order], np.tile(np.arange(m, dtype=np.int64), 2)[order]
+
+
+BLOCK_GRAPH_ARRAYS = ("edge_u", "edge_v", "edge_w", "adj_indptr", "adj_nodes", "adj_eids")
+
+
+def reference_block_graph(partition, k: int) -> dict:
+    """Block k's graph, by name of each of ``BLOCK_GRAPH_ARRAYS``: its edges
+    mapped to local ids by binary search and checked and sorted anew by the
+    ``Graph`` constructor, its adjacency from :func:`reference_adjacency`."""
+    nodes, graph, blocks = partition.block_nodes[k], partition.graph, partition.assignment
+    inside = (blocks[graph.edge_u] == k) & (blocks[graph.edge_v] == k)
+    block = Graph(len(nodes), np.column_stack([
+        np.searchsorted(nodes, graph.edge_u[inside]),
+        np.searchsorted(nodes, graph.edge_v[inside]),
+        graph.edge_w[inside],
+    ]))
+    arrays = (block.edge_u, block.edge_v, block.edge_w,
+              *reference_adjacency(len(nodes), block.edge_u, block.edge_v))
+    return dict(zip(BLOCK_GRAPH_ARRAYS, arrays))
 
 
 def cut_laplacian_product(partition, x, nodes) -> np.ndarray:

@@ -55,6 +55,20 @@ class TestSynth:
             run(["synth", "--m", "4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "nan", "mu must be finite and nonnegative, got nan"),
+        ("--mu", "inf", "mu must be finite and nonnegative, got inf"),
+        ("--size", "nan", "subgraph_size must be finite, got nan"),
+        ("--size", "inf", "subgraph_size must be finite, got inf"),
+    ])
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, flag, value, message):
+        code = run(["synth", "--n", "60", "--m", "3", flag, value, "--kind", "non",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "instance").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["synth", "--n", "60", "--m", "3", "--T", "2", "--size", "8",
                 "--seed", "3", "--kind", "temporal"]
@@ -165,6 +179,19 @@ class TestDetect:
         for extra in (["--blocks", "2"], ["--partition", str(partition), "--blocks", "2"]):
             assert run(args + extra) == 2
             assert "one --signal only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--blocks", "3"], ["--partition", "p.txt"],
+                                       ["--partition", "p.txt", "--blocks", "2"]],
+                             ids=["blocks", "partition", "both"])
+    def test_partition_flags_refused_with_a_bundle(self, temporal_bundle, tmp_path, capsys,
+                                                   flags):
+        (tmp_path / "p.txt").write_text("".join(f"{i % 2}\n" for i in range(240)))
+        flags = [str(tmp_path / flag) if flag == "p.txt" else flag for flag in flags]
+        code = run(["detect", "--bundle", str(temporal_bundle), "--budget", "5",
+                    "--out", str(tmp_path / "o")] + flags)
+        assert code == 2
+        assert "--partition/--blocks do not apply to --bundle" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("layout", ["cut", "partition", "several-signals"])
     def test_blocks_below_one_exit_2(self, temporal_bundle, tmp_path, capsys, layout):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gbgp.datagen import (
     generate_temporal,
     inject_features,
     random_walk_subgraph,
+    read_bundle,
     read_metadata,
     read_truth,
     write_bundle,
@@ -167,6 +170,30 @@ class TestFlipNoise:
         assert np.array_equal(twice.values, sig.values)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mu", float("nan"), "mu must be finite and nonnegative, got nan"),
+    ("mu", float("inf"), "mu must be finite and nonnegative, got inf"),
+    ("mu", -1.0, "mu must be finite and nonnegative, got -1.0"),
+    ("subgraph_size", float("nan"), "subgraph_size must be finite, got nan"),
+    ("subgraph_size", float("inf"), "subgraph_size must be finite, got inf"),
+])
+def test_spec_rejects_a_bad_parameter_naming_it(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SyntheticSpec(n=100, **{field: value})
+
+
+def test_bundle_with_a_non_finite_mu_is_refused(tmp_path):
+    spec = SyntheticSpec(n=50, m=2, T=2, subgraph_size=6, seed=8)
+    out = write_bundle(generate_temporal(spec), str(tmp_path / "b"))
+    path = os.path.join(out, "metadata.txt")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("mu=5.0", "mu=nan"))
+    with pytest.raises(ValueError, match="mu must be finite and nonnegative, got nan"):
+        read_bundle(out)
+
+
 class TestInstances:
     def test_temporal_expansion_shape(self):
         spec = SyntheticSpec(n=60, m=3, T=4, subgraph_size=8, seed=3)
@@ -178,6 +205,11 @@ class TestInstances:
         assert part.cut_edges.shape == (0, 2)
         assert len(signal) == 240
         assert len(inst.truth_pairs()) == 4 * 8
+        # the tiled edges, taken unchecked, give what the checking constructor gives
+        checked = Graph(240, big.edges)
+        for name in ("edge_u", "edge_v", "edge_w", "adj_indptr", "adj_nodes", "adj_eids"):
+            got, want = getattr(big, name), getattr(checked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_every_temporal_block_graph_is_the_base_graph(self, monkeypatch):
         spec = SyntheticSpec(n=60, m=3, T=4, subgraph_size=8, seed=3)

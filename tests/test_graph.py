@@ -23,8 +23,8 @@ from gbgp.graph import (
     save_partition,
     save_signal,
 )
-from oracles import (reference_connected_components, reference_edge_arrays,
-                     reference_partition_contiguous, reference_truth_core)
+from oracles import (reference_adjacency, reference_block_graph, reference_connected_components,
+                     reference_edge_arrays, reference_partition_contiguous, reference_truth_core)
 
 
 def path_graph(n):
@@ -345,6 +345,46 @@ class TestBlockPartition:
         message = r"part\.txt:2: block id 9{30} out of range \[0,2\)"
         with pytest.raises(PartitionError, match=message):
             load_partition(str(p), g, 2)
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A graph of 1-30 nodes, some often isolated, from edges in random
+    order, and an assignment to 1-5 blocks, some often empty."""
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=3 * n))) if pairs else []
+    weights = draw(st.lists(st.floats(0.01, 10.0), min_size=len(edges), max_size=len(edges)))
+    rows = draw(st.permutations([(*edge, w) for edge, w in zip(edges, weights)]))
+    num_blocks = draw(st.integers(1, 5))
+    assignment = draw(st.lists(st.integers(0, num_blocks - 1), min_size=n, max_size=n))
+    return Graph(n, rows), assignment, num_blocks
+
+
+class TestSlicedBlockGraphs:
+    """The block graphs sliced from the graph equal those the checking
+    constructor and a lexsort built, array for array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_graphs())
+    def test_every_array_of_every_block_graph(self, case):
+        graph, assignment, num_blocks = case
+        partition = BlockPartition(graph, assignment, num_blocks)
+        for k in range(num_blocks):
+            block, want = partition.block_graph(k), reference_block_graph(partition, k)
+            assert block.node_count == len(partition.block_nodes[k])
+            for name, ref in want.items():
+                got = getattr(block, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (k, name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_graphs())
+    def test_constructor_adjacency(self, case):
+        graph = case[0]
+        want = reference_adjacency(graph.node_count, graph.edge_u, graph.edge_v)
+        for name, ref in zip(("adj_indptr", "adj_nodes", "adj_eids"), want):
+            got = getattr(graph, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 class TestPartitionContiguous:

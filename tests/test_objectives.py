@@ -327,6 +327,23 @@ class TestKernelMatchesTheReferenceFormulas:
             assert (ems_block_gradient(c_k, x_k).tobytes()
                     == reference_ems_gradient(c_k, x_k).tobytes())
 
+    @pytest.mark.parametrize("kind", ["ems", "temporal", "non"])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["lambda0", "lambda>0"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_all_blocks_gradient_is_every_block_gradient_back_to_back(self, data, kind,
+                                                                       coupled):
+        _, partition, signal, x, lam = data.draw(
+            objective_instances().filter(lambda instance: instance[0] == kind))
+        obj = ObjectiveSpec(kind, partition, signal, lam=lam if coupled else 0.0)
+        grads = obj.block_gradients(x)
+        blocks = [obj.block_gradient(x, k) for k in range(obj.num_blocks)]
+        assert grads.tobytes() == np.concatenate(blocks).tobytes()
+        starts = obj.block_starts
+        for k, nodes in enumerate(partition.block_nodes):
+            assert np.array_equal(obj.block_order[starts[k]:starts[k + 1]], nodes)
+        assert obj.full_gradient(x)[obj.block_order].tobytes() == grads.tobytes()
+
     def test_a_copy_reads_its_own_arrays(self):
         obj = two_block_instance(lam=0.8, seed=6)
         x = np.random.default_rng(7).uniform(0.1, 0.9, size=20)
