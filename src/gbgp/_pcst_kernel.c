@@ -742,9 +742,7 @@ static double pairwise_sum(const double *a, idx n)
 
 /*
  * One budget search of a phase: the engine's graph, the search's inputs,
- * and the slots search() writes its results to. score is the best
- * support's prize sum, pairwise in ascending node order: the
- * prizes[nodes].sum() NumPy gives, so the caller need not gather it again.
+ * and the slots search() writes its results to.
  */
 typedef struct {
     idx n, m;
@@ -754,7 +752,7 @@ typedef struct {
     double warm, total, exit_score;
     idx *best;
     idx size, probes;
-    double mult, score;
+    double mult;
 } search_task;
 
 /*
@@ -770,9 +768,9 @@ typedef struct {
  * probes.
  *
  * Writes the best support, sorted, to t->best, its multiplier to t->mult,
- * its score to t->score, the probe count to t->probes, and the support's
- * size to t->size (0 when no probe found one); t->size is -1 when memory
- * ran out and -2 when a probe's cost is not positive and finite.
+ * the probe count to t->probes, and the support's size to t->size (0 when
+ * no probe found one); t->size is -1 when memory ran out and -2 when a
+ * probe's cost is not positive and finite.
  */
 static void search(search_task *t, idx max_probes, double low, double high)
 {
@@ -848,7 +846,6 @@ static void search(search_task *t, idx max_probes, double low, double high)
     }
     t->probes = probe;
     t->mult = best_mult;
-    t->score = best_score;
     status = best_len;
 done:
     free(s.heap);

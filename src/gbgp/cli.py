@@ -16,7 +16,6 @@ blocks; ``--budget`` must fit every block.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -76,7 +75,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--T", type=int, default=1)
     p.add_argument("--mu", type=float, default=5.0)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--size", type=float, default=0.1, help="truth size (int) or fraction")
+    p.add_argument("--size", type=float, default=0.1,
+                   help="truth size: a whole number, or a fraction of --n below 1")
     p.add_argument("--kind", choices=["temporal", "non"], default="temporal")
     p.add_argument("--blocks", type=int, default=4, help="block count (non only)")
 
@@ -112,7 +112,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("bench", help="runtime scaling benchmark")
     add_common(p)
     p.add_argument("--sizes", default="2500,5000,10000", help="comma-separated node counts")
-    p.add_argument("--taus", default="0", help="comma-separated worker counts")
+    p.add_argument("--taus", default="0",
+                   help="comma-separated taus of the randomized inner solver (below 2: serial)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
 
@@ -165,9 +166,8 @@ def _write_manifest(out_dir: str, entries: list[str]) -> None:
 
 
 def cmd_synth(args) -> int:
-    size = int(args.size) if 1 <= args.size < math.inf else args.size
     spec = SyntheticSpec(
-        n=args.n, m=args.m, T=args.T, subgraph_size=size,
+        n=args.n, m=args.m, T=args.T, subgraph_size=args.size,
         overlap=args.overlap, mu=args.mu, seed=args.seed,
     )
     if args.kind == "temporal":
@@ -176,7 +176,6 @@ def cmd_synth(args) -> int:
         instance = generate_non(spec, args.blocks)
     out_dir = os.path.join(args.out, "instance")
     write_bundle(instance, out_dir)
-    _write_manifest(out_dir, sorted(os.listdir(out_dir)))
     print(out_dir)
     return EXIT_OK
 

@@ -87,6 +87,9 @@ class SyntheticSpec:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if not math.isfinite(self.subgraph_size):
             raise ValueError(f"subgraph_size must be finite, got {self.subgraph_size}")
+        if self.subgraph_size >= 1 and self.subgraph_size != int(self.subgraph_size):
+            raise ValueError("subgraph_size must be a fraction below 1 or a whole number, "
+                             f"got {self.subgraph_size}")
         if self.resolved_size() > self.n:
             raise ValueError("subgraph size exceeds node count")
 
@@ -308,24 +311,32 @@ def generate_non(spec: SyntheticSpec, num_blocks: int) -> NonInstance:
 
 
 def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
-    """Write graph, partition, signals, truth and metadata files."""
+    """Write graph, partition, signals, truth and metadata files, and a
+    ``manifest.txt`` naming exactly those, whatever else ``out_dir`` holds."""
     os.makedirs(out_dir, exist_ok=True)
+    names = []
+
+    def path(name: str) -> str:
+        names.append(name)
+        return os.path.join(out_dir, name)
+
     spec = instance.spec
     meta = {**asdict(spec), "rng": RNG_NAME, "subgraph_size": spec.resolved_size()}
     if isinstance(instance, TemporalInstance):
         meta["kind"] = "temporal"
-        save_graph(instance.base_graph, os.path.join(out_dir, "graph.txt"))
+        save_graph(instance.base_graph, path("graph.txt"))
         for t, signal in enumerate(instance.signals):
-            save_signal(signal, os.path.join(out_dir, f"signal_t{t}.txt"))
+            save_signal(signal, path(f"signal_t{t}.txt"))
     else:
         meta["kind"] = "non"
         meta["num_blocks"] = instance.partition.num_blocks
-        save_graph(instance.graph, os.path.join(out_dir, "graph.txt"))
-        save_partition(instance.partition, os.path.join(out_dir, "partition.txt"))
-        save_signal(instance.signal, os.path.join(out_dir, "signal_t0.txt"))
-    _write_lines(os.path.join(out_dir, "truth.txt"),
+        save_graph(instance.graph, path("graph.txt"))
+        save_partition(instance.partition, path("partition.txt"))
+        save_signal(instance.signal, path("signal_t0.txt"))
+    _write_lines(path("truth.txt"),
                  (f"{t}\t{node}" for t, node in sorted(instance.truth_pairs())))
-    _write_lines(os.path.join(out_dir, "metadata.txt"), (f"{k}={meta[k]}" for k in sorted(meta)))
+    _write_lines(path("metadata.txt"), (f"{k}={meta[k]}" for k in sorted(meta)))
+    _write_lines(os.path.join(out_dir, "manifest.txt"), sorted(names))
     return out_dir
 
 

@@ -340,6 +340,8 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
     ``signal_length``, N must equal it; both checks run before anything
     is allocated. Sparse external ids are remapped to [0, N) and, once
     the edges are accepted, the mapping written to ``<path>.idmap``.
+    :class:`Graph` checks the edges; its error for the first bad edge in
+    file order names that edge's line and the file's own ids.
     """
     raw_edges, edge_lines = [], []
     declared_n = None
@@ -363,10 +365,6 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
                 raise EdgeListError(f"expected 'u v [w]', got {text!r}")
             u, v = int(parts[0]), int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
-            if u == v:
-                raise EdgeListError(f"self-loop at node {u}")
-            if w < 0:
-                raise EdgeListError(f"negative weight {w}")
             raw_edges.append((u, v, w))
             edge_lines.append(lines.line)
 
@@ -383,7 +381,9 @@ def load_graph(path: str, signal_length: int | None = None) -> Graph:
                 lines.line = edge_lines[exc.row]
                 if sparse:  # and its ids as the file gives them
                     u, v = exc.edge
-                    exc.args = (str(exc).replace(f"({u},{v})", f"({ids[u]},{ids[v]})", 1),)
+                    ours, theirs = ((f"node {u}", f"node {ids[u]}") if u == v else
+                                    (f"({u},{v})", f"({ids[u]},{ids[v]})"))
+                    exc.args = (str(exc).replace(ours, theirs, 1),)
             raise
     if sparse:  # only once the edges are accepted
         _write_lines(path + ".idmap", (f"{new}\t{old}" for new, old in enumerate(ids)))

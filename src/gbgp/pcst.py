@@ -39,12 +39,10 @@ each one whole, in one call with the GIL released: the calling thread
 and up to T - 1 pthreads take the searches off a shared counter, where T
 is the number of searches or of CPUs this process may use, whichever is
 smaller. Each search writes only its own results, so they do not depend
-on T; they include the support's ``score``, its prize sum as NumPy's
-``prizes[nodes].sum()`` gives it. See ``projections.budget_search`` for
-how a search replays the reference loop. The kernel also labels a
-graph's connected components (``PcstEngine.labels``) with a union-find,
-numbered by lowest member as ``graph.connected_components`` orders
-them. And it holds the objective's
+on T. See ``projections.budget_search`` for how a search replays the
+reference loop. The kernel also labels a graph's connected components
+(``PcstEngine.labels``) with a union-find, numbered by lowest member as
+``graph.connected_components`` orders them. And it holds the objective's
 arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
 ``gbgp.objectives``) and both inner solvers (``gbgp_bcd_solve`` behind
 ``solver.bcd_solve`` and ``gbgp_rbcd_solve`` behind
@@ -264,7 +262,7 @@ class _SearchTask(ctypes.Structure):
         ("weight", _p), ("prize", _p),
         ("num_trees", _i), ("budget", _i), ("capacity", _i), ("has_warm", _i),
         ("warm", _f), ("total", _f), ("exit_score", _f),
-        ("best", _p), ("size", _i), ("probes", _i), ("mult", _f), ("score", _f),
+        ("best", _p), ("size", _i), ("probes", _i), ("mult", _f),
     ]
 
 
@@ -278,7 +276,7 @@ def _thread_count(tasks: int) -> int:
 
 
 def run_searches(searches: Sequence[tuple], low: float, high: float,
-                 max_probes: int) -> list[tuple[tuple[int, ...], int, float, float]]:
+                 max_probes: int) -> list[tuple[tuple[int, ...], int, float]]:
     """Run ``projections.budget_search`` bisections in one kernel call.
 
     Each search is ``(engine, prizes, budget, capacity, num_trees, warm,
@@ -286,8 +284,7 @@ def run_searches(searches: Sequence[tuple], low: float, high: float,
     already checked and the bounds and warm start (or None) the caller's.
     The kernel runs them without the GIL on up to :func:`_thread_count`
     threads. Returns, per search, the best support (empty when no probe
-    found one), the probe count, that support's multiplier and its score:
-    ``float(prizes[list(support)].sum())`` to the bit. The first
+    found one), the probe count and that support's multiplier. The first
     failing search in order raises: ``ValueError`` for a probe cost that
     is not positive and finite, as :meth:`PcstEngine.solve` does, or
     ``MemoryError``; so does a ``max_probes`` below 1.
@@ -308,5 +305,5 @@ def run_searches(searches: Sequence[tuple], low: float, high: float,
             raise ValueError("edge costs must be positive and finite")
         if task.size < 0:
             raise MemoryError("the PCST kernel ran out of memory")
-    return [(tuple(out[:task.size].tolist()), task.probes, task.mult, task.score)
+    return [(tuple(out[:task.size].tolist()), task.probes, task.mult)
             for task, out in zip(tasks, best)]

@@ -7,10 +7,12 @@ as prizes to capture gradient mass, tail projections do the same to
 snap an iterate onto the constraint set. Ties always resolve toward
 low node ids so projections are deterministic.
 
-A phase of searches computes each one's bounds in Python and runs every
-bisection in one call into the PCST kernel (``pcst.run_searches``),
-spread over a few threads without the GIL. ``budget_search`` and both
-projections are the one-search case of that call.
+A phase of searches (:func:`search_phase`) computes each one's bounds in
+Python and runs every bisection in one call into the PCST kernel
+(``pcst.run_searches``), spread over a few threads without the GIL;
+``solver.gbgp_solve`` makes one such call per projection phase.
+``budget_search`` is the one-search case of that call, and
+:func:`head_project` and :func:`tail_project` wrap one budget search each.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ __all__ = [
     "ProjectionOutcome",
     "budget_search",
     "head_project",
-    "project_phase",
     "search_phase",
     "tail_project",
 ]
@@ -111,36 +112,21 @@ def budget_search(
                           initial_multiplier)])[0]
 
 
-class _Found(tuple):
-    """One search's ``(support, probes, multiplier)``, compared and unpacked
-    as that plain tuple, with the support's prize sum ``mass`` and the sum
-    of all prizes ``total``, each as NumPy's ``sum`` gives it."""
-
-    def __new__(cls, support: tuple[int, ...], probes: int, multiplier: float,
-                mass: float, total: float):
-        found = super().__new__(cls, (support, probes, multiplier))
-        found.mass, found.total = mass, total
-        return found
-
-
 def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, float]]:
     """Run several :func:`budget_search` calls at once, in one kernel call.
 
     Each search is a tuple of :func:`budget_search`'s arguments and gets
-    the result that call would return, which also carries its support's
-    prize sum and the total prize (``mass`` and ``total``). Arguments are
-    checked and bounds computed here, in order, so the first bad search
-    raises; the bisections run on a few threads (``pcst.run_searches``),
-    which score each support as it goes.
+    the ``(support, probes, multiplier)`` that call would return. Arguments
+    are checked and bounds computed here, in order, so the first bad search
+    raises; the bisections run on a few threads (``pcst.run_searches``).
     """
     tasks = [_bounded(*search) for search in searches]
     found = run_searches(tasks, MULTIPLIER_LOW, MULTIPLIER_HIGH, MAX_SEARCH_ITERATIONS)
     results = []
-    for (_, prizes, *_, total, _), (support, probes, multiplier, mass) in zip(tasks, found):
+    for (_, prizes, *_), (support, probes, multiplier) in zip(tasks, found):
         if not support:
             support, multiplier = _fallback_node(prizes), MULTIPLIER_HIGH
-            mass = float(prizes[support[0]])
-        results.append(_Found(support, probes, multiplier, mass, total))
+        results.append((support, probes, multiplier))
     return results
 
 
@@ -196,8 +182,8 @@ def head_project(
     2*budget by default ("2s") or budget ("s"). ``residual_sq`` holds
     the captured squared mass.
     """
-    return project_phase([(block_id, weights, graph_k, initial_multiplier)], budget,
-                         num_components, capacity_mode, captured=True)[0]
+    return _project(weights, graph_k, budget, num_components, capacity_mode, block_id,
+                    initial_multiplier, captured=True)
 
 
 def tail_project(
@@ -213,36 +199,26 @@ def tail_project(
 
     ``residual_sq`` is the squared mass left outside the support.
     """
-    return project_phase([(block_id, values, graph_k, initial_multiplier)], budget,
-                         num_components, capacity_mode, captured=False)[0]
+    return _project(values, graph_k, budget, num_components, capacity_mode, block_id,
+                    initial_multiplier, captured=False)
 
 
-def project_phase(blocks: Sequence[tuple], budget: int, num_components: int,
-                  capacity_mode: str, captured: bool) -> list[ProjectionOutcome]:
-    """Project several blocks with one :func:`search_phase` call.
-
-    Each block is ``(block_id, values, graph, initial_multiplier)``. Its
-    outcome is the one :func:`head_project` (``captured``) or
-    :func:`tail_project` returns for that block alone: a budget search on
-    the squared entries, reporting the captured or the left-out mass. The
-    captured mass is the search's own score of its support, the left-out
-    mass the total less it, both as NumPy sums them.
-    """
-    searches = []
-    for _, values, graph, warm in blocks:
-        values = np.asarray(values, dtype=np.float64)
-        capacity = _capacity(budget, capacity_mode, graph.node_count)
-        searches.append((graph, values * values, budget, capacity, num_components, warm))
-    outcomes = []
-    for (block_id, *_), found in zip(blocks, search_phase(searches)):
-        nodes, iterations, multiplier = found
-        outcomes.append(ProjectionOutcome(
-            support=SupportSet(block_id, nodes),
-            residual_sq=found.mass if captured else max(found.total - found.mass, 0.0),
-            search_iterations=iterations,
-            multiplier=multiplier,
-        ))
-    return outcomes
+def _project(values, graph: Graph, budget: int, num_components: int, capacity_mode: str,
+             block_id: int, warm: Optional[float], captured: bool) -> ProjectionOutcome:
+    """A budget search on the squared entries, reporting the captured
+    (``captured``) or the left-out mass, each as NumPy sums it."""
+    values = np.asarray(values, dtype=np.float64)
+    prizes = values * values
+    capacity = _capacity(budget, capacity_mode, graph.node_count)
+    support, probes, multiplier = budget_search(graph, prizes, budget, capacity,
+                                                num_components, warm)
+    mass = float(prizes[list(support)].sum())
+    return ProjectionOutcome(
+        support=SupportSet(block_id, support),
+        residual_sq=mass if captured else max(float(prizes.sum()) - mass, 0.0),
+        search_iterations=probes,
+        multiplier=multiplier,
+    )
 
 
 def _capacity(budget: int, mode: str, block_size: int) -> int:

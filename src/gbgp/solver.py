@@ -27,7 +27,7 @@ import numpy as np
 from .graph import SupportSet
 from .objectives import ObjectiveSpec, dot
 from .pcst import _kernel
-from .projections import ProjectionOutcome, project_phase
+from .projections import _capacity, search_phase
 # perfbench/tracer.py patches these names, which no solve calls any more
 from .projections import head_project, tail_project  # noqa: F401
 
@@ -147,7 +147,7 @@ class DetectionResult:
 # Neither inner solver calls estimate_step_size or _box_step: both run in
 # the kernel, whose backtrack() mirrors them. They stay because
 # perfbench/tracer.py patches solver.estimate_step_size by name (ROADMAP
-# item 1) and the reference loops in tests/oracles.py call them.
+# item 3) and the reference loops in tests/oracles.py call them.
 def _box_step(y_k: np.ndarray, grad: np.ndarray, alpha: float,
               omega_local: np.ndarray) -> np.ndarray:
     """y_k - alpha * grad, zeroed outside ``omega_local`` and clipped to [0, 1]."""
@@ -315,19 +315,18 @@ def parallel_bcd_solve(
     return x
 
 
-def gbgp_solve(
-    objective: ObjectiveSpec,
-    config: SolverConfig,
-    x0: Optional[np.ndarray] = None,
-) -> DetectionResult:
+def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResult:
     """Head-project, minimize restricted, tail-project until converged.
 
+    A head or tail projection of block k is a budget search on the squared
+    entries of block k's slice of the gradient or the inner solve's output.
     Each ``(kind, k)`` projection keeps one entry: its last search's input
-    bytes, warm start and outcome. The next search on that block starts
-    from the outcome's multiplier, and a projection is a pure function of
-    its input and warm start (budget and options are fixed per solve), so
-    a block whose input and warm start both repeat reuses the outcome
-    instead of searching again; only the other blocks are projected.
+    bytes, warm start and ``(support, probes, multiplier)``. The next search
+    on that block starts from that multiplier, and a search is a pure
+    function of its input and warm start (budget, capacity and options are
+    fixed per solve), so a block whose input and warm start both repeat
+    reuses the support instead of searching again; only the other blocks
+    are searched.
     Returns the per-block tail supports of the final iteration (kept as
     global ids; each :class:`SupportSet` is built once, after the loop), the
     continuous iterate, and one :class:`OuterRecord` per outer iteration:
@@ -337,7 +336,7 @@ def gbgp_solve(
     that searched.
 
     Each phase's searches, the head or the tail projections of the blocks
-    not reused, run in one kernel call (``projections.project_phase``) on
+    not reused, run in one kernel call (``projections.search_phase``) on
     up to T threads, T = min(searches, CPUs this process may use); each
     search is a pure function of its input, so outputs do not depend on
     T. ``parallel`` sets only the randomized inner solver's tau. On 2 CPUs
@@ -347,7 +346,8 @@ def gbgp_solve(
 
     Around the kernel calls, vectors are gathered once into block order
     (``objective.block_order``) and each block gets a view of its slice: a
-    head phase makes one ``block_gradients`` call and one box projection.
+    head phase makes one ``block_gradients`` call and one box projection,
+    and each phase squares its vector once.
     """
     partition = objective.partition
     K = partition.num_blocks
@@ -362,31 +362,35 @@ def gbgp_solve(
                              f"of {len(partition.block_nodes[k])} nodes")
     rng = np.random.default_rng(config.seed)
 
-    # (kind, k) -> the last search's (input bytes, warm start, outcome)
-    last: dict[tuple[str, int], tuple[bytes, Optional[float], ProjectionOutcome]] = {}
+    capacities = {kind: {k: _capacity(config.budgets, mode, len(partition.block_nodes[k]))
+                         for k in blocks}
+                  for kind, mode in (("head", config.head_capacity_mode), ("tail", "s"))}
+    # (kind, k) -> the last search's (input bytes, warm start, (support, probes, multiplier))
+    last: dict[tuple[str, int], tuple[bytes, Optional[float], tuple]] = {}
 
-    def project_blocks(kind: str, inputs: dict[int, np.ndarray],
-                       probes: dict) -> dict[int, ProjectionOutcome]:
-        outcomes, searched, data = {}, [], {}
-        for k, values in inputs.items():
-            data[k], entry = values.tobytes(), last.get((kind, k))
-            warm = None if entry is None else entry[2].multiplier
+    def project_blocks(kind: str, values: np.ndarray, probes: dict) -> dict[int, tuple]:
+        """Each block's support, as local ids, from a block-order vector."""
+        prizes = values * values
+        supports, searched, data = {}, [], {}
+        for k in blocks:
+            data[k], entry = values[views[k]].tobytes(), last.get((kind, k))
+            warm = None if entry is None else entry[2][2]
             if entry is not None and entry[:2] == (data[k], warm):
-                outcomes[k] = entry[2]
+                supports[k] = entry[2][0]
             else:
-                searched.append((k, values, block_graphs[k], warm))
-        mode = config.head_capacity_mode if kind == "head" else "s"
+                searched.append((k, warm))
         # one phase call for every block searched; read at call time, so a
         # caller may wrap it on this module
-        found = project_phase(searched, config.budgets, config.num_components, mode,
-                              captured=kind == "head")
-        for (k, _, _, warm), outcome in zip(searched, found):
-            last[kind, k] = (data[k], warm, outcome)
-            probes[kind, k] = outcome.search_iterations
-            outcomes[k] = outcome
-        return outcomes
+        found = search_phase([(block_graphs[k], prizes[views[k]], config.budgets,
+                               capacities[kind][k], config.num_components, warm)
+                              for k, warm in searched])
+        for (k, warm), result in zip(searched, found):
+            last[kind, k] = (data[k], warm, result)
+            probes[kind, k] = result[1]
+            supports[k] = result[0]
+        return supports
 
-    x = objective.initial_x() if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = objective.initial_x()
     iterations: list[OuterRecord] = []
     converged = False
     # each block's tail support, as global ids in ascending order
@@ -402,13 +406,13 @@ def gbgp_solve(
         head_start = time.perf_counter()
         x_blocks = x[order]
         grads = _box_projected_gradient(objective.block_gradients(x), x_blocks)
-        heads = project_blocks("head", {k: grads[views[k]] for k in blocks}, probes)
+        heads = project_blocks("head", grads, probes)
         inner_start = time.perf_counter()
         # allowed support: the head support plus the current support
         allowed = x_blocks != 0.0
         masks = [allowed[view] for view in views]
         for k in blocks:
-            masks[k][list(heads[k].support.nodes)] = True
+            masks[k][list(heads[k])] = True
 
         counts = np.zeros(4, dtype=np.int64)
         if config.parallel >= 2 and K > 1:
@@ -417,10 +421,9 @@ def gbgp_solve(
             b = bcd_solve(objective, masks, x, config, counts)
 
         tail_start = time.perf_counter()
-        b_blocks = b[order]
-        tails = project_blocks("tail", {k: b_blocks[views[k]] for k in blocks}, probes)
+        tails = project_blocks("tail", b[order], probes)
         for k in blocks:
-            kept[k] = partition.block_nodes[k][list(tails[k].support.nodes)]
+            kept[k] = partition.block_nodes[k][list(tails[k])]
         nodes = np.concatenate(kept)
         x_new = np.zeros_like(x)
         x_new[nodes] = b[nodes]

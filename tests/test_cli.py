@@ -69,6 +69,31 @@ class TestSynth:
         assert f"error: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "instance").exists()
 
+    @pytest.mark.parametrize("size", ["2.5", "1.5", "12.000001"])
+    def test_size_not_a_whole_number_exit_2(self, tmp_path, capsys, size):
+        code = run(["synth", "--n", "60", "--m", "3", "--size", size, "--kind", "non",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"error: subgraph_size must be a fraction below 1 or a whole number, "
+                f"got {float(size)}") in err
+        assert not (tmp_path / "instance").exists()
+
+    def test_rerun_into_the_same_out_rewrites_the_bundle(self, tmp_path):
+        # the manifest names the bundle's files: not itself, nor a file an
+        # earlier run into the same --out left behind
+        args = ["synth", "--n", "60", "--m", "3", "--size", "8", "--seed", "3",
+                "--kind", "temporal"]
+        for T, out in (("3", "a"), ("2", "a"), ("2", "a"), ("2", "b")):
+            assert run(args + ["--T", T, "--out", str(tmp_path / out)]) == 0
+        again, fresh = tmp_path / "a" / "instance", tmp_path / "b" / "instance"
+        names = sorted(os.listdir(fresh))
+        assert (fresh / "manifest.txt").read_text().split() == [
+            "graph.txt", "metadata.txt", "signal_t0.txt", "signal_t1.txt", "truth.txt"]
+        assert sorted(os.listdir(again)) == sorted(names + ["signal_t2.txt"])
+        for name in names:
+            assert file_hash(again / name) == file_hash(fresh / name), name
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["synth", "--n", "60", "--m", "3", "--T", "2", "--size", "8",
                 "--seed", "3", "--kind", "temporal"]
@@ -286,7 +311,7 @@ class TestDetect:
         assert not (tmp_path / "cap" / "detect" / "supports.txt").exists()
 
     def test_failing_search_under_parallel_exit_5(self, tmp_path, capfd, monkeypatch):
-        import gbgp.projections as projections
+        import gbgp.solver as solver
 
         synth = ["synth", "--n", "120", "--m", "3", "--size", "12", "--seed", "2",
                  "--kind", "non", "--blocks", "4", "--out", str(tmp_path / "inst")]
@@ -295,7 +320,7 @@ class TestDetect:
         def fail(*args, **kwargs):
             raise RuntimeError("search failed")
 
-        monkeypatch.setattr(projections, "search_phase", fail)
+        monkeypatch.setattr(solver, "search_phase", fail)
         code = run(["detect", "--bundle", str(tmp_path / "inst" / "instance"),
                     "--budget", "8", "--parallel", "2", "--out", str(tmp_path / "o")])
         err = capfd.readouterr().err

@@ -176,6 +176,7 @@ class TestFlipNoise:
     ("mu", -1.0, "mu must be finite and nonnegative, got -1.0"),
     ("subgraph_size", float("nan"), "subgraph_size must be finite, got nan"),
     ("subgraph_size", float("inf"), "subgraph_size must be finite, got inf"),
+    ("subgraph_size", 2.5, "subgraph_size must be a fraction below 1 or a whole number, got 2.5"),
 ])
 def test_spec_rejects_a_bad_parameter_naming_it(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from gbgp.datagen import SyntheticSpec, generate_non
 from gbgp.graph import Graph, connected_components
 import gbgp.pcst
-from gbgp.projections import (_engine_for, budget_search, head_project, project_phase,
-                              search_phase, tail_project)
+from gbgp.projections import _engine_for, budget_search, head_project, search_phase, tail_project
 
 from oracles import (
     connected_subsets,
@@ -403,17 +402,18 @@ class TestProjectionMasses:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(search_arguments(), min_size=1, max_size=4), st.data())
     def test_residual_is_the_mass_numpy_sums(self, searches, data):
-        # the kernel scores each support as it searches; that score, and the
-        # total less it, are the sums NumPy gives over the squared entries
+        # a projection's residual, the captured mass or the total less it, is
+        # the sum NumPy gives over the squared entries
         blocks = []
         for k, (graph, prizes, _, _, _, warm) in enumerate(searches):
             signs = np.where(np.arange(graph.node_count) % (k + 2) == 0, -1.0, 1.0)
             blocks.append((k, signs * np.sqrt(prizes) * 1.3, graph, warm))
         budget = data.draw(st.integers(1, min(graph.node_count for _, _, graph, _ in blocks)))
         components = data.draw(st.integers(1, 3))
-        for mode, captured in (("2s", True), ("s", True), ("s", False)):
-            outcomes = project_phase(blocks, budget, components, mode, captured)
-            for (_, values, _, _), outcome in zip(blocks, outcomes):
+        for project, mode, captured in ((head_project, "2s", True), (head_project, "s", True),
+                                        (tail_project, "s", False)):
+            for k, values, graph, warm in blocks:
+                outcome = project(values, graph, budget, components, mode, k, warm)
                 prizes = values * values
                 mass = float(prizes[list(outcome.support.nodes)].sum())
                 want = mass if captured else max(float(prizes.sum()) - mass, 0.0)

@@ -387,43 +387,26 @@ class TestGbgpSolve:
 
     def test_omega_construction_invariant(self, monkeypatch):
         obj = planted_objective(n=10, truth=(4, 5, 6))
-        calls = {"head": [], "inner": [], "tail": []}
-
-        def spy(name, fn):
-            def record(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                calls[name].append((args, out))
-                return out
-
-            return record
-
-        def phase(blocks, *args, captured):
-            # one entry per projected block, as a call of its own
-            out = project_phase(blocks, *args, captured=captured)
-            calls["head" if captured else "tail"].extend(zip(blocks, out))
-            return out
-
-        project_phase = solver.project_phase
-        monkeypatch.setattr(solver, "project_phase", phase)
-        monkeypatch.setattr(solver, "bcd_solve", spy("inner", solver.bcd_solve))
+        log = SolveLog(monkeypatch, obj)
         result = gbgp_solve(obj, SolverConfig(budgets=3, max_outer_iters=5))
 
         K = obj.num_blocks
-        iterates = [args[2] for args, _ in calls["inner"]] + [result.x_final]
-        assert len(calls["inner"]) == result.outer_iters
-        assert len(calls["head"]) == len(calls["tail"]) == K * result.outer_iters
+        iterates = [x for x, _ in log.inner] + [result.x_final]
+        assert len(log.inner) == result.outer_iters
+        supports = {(i, kind, k): found[0] for i, kind, k, _, _, found in log.searches}
+        assert len(supports) == len(log.searches) == 2 * K * result.outer_iters
 
         def support(x, k):
             return set(np.flatnonzero(x[obj.partition.block_nodes[k]]).tolist())
 
-        for i, (args, _) in enumerate(calls["inner"]):
-            masks, x = args[1], args[2]
+        for i, masks in enumerate(log.masks):
+            x = iterates[i]
             for k in range(K):
-                head = set(calls["head"][i * K + k][1].support.nodes)
+                head = set(supports[i, "head", k])
                 assert masks[k].dtype == bool
                 assert set(np.flatnonzero(masks[k]).tolist()) == head | support(x, k)
                 # the next iterate's support lives inside a connected tail set
-                tail = set(calls["tail"][i * K + k][1].support.nodes)
+                tail = set(supports[i, "tail", k])
                 assert support(iterates[i + 1], k) <= tail
                 if tail:
                     comps = connected_components(obj.partition.block_graph(k), tail)
@@ -517,6 +500,48 @@ def non_objective():
     return ObjectiveSpec("non", instance.partition, instance.signal, lam=0.01)
 
 
+class SolveLog:
+    """A solve's budget searches and serial inner solves, logged by wrapping
+    ``solver.search_phase`` and ``solver.bcd_solve`` on the module.
+
+    A phase is a tail phase when an inner solve came between it and the
+    phase before, else a head phase, and a search is of the block whose
+    graph object it was given. ``searches`` holds ``(iteration, kind, k,
+    prizes, warm, (support, probes, multiplier))`` per search, iterations
+    counted from 0; ``inner`` the ``(x, b)`` of each inner solve and
+    ``masks`` its masks. ``answer``, given, stands in for ``search_phase``
+    and gets each phase's kind and blocks besides its searches.
+    """
+
+    def __init__(self, monkeypatch, obj, answer=None):
+        self.searches, self.inner, self.masks = [], [], []
+        graphs = {id(obj.partition.block_graph(k)): k for k in range(obj.num_blocks)}
+        assert len(graphs) == obj.num_blocks, "blocks sharing a graph object"
+        search_phase, bcd_solve = solver.search_phase, solver.bcd_solve
+        after_inner = False  # an inner solve since the last phase
+
+        def phase(searches):
+            nonlocal after_inner
+            kind, after_inner = "tail" if after_inner else "head", False
+            ks = [graphs[id(search[0])] for search in searches]
+            out = search_phase(searches) if answer is None else answer(searches, kind, ks)
+            i = len(self.inner) - (kind == "tail")
+            for k, search, found in zip(ks, searches, out):
+                self.searches.append((i, kind, k, search[1].copy(), search[5], found))
+            return out
+
+        def inner(objective, masks, x, config, counts):
+            nonlocal after_inner
+            self.masks.append([mask.copy() for mask in masks])
+            b = bcd_solve(objective, masks, x, config, counts)
+            self.inner.append((x.copy(), b))
+            after_inner = True
+            return b
+
+        monkeypatch.setattr(solver, "search_phase", phase)
+        monkeypatch.setattr(solver, "bcd_solve", inner)
+
+
 def temporal_objective():
     instance = generate_temporal(
         SyntheticSpec(n=150, m=3, T=4, subgraph_size=15, mu=5.0, seed=5)
@@ -586,19 +611,28 @@ def test_golden_solves_are_byte_identical(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
-def test_supports_are_built_once_per_search_and_once_per_block(monkeypatch, name):
+def test_a_solve_builds_one_support_per_block_and_no_projection_outcome(monkeypatch, name):
     make_objective, knobs, _ = GOLDEN_SOLVES[name]
     obj = make_objective()
-    built, init = [], SupportSet.__init__
+    built, outcomes = [], []
+    support_init, outcome_init = SupportSet.__init__, projections.ProjectionOutcome.__init__
 
     def counted(support, block_id, nodes):
         built.append(block_id)
-        init(support, block_id, nodes)
+        support_init(support, block_id, nodes)
+
+    def outcome(*args, **kwargs):
+        outcomes.append(args)
+        outcome_init(*args, **kwargs)
 
     monkeypatch.setattr(SupportSet, "__init__", counted)
+    monkeypatch.setattr(projections.ProjectionOutcome, "__init__", outcome)
     result = gbgp_solve(obj, SolverConfig(max_outer_iters=8, outer_tol=0.0, **knobs))
-    searched = sum(len(record.probes) for record in result.iterations)
-    assert len(built) <= searched + obj.num_blocks
+    assert sum(len(record.probes) for record in result.iterations) > 0
+    assert built == list(range(obj.num_blocks)) and outcomes == []
+    # the wrapper counts where a projection does build its outcome
+    projections.head_project(np.ones(3), path_graph(3), 1)
+    assert len(outcomes) == 1 and len(built) == obj.num_blocks + 1
     # the supports are the last iterate's nodes, grouped by block, as Python ints
     last, assignment = result.iterations[-1].nodes, obj.partition.assignment
     assert [support.block_id for support in result.supports] == list(range(obj.num_blocks))
@@ -611,41 +645,20 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
     head_project, tail_project = projections.head_project, projections.tail_project
-    project_phase, bcd_solve = solver.project_phase, solver.bcd_solve
-    events = []
-
-    def phase(blocks, *args, captured):
-        out = project_phase(blocks, *args, captured=captured)
-        for (k, values, _, warm), outcome in zip(blocks, out):
-            events.append(("head" if captured else "tail", k, np.array(values), warm, outcome))
-        return out
-
-    def inner(objective, masks, x, cfg, counts):
-        b = bcd_solve(objective, masks, x, cfg, counts)
-        events.append(("inner", None, x.copy(), None, b))
-        return b
-
-    monkeypatch.setattr(solver, "project_phase", phase)
-    monkeypatch.setattr(solver, "bcd_solve", inner)
+    log = SolveLog(monkeypatch, obj)
     result = gbgp_solve(obj, config)
 
     K, iters = obj.num_blocks, result.outer_iters
-    # a head call belongs to the iteration whose inner solve comes next,
-    # a tail call to the one whose inner solve came last
-    calls, iterates = {}, []
-    for kind, k, values, warm, out in events:
-        if kind == "inner":
-            iterates.append((values, out))
-        else:
-            calls[kind, len(iterates) - (kind == "tail"), k] = (values, warm, out)
-    heads = sum(key[0] == "head" for key in calls)
+    calls = {(i, kind, k): (prizes, warm, found)
+             for i, kind, k, prizes, warm, found in log.searches}
+    heads = sum(key[1] == "head" for key in calls)
     tails = len(calls) - heads
     assert heads < K * iters and tails < K * iters
 
     partition = obj.partition
     used: dict = {}
     reused = 0
-    for i, (x, b) in enumerate(iterates):
+    for i, (x, b) in enumerate(log.inner):
         for k in range(K):
             nodes = partition.block_nodes[k]
             graph_k = partition.block_graph(k)
@@ -655,21 +668,21 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
             }
             for kind, project, extra in (("head", head_project, {"capacity_mode": "2s"}),
                                          ("tail", tail_project, {})):
-                warm = used[kind, i - 1, k].multiplier if i else None
-                if (kind, i, k) in calls:
-                    # the reconstructed input is the one the solver sent
-                    values, sent_warm, out = calls[kind, i, k]
-                    assert np.array_equal(values, inputs[kind]) and sent_warm == warm
-                    used[kind, i, k] = out
+                warm = used[i - 1, kind, k][2] if i else None
+                if (i, kind, k) in calls:
+                    # the reconstructed input, squared, is what the solver searched
+                    prizes, sent_warm, found = calls[i, kind, k]
+                    values = inputs[kind]
+                    assert np.array_equal(prizes, values * values) and sent_warm == warm
+                    used[i, kind, k] = found
                     continue
                 reused += 1
-                stored = used[kind, i - 1, k]
+                stored = used[i - 1, kind, k]
                 fresh = project(inputs[kind], graph_k, 18, num_components=1, block_id=k,
                                 initial_multiplier=warm, **extra)
-                assert fresh.support == stored.support
-                assert fresh.multiplier == stored.multiplier
-                assert fresh.residual_sq == stored.residual_sq
-                used[kind, i, k] = stored
+                assert fresh.support.nodes == stored[0]
+                assert fresh.multiplier == stored[2]
+                used[i, kind, k] = stored
     assert reused == 2 * K * iters - len(calls) > 0
 
 
@@ -679,28 +692,29 @@ def test_a_changed_warm_start_searches_again(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
     fresh = itertools.count(1)
-    calls, reported = [], {}
-    project_phase = solver.project_phase
+    reported = {}
+    search_phase = solver.search_phase
 
-    def phase(blocks, *args, captured):
-        kind = "head" if captured else "tail"
-        for k, values, _, warm in blocks:
-            assert warm == reported.get((kind, k))
-            calls.append((kind, k, values.tobytes()))
-        cold = [(k, values, graph_k, None) for k, values, graph_k, _ in blocks]
+    def answer(searches, kind, ks):
+        for k, search in zip(ks, searches):
+            assert search[5] == reported.get((kind, k))
         out = []
-        for (k, *_), outcome in zip(blocks, project_phase(cold, *args, captured=captured)):
+        for k, (support, probes, _) in zip(ks, search_phase([(*search[:5], None)
+                                                             for search in searches])):
             reported[kind, k] = float(next(fresh))
-            out.append(dataclasses.replace(outcome, multiplier=reported[kind, k]))
+            out.append((support, probes, reported[kind, k]))
         return out
 
-    monkeypatch.setattr(solver, "project_phase", phase)
+    log = SolveLog(monkeypatch, obj, answer)
     result = gbgp_solve(obj, config)
 
-    assert len(calls) == 2 * obj.num_blocks * result.outer_iters
+    assert len(log.searches) == 2 * obj.num_blocks * result.outer_iters
+    # a tail input is the inner solve's output, in [0, 1], so its squares
+    # repeat only where it does
     previous, repeats = {}, 0
-    for kind, k, data in calls:
-        repeats += previous.get((kind, k)) == data
+    for _, kind, k, prizes, _, _ in log.searches:
+        data = prizes.tobytes()
+        repeats += kind == "tail" and previous.get((kind, k)) == data
         previous[kind, k] = data
     assert repeats > 0
 
@@ -708,39 +722,13 @@ def test_a_changed_warm_start_searches_again(monkeypatch):
 def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
-    project_phase, search_phase = solver.project_phase, projections.search_phase
-    bcd_solve = solver.bcd_solve
-    inner_inputs, projecting, searches = [], [], []
-
-    def project(blocks, *args, captured):
-        projecting.append(("head" if captured else "tail", [block[0] for block in blocks]))
-        try:
-            return project_phase(blocks, *args, captured=captured)
-        finally:
-            projecting.pop()
-
-    def search(tasks):
-        out = search_phase(tasks)
-        kind, ks = projecting[-1]
-        assert len(ks) == len(out)
-        for k, (_, probes, _) in zip(ks, out):
-            # head searches precede their iteration's inner solve, tail ones follow it
-            searches.append((len(inner_inputs) - (kind == "tail"), kind, k, probes))
-        return out
-
-    def inner(objective, masks, x, cfg, counts):
-        inner_inputs.append(x.copy())
-        return bcd_solve(objective, masks, x, cfg, counts)
-
-    monkeypatch.setattr(solver, "project_phase", project)
-    monkeypatch.setattr(projections, "search_phase", search)
-    monkeypatch.setattr(solver, "bcd_solve", inner)
+    log = SolveLog(monkeypatch, obj)
     result = gbgp_solve(obj, config)
 
     records = result.iterations
     assert result.outer_iters == len(records) == 8
     expected = [{} for _ in records]
-    for i, kind, k, probes in searches:
+    for i, kind, k, _, _, (_, probes, _) in log.searches:
         expected[i][kind, k] = probes
     assert [record.probes for record in records] == expected
     # reused projections have no entry
@@ -753,7 +741,7 @@ def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
         x[record.nodes] = record.values
         rebuilt.append(x)
     for i, x in enumerate(rebuilt[:-1]):
-        assert np.array_equal(x, inner_inputs[i + 1])
+        assert np.array_equal(x, log.inner[i + 1][0])
     assert rebuilt[-1].tobytes() == result.x_final.tobytes()
     assert set(records[-1].nodes.tolist()) == result.support_nodes()
     assert all(np.isfinite(r.objective) and r.delta >= 0 and r.wall_ms >= 0 for r in records)
