@@ -72,13 +72,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--T", type=int, default=1)
+    p.add_argument("--T", type=int, help="snapshot count (temporal only; default 1)")
     p.add_argument("--mu", type=float, default=5.0)
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--size", type=float, default=0.1,
                    help="truth size: a whole number, or a fraction of --n below 1")
     p.add_argument("--kind", choices=["temporal", "non"], default="temporal")
-    p.add_argument("--blocks", type=int, default=4, help="block count (non only)")
+    p.add_argument("--blocks", type=int, help="block count (non only; default 4)")
 
     p = sub.add_parser("detect", help="run detection on a bundle or explicit files")
     add_common(p)
@@ -166,14 +166,21 @@ def _write_manifest(out_dir: str, entries: list[str]) -> None:
 
 
 def cmd_synth(args) -> int:
+    # from a flag or --config alike: the kind would ignore it, and a --T
+    # would still be recorded in metadata.txt
+    if args.kind == "non" and args.T not in (None, 1):
+        raise ValueError(f"--T {args.T} does not apply to --kind non, one snapshot")
+    if args.kind == "temporal" and args.blocks is not None:
+        raise ValueError("--blocks does not apply to --kind temporal, "
+                         "whose blocks are its --T snapshots")
     spec = SyntheticSpec(
-        n=args.n, m=args.m, T=args.T, subgraph_size=args.size,
+        n=args.n, m=args.m, T=1 if args.T is None else args.T, subgraph_size=args.size,
         overlap=args.overlap, mu=args.mu, seed=args.seed,
     )
     if args.kind == "temporal":
         instance = generate_temporal(spec)
     else:
-        instance = generate_non(spec, args.blocks)
+        instance = generate_non(spec, 4 if args.blocks is None else args.blocks)
     out_dir = os.path.join(args.out, "instance")
     write_bundle(instance, out_dir)
     print(out_dir)

@@ -7,6 +7,11 @@ reachability check and each step's retained core are breadth-first
 searches from ``gbgp.graph``, so no generator calls the PCST kernel.
 Every generator is a pure function of its arguments and seed: the PCG64
 streams are split per component so regenerating any part is reproducible.
+``barabasi_albert`` draws its stream's 64-bit words in bulk and makes
+each pick from them as ``Generator.integers`` would, by Lemire's bounded
+draw on the words' 32-bit halves, low half first: the graph is the one a
+call per pick gives, for every size with ``2*m*(n-1-m) <= 2**32`` (larger
+sizes are refused, as NumPy draws those from whole words).
 """
 from __future__ import annotations
 
@@ -105,28 +110,50 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     Starts from m isolated seed nodes; each later node attaches m edges
     to distinct earlier nodes sampled proportionally to degree (the
     first attacher links to every seed, which stands in for degree-one
-    sampling of degree-zero nodes).
+    sampling of degree-zero nodes). A pick is a uniform index into the
+    list of half-edge endpoints so far, drawn as ``Generator.integers``
+    draws it: Lemire's rule on PCG64's 32-bit outputs, the low then the
+    high half of each 64-bit word, taken here from words drawn in bulk.
+    That rule holds while the list has at most 2**32 entries, so sizes
+    with ``2*m*(n-1-m) > 2**32`` raise ``ValueError``.
     """
     if not (1 <= m < n):
         raise ValueError(f"need 1 <= m < n, got m={m} n={n}")
-    rng = component_rng(seed, _STREAM_GRAPH)
-    edges: list[tuple[int, int]] = []
+    if 2 * m * (n - 1 - m) > 2**32:
+        raise ValueError(f"need 2*m*(n-1-m) <= 2**32 for NumPy's 32-bit bounded draw, "
+                         f"got m={m} n={n}")
+    # a pick takes one 32-bit output, plus one per repeat or rejection (a
+    # few percent), so one chunk covers most graphs; outputs left over go
+    # unused, as no other draw comes from this stream
+    words = _uint32_words(component_rng(seed, _STREAM_GRAPH).bit_generator,
+                          min(m * (n - m) // 2 + 1024, 1 << 16))
     # one entry per half-edge; sampling an index is degree-proportional
-    repeated: list[int] = []
-    for source in range(m, n):
-        if source == m:
-            targets = list(range(m))
-        else:
-            targets_set: set[int] = set()
-            while len(targets_set) < m:
-                pick = repeated[int(rng.integers(0, len(repeated)))]
-                targets_set.add(pick)
-            targets = sorted(targets_set)
-        for t in targets:
-            edges.append((t, source))
-            repeated.append(t)
-            repeated.append(source)
-    return Graph(n, edges)
+    repeated = [end for t in range(m) for end in (t, m)]
+    targets = list(range(m))
+    for source in range(m + 1, n):
+        high = len(repeated)
+        threshold = (2**32 - high) % high
+        picked: set[int] = set()
+        while len(picked) < m:
+            product = next(words) * high
+            if product & 0xFFFFFFFF >= threshold:
+                picked.add(repeated[product >> 32])
+        for t in sorted(picked):
+            targets.append(t)
+            repeated += (t, source)
+    # edges (t, source) in source order, each source's targets ascending
+    u = np.array(targets, dtype=np.int64)
+    v = np.repeat(np.arange(m, n, dtype=np.int64), m)
+    order = np.lexsort((v, u))
+    return Graph._of_sorted(n, u[order], v[order], np.ones(len(u)))
+
+
+def _uint32_words(bit_generator: np.random.BitGenerator, chunk: int):
+    """The bit generator's 32-bit outputs in the order ``next_uint32`` gives
+    them, drawn ``chunk`` 64-bit words at a time."""
+    while True:
+        raw = bit_generator.random_raw(chunk)
+        yield from np.column_stack((raw & 0xFFFFFFFF, raw >> 32)).ravel().tolist()
 
 
 def _walk_until(graph: Graph, visited: set[int], order: list[int], size: int,
@@ -312,8 +339,19 @@ def generate_non(spec: SyntheticSpec, num_blocks: int) -> NonInstance:
 
 def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
     """Write graph, partition, signals, truth and metadata files, and a
-    ``manifest.txt`` naming exactly those, whatever else ``out_dir`` holds."""
+    ``manifest.txt`` naming exactly those.
+
+    A file that an earlier ``manifest.txt`` in ``out_dir`` names and this
+    bundle does not write, such as a snapshot of a longer series, is
+    deleted; files no manifest names are left alone.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    manifest = os.path.join(out_dir, "manifest.txt")
+    earlier: set[str] = set()
+    if os.path.exists(manifest):
+        with _Lines(manifest) as lines:
+            # bare names only: a path is not the bundle's to delete
+            earlier = {name for name in lines if name == os.path.basename(name)}
     names = []
 
     def path(name: str) -> str:
@@ -336,7 +374,12 @@ def write_bundle(instance: TemporalInstance | NonInstance, out_dir: str) -> str:
     _write_lines(path("truth.txt"),
                  (f"{t}\t{node}" for t, node in sorted(instance.truth_pairs())))
     _write_lines(path("metadata.txt"), (f"{k}={meta[k]}" for k in sorted(meta)))
-    _write_lines(os.path.join(out_dir, "manifest.txt"), sorted(names))
+    _write_lines(manifest, sorted(names))
+    # an older manifest may name itself
+    for name in earlier - set(names) - {"manifest.txt"}:
+        stale = os.path.join(out_dir, name)
+        if os.path.isfile(stale):
+            os.remove(stale)
     return out_dir
 
 

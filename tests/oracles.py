@@ -22,6 +22,10 @@ and ``reference_block_graph`` build the CSR adjacency with one
 ``np.lexsort`` and each block graph through the checking ``Graph``
 constructor, as ``Graph`` and ``BlockPartition.block_graph`` once did;
 the sliced block graphs must match them array for array.
+``reference_barabasi_albert`` is the preferential-attachment generator as
+one scalar ``Generator.integers`` call per pick, whose draws
+``barabasi_albert`` replays from bulk PCG64 words; the two must give the
+same graph.
 """
 import heapq
 import itertools
@@ -31,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from gbgp.datagen import _STREAM_GRAPH, component_rng
 from gbgp.graph import EdgeListError, Graph, connected_components
 from gbgp.pcst import PcstResult
 
@@ -123,6 +128,30 @@ def cut_laplacian_product(partition, x, nodes) -> np.ndarray:
             total += (float(len(cut[i])) if j == i else -1.0) * float(x[j])
         out.append(total)
     return np.array(out, dtype=np.float64)
+
+
+def reference_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
+    """``barabasi_albert``, one ``rng.integers`` call per pick."""
+    if not (1 <= m < n):
+        raise ValueError(f"need 1 <= m < n, got m={m} n={n}")
+    rng = component_rng(seed, _STREAM_GRAPH)
+    edges: list[tuple[int, int]] = []
+    # one entry per half-edge; sampling an index is degree-proportional
+    repeated: list[int] = []
+    for source in range(m, n):
+        if source == m:
+            targets = list(range(m))
+        else:
+            targets_set: set[int] = set()
+            while len(targets_set) < m:
+                pick = repeated[int(rng.integers(0, len(repeated)))]
+                targets_set.add(pick)
+            targets = sorted(targets_set)
+        for t in targets:
+            edges.append((t, source))
+            repeated.append(t)
+            repeated.append(source)
+    return Graph(n, edges)
 
 
 def reference_partition_contiguous(graph: Graph, num_blocks: int) -> np.ndarray:

@@ -79,9 +79,47 @@ class TestSynth:
                 f"got {float(size)}") in err
         assert not (tmp_path / "instance").exists()
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--kind", "non", "--T", "3"], "", "--T 3 does not apply to --kind non"),
+        (["--kind", "temporal", "--blocks", "4"], "",
+         "--blocks does not apply to --kind temporal"),
+        (["--kind", "non"], "T=2\n", "--T 2 does not apply to --kind non"),
+        (["--T", "2"], "kind=non\n", "--T 2 does not apply to --kind non"),
+        (["--kind", "temporal"], "blocks=2\n", "--blocks does not apply to --kind temporal"),
+    ], ids=["non-T", "temporal-blocks", "config-T", "config-kind", "config-blocks"])
+    def test_a_parameter_the_kind_does_not_use_exit_2(self, tmp_path, capsys, flags, config,
+                                                      message):
+        # a --config value counts as given, as it would land in metadata.txt
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code = run(["--config", str(cfg), "synth", "--n", "60", "--m", "3", "--size", "8",
+                    *flags, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "instance").exists()
+
+    def test_non_takes_T_1_and_its_default_blocks(self, tmp_path):
+        for T, out in ((["--T", "1"], "a"), ([], "b")):
+            assert run(["synth", "--n", "60", "--m", "3", "--size", "8", "--kind", "non",
+                        *T, "--out", str(tmp_path / out)]) == 0
+        for out in ("a", "b"):
+            meta = (tmp_path / out / "instance" / "metadata.txt").read_text().splitlines()
+            assert "T=1" in meta and "num_blocks=4" in meta
+        assert file_hash(tmp_path / "a" / "instance" / "metadata.txt") == \
+            file_hash(tmp_path / "b" / "instance" / "metadata.txt")
+
+    @pytest.mark.parametrize("kind", ["temporal", "non"])
+    def test_a_graph_past_the_32_bit_draw_exit_2(self, tmp_path, capsys, kind):
+        # refused before anything of 2**40 nodes is allocated
+        code = run(["synth", "--n", str(2**40), "--m", "2", "--size", "8", "--kind", kind,
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: need 2*m*(n-1-m) <= 2**32" in capsys.readouterr().err
+        assert not (tmp_path / "instance").exists()
+
     def test_rerun_into_the_same_out_rewrites_the_bundle(self, tmp_path):
-        # the manifest names the bundle's files: not itself, nor a file an
-        # earlier run into the same --out left behind
+        # the manifest names the bundle's files, not itself; the earlier
+        # run's signal_t2.txt, which this bundle does not write, is deleted
         args = ["synth", "--n", "60", "--m", "3", "--size", "8", "--seed", "3",
                 "--kind", "temporal"]
         for T, out in (("3", "a"), ("2", "a"), ("2", "a"), ("2", "b")):
@@ -90,7 +128,7 @@ class TestSynth:
         names = sorted(os.listdir(fresh))
         assert (fresh / "manifest.txt").read_text().split() == [
             "graph.txt", "metadata.txt", "signal_t0.txt", "signal_t1.txt", "truth.txt"]
-        assert sorted(os.listdir(again)) == sorted(names + ["signal_t2.txt"])
+        assert sorted(os.listdir(again)) == names
         for name in names:
             assert file_hash(again / name) == file_hash(fresh / name), name
 

@@ -1,7 +1,10 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbgp.datagen import (
     NonInstance,
@@ -23,6 +26,24 @@ from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components,
 from gbgp.objectives import ObjectiveSpec
 from gbgp.pcst import PcstEngine
 from gbgp.solver import SolverConfig, gbgp_solve
+
+from oracles import reference_barabasi_albert
+
+# sha256 of edge_u, edge_v and edge_w (little-endian) of barabasi_albert(n,
+# m, seed), recorded with the generator's one-integers-call-per-pick loop
+GOLDEN_BARABASI_ALBERT = {
+    (4000, 3, 0): "45cb5c9eb4ba0dad37f082a106e4bdbb1968bcb6599976f62898f41703c49e21",
+    (4000, 3, 1000): "4a191304397d74d518c2d1eaf751a58facd15cf192d80e5a39f031185341963b",
+    (4000, 3, 2000): "3d46acdb4677523ba4c514243194e5b296d29a4182e4d68db2dcce2ae673c242",
+    (4000, 3, 3000): "f07b934111a6d0813ec1cc03257604cd5a4d5cfb92cc224ae36e2005869be36a",
+    (4000, 3, 4000): "a387f3934a6c1b4a03b460891ff6609de6ab33d7de3c79a4523317d7b84d86af",
+    (4000, 3, 5000): "06204f9af4d880ed4f4185417fd3623846f757d7c804a527363dd0d436401ac0",
+    (4000, 3, 6000): "67eb88c1bca779d8d5dd1f1708bc3bdb9e1082cb9f0a661207d0b66349c37b4a",
+    (4000, 3, 7000): "6859996442243e428e18f1fa552a72c6edd6b2d0bf8676bf1bd1d22854492e6f",
+    (4000, 3, 8000): "d999aec3fe1654a5025a70424ecde870b8fb2a035d1c7cacdf2144a12e9f7b14",
+    (4000, 3, 9000): "0debdaa49ec5f7b780a0d8216e16febc27b7353ed5bb866c103c157871f87f1b",
+    (20000, 3, 0): "7497354adef01cb5638e0ed39469dec7d4dbb63402b360e551f801423dd408e9",
+}
 
 
 class TestBarabasiAlbert:
@@ -63,6 +84,41 @@ class TestBarabasiAlbert:
             barabasi_albert(5, 0)
         with pytest.raises(ValueError):
             barabasi_albert(5, 5)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BARABASI_ALBERT))
+    def test_golden_digest(self, case):
+        g = barabasi_albert(*case)
+        digest = hashlib.sha256()
+        for array, dtype in ((g.edge_u, "<i8"), (g.edge_v, "<i8"), (g.edge_w, "<f8")):
+            digest.update(array.astype(dtype).tobytes())
+        assert digest.hexdigest() == GOLDEN_BARABASI_ALBERT[case]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 400), seed=st.integers(0, 2**64 - 1))
+    def test_matches_the_reference_generator(self, data, n, seed):
+        m = data.draw(st.integers(1, min(n - 1, 8)), label="m")
+        g, ref = barabasi_albert(n, m, seed), reference_barabasi_albert(n, m, seed)
+        for name in ("edge_u", "edge_v", "edge_w", "adj_indptr", "adj_nodes", "adj_eids"):
+            a, b = getattr(g, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_sizes_past_the_32_bit_draw_are_refused(self, m):
+        # 2**40 nodes would take terabytes: the guard must come first
+        with pytest.raises(ValueError, match=r"2\*m\*\(n-1-m\) <= 2\*\*32"):
+            barabasi_albert(2**40, m)
+
+    def test_the_largest_size_within_the_32_bit_draw_is_accepted(self, monkeypatch):
+        # 2*m*(n-1-m) == 2**32 passes the guard; stop at the first draw
+        class Drawn(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr("gbgp.datagen.component_rng", stop)
+        with pytest.raises(Drawn):
+            barabasi_albert(2**31 + 2, 1)
 
 
 class TestRandomWalkSubgraph:
@@ -266,6 +322,20 @@ class TestInstances:
         p.write_text(f"# metadata\n{line}\n")
         with pytest.raises(ValueError, match=message):
             read_metadata(str(p))
+
+    def test_rewrite_deletes_only_the_stale_files_a_manifest_names(self, tmp_path):
+        out = tmp_path / "bundle"
+        write_bundle(generate_temporal(SyntheticSpec(n=40, m=2, T=3, subgraph_size=5)), str(out))
+        (out / "notes.txt").write_text("no manifest names this\n")
+        (tmp_path / "outside.txt").write_text("nor this\n")
+        # as an older manifest did, and a path no bundle writes
+        with open(out / "manifest.txt", "a", encoding="utf-8") as fh:
+            fh.write("manifest.txt\n../outside.txt\n")
+        write_bundle(generate_temporal(SyntheticSpec(n=40, m=2, T=1, subgraph_size=5)), str(out))
+        listed = (out / "manifest.txt").read_text().split()
+        assert listed == ["graph.txt", "metadata.txt", "signal_t0.txt", "truth.txt"]
+        assert sorted(os.listdir(out)) == sorted(listed + ["manifest.txt", "notes.txt"])
+        assert (tmp_path / "outside.txt").exists()
 
     def test_bundle_bytes_reproducible(self, tmp_path):
         spec = SyntheticSpec(n=40, m=2, T=2, subgraph_size=5, seed=11)
