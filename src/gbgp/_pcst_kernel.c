@@ -2,11 +2,12 @@
  * Goemans-Williamson moat growing, strong pruning and the budget search
  * for gbgp.pcst.
  *
- * One forest() runs one PcstEngine.solve: the event loop over a binary
- * min-heap, the union-find with moat offsets, and strong pruning of every
- * final cluster that holds a prized node. It replays the reference
- * engine in tests/oracles.py step for step: the same heap order, the
- * same find/push_edge calls in the same order, and the same
+ * One forest() runs one PcstEngine.solve: the event loop over two binary
+ * min-heaps, one of edge events and an indexed one of the active roots'
+ * deactivations, the union-find with moat offsets, and strong pruning of
+ * every final cluster that holds a prized node. It replays the reference
+ * engine in tests/oracles.py step for step: the same events in the same
+ * order, the same find/push_edge calls in the same order, and the same
  * floating-point expressions, so its forests are byte-identical.
  *
  * gbgp_pcst_phase runs a phase's projections.budget_search calls, each
@@ -46,16 +47,21 @@ typedef int64_t idx;
 #define EPS 1e-12
 
 /*
- * A heap entry. Edge entries are (t, 0, eid, ru, ver_ru, rv, ver_rv):
- * the graph sorts its edges by (u, v), so eid orders them as the
- * reference's (u, v, eid) does. Deactivations are
- * (t, 1, -minid, r, version, 0, 0). Distinct entries never compare
- * equal, so any correct min-heap pops the reference's sequence.
+ * An edge-heap entry (t, eid, ru, ver_ru, rv, ver_rv): the graph sorts
+ * its edges by (u, v), so eid orders them as the reference's (u, v, eid)
+ * does. Distinct entries never compare equal, so any correct min-heap
+ * pops the reference's sequence.
  */
 typedef struct {
     double t;
-    idx kind, a, b, c, d, e;
+    idx a, b, c, d, e;
 } entry;
+
+/* a deactivation-heap slot: active root r, due at t, popped on (t, -minid) */
+typedef struct {
+    double t;
+    idx minid, r;
+} dslot;
 
 typedef struct {
     double worth;
@@ -100,15 +106,18 @@ typedef struct {
     double *probe_cost;
     leaf *leaves;
     double *gather;
-    /* heap */
+    /* the edge heap; hole: its top was taken and the slot not yet closed */
     entry *heap;
-    idx heap_len, heap_cap, active_count;
-    /* the one allocation every array above except the heap is carved from */
+    idx heap_len, heap_cap, hole, active_count;
+    /* the deactivation heap, one slot per active root, at dpos[root] */
+    dslot *dheap;
+    idx *dpos, dlen;
+    /* the one allocation every array above except the edge heap is carved from */
     idx *work;
 } state;
 
 /* per-node int64 and double arrays that carve hands out */
-#define NODE_INTS 23
+#define NODE_INTS 24
 #define NODE_DOUBLES 7
 
 /* hand out the arrays of state from iw, the int64 ones first */
@@ -118,7 +127,7 @@ static void carve(state *s, idx n, idx m, idx *iw)
         &s->parent, &s->active, &s->version, &s->minid, &s->size, &s->degsum,
         &s->head, &s->tail, &s->next, &s->stack, &s->mark, &s->roots,
         &s->mstart, &s->members, &s->loc, &s->par, &s->order, &s->pstack,
-        &s->included, &s->stage_nodes, &s->cur, &s->deg, &s->nbrx,
+        &s->included, &s->stage_nodes, &s->cur, &s->deg, &s->nbrx, &s->dpos,
     };
     double **doubles[NODE_DOUBLES] = {
         &s->offset, &s->slack, &s->accum, &s->last_t, &s->cost_up, &s->best, &s->gather,
@@ -140,6 +149,8 @@ static void carve(state *s, idx n, idx m, idx *iw)
     iw += 4 * n;
     s->cands = (candidate *)iw;
     iw += 5 * n;
+    s->dheap = (dslot *)iw;
+    iw += 3 * n;
     s->eseen = iw;
     iw += m;
     s->intree = iw;
@@ -152,7 +163,6 @@ static void carve(state *s, idx n, idx m, idx *iw)
 static int less(const entry *x, const entry *y)
 {
     if (x->t != y->t) return x->t < y->t;
-    if (x->kind != y->kind) return x->kind < y->kind;
     if (x->a != y->a) return x->a < y->a;
     if (x->b != y->b) return x->b < y->b;
     if (x->c != y->c) return x->c < y->c;
@@ -160,9 +170,28 @@ static int less(const entry *x, const entry *y)
     return x->e < y->e;
 }
 
+/* sift item down from the root of the edge heap */
+static void sift_root(state *s, entry item)
+{
+    idx i = 0, child, len = s->heap_len;
+    while ((child = 2 * i + 1) < len) {
+        if (child + 1 < len && less(&s->heap[child + 1], &s->heap[child])) child++;
+        if (!less(&s->heap[child], &item)) break;
+        s->heap[i] = s->heap[child];
+        i = child;
+    }
+    s->heap[i] = item;
+}
+
+/* a push right after a take fills the top's slot: one sift, not two */
 static int push(state *s, entry item)
 {
     idx i, up;
+    if (s->hole) {
+        s->hole = 0;
+        sift_root(s, item);
+        return 0;
+    }
     if (s->heap_len == s->heap_cap) {
         idx cap = 2 * s->heap_cap + 16;
         entry *grown = realloc(s->heap, (size_t)cap * sizeof(entry));
@@ -181,18 +210,51 @@ static int push(state *s, entry item)
     return 0;
 }
 
-static entry pop(state *s)
+/* close the slot a take left open: the last entry sifts down into it */
+static void close_hole(state *s)
 {
-    entry top = s->heap[0], last = s->heap[--s->heap_len];
-    idx i = 0, child, len = s->heap_len;
-    while ((child = 2 * i + 1) < len) {
-        if (child + 1 < len && less(&s->heap[child + 1], &s->heap[child])) child++;
-        if (!less(&s->heap[child], &last)) break;
-        s->heap[i] = s->heap[child];
+    s->hole = 0;
+    if (--s->heap_len > 0) sift_root(s, s->heap[s->heap_len]);
+}
+
+/* higher minid first on equal times, so low ids survive */
+static int dless(const dslot *x, const dslot *y)
+{
+    if (x->t != y->t) return x->t < y->t;
+    return x->minid > y->minid;
+}
+
+/* put item at slot i of the deactivation heap, sifting it up or down */
+static void dplace(state *s, idx i, dslot item)
+{
+    idx up, child;
+    while (i > 0 && dless(&item, &s->dheap[up = (i - 1) / 2])) {
+        s->dheap[i] = s->dheap[up];
+        s->dpos[s->dheap[i].r] = i;
+        i = up;
+    }
+    while ((child = 2 * i + 1) < s->dlen) {
+        if (child + 1 < s->dlen && dless(&s->dheap[child + 1], &s->dheap[child])) child++;
+        if (!dless(&s->dheap[child], &item)) break;
+        s->dheap[i] = s->dheap[child];
+        s->dpos[s->dheap[i].r] = i;
         i = child;
     }
-    if (len > 0) s->heap[i] = last;
-    return top;
+    s->dheap[i] = item;
+    s->dpos[item.r] = i;
+}
+
+/* schedule active root r to deactivate at t */
+static void dinsert(state *s, idx r, double t)
+{
+    dplace(s, s->dlen++, (dslot){t, s->minid[r], r});
+}
+
+/* drop the slot of active root r */
+static void dremove(state *s, idx r)
+{
+    idx i = s->dpos[r];
+    if (i < --s->dlen) dplace(s, i, s->dheap[s->dlen]);
 }
 
 /* root of u; path compression folds offsets into direct-to-root weights */
@@ -239,7 +301,6 @@ static int push_edge(state *s, idx eid, double now)
 {
     idx u = s->eu[eid], v = s->ev[eid], ru, rv, rate;
     double filled, remaining, t;
-    entry item;
     ru = root_of(s, u);
     rv = root_of(s, v);
     if (ru == rv) return 0;
@@ -255,14 +316,7 @@ static int push_edge(state *s, idx eid, double now)
         return 0;
     else
         t = now + remaining / (double)rate;
-    item.t = t;
-    item.kind = 0;
-    item.a = eid;
-    item.b = ru;
-    item.c = s->version[ru];
-    item.d = rv;
-    item.e = s->version[rv];
-    return push(s, item);
+    return push(s, (entry){t, eid, ru, s->version[ru], rv, s->version[rv]});
 }
 
 /* push every edge incident to the members first..last of one chain */
@@ -277,15 +331,17 @@ static int push_chain(state *s, idx first, idx last, double now)
     }
 }
 
-/* merge the clusters of roots ru and rv along edge eid */
+/* merge the clusters of roots ru and rv along edge eid; both leave the
+   deactivation heap, and the keeper goes back in if still active */
 static int merge(state *s, idx eid, idx ru, idx rv, double now)
 {
     idx was_active, result_active, keeper, absorbed;
     idx uh = s->head[ru], ut = s->tail[ru], vh = s->head[rv], vt = s->tail[rv];
     int resched_u, resched_v;
     double merged_slack;
-    entry item;
 
+    if (s->active[ru]) dremove(s, ru);
+    if (s->active[rv]) dremove(s, rv);
     settle(s, ru, now);
     settle(s, rv, now);
     was_active = s->active[ru] + s->active[rv];
@@ -326,13 +382,7 @@ static int merge(state *s, idx eid, idx ru, idx rv, double now)
     s->active_count += result_active - was_active;
 
     if (result_active) {
-        item.t = now + merged_slack;
-        item.kind = 1;
-        item.a = -s->minid[keeper];
-        item.b = keeper;
-        item.c = s->version[keeper];
-        item.d = item.e = 0;
-        if (push(s, item)) return -1;
+        dinsert(s, keeper, now + merged_slack);
         if (resched_u && push_chain(s, uh, ut, now)) return -1;
         if (resched_v && push_chain(s, vh, vt, now)) return -1;
     }
@@ -446,12 +496,18 @@ static void strong_prune(state *s, const idx *mem, idx k, idx nstart, idx estart
  * points to. Writes the best num_trees trees to out: out[0..k) their
  * node counts, out[n..) their sorted node lists back to back, out[2n..)
  * their sorted edges as (u, v) pairs back to back (node count - 1 edges
- * each). Returns k, or -1 when memory ran out. The heap stays allocated
- * in s->heap for the next call on s.
+ * each). Returns k, or -1 when memory ran out. The edge heap stays
+ * allocated in s->heap for the next call on s.
+ *
+ * The reference pops edges and deactivations from one heap. Here the
+ * deactivation heap holds each active root's one live deactivation; the
+ * reference's others change nothing when popped. The loop takes the
+ * lesser top, the edge on equal times as the reference's tuples order
+ * them, so the events come in the reference's order.
  */
 static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
 {
-    entry item, seed;
+    entry item;
     candidate *cands = s->cands;
     const idx *indptr = s->indptr, *adj_eids = s->adj_eids, *eu = s->eu, *ev = s->ev;
     const double *prize = s->prize;
@@ -461,7 +517,7 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
     pair *out_edges = (pair *)(out + 2 * n);
     double now, dt;
 
-    s->heap_len = s->active_count = 0;
+    s->heap_len = s->hole = s->active_count = s->dlen = 0;
     for (u = 0; u < n; u++) {
         s->parent[u] = u;
         s->offset[u] = 0.0;
@@ -485,13 +541,7 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
         s->active[u] = 1;
         s->slack[u] = prize[u];
         s->active_count++;
-        /* higher-minid clusters die first on ties so low ids survive */
-        seed.t = 0.0 + prize[u];
-        seed.kind = 1;
-        seed.a = -u;
-        seed.b = u;
-        seed.c = seed.d = seed.e = 0;
-        if (push(s, seed)) return -1;
+        dinsert(s, u, 0.0 + prize[u]);
     }
     for (u = 0; u < n; u++) {
         if (!(prize[u] > 0)) continue;
@@ -504,12 +554,12 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
         }
     }
 
-    while (s->heap_len > 0 && s->active_count > 0) {
-        item = pop(s);
-        now = item.t;
-        if (item.kind == 1) {
-            r = item.b;
-            if (s->parent[r] != r || s->version[r] != item.c || !s->active[r]) continue;
+    while (s->active_count > 0) {
+        if (s->hole) close_hole(s);
+        if (s->heap_len == 0 || s->dheap[0].t < s->heap[0].t) {
+            r = s->dheap[0].r;
+            now = s->dheap[0].t;
+            dremove(s, r);
             /* settle r at now; its slack is zeroed below */
             dt = now - s->last_t[r];
             if (dt > 0) {
@@ -522,6 +572,10 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
             s->active_count--;
             continue;
         }
+        /* take the top; a push before the next round fills its slot */
+        item = s->heap[0];
+        s->hole = 1;
+        now = item.t;
         eid = item.a;
         {
             idx ru = root_of(s, eu[eid]), rv = root_of(s, ev[eid]);
@@ -591,7 +645,8 @@ static idx forest(state *s, idx n, idx m, idx num_trees, idx *out)
  * Point s at the graph, the costs and the prizes, and allocate the words
  * carve() hands out: the per-node arrays, astart (n + 1), nbr, aeid and
  * stage_edges (2n each), the trim heap (2n leaves of two words), found
- * (4n), cands (n of five words), eseen, intree and probe_cost (m each).
+ * (4n), cands (n of five words), the deactivation heap (n slots of three
+ * words), eseen, intree and probe_cost (m each).
  * Never empty, so a null s->work means out of memory: returns -1. The
  * caller frees s->work and s->heap, which forest() grows.
  */
@@ -599,7 +654,7 @@ static int init(state *s, idx n, idx m, const idx *eu, const idx *ev, const idx 
                 const idx *adj_eids, const double *cost, const double *prize)
 {
     idx words = (NODE_INTS + NODE_DOUBLES) * n + (n + 1) + 3 * (2 * n) + 4 * n + 4 * n + 5 * n
-                + 3 * m;
+                + 3 * n + 3 * m;
     s->eu = eu;
     s->ev = ev;
     s->indptr = indptr;

@@ -292,10 +292,17 @@ def cmd_eval(args) -> int:
 
 
 def _grid(flag: str, text: str, kind) -> list:
-    """The values of a comma-separated grid flag; a grid naming none is an error."""
+    """The values of a comma-separated grid flag.
+
+    A grid naming no value, or one value twice, is an error: a repeated
+    value would solve, and write out, the same cell twice.
+    """
     values = [kind(v) for v in text.split(",") if v]
     if not values:
         raise ValueError(f"{flag} names no value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} repeats {value}")
     return values
 
 

@@ -604,6 +604,24 @@ def test_bench_rejects_an_empty_grid_or_no_repeats(tmp_path, capfd, flag, value,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag, grid, repeated", [
+    ("gridsearch", "--budgets", "33,33", "33"),
+    ("gridsearch", "--lambdas", "0.02,0.01,0.020", "0.02"),
+    ("bench", "--sizes", "300,300", "300"),
+    ("bench", "--taus", "0,2,0", "0"),
+])
+def test_a_grid_repeating_a_value_exit_2(temporal_bundle, tmp_path, capfd, command, flag, grid,
+                                         repeated):
+    argv = {"gridsearch": ["gridsearch", "--bundle", str(temporal_bundle), "--budgets", "10"],
+            "bench": ["bench", "--sizes", "300", "--repeats", "1"]}[command]
+    capfd.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "o"), flag, grid]) == 2
+    err = capfd.readouterr().err
+    assert f"{flag} repeats {repeated}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_names_the_line_of_a_byte_not_utf8(tmp_path, capfd):
     (tmp_path / "g.txt").write_text("0 1\n1 2\n")
     (tmp_path / "bad.txt").write_bytes(b"0\t1.0\n1\t\xff\n2\t0.5\n")

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gbgp.pcst
+from gbgp.datagen import barabasi_albert
 from gbgp.graph import Graph, connected_components
 from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel, run_searches
 from gbgp.projections import MAX_SEARCH_ITERATIONS, MULTIPLIER_HIGH, MULTIPLIER_LOW
@@ -364,6 +365,22 @@ class TestKernelMatchesReference:
             assert (repr(kernel.solve(costs, prizes, 2).components)
                     == repr(reference.solve(costs, prizes, 2).components))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_components_on_preferential_attachment_blocks(self, seed):
+        # block-sized graphs, where the deactivation heap holds up to a few
+        # hundred roots; dyadic costs and prizes tie many event times
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            n = int(rng.integers(200, 501))
+            graph = barabasi_albert(n, int(rng.integers(1, 4)), seed=int(rng.integers(1 << 30)))
+            costs = np.ones(graph.edge_count) if rng.random() < 0.5 else \
+                rng.choice([0.25, 0.5, 1.0, 2.0], graph.edge_count)
+            prized = rng.random(n) < rng.uniform(0.05, 0.5)
+            prizes = rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], n) * prized
+            num_trees = int(rng.integers(1, 4))
+            assert (repr(PcstEngine(graph).solve(costs, prizes, num_trees).components)
+                    == repr(ReferencePcstEngine(graph).solve(costs, prizes, num_trees).components))
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 60), st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0]),
            st.integers(0, 2**32 - 1))
@@ -408,10 +425,11 @@ def flipped_kernel(tmp_path, old: str, new: str):
 
 
 class TestReplayedTieChoices:
-    """Two choices between equal clusters that the kernel replays.
+    """Choices between equal event times that the kernel replays, or need not.
 
     Both runs of either choice are valid moat growing, and neither
-    changes an exact event time, only how later moats round.
+    changes an exact event time, only how later moats round or which
+    events still run.
     """
 
     def test_equal_sized_merge_keeps_the_lower_ends_root(self, tmp_path, monkeypatch):
@@ -452,6 +470,41 @@ class TestReplayedTieChoices:
         monkeypatch.setattr(gbgp.pcst, "_kernel", flipped_kernel(
             tmp_path, "if (s->degsum[ru] < s->degsum[rv]) {",
             "if (s->degsum[ru] <= s->degsum[rv]) {"))
+        assert [PcstEngine(g).solve(c, p, t).components for g, c, p, t in instances] == solved
+
+    def test_edge_goes_tight_before_an_equal_time_deactivation(self, tmp_path, monkeypatch):
+        # {1} deactivates at 0.5 and the edge then goes tight at 1.5, when
+        # {0} deactivates. The edge goes first, as (t, 0, ...) sorts before
+        # (t, 1, ...) in the reference, and the merged cluster prunes to
+        # {0}; with the deactivation first no cluster is active any more,
+        # the loop ends before the merge and {1} stays a tree of its own
+        graph = Graph(2, [(0, 1)])
+        args = ([2.0], [1.5, 0.5], 2)
+        expected = [([0], [])]
+        assert ReferencePcstEngine(graph).solve(*args).components == expected
+        assert PcstEngine(graph).solve(*args).components == expected
+        monkeypatch.setattr(gbgp.pcst, "_kernel", flipped_kernel(
+            tmp_path, "s->dheap[0].t < s->heap[0].t", "s->dheap[0].t <= s->heap[0].t"))
+        assert PcstEngine(graph).solve(*args).components == [([0], []), ([1], [])]
+
+    def test_deactivation_order_on_equal_times_is_free(self, tmp_path, monkeypatch):
+        # deactivations due at one time run back to back, as no edge is due
+        # before them and a deactivation pushes no edge; each touches only
+        # its own root, so the lower minid first gives the same forests. In
+        # 343 of these 400 instances two or more fall due at one time
+        rng = np.random.default_rng(7)
+        instances = []
+        for _ in range(400):
+            n = int(rng.integers(3, 40))
+            graph = barabasi_albert(n, int(rng.integers(1, 3)), seed=int(rng.integers(1 << 30)))
+            costs = rng.choice([1.0, 2.0], graph.edge_count)
+            prizes = rng.choice([0.25, 0.5, 1.0], n) * (rng.random(n) < 0.6)
+            instances.append((graph, costs, prizes, int(rng.integers(1, 3))))
+        solved = [PcstEngine(g).solve(c, p, t).components for g, c, p, t in instances]
+        for (graph, costs, prizes, trees), components in zip(instances[:100], solved):
+            assert ReferencePcstEngine(graph).solve(costs, prizes, trees).components == components
+        monkeypatch.setattr(gbgp.pcst, "_kernel", flipped_kernel(
+            tmp_path, "return x->minid > y->minid;", "return x->minid < y->minid;"))
         assert [PcstEngine(g).solve(c, p, t).components for g, c, p, t in instances] == solved
 
 
