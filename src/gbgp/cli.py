@@ -1,7 +1,8 @@
 """Command-line front end: synth, detect, eval, bench, gridsearch.
 
-Every command honors --seed and produces byte-identical non-timing
-output files on rerun. Exit codes: 0 success, 2 validation error,
+Every command but eval takes --seed; only detect and gridsearch take
+--parallel (bench takes its taus through --taus). Non-timing output files
+are byte-identical on rerun. Exit codes: 0 success, 2 validation error,
 3 solver stopped on its iteration cap, 4 I/O error, 5 solver failed
 (non-finite objective, step-size underflow, the PCST kernel out of memory).
 
@@ -62,11 +63,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser.add_argument("--config", help="key=value config file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, parallel=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--parallel", type=int, default=0,
-                       help="tau of the block-parallel inner solver (below 2: serial)")
+        if parallel:
+            p.add_argument("--parallel", type=int, default=0,
+                           help="tau of the block-parallel inner solver (below 2: serial)")
 
     p = sub.add_parser("synth", help="generate a synthetic instance bundle")
     add_common(p)
@@ -74,14 +76,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--T", type=int, help="snapshot count (temporal only; default 1)")
     p.add_argument("--mu", type=float, default=5.0)
-    p.add_argument("--overlap", type=float, default=0.5)
+    p.add_argument("--overlap", type=float,
+                   help="truth overlap between snapshots (temporal only; default 0.5)")
     p.add_argument("--size", type=float, default=0.1,
                    help="truth size: a whole number, or a fraction of --n below 1")
     p.add_argument("--kind", choices=["temporal", "non"], default="temporal")
     p.add_argument("--blocks", type=int, help="block count (non only; default 4)")
 
     p = sub.add_parser("detect", help="run detection on a bundle or explicit files")
-    add_common(p)
+    add_common(p, parallel=True)
     p.add_argument("--bundle", help="instance bundle directory")
     p.add_argument("--graph", help="edge-list file (alternative to --bundle)")
     p.add_argument("--signal", action="append", default=None,
@@ -105,7 +108,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="min-max normalize each block signal to [0,1]")
 
     p = sub.add_parser("eval", help="score a detection against ground truth")
-    add_common(p)
+    p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--detected", required=True, help="support file (t<TAB>node)")
     p.add_argument("--truth", required=True, help="truth file (t<TAB>node)")
 
@@ -118,7 +121,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
 
     p = sub.add_parser("gridsearch", help="grid search budget and lambda on a bundle")
-    add_common(p)
+    add_common(p, parallel=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--budgets", required=True, help="comma-separated budgets")
     p.add_argument("--lambdas", default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID))
@@ -166,16 +169,18 @@ def _write_manifest(out_dir: str, entries: list[str]) -> None:
 
 
 def cmd_synth(args) -> int:
-    # from a flag or --config alike: the kind would ignore it, and a --T
-    # would still be recorded in metadata.txt
+    # from a flag or --config alike: the kind would ignore it, and a --T or
+    # --overlap would still be recorded in metadata.txt
     if args.kind == "non" and args.T not in (None, 1):
         raise ValueError(f"--T {args.T} does not apply to --kind non, one snapshot")
+    if args.kind == "non" and args.overlap is not None:
+        raise ValueError("--overlap does not apply to --kind non, one snapshot")
     if args.kind == "temporal" and args.blocks is not None:
         raise ValueError("--blocks does not apply to --kind temporal, "
                          "whose blocks are its --T snapshots")
     spec = SyntheticSpec(
         n=args.n, m=args.m, T=1 if args.T is None else args.T, subgraph_size=args.size,
-        overlap=args.overlap, mu=args.mu, seed=args.seed,
+        overlap=0.5 if args.overlap is None else args.overlap, mu=args.mu, seed=args.seed,
     )
     if args.kind == "temporal":
         instance = generate_temporal(spec)
@@ -310,10 +315,8 @@ def cmd_bench(args) -> int:
     sizes, taus = _grid("--sizes", args.sizes, int), _grid("--taus", args.taus, int)
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
-    config = SolverConfig(seed=args.seed)
-    table = scaling_bench(
-        sizes, config, lam=args.lam, tau_list=taus, repeats=args.repeats, seed=args.seed
-    )
+    table = scaling_bench(sizes, lam=args.lam, tau_list=taus, repeats=args.repeats,
+                          seed=args.seed)
     out_dir = os.path.join(args.out, "eval")
     os.makedirs(out_dir, exist_ok=True)
     lines = ["n\tedges\tblocks\ttau\twall_s\tf1"]

@@ -122,7 +122,6 @@ def robustness_sweep(
 
 def scaling_bench(
     sizes: Sequence[int],
-    config: SolverConfig,
     lam: float = 0.01,
     tau_list: Sequence[int] = (0,),
     repeats: int = 3,
@@ -137,7 +136,8 @@ def scaling_bench(
     scaling rather than one instance's luck. Every timed run executes 6
     outer iterations: the iteration count depends on conditioning rather
     than size, and pinning it isolates the per-size cost that the
-    nearly-linear-time claim is about.
+    nearly-linear-time claim is about. ``seed`` seeds both the instances
+    (repeat r draws seed + r) and the solver.
     """
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
@@ -152,8 +152,8 @@ def scaling_bench(
             )
             instances.append(generate_non(spec, num_blocks))
         for tau in tau_list:
-            run_config = replace(config, parallel=int(tau), budgets=budget,
-                                 max_outer_iters=6, outer_tol=0.0)
+            run_config = SolverConfig(budgets=budget, parallel=int(tau), max_outer_iters=6,
+                                      outer_tol=0.0, seed=seed)
             walls, fs = [], []
             for instance in instances:
                 pairs, _, wall = solve_instance(instance, lam, run_config)

@@ -195,9 +195,6 @@ class ObjectiveSpec:
     def block_signal(self, k: int) -> np.ndarray:
         return self._block_signals[k]
 
-    def block_slice(self, x: np.ndarray, k: int) -> np.ndarray:
-        return x[self._block_nodes[k]]
-
     def value(self, x: np.ndarray) -> float:
         return self._scalar(x, 0)
 

@@ -86,7 +86,10 @@ class TestSynth:
         (["--kind", "non"], "T=2\n", "--T 2 does not apply to --kind non"),
         (["--T", "2"], "kind=non\n", "--T 2 does not apply to --kind non"),
         (["--kind", "temporal"], "blocks=2\n", "--blocks does not apply to --kind temporal"),
-    ], ids=["non-T", "temporal-blocks", "config-T", "config-kind", "config-blocks"])
+        (["--kind", "non", "--overlap", "0.9"], "", "--overlap does not apply to --kind non"),
+        (["--kind", "non"], "overlap=0.9\n", "--overlap does not apply to --kind non"),
+    ], ids=["non-T", "temporal-blocks", "config-T", "config-kind", "config-blocks",
+            "non-overlap", "config-overlap"])
     def test_a_parameter_the_kind_does_not_use_exit_2(self, tmp_path, capsys, flags, config,
                                                       message):
         # a --config value counts as given, as it would land in metadata.txt
@@ -619,6 +622,21 @@ def test_a_grid_repeating_a_value_exit_2(temporal_bundle, tmp_path, capfd, comma
     err = capfd.readouterr().err
     assert f"{flag} repeats {repeated}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "60", "--m", "3", "--size", "8", "--parallel", "2"],
+    ["eval", "--detected", "d.txt", "--truth", "t.txt", "--seed", "1"],
+    ["eval", "--detected", "d.txt", "--truth", "t.txt", "--parallel", "2"],
+    ["bench", "--sizes", "300", "--repeats", "1", "--parallel", "2"],
+], ids=["synth-parallel", "eval-seed", "eval-parallel", "bench-parallel"])
+def test_a_flag_the_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    # the command's handler never reads the flag, so the parser does not take it
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbgp import evaluation
 from gbgp.datagen import SyntheticSpec, generate_non, generate_temporal
 from gbgp.evaluation import (
     precision_recall_f1,
@@ -84,10 +85,7 @@ class TestRobustnessSweep:
 
 class TestScalingBench:
     def test_single_size_single_row(self):
-        table = scaling_bench(
-            [300], SolverConfig(budgets=10, max_outer_iters=5),
-            repeats=1, block_nodes=150,
-        )
+        table = scaling_bench([300], repeats=1, block_nodes=150)
         assert len(table) == 1
         row = table[0]
         assert row["n"] == 300
@@ -96,4 +94,20 @@ class TestScalingBench:
 
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
-            scaling_bench([500, 300], SolverConfig(budgets=5))
+            scaling_bench([500, 300])
+
+    def test_seed_seeds_instances_and_solver(self, monkeypatch):
+        calls = []
+
+        def capture(instance, lam, config):
+            calls.append((instance.spec.seed, config))
+            return solve_instance(instance, lam, config)
+
+        monkeypatch.setattr(evaluation, "solve_instance", capture)
+        scaling_bench([300], tau_list=(0, 2), repeats=2, block_nodes=150, seed=3)
+        # 300 nodes in 2 blocks of 150: budget int(0.12 * 150) + 1 = 19
+        assert calls == [
+            (seed, SolverConfig(budgets=19, parallel=tau, max_outer_iters=6, outer_tol=0.0,
+                                seed=3))
+            for tau in (0, 2) for seed in (3, 4)
+        ]

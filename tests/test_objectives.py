@@ -97,7 +97,7 @@ class TestTemporalObjective:
         obj = temporal_instance(lam=0.0)
         x = np.random.default_rng(1).uniform(0, 1, size=6)
         expected = sum(
-            ems_block_value(obj.block_signal(k), obj.block_slice(x, k))
+            ems_block_value(obj.block_signal(k), x[obj.partition.block_nodes[k]])
             for k in range(2)
         )
         assert obj.value(x) == expected
