@@ -130,37 +130,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _apply_config_file(subcommands: dict[str, argparse.ArgumentParser],
                        argv: list[str]) -> list[str]:
-    """Fold --config ``long-option=value`` lines in as subcommand defaults; flags win."""
+    """Fold --config ``long-option=value`` lines in as the running subcommand's
+    defaults; flags win, and a key it does not take is refused."""
     pre = argparse.ArgumentParser(prog="gbgp", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, argv = pre.parse_known_args(argv)
-    if known.config is None:
+    # the top-level parser takes no other option with a value, so its first
+    # positional is the subcommand
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    sub = subcommands.get(command)
+    if known.config is None or sub is None:
         return argv
-    # long option name -> every (subcommand parser, action) that takes it
-    options: dict[str, list] = {}
-    for sub in subcommands.values():
-        for action in sub._actions:
-            for opt in action.option_strings:
-                if opt.startswith("--") and action.dest != "help":
-                    options.setdefault(opt[2:], []).append((sub, action))
+    # long option name -> the subcommand's action that takes it
+    options = {opt[2:]: action for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and action.dest != "help"}
     with _Lines(known.config) as lines:
         for key, value in lines.pairs():
             if key not in options:
-                raise ValueError(f"unknown config key {key!r}")
-            for sub, action in options[key]:
-                default = value
-                if isinstance(action, argparse._AppendAction):
-                    raise ValueError(f"{key} repeats; give it as --{key}")
-                if action.nargs == 0:  # a store_true flag
-                    if value not in ("true", "false"):
-                        raise ValueError(f"{key} must be true or false")
-                    default = value == "true"
-                elif action.choices is not None and value not in action.choices:
-                    raise ValueError(f"{key} must be one of "
-                                     f"{', '.join(action.choices)}, not {value!r}")
-                elif action.type is not None:
-                    default = action.type(value)
-                sub.set_defaults(**{action.dest: default})
+                raise ValueError(f"unknown config key {key!r} for {command}")
+            action, default = options[key], value
+            if isinstance(action, argparse._AppendAction):
+                raise ValueError(f"{key} repeats; give it as --{key}")
+            if action.nargs == 0:  # a store_true flag
+                if value not in ("true", "false"):
+                    raise ValueError(f"{key} must be true or false")
+                default = value == "true"
+            elif action.choices is not None and value not in action.choices:
+                raise ValueError(f"{key} must be one of "
+                                 f"{', '.join(action.choices)}, not {value!r}")
+            elif action.type is not None:
+                default = action.type(value)
+            sub.set_defaults(**{action.dest: default})
     return argv
 
 

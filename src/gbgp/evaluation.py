@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .datagen import NonInstance, SyntheticSpec, TemporalInstance, flip_noise, generate_non
-from .graph import BlockSignal, SupportSet
+from .graph import SupportSet
 from .objectives import ObjectiveSpec
 from .solver import DetectionResult, SolverConfig, gbgp_solve
 
@@ -73,17 +73,12 @@ def solve_instance(
     instance: TemporalInstance | NonInstance,
     lam: float,
     config: SolverConfig,
-    signal_override: Optional[Sequence[BlockSignal]] = None,
 ) -> tuple[set[tuple[int, int]], DetectionResult, float]:
     """Run detection on a generated instance; returns pairs and timing."""
     if isinstance(instance, TemporalInstance):
-        if signal_override is not None:
-            instance = replace(instance, signals=list(signal_override))
         graph, partition, signal = instance.expand()
         kind, snapshot_size = "temporal", instance.base_graph.node_count
     else:
-        if signal_override is not None:
-            instance = replace(instance, signal=signal_override[0])
         partition, signal = instance.partition, instance.signal
         kind, snapshot_size = "non", None
     objective = ObjectiveSpec(kind, partition, signal, lam=lam)
@@ -105,17 +100,19 @@ def robustness_sweep(
     The instance's signals must be 0/1 valued; each requested percent is
     applied independently to the clean signals before detection.
     """
-    if isinstance(instance, TemporalInstance):
-        clean = instance.signals
-    else:
-        clean = [instance.signal]
+    temporal = isinstance(instance, TemporalInstance)
+    clean = instance.signals if temporal else [instance.signal]
     rows = []
     for p_idx, percent in enumerate(percents):
         noisy = [
             flip_noise(sig, percent, seed=noise_seed * 1000 + p_idx * 10 + t)
             for t, sig in enumerate(clean)
         ]
-        pairs, _, _ = solve_instance(instance, lam, config, signal_override=noisy)
+        if temporal:
+            noisy_instance = replace(instance, signals=noisy)
+        else:
+            noisy_instance = replace(instance, signal=noisy[0])
+        pairs, _, _ = solve_instance(noisy_instance, lam, config)
         rows.append((float(percent), precision_recall_f1(pairs, instance.truth_pairs())))
     return rows
 

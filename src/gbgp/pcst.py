@@ -7,10 +7,11 @@ through a weighted union-find. Ties are broken toward low node ids so
 identical inputs always give identical outputs.
 
 As in Hegde, Indyk and Schmidt's fast adaptive GW variant (DIMACS 2014),
-a solve works only on the prized nodes and the clusters they grow: the
-heap starts from the prized nodes and their edges, other nodes join
-when a moat reaches them, and only clusters holding a prized node are
-pruned at the end.
+moats grow only from the prized nodes: the heap starts from the prized
+nodes and their edges, other nodes join when a moat reaches them, and
+only clusters holding a prized node are pruned at the end. A solve's
+set-up still touches every node and edge: it resets each node's state
+and clears two per-edge arrays.
 
 The growth loop and the pruning run in one plain-C kernel,
 ``_pcst_kernel.c``, loaded through ``ctypes``. It replays the reference
@@ -34,7 +35,8 @@ forests:
   ``now + merged_slack``, the DFS-order sums of strong pruning), compiled
   with ``-std=c99 -O2 -ffp-contract=off`` and without fast-math.
 
-The same kernel runs a phase's budget searches (:func:`run_searches`),
+The same kernel runs a phase's budget searches (``gbgp_pcst_phase``,
+one :class:`_SearchTask` each, filled in by ``projections.search_phase``),
 each one whole, in one call with the GIL released: the calling thread
 and up to T - 1 pthreads take the searches off a shared counter, where T
 is the number of searches or of CPUs this process may use, whichever is
@@ -65,13 +67,11 @@ import hashlib
 import os
 import shlex
 import sysconfig
-from typing import Sequence
-
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["PcstResult", "PcstEngine", "run_searches"]
+__all__ = ["PcstResult", "PcstEngine"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 KERNEL_SOURCE = os.path.join(_HERE, "_pcst_kernel.c")
@@ -168,7 +168,7 @@ class PcstEngine:
     numbered by lowest member; one kernel call at construction labels them all.
 
     A solve is one kernel call and a search one task of a
-    :func:`run_searches` call; each allocates its own work space, frees it
+    ``gbgp_pcst_phase`` call; each allocates its own work space, frees it
     before returning and only reads the engine's arrays. They share no
     state, so one engine may serve several threads at once; the kernel
     runs without the GIL.
@@ -254,7 +254,12 @@ class PcstEngine:
 
 
 class _SearchTask(ctypes.Structure):
-    """The kernel's ``search_task``: one search's graph, inputs and results."""
+    """The kernel's ``search_task``: one search's graph, inputs and results.
+
+    ``projections.search_phase`` fills in one per search; the kernel writes
+    ``best``, ``size`` (-1 out of memory, -2 a bad probe cost), ``probes``
+    and ``mult``.
+    """
 
     _i, _p, _f = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     _fields_ = [
@@ -273,37 +278,3 @@ def _thread_count(tasks: int) -> int:
     except AttributeError:
         cpus = os.cpu_count() or 1
     return max(1, min(tasks, cpus))
-
-
-def run_searches(searches: Sequence[tuple], low: float, high: float,
-                 max_probes: int) -> list[tuple[tuple[int, ...], int, float]]:
-    """Run ``projections.budget_search`` bisections in one kernel call.
-
-    Each search is ``(engine, prizes, budget, capacity, num_trees, warm,
-    total, exit_score)``, with ``prizes`` a contiguous float64 array
-    already checked and the bounds and warm start (or None) the caller's.
-    The kernel runs them without the GIL on up to :func:`_thread_count`
-    threads. Returns, per search, the best support (empty when no probe
-    found one), the probe count and that support's multiplier. The first
-    failing search in order raises: ``ValueError`` for a probe cost that
-    is not positive and finite, as :meth:`PcstEngine.solve` does, or
-    ``MemoryError``; so does a ``max_probes`` below 1.
-    """
-    if max_probes < 1:
-        raise ValueError("max_probes must be >= 1")
-    best = [np.empty(engine.n, dtype=np.int64) for engine, *_ in searches]
-    tasks = (_SearchTask * len(searches))(*(
-        _SearchTask(*engine._task_args, prizes.ctypes.data,
-                    min(int(num_trees), engine.n), budget, capacity, warm is not None,
-                    0.0 if warm is None else warm, total, exit_score, out.ctypes.data)
-        for (engine, prizes, budget, capacity, num_trees, warm, total, exit_score), out
-        in zip(searches, best)
-    ))
-    _kernel.gbgp_pcst_phase(tasks, len(tasks), _thread_count(len(tasks)), max_probes, low, high)
-    for task in tasks:
-        if task.size == -2:
-            raise ValueError("edge costs must be positive and finite")
-        if task.size < 0:
-            raise MemoryError("the PCST kernel ran out of memory")
-    return [(tuple(out[:task.size].tolist()), task.probes, task.mult)
-            for task, out in zip(tasks, best)]

@@ -9,7 +9,7 @@ low node ids so projections are deterministic.
 
 A phase of searches (:func:`search_phase`) computes each one's bounds in
 Python and runs every bisection in one call into the PCST kernel
-(``pcst.run_searches``), spread over a few threads without the GIL;
+(``gbgp_pcst_phase``), spread over a few threads without the GIL;
 ``solver.gbgp_solve`` makes one such call per projection phase.
 ``budget_search`` is the one-search case of that call, and
 :func:`head_project` and :func:`tail_project` wrap one budget search each.
@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import pcst
 from .graph import Graph, SupportSet
-from .pcst import PcstEngine, run_searches
 
 __all__ = [
     "ProjectionOutcome",
@@ -47,14 +47,14 @@ class ProjectionOutcome:
     multiplier: float = 1.0
 
 
-def _engine_for(graph: Graph) -> PcstEngine:
+def _engine_for(graph: Graph) -> pcst.PcstEngine:
     """One engine per graph object, cached on the graph itself.
 
     Its kernel calls share no state, so every thread shares the one engine.
     """
     engine = getattr(graph, "_pcst_engine", None)
     if engine is None:
-        engine = PcstEngine(graph)
+        engine = pcst.PcstEngine(graph)
         graph._pcst_engine = engine
     return engine
 
@@ -118,52 +118,66 @@ def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, 
     Each search is a tuple of :func:`budget_search`'s arguments and gets
     the ``(support, probes, multiplier)`` that call would return. Arguments
     are checked and bounds computed here, in order, so the first bad search
-    raises; the bisections run on a few threads (``pcst.run_searches``).
+    raises. The kernel then runs every bisection without the GIL on up to
+    ``pcst._thread_count`` threads; each writes only its own task, so the
+    results do not depend on the thread count. The first search in order
+    that failed there raises: ``ValueError`` for a probe cost that is not
+    positive and finite, as :meth:`PcstEngine.solve` does, or ``MemoryError``.
     """
-    tasks = [_bounded(*search) for search in searches]
-    found = run_searches(tasks, MULTIPLIER_LOW, MULTIPLIER_HIGH, MAX_SEARCH_ITERATIONS)
+    tasks = (pcst._SearchTask * len(searches))()
+    # each search's prizes and best-support buffer, which its task points into
+    buffers = []
+    for i, search in enumerate(searches):
+        # budget_search's defaults stand in for the arguments a search leaves out
+        graph, prizes, budget, capacity, num_components, warm = (
+            *search, *(None, 1, None)[len(search) - 3:])
+        if capacity is None:
+            capacity = budget
+        if not 1 <= budget <= capacity:
+            raise ValueError(f"budget {budget} must be in [1, capacity {capacity}]")
+        prizes = np.ascontiguousarray(prizes, dtype=np.float64)
+        if prizes.shape != (graph.node_count,):
+            raise ValueError("prizes length must match node count")
+        if not (np.isfinite(prizes).all() and (prizes >= 0).all()):
+            raise ValueError("prizes must be nonnegative and finite")
+        if num_components < 1:
+            raise ValueError("num_components must be >= 1")
+        total = float(prizes.sum())
+        if capacity < len(prizes):
+            top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())
+        else:
+            top_bound = total
+        # no feasible support can beat the top-capacity prize mass
+        exit_score = top_bound - 1e-12 * max(1.0, top_bound)
+        engine = _engine_for(graph)
+        # nor, as each of its at most num_components trees stays inside one
+        # connected component, the num_components heaviest components' masses;
+        # where that is no lower, the exit above is kept exactly
+        masses = np.bincount(engine.labels, weights=prizes)
+        if num_components < len(masses):
+            masses = np.partition(masses, -num_components)[-num_components:]
+        reach = float(np.minimum(masses, top_bound).sum())
+        if reach < top_bound:
+            exit_score = min(exit_score, reach - 1e-12 * reach)
+        best = np.empty(engine.n, dtype=np.int64)
+        buffers.append((prizes, best))
+        tasks[i] = pcst._SearchTask(
+            *engine._task_args, prizes.ctypes.data, min(int(num_components), engine.n),
+            budget, capacity, warm is not None, 0.0 if warm is None else warm, total,
+            exit_score, best.ctypes.data)
+    pcst._kernel.gbgp_pcst_phase(tasks, len(tasks), pcst._thread_count(len(tasks)),
+                                 MAX_SEARCH_ITERATIONS, MULTIPLIER_LOW, MULTIPLIER_HIGH)
     results = []
-    for (_, prizes, *_), (support, probes, multiplier) in zip(tasks, found):
+    for task, (prizes, best) in zip(tasks, buffers):
+        if task.size == -2:
+            raise ValueError("edge costs must be positive and finite")
+        if task.size < 0:
+            raise MemoryError("the PCST kernel ran out of memory")
+        support, multiplier = tuple(best[:task.size].tolist()), task.mult
         if not support:
             support, multiplier = _fallback_node(prizes), MULTIPLIER_HIGH
-        results.append((support, probes, multiplier))
+        results.append((support, task.probes, multiplier))
     return results
-
-
-def _bounded(graph: Graph, prizes, budget: int, capacity: Optional[int] = None,
-             num_components: int = 1, initial_multiplier: Optional[float] = None) -> tuple:
-    """Check one search's arguments and add its bounds: a ``run_searches`` task."""
-    if capacity is None:
-        capacity = budget
-    if not 1 <= budget <= capacity:
-        raise ValueError(f"budget {budget} must be in [1, capacity {capacity}]")
-    prizes = np.ascontiguousarray(prizes, dtype=np.float64)
-    if prizes.shape != (graph.node_count,):
-        raise ValueError("prizes length must match node count")
-    if not (np.isfinite(prizes).all() and (prizes >= 0).all()):
-        raise ValueError("prizes must be nonnegative and finite")
-    if num_components < 1:
-        raise ValueError("num_components must be >= 1")
-    total = float(prizes.sum())
-    if capacity < len(prizes):
-        top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())
-    else:
-        top_bound = total
-    # no feasible support can beat the top-capacity prize mass
-    exit_score = top_bound - 1e-12 * max(1.0, top_bound)
-    engine = _engine_for(graph)
-    # nor, as each of its at most num_components trees stays inside one
-    # connected component, the num_components heaviest components' masses;
-    # where that is no lower, the exit above is kept exactly
-    masses = np.bincount(engine.labels, weights=prizes)
-    if num_components < len(masses):
-        masses = np.partition(masses, -num_components)[-num_components:]
-    reach = float(np.minimum(masses, top_bound).sum())
-    if reach < top_bound:
-        exit_score = min(exit_score, reach - 1e-12 * reach)
-
-    return (engine, prizes, budget, capacity, num_components, initial_multiplier, total,
-            exit_score)
 
 
 def head_project(

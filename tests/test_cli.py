@@ -673,6 +673,23 @@ class TestConfigFile:
         assert run(["--config", str(cfg), "synth", "--n", "10"]) == 2
         assert "run.cfg:1: unknown config key 'bogus_key'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, message", [
+        (["synth", "--n", "60", "--m", "3", "--size", "8"], "seed=1\nparallel=2\nbudget=5\n",
+         "run.cfg:2: unknown config key 'parallel' for synth"),
+        (["eval", "--detected", "s.txt", "--truth", "s.txt"], "budget=5\nparallel=2\n",
+         "run.cfg:1: unknown config key 'budget' for eval"),
+    ], ids=["synth", "eval"])
+    def test_a_key_only_another_command_takes_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                     command, config, message):
+        # parallel is detect's and gridsearch's, budget detect's alone: the
+        # running command would ignore either
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.txt").write_text("0\t1\n")
+        (tmp_path / "run.cfg").write_text(config)
+        assert run(["--config", "run.cfg", *command, "--out", "o"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_values_reach_the_subcommand(self, temporal_bundle, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max-outer-iters=1\n")

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 import gbgp.pcst
 from gbgp.datagen import barabasi_albert
 from gbgp.graph import Graph, connected_components
-from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel, run_searches
-from gbgp.projections import MAX_SEARCH_ITERATIONS, MULTIPLIER_HIGH, MULTIPLIER_LOW
+from gbgp.pcst import KERNEL_SOURCE, PcstEngine, PcstResult, load_kernel
+from gbgp.projections import search_phase
 from oracles import ReferencePcstEngine, strong_prune
 
 
@@ -512,7 +512,8 @@ class TestEngineCopies:
     @pytest.mark.parametrize("make_twin", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
                              ids=["deepcopy", "pickle"])
     def test_a_copy_calls_the_kernel_on_its_own_buffers(self, make_twin):
-        graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        graph = Graph(6, path)
         engine = PcstEngine(graph)
         engine.solve(graph.edge_w, np.ones(6))
         twin = make_twin(engine)
@@ -522,19 +523,12 @@ class TestEngineCopies:
         costs, prizes = graph.edge_w * 0.5, np.array([1.0, 0.0, 0.0, 2.0, 0.0, 1.5])
         assert (repr(twin.solve(costs, prizes, 2).components)
                 == repr(fresh.solve(costs, prizes, 2).components))
-        total = float(prizes.sum())
-        task = (prizes, 2, 2, 1, None, total, total)
-        limits = (MULTIPLIER_LOW, MULTIPLIER_HIGH, MAX_SEARCH_ITERATIONS)
-        assert run_searches([(twin, *task)], *limits) == run_searches([(fresh, *task)], *limits)
-
-
-@pytest.mark.parametrize("max_probes", [0, -1])
-def test_a_search_without_probes_is_rejected(max_probes):
-    # the kernel has no best support to return after no probe at all
-    engine = PcstEngine(Graph(4, [(0, 1), (1, 2), (2, 3)]))
-    prizes = np.array([1.0, 0.0, 2.0, 0.5])
-    with pytest.raises(ValueError, match="max_probes must be >= 1"):
-        run_searches([(engine, prizes, 2, 2, 1, None, 10.0, 10.0)], 1e-6, 1e6, max_probes)
+        # a graph's searches run on the engine cached on it, as _engine_for
+        # caches one; the other graph's on an engine built for it
+        graph._pcst_engine = twin
+        search = (prizes, 2, 2, 1, None)
+        assert search_phase([(graph, *search)]) == search_phase([(Graph(6, path), *search)])
+        assert graph._pcst_engine is twin
 
 
 class TestKernelCache:
