@@ -11,12 +11,13 @@
  * floating-point expressions, so its forests are byte-identical.
  *
  * gbgp_pcst_phase runs a phase's projections.budget_search calls, each
- * search whole: every probe's costs, its forest, the leaf trim to
- * capacity, the support's score, the best-candidate rule and every exit
+ * search whole: its bounds, every probe's costs, its forest, the leaf trim
+ * to capacity, the support's score, the best-candidate rule and every exit
  * test. It replays the reference loop in tests/oracles.py: libm's log and
- * exp, NumPy's pairwise summation for the score, and the trim heap popped
- * on (prize, -v). The searches are spread over a few pthreads. Build with
- * -std=c99 -O2 -ffp-contract=off -pthread and without fast-math.
+ * exp, NumPy's pairwise summation for the score and the bounds, and the
+ * trim heap popped on (prize, -v). The searches are spread over a few
+ * pthreads. Build with -std=c99 -O2 -ffp-contract=off -pthread and without
+ * fast-math.
  *
  * gbgp_components labels the connected components of the engine's graph,
  * numbered by their lowest member.
@@ -28,19 +29,28 @@
  * the bit: pairwise sums, np.bincount's entry order, and gbgp_dot, which
  * sums as OpenBLAS's SkylakeX ddot does.
  *
+ * gbgp_outer runs one whole outer iteration of solver.gbgp_solve: the
+ * objective, the head phase of searches, an inner solve and the tail
+ * phase, replaying reference_gbgp_solve in tests/oracles.py bit for bit.
+ *
  * The caller owns the inputs and the outputs: the graph's edge and CSR
  * arrays, costs, prizes and the arrays results are written to. Every call
  * allocates its own work space and frees it before returning, and the
  * inputs are only read, so calls share no state and may run at once on
- * several threads, on one graph as on many. The one exception is
- * gbgp_rbcd_solve's bit generator, which it advances: its caller holds
- * the generator's lock.
+ * several threads, on one graph as on many. The exceptions are
+ * gbgp_rbcd_solve's bit generator, which it advances while its caller
+ * holds the generator's lock, and the search tasks, iterate and last
+ * inputs of one gbgp_solve, which gbgp_outer carries from one iteration
+ * to the next.
  */
+/* clock_gettime, for gbgp_outer's phase times */
+#define _POSIX_C_SOURCE 200809L
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef int64_t idx;
 
@@ -796,13 +806,18 @@ static double pairwise_sum(const double *a, idx n)
 }
 
 /*
- * One budget search of a phase: the engine's graph, the search's inputs,
- * and the slots search() writes its results to.
+ * One budget search of a phase: the engine's graph and the component label
+ * of each of its nodes (ncomp components), the search's inputs, and the
+ * slots search() writes its bounds and results to. A phase skips a task
+ * without prizes.
  */
 typedef struct {
     idx n, m;
     const idx *eu, *ev, *indptr, *adj_eids;
-    const double *weight, *prize;
+    const double *weight;
+    const idx *labels;
+    idx ncomp;
+    const double *prize;
     idx num_trees, budget, capacity, has_warm;
     double warm, total, exit_score;
     idx *best;
@@ -810,8 +825,92 @@ typedef struct {
     double mult;
 } search_task;
 
+/* the k-th largest of a[0..len), 1 <= k <= len, by a three-way quickselect that reorders a */
+static double kth_largest(double *a, idx len, idx k)
+{
+    idx lo = 0, hi = len, lt, gt, i;
+    double pivot, tmp;
+    for (;;) {
+        pivot = a[lo + (hi - lo) / 2];
+        /* a[lo..lt) > pivot, a[lt..gt) == pivot, a[gt..hi) < pivot */
+        for (lt = i = lo, gt = hi; i < gt;) {
+            if (a[i] > pivot) {
+                tmp = a[i];
+                a[i++] = a[lt];
+                a[lt++] = tmp;
+            } else if (a[i] < pivot) {
+                tmp = a[i];
+                a[i] = a[--gt];
+                a[gt] = tmp;
+            } else {
+                i++;
+            }
+        }
+        if (k <= lt)
+            hi = lt;
+        else if (k > gt)
+            lo = gt;
+        else
+            return pivot;
+    }
+}
+
 /*
- * One budget search: bisect log(multiplier) over [log(low), log(high)],
+ * The k largest of the len values v, ties to the lower index, or all of
+ * them when k >= len, written to chosen in ascending index order; returns
+ * their number. copy is len doubles of scratch.
+ */
+static idx select_top(const double *v, idx len, idx k, double *copy, double *chosen)
+{
+    idx i, count = 0, ties = k;
+    double cut;
+    if (k >= len) {
+        memcpy(chosen, v, (size_t)len * sizeof(double));
+        return len;
+    }
+    memcpy(copy, v, (size_t)len * sizeof(double));
+    cut = kth_largest(copy, len, k);
+    for (i = 0; i < len; i++)
+        ties -= v[i] > cut;
+    for (i = 0; i < len; i++)
+        if (v[i] > cut || (v[i] == cut && ties-- > 0))
+            chosen[count++] = v[i];
+    return count;
+}
+
+/*
+ * A search's bounds, as projections.budget_search defines them: total, the
+ * prizes' sum, and exit_score, just below the least of the top-capacity
+ * mass (the capacity largest prizes) and the reach (the num_trees heaviest
+ * components' masses, each capped at the top-capacity mass). A component's
+ * mass sums its prizes from 0.0 in node order, as np.bincount does; every
+ * other sum is pairwise over the values in ascending node or label order.
+ * Uses s's per-node scratch, which no probe has touched yet.
+ */
+static void bounds(search_task *t, state *s)
+{
+    idx n = t->n, i, count;
+    double top, reach, *mass = s->cost_up, *chosen = s->gather;
+    t->total = pairwise_sum(t->prize, n);
+    count = select_top(t->prize, n, t->capacity, s->best, chosen);
+    top = pairwise_sum(chosen, count);
+    t->exit_score = top - 1e-12 * (top > 1.0 ? top : 1.0);
+    /* no tree of a forest leaves its component */
+    for (i = 0; i < t->ncomp; i++)
+        mass[i] = 0.0;
+    for (i = 0; i < n; i++)
+        mass[t->labels[i]] += t->prize[i];
+    count = select_top(mass, t->ncomp, t->num_trees, s->best, chosen);
+    for (i = 0; i < count; i++)
+        if (!(chosen[i] < top)) chosen[i] = top;
+    reach = pairwise_sum(chosen, count);
+    if (reach < top && reach - 1e-12 * reach < t->exit_score)
+        t->exit_score = reach - 1e-12 * reach;
+}
+
+/*
+ * One budget search: bounds() sets t->total and t->exit_score, then the
+ * search bisects log(multiplier) over [log(low), log(high)],
  * the first probe at the warm start clamped into [low, high] when
  * has_warm is set. Each probe solves the forest on weight * multiplier
  * and num_trees trees, trims an oversized forest to capacity, and scores
@@ -840,6 +939,7 @@ static void search(search_task *t, idx max_probes, double low, double high)
         goto done;
     out = s.found;
     s.cost = cost = s.probe_cost;
+    bounds(t, &s);
     for (probe = 0; probe < max_probes; probe++) {
         if (probe == 0 && t->has_warm) {
             /* min(max(warm, low), high) */
@@ -920,16 +1020,17 @@ static void *run_tasks(void *arg)
     phase *p = arg;
     idx i;
     while ((i = __atomic_fetch_add(&p->next, 1, __ATOMIC_RELAXED)) < p->count)
-        search(&p->tasks[i], p->max_probes, p->low, p->high);
+        if (p->tasks[i].prize)
+            search(&p->tasks[i], p->max_probes, p->low, p->high);
     return NULL;
 }
 
 /*
  * Run count budget searches on the calling thread and up to threads - 1
- * more. Each search writes only to its own task, so the results do not
- * depend on which thread ran it. No thread is created when threads <= 1;
- * when memory for the thread ids runs out or pthread_create fails, the
- * threads already running finish the work.
+ * more, skipping the tasks without prizes. Each search writes only to its
+ * own task, so the results do not depend on which thread ran it. No thread
+ * is created when threads <= 1; when memory for the thread ids runs out or
+ * pthread_create fails, the threads already running finish the work.
  */
 void gbgp_pcst_phase(search_task *tasks, idx count, idx threads, idx max_probes, double low,
                      double high)
@@ -1553,6 +1654,199 @@ idx gbgp_rbcd_solve(const objective *o, const uint8_t *mask, double *x, idx tau,
     }
     memcpy(x, cur, (size_t)n * sizeof(double));
     restrict_x(o, mask, x);
+done:
+    free(buf);
+    return status;
+}
+
+/*
+ * One solver.gbgp_solve run, filled in by it. tasks holds one search task
+ * per projection, the K head projections' and then the K tail
+ * projections', and each keeps its last search: its warm start, its
+ * support in best, its probes and its multiplier (probes is 0 before the
+ * first search); a block without nodes has a zeroed task. last holds
+ * each projection's last searched input, the head ones and then the tail
+ * ones, each in block order. tau is 0 for the serial inner solver and
+ * otherwise the randomized one's, which draws from the bit generator at
+ * rng_state; max_inner is its passes or rounds. x is the iterate, which
+ * gbgp_outer replaces by the next. It also writes nodes (the tail supports
+ * as global ids, block by block), stats (the inner solver's 4 counts, each
+ * projection's probes, 0 where it kept its last support, and the K + 1
+ * starts of the blocks in nodes), F at the iteration's start, the step
+ * delta and the phase times.
+ */
+typedef struct {
+    const objective *o;
+    search_task *tasks;
+    idx threads, max_probes;
+    double low, high;
+    idx tau, max_inner, fixed;
+    double step_size, inner_tol;
+    double (*next_double)(void *);
+    void *rng_state;
+    double *x, *last;
+    idx *nodes, *stats;
+    double value, delta, head_ms, inner_ms, tail_ms;
+} outer_solve;
+
+/* CLOCK_MONOTONIC in ms, the clock of Python's time.perf_counter */
+static double now_ms(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec * 1e3 + (double)ts.tv_nsec * 1e-6;
+}
+
+/*
+ * One projection phase of gbgp_outer, of kind 0 (head) or 1 (tail): each
+ * block's support from the block-order vector v, squared into prizes. A
+ * projection whose input bytes and warm start (its last multiplier) both
+ * repeat its last search keeps that search's support; the others are
+ * searched at once, on up to r->threads threads. A search that found
+ * nothing keeps the block's highest prize, the first one as np.argmax
+ * picks it, with multiplier high. Returns 0, -3 when a searched block's
+ * prizes are not finite, or else the first failing search's size (-1 out
+ * of memory, -2 a bad probe cost).
+ */
+static idx project(outer_solve *r, idx kind, const double *v, double *prizes)
+{
+    const objective *o = r->o;
+    idx K = o->num_blocks, k, i, len, b0, count = 0, threads;
+    idx *probes = r->stats + 4 + kind * K;
+    search_task *t, *tasks = r->tasks + kind * K;
+    double *last = r->last + kind * o->bstart[K];
+
+    for (i = 0; i < o->bstart[K]; i++)
+        prizes[i] = v[i] * v[i];
+    for (k = 0; k < K; k++) {
+        t = &tasks[k];
+        b0 = o->bstart[k];
+        len = block_len(o, k);
+        t->prize = NULL;
+        probes[k] = 0;
+        if (!len || (t->probes && t->has_warm && t->warm == t->mult
+                     && !memcmp(last + b0, v + b0, (size_t)len * sizeof(double))))
+            continue;
+        for (i = b0; i < b0 + len; i++)
+            if (!isfinite(prizes[i])) return -3;
+        t->has_warm = t->probes > 0;
+        t->warm = t->mult;
+        t->prize = prizes + b0;
+        memcpy(last + b0, v + b0, (size_t)len * sizeof(double));
+        count++;
+    }
+    if (!count)
+        return 0;
+    threads = count < r->threads ? count : r->threads;
+    gbgp_pcst_phase(tasks, K, threads, r->max_probes, r->low, r->high);
+    for (k = 0; k < K; k++) {
+        t = &tasks[k];
+        if (!t->prize) continue;
+        if (t->size < 0) return t->size;
+        if (t->size == 0) {
+            for (i = 1, t->best[0] = 0; i < t->n; i++)
+                if (t->prize[i] > t->prize[t->best[0]]) t->best[0] = i;
+            t->size = 1;
+            t->mult = r->high;
+        }
+        probes[k] = t->probes;
+    }
+    return 0;
+}
+
+/*
+ * One outer iteration of solver.gbgp_solve, with its Python loop in
+ * tests/oracles.py replayed bit for bit: F(x), which must be finite; the
+ * block gradients with the entries that point out of the box [0, 1]
+ * zeroed, and their head projections; the masks, each block's head support
+ * plus its nonzero entries of x; the inner solve from x on them; the tail
+ * projections of its output b; then x becomes b on the tail supports and 0
+ * elsewhere, and delta the blocks' summed norms of the change. Returns 0;
+ * 1 when F(x) is not finite; a project() status; -4 when every mask is
+ * empty; -5 when memory ran out outside the searches; or -6 - k when
+ * backtracking on block k fell below STEP_FLOOR.
+ */
+idx gbgp_outer(outer_solve *r)
+{
+    const objective *o = r->o;
+    idx K = o->num_blocks, n = o->bstart[K], k, i, j, pos = 0, status;
+    idx *kept = r->stats + 4 + 2 * K;
+    const idx *nk;
+    const search_task *t;
+    double *x = r->x, *buf, *xb, *v, *prizes, *b, *w, head, inner, tail;
+    uint8_t *mask;
+
+    buf = malloc((size_t)(4 * n + scratch_len(o)) * sizeof(double) + (size_t)n + 1);
+    if (!buf) return -5;
+    xb = buf;
+    v = xb + n;
+    prizes = v + n;
+    b = prizes + n;
+    w = b + n;
+    mask = (uint8_t *)(w + scratch_len(o));
+
+    r->value = value(o, x, w);
+    if (!isfinite(r->value)) {
+        status = 1;
+        goto done;
+    }
+    head = now_ms();
+    for (k = 0; k < K; k++)
+        block_gradient(o, x, k, v + o->bstart[k], w);
+    for (i = 0; i < n; i++) {
+        xb[i] = x[o->nodes[i]];
+        if ((xb[i] <= 0.0 && v[i] > 0.0) || (xb[i] >= 1.0 && v[i] < 0.0)) v[i] = 0.0;
+    }
+    if ((status = project(r, 0, v, prizes)))
+        goto done;
+
+    inner = now_ms();
+    for (i = 0; i < n; i++)
+        mask[i] = xb[i] != 0.0;
+    for (k = 0; k < K; k++)
+        for (t = &r->tasks[k], j = 0; j < t->size; j++)
+            mask[o->bstart[k] + t->best[j]] = 1;
+    if (!any_set(mask, n)) {
+        status = -4;
+        goto done;
+    }
+    memcpy(b, x, (size_t)n * sizeof(double));
+    if (r->tau)
+        status = gbgp_rbcd_solve(o, mask, b, r->tau, r->max_inner, r->fixed, r->step_size,
+                                 r->inner_tol, r->next_double, r->rng_state, r->stats);
+    else
+        status = gbgp_bcd_solve(o, mask, b, r->max_inner, r->fixed, r->step_size, r->inner_tol,
+                                r->stats);
+    if (status) {
+        status = status == -1 ? -5 : status - 4;
+        goto done;
+    }
+
+    tail = now_ms();
+    for (i = 0; i < n; i++)
+        v[i] = b[o->nodes[i]];
+    if ((status = project(r, 1, v, prizes)))
+        goto done;
+    memset(x, 0, (size_t)n * sizeof(double));
+    for (k = 0; k < K; k++) {
+        kept[k] = pos;
+        nk = block_ids(o, k);
+        for (t = &r->tasks[K + k], j = 0; j < t->size; j++) {
+            r->nodes[pos] = nk[t->best[j]];
+            x[r->nodes[pos]] = b[r->nodes[pos]];
+            pos++;
+        }
+    }
+    kept[K] = pos;
+    r->head_ms = inner - head;
+    r->inner_ms = tail - inner;
+    r->tail_ms = now_ms() - tail;
+
+    for (i = 0; i < n; i++)
+        v[i] = x[o->nodes[i]] - xb[i];
+    r->delta = 0.0;
+    for (k = 0; k < K; k++)
+        r->delta += sqrt(gbgp_dot(v + o->bstart[k], v + o->bstart[k], block_len(o, k)));
 done:
     free(buf);
     return status;

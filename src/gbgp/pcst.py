@@ -37,23 +37,30 @@ forests:
 
 The same kernel runs a phase's budget searches (``gbgp_pcst_phase``,
 one :class:`_SearchTask` each, filled in by ``projections.search_phase``),
-each one whole, in one call with the GIL released: the calling thread
-and up to T - 1 pthreads take the searches off a shared counter, where T
-is the number of searches or of CPUs this process may use, whichever is
-smaller. Each search writes only its own results, so they do not depend
-on T. See ``projections.budget_search`` for how a search replays the
-reference loop. The kernel also labels a graph's connected components
+each one whole, bounds included, in one call with the GIL released: the
+calling thread and up to T - 1 pthreads take the searches off a shared
+counter, where T is the number of searches or of CPUs this process may
+use, whichever is smaller. Each search writes only its own results, so
+they do not depend on T. See ``projections.budget_search`` for how a
+search replays the reference loop and in which order its bounds are
+summed. The kernel also labels a graph's connected components
 (``PcstEngine.labels``) with a union-find, numbered by lowest member as
 ``graph.connected_components`` orders them. And it holds the objective's
 arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
-``gbgp.objectives``) and both inner solvers (``gbgp_bcd_solve`` behind
+``gbgp.objectives``), both inner solvers (``gbgp_bcd_solve`` behind
 ``solver.bcd_solve`` and ``gbgp_rbcd_solve`` behind
 ``solver.parallel_bcd_solve``), which mirror NumPy's pairwise sums,
-``np.bincount`` and OpenBLAS's SkylakeX ``ddot``.
+``np.bincount`` and OpenBLAS's SkylakeX ``ddot``, and one whole outer
+iteration of ``solver.gbgp_solve`` (``gbgp_outer``), which runs both
+projection phases through the same searches and an inner solve between
+them; ``gbgp_solve`` calls it once per outer iteration.
 
 Every kernel call allocates its own work space, frees it before
 returning and writes only to the caller's fresh output arrays. Calls
-share no state, so any of them may run at once on several threads.
+share no state, so any of them may run at once on several threads. The
+exceptions are the search tasks, the iterate and the last inputs that
+``gbgp_outer`` carries from one iteration of a solve to the next, which
+belong to that solve alone.
 
 The kernel is built on first import with the interpreter's C compiler
 (``sysconfig`` ``CC``) into ``__pycache__/``, under a name keyed by the
@@ -131,6 +138,8 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     lib.gbgp_bcd_solve.restype = i64
     lib.gbgp_rbcd_solve.argtypes = [p, p, p, i64, i64, i64, f64, f64, p, p, p]
     lib.gbgp_rbcd_solve.restype = i64
+    lib.gbgp_outer.argtypes = [p]
+    lib.gbgp_outer.restype = i64
     return lib
 
 
@@ -165,7 +174,8 @@ class PcstEngine:
     adjacency (``adj_indptr``/``adj_eids``, ascending edge ids per node).
     The engine keeps them, the edge weights and ``labels``: each node's
     connected component, which no tree of a returned forest leaves,
-    numbered by lowest member; one kernel call at construction labels them all.
+    numbered by lowest member, of ``components`` in all; one kernel call at
+    construction labels them all.
 
     A solve is one kernel call and a search one task of a
     ``gbgp_pcst_phase`` call; each allocates its own work space, frees it
@@ -182,8 +192,8 @@ class PcstEngine:
                               (graph.edge_u, graph.edge_v, graph.adj_indptr, graph.adj_eids)]
         eu, ev = self._graph_arrays[:2]
         self.labels = np.empty(self.n, dtype=np.int64)
-        _kernel.gbgp_components(self.n, self.m, eu.ctypes.data, ev.ctypes.data,
-                                self.labels.ctypes.data)
+        self.components = _kernel.gbgp_components(self.n, self.m, eu.ctypes.data,
+                                                  ev.ctypes.data, self.labels.ctypes.data)
         self._weight = np.ascontiguousarray(graph.edge_w, dtype=np.float64)
         self._link_kernel()
 
@@ -256,15 +266,17 @@ class PcstEngine:
 class _SearchTask(ctypes.Structure):
     """The kernel's ``search_task``: one search's graph, inputs and results.
 
-    ``projections.search_phase`` fills in one per search; the kernel writes
-    ``best``, ``size`` (-1 out of memory, -2 a bad probe cost), ``probes``
-    and ``mult``.
+    ``projections.search_phase`` fills in one per search, and
+    ``solver.gbgp_solve`` one per projection; the kernel writes the bounds
+    ``total`` and ``exit_score``, then ``best``, ``size`` (-1 out of memory,
+    -2 a bad probe cost), ``probes`` and ``mult``. A phase skips a task
+    without ``prize``.
     """
 
     _i, _p, _f = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     _fields_ = [
         ("n", _i), ("m", _i), ("eu", _p), ("ev", _p), ("indptr", _p), ("adj_eids", _p),
-        ("weight", _p), ("prize", _p),
+        ("weight", _p), ("labels", _p), ("ncomp", _i), ("prize", _p),
         ("num_trees", _i), ("budget", _i), ("capacity", _i), ("has_warm", _i),
         ("warm", _f), ("total", _f), ("exit_score", _f),
         ("best", _p), ("size", _i), ("probes", _i), ("mult", _f),

@@ -7,12 +7,14 @@ as prizes to capture gradient mass, tail projections do the same to
 snap an iterate onto the constraint set. Ties always resolve toward
 low node ids so projections are deterministic.
 
-A phase of searches (:func:`search_phase`) computes each one's bounds in
-Python and runs every bisection in one call into the PCST kernel
-(``gbgp_pcst_phase``), spread over a few threads without the GIL;
-``solver.gbgp_solve`` makes one such call per projection phase.
-``budget_search`` is the one-search case of that call, and
-:func:`head_project` and :func:`tail_project` wrap one budget search each.
+A phase of searches (:func:`search_phase`) checks each one's arguments in
+Python and runs every search, its bounds and its bisection, in one call
+into the PCST kernel (``gbgp_pcst_phase``), spread over a few threads
+without the GIL. ``budget_search`` is the one-search case of that call,
+and :func:`head_project` and :func:`tail_project` wrap one budget search
+each. ``solver.gbgp_solve`` runs the same searches from inside the
+kernel's ``gbgp_outer``, two phases per outer iteration, so all three
+share the kernel's one definition of a search.
 """
 from __future__ import annotations
 
@@ -86,27 +88,34 @@ def budget_search(
     exceed: the sum of the ``num_components`` largest values of
     min(component mass, top-capacity mass), capped at the top-capacity
     mass, where a component mass is the prize in one connected
-    component of ``graph``. Each tree of a forest lies in one component,
-    so a later probe could at most tie that mass (to 1e-12 relative);
-    the exit skips it even where it would have won the tie on size or
-    ids. On a block shattered into components too small to reach the
-    budget this ends the search after a probe or two instead of
-    bisecting to the 1e-2 tolerance.
+    component of ``graph`` and the top-capacity mass is the sum of the
+    ``capacity`` largest prizes. Each tree of a forest lies in one
+    component, so a later probe could at most tie that mass (to 1e-12
+    relative); the exit skips it even where it would have won the tie on
+    size or ids. On a block shattered into components too small to
+    reach the budget this ends the search after a probe or two instead
+    of bisecting to the 1e-2 tolerance.
 
     Falls back to the single highest-prize node when nothing feasible
     is found. Returns the support, the probe count, and the multiplier
     that produced the support (reusable as the next warm start).
 
-    The bounds are computed here, the bisection in the kernel, which
-    replays the reference loop in ``tests/oracles.py`` bit for bit:
-    ``log``/``exp`` are libm's, as Python's ``math`` calls them; a
-    probe's costs are ``edge_w * multiplier``; a support's score sums its
-    prizes in ascending node order the way NumPy's pairwise summation
-    does (8 interleaved partial sums, halves split at a multiple of 8
-    above 128 entries); the trim pops leaves on ``(prize, -v)``; and a
-    probe replaces the best candidate only when ``(-score, size, nodes)``
-    is strictly less, so the first of equal candidates keeps its
-    multiplier.
+    The bounds and the bisection run in the kernel, which replays the
+    reference loop in ``tests/oracles.py`` bit for bit: ``log``/``exp``
+    are libm's, as Python's ``math`` calls them; a probe's costs are
+    ``edge_w * multiplier``; a support's score sums its prizes in
+    ascending node order the way NumPy's pairwise summation does (8
+    interleaved partial sums, halves split at a multiple of 8 above 128
+    entries); the trim pops leaves on ``(prize, -v)``; and a probe
+    replaces the best candidate only when ``(-score, size, nodes)`` is
+    strictly less, so the first of equal candidates keeps its
+    multiplier. The bounds are sums in one defined order: the total and
+    the top-capacity mass pairwise over the prizes, respectively the
+    ``capacity`` largest ones (ties to the lower node id), in ascending
+    node order; a component's mass from 0.0 over its prizes in node
+    order, as ``np.bincount`` sums; and the reach pairwise over the
+    capped masses of the ``num_components`` heaviest components (ties to
+    the lower label), in ascending label order.
     """
     return search_phase([(graph, prizes, budget, capacity, num_components,
                           initial_multiplier)])[0]
@@ -117,8 +126,8 @@ def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, 
 
     Each search is a tuple of :func:`budget_search`'s arguments and gets
     the ``(support, probes, multiplier)`` that call would return. Arguments
-    are checked and bounds computed here, in order, so the first bad search
-    raises. The kernel then runs every bisection without the GIL on up to
+    are checked here, in order, so the first bad search raises. The kernel
+    then runs every search, bounds and bisection, without the GIL on up to
     ``pcst._thread_count`` threads; each writes only its own task, so the
     results do not depend on the thread count. The first search in order
     that failed there raises: ``ValueError`` for a probe cost that is not
@@ -142,29 +151,13 @@ def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, 
             raise ValueError("prizes must be nonnegative and finite")
         if num_components < 1:
             raise ValueError("num_components must be >= 1")
-        total = float(prizes.sum())
-        if capacity < len(prizes):
-            top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())
-        else:
-            top_bound = total
-        # no feasible support can beat the top-capacity prize mass
-        exit_score = top_bound - 1e-12 * max(1.0, top_bound)
         engine = _engine_for(graph)
-        # nor, as each of its at most num_components trees stays inside one
-        # connected component, the num_components heaviest components' masses;
-        # where that is no lower, the exit above is kept exactly
-        masses = np.bincount(engine.labels, weights=prizes)
-        if num_components < len(masses):
-            masses = np.partition(masses, -num_components)[-num_components:]
-        reach = float(np.minimum(masses, top_bound).sum())
-        if reach < top_bound:
-            exit_score = min(exit_score, reach - 1e-12 * reach)
         best = np.empty(engine.n, dtype=np.int64)
         buffers.append((prizes, best))
         tasks[i] = pcst._SearchTask(
-            *engine._task_args, prizes.ctypes.data, min(int(num_components), engine.n),
-            budget, capacity, warm is not None, 0.0 if warm is None else warm, total,
-            exit_score, best.ctypes.data)
+            *engine._task_args, engine.labels.ctypes.data, engine.components, prizes.ctypes.data,
+            min(int(num_components), engine.n), budget, capacity, warm is not None,
+            0.0 if warm is None else warm, best=best.ctypes.data)
     pcst._kernel.gbgp_pcst_phase(tasks, len(tasks), pcst._thread_count(len(tasks)),
                                  MAX_SEARCH_ITERATIONS, MULTIPLIER_LOW, MULTIPLIER_HIGH)
     results = []

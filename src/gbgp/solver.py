@@ -6,28 +6,33 @@ accelerated block-coordinate pass (serial, or randomized across blocks
 for the parallel variant), then tail-projects the intermediate solution
 back onto the connected-subgraph constraint set.
 
-Each inner solver is one call of the C kernel per outer iteration:
-:func:`bcd_solve` of ``gbgp_bcd_solve`` and :func:`parallel_bcd_solve` of
-``gbgp_rbcd_solve``. Each replays its Python loop, kept in
-``tests/oracles.py``, bit for bit (see ``gbgp.objectives`` for the order
-of each sum and dot). Every dot product and norm here is the kernel's
-:func:`~gbgp.objectives.dot`, so the outputs do not depend on which BLAS
-kernel the host's NumPy picks.
+:func:`gbgp_solve` makes one call of the C kernel's ``gbgp_outer`` per
+outer iteration, and each inner solver is one call of the kernel per
+solve: :func:`bcd_solve` of ``gbgp_bcd_solve`` and
+:func:`parallel_bcd_solve` of ``gbgp_rbcd_solve``, which ``gbgp_outer``
+calls too. Each replays its Python loop, kept in ``tests/oracles.py``, bit
+for bit (see ``gbgp.objectives`` for the order of each sum and dot, and
+``projections.budget_search`` for a search's). Every dot product and norm
+here is the kernel's :func:`~gbgp.objectives.dot`, so the outputs do not
+depend on which BLAS kernel the host's NumPy picks.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import pcst
 from .graph import SupportSet
 from .objectives import ObjectiveSpec, dot
-from .pcst import _kernel
-from .projections import _capacity, search_phase
+from .projections import (MAX_SEARCH_ITERATIONS, MULTIPLIER_HIGH, MULTIPLIER_LOW, _capacity,
+                          _engine_for)
 # perfbench/tracer.py patches these names, which no solve calls any more
 from .projections import head_project, tail_project  # noqa: F401
 
@@ -71,6 +76,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a NumPy integer passes; 2.5 would otherwise fail mid-solve
+        for name in ("budgets", "num_components", "parallel", "max_outer_iters",
+                     "max_inner_cycles"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         # outer_tol 0 disables the convergence exit (fixed-iteration runs); a
         # NaN or infinite tolerance or step would stop a loop at once or never
         if not (0 <= self.outer_tol < math.inf and 0 < self.inner_tol < math.inf):
@@ -199,20 +212,6 @@ def estimate_step_size(
         y_hat[nodes_k] = y_k
 
 
-def _box_projected_gradient(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Zero out gradient components that point outside the box [0, 1].
-
-    At a coordinate pinned to 0 only a negative gradient permits
-    movement, at 1 only a positive one; the head projection should see
-    only mass it can actually act on. Elementwise, so one call serves
-    every block's entries at once.
-    """
-    out = grad.copy()
-    out[(x <= 0.0) & (grad > 0.0)] = 0.0
-    out[(x >= 1.0) & (grad < 0.0)] = 0.0
-    return out
-
-
 def _inner_args(objective: ObjectiveSpec, masks: list[np.ndarray],
                 x_init: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An inner solver's masks, back to back, and a float64 copy of its start."""
@@ -262,7 +261,7 @@ def bcd_solve(
     flat, x = _inner_args(objective, masks, x_init)
     if counts is None:
         counts = np.zeros(4, dtype=np.int64)
-    status = _kernel.gbgp_bcd_solve(
+    status = pcst._kernel.gbgp_bcd_solve(
         objective._kernel_ref, flat.ctypes.data, x.ctypes.data, config.max_inner_cycles,
         config.step_mode == "fixed", config.step_size, config.inner_tol, counts.ctypes.data,
     )
@@ -305,7 +304,7 @@ def parallel_bcd_solve(
     max_rounds = max(1, math.ceil(config.max_inner_cycles * K / tau))
     bits = rng.bit_generator
     with bits.lock:
-        status = _kernel.gbgp_rbcd_solve(
+        status = pcst._kernel.gbgp_rbcd_solve(
             objective._kernel_ref, flat.ctypes.data, x.ctypes.data, tau, max_rounds,
             config.step_mode == "fixed", config.step_size, config.inner_tol,
             ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p), bits.ctypes.state_address,
@@ -315,134 +314,146 @@ def parallel_bcd_solve(
     return x
 
 
+class _OuterSolve(ctypes.Structure):
+    """The kernel's ``outer_solve``: one solve's inputs, iterate and last iteration's results."""
+
+    _i, _p, _f = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    _fields_ = [
+        ("objective", _p), ("tasks", _p), ("threads", _i), ("max_probes", _i),
+        ("low", _f), ("high", _f), ("tau", _i), ("max_inner", _i), ("fixed", _i),
+        ("step_size", _f), ("inner_tol", _f), ("next_double", _p), ("rng_state", _p),
+        ("x", _p), ("last", _p), ("nodes", _p), ("stats", _p),
+        ("value", _f), ("delta", _f), ("head_ms", _f), ("inner_ms", _f), ("tail_ms", _f),
+    ]
+
+
+# gbgp_outer's failures but 1, a non-finite objective, and -6 - k, an underflow on block k
+_OUTER_ERRORS = {
+    -1: (MemoryError, "the PCST kernel ran out of memory"),
+    -2: (ValueError, "edge costs must be positive and finite"),
+    -3: (ValueError, "prizes must be nonnegative and finite"),
+    -4: (ValueError, "all blocks have empty allowed supports"),
+    -5: (MemoryError, "the solver kernel ran out of memory"),
+}
+
+
+def _raise_outer(status: int, outer: int) -> None:
+    """Raise what ``gbgp_outer`` reports for outer iteration ``outer``."""
+    if status == 1:
+        raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
+    if status in _OUTER_ERRORS:
+        error, message = _OUTER_ERRORS[status]
+        raise error(message)
+    raise RuntimeError(
+        f"backtracking underflow on block {-6 - status}: no step above {_STEP_FLOOR}")
+
+
 def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResult:
     """Head-project, minimize restricted, tail-project until converged.
 
     A head or tail projection of block k is a budget search on the squared
-    entries of block k's slice of the gradient or the inner solve's output.
-    Each ``(kind, k)`` projection keeps one entry: its last search's input
-    bytes, warm start and ``(support, probes, multiplier)``. The next search
-    on that block starts from that multiplier, and a search is a pure
+    entries of block k's slice of the box-projected gradient or of the inner
+    solve's output. Each ``(kind, k)`` projection keeps its last search's
+    input bytes, warm start and ``(support, probes, multiplier)``. The next
+    search on that block starts from that multiplier, and a search is a pure
     function of its input and warm start (budget, capacity and options are
     fixed per solve), so a block whose input and warm start both repeat
     reuses the support instead of searching again; only the other blocks
     are searched.
-    Returns the per-block tail supports of the final iteration (kept as
-    global ids; each :class:`SupportSet` is built once, after the loop), the
-    continuous iterate, and one :class:`OuterRecord` per outer iteration:
-    its step, objective, wall time and phase times, the whole iterate as ``(nodes,
+    Returns the per-block tail supports of the final iteration (each
+    :class:`SupportSet` is built once, after the loop), the continuous
+    iterate, and one :class:`OuterRecord` per outer iteration: its step,
+    objective, wall time and phase times, the whole iterate as ``(nodes,
     values)`` (so iterate i is ``x = zeros(n); x[r.nodes] = r.values`` for
-    ``r = iterations[i - 1]``), and the probe count of every projection
-    that searched.
+    ``r = iterations[i - 1]``), the probe count of every projection that
+    searched, and the inner solve's counts.
+
+    Each outer iteration is one call of the kernel's ``gbgp_outer``, with
+    the GIL released, which replays the Python loop kept in
+    ``tests/oracles.py`` as ``reference_gbgp_solve`` bit for bit: the
+    objective value, the block gradients and their box projection, both
+    projection phases, the masks, the inner solve (``bcd_solve``'s or
+    ``parallel_bcd_solve``'s kernel, the latter while this call holds the
+    bit generator's lock), the new iterate and its step. Python checks the
+    config, sets up each projection's search task once per solve, applies
+    the stop rule and builds the records and the result. A Ctrl-C takes
+    effect between outer iterations.
 
     Each phase's searches, the head or the tail projections of the blocks
-    not reused, run in one kernel call (``projections.search_phase``) on
-    up to T threads, T = min(searches, CPUs this process may use); each
-    search is a pure function of its input, so outputs do not depend on
-    T. ``parallel`` sets only the randomized inner solver's tau. On 2 CPUs
-    a phase's searches ran 1.2-1.5x faster at T=2 than at T=1, but the
-    tau=4/serial ratio of criterion 08 stayed at 0.63x (0.60-0.73 over 7
-    processes, medians of 15 solves each): both solves gain alike.
-
-    Around the kernel calls, vectors are gathered once into block order
-    (``objective.block_order``) and each block gets a view of its slice: a
-    head phase makes one ``block_gradients`` call and one box projection,
-    and each phase squares its vector once.
+    not reused, run on up to T threads, T = min(searches, CPUs this process
+    may use); each search is a pure function of its input, so outputs do
+    not depend on T. ``parallel`` sets only the randomized inner solver's
+    tau. On 2 CPUs a phase's searches ran 1.08-1.22x faster at T=2 than at
+    T=1 on the benchmark's non-serial problem and 1.32-1.42x on its
+    temporal-grid one (the phase calls timed alone, three alternating runs
+    of each), but the tau=4/serial ratio of criterion 08 stayed at 0.63x
+    (0.60-0.73 over 7 processes, medians of 15 solves each): both solves
+    gain alike.
     """
     partition = objective.partition
-    K = partition.num_blocks
-    block_graphs = [partition.block_graph(k) for k in range(K)]
-    # a vector gathered into block order is cut into one view per block
-    order, starts = objective.block_order, objective.block_starts.tolist()
-    views = [slice(starts[k], starts[k + 1]) for k in range(K)]
-    blocks = [k for k in range(K) if len(partition.block_nodes[k])]
+    K, sizes = partition.num_blocks, objective._sizes
+    blocks = [k for k in range(K) if sizes[k]]
     for k in blocks:
-        if config.budgets > len(partition.block_nodes[k]):
+        if config.budgets > sizes[k]:
             raise ValueError(f"budget {config.budgets} infeasible for block {k} "
-                             f"of {len(partition.block_nodes[k])} nodes")
-    rng = np.random.default_rng(config.seed)
-
-    capacities = {kind: {k: _capacity(config.budgets, mode, len(partition.block_nodes[k]))
-                         for k in blocks}
-                  for kind, mode in (("head", config.head_capacity_mode), ("tail", "s"))}
-    # (kind, k) -> the last search's (input bytes, warm start, (support, probes, multiplier))
-    last: dict[tuple[str, int], tuple[bytes, Optional[float], tuple]] = {}
-
-    def project_blocks(kind: str, values: np.ndarray, probes: dict) -> dict[int, tuple]:
-        """Each block's support, as local ids, from a block-order vector."""
-        prizes = values * values
-        supports, searched, data = {}, [], {}
-        for k in blocks:
-            data[k], entry = values[views[k]].tobytes(), last.get((kind, k))
-            warm = None if entry is None else entry[2][2]
-            if entry is not None and entry[:2] == (data[k], warm):
-                supports[k] = entry[2][0]
-            else:
-                searched.append((k, warm))
-        # one phase call for every block searched; read at call time, so a
-        # caller may wrap it on this module
-        found = search_phase([(block_graphs[k], prizes[views[k]], config.budgets,
-                               capacities[kind][k], config.num_components, warm)
-                              for k, warm in searched])
-        for (k, warm), result in zip(searched, found):
-            last[kind, k] = (data[k], warm, result)
-            probes[kind, k] = result[1]
-            supports[k] = result[0]
-        return supports
-
+                             f"of {sizes[k]} nodes")
+    n, starts = len(objective.block_order), objective.block_starts.tolist()
+    # the head then the tail projection of each block; task (j, k)'s support
+    # buffer is block k's slice of the j-th half of best
+    tasks = (pcst._SearchTask * (2 * K))()
+    best = np.empty(2 * n, dtype=np.int64)
+    address = best.ctypes.data
+    for k in blocks:
+        engine = _engine_for(partition.block_graph(k))
+        task = pcst._SearchTask(*engine._task_args, engine.labels.ctypes.data,
+                                engine.components, num_trees=min(config.num_components, engine.n),
+                                budget=config.budgets)
+        for j, mode in enumerate((config.head_capacity_mode, "s")):
+            task.capacity = _capacity(config.budgets, mode, sizes[k])
+            task.best = address + best.itemsize * (j * n + starts[k])
+            tasks[j * K + k] = task
+    tau = min(config.parallel, K) if config.parallel >= 2 and K > 1 else 0
+    lock, draws = contextlib.nullcontext(), (None, None)
+    if tau:
+        # the randomized inner solver draws from this generator under its lock
+        bits = np.random.default_rng(config.seed).bit_generator
+        lock = bits.lock
+        draws = ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p), bits.ctypes.state_address
     x = objective.initial_x()
+    # each projection's last searched input, the tail supports and the counts
+    last, nodes = np.empty(2 * n), np.empty(n, dtype=np.int64)
+    stats = np.empty(4 + 3 * K + 1, dtype=np.int64)
+    run = _OuterSolve(
+        objective._kernel_ref, ctypes.addressof(tasks), pcst._thread_count(len(blocks)),
+        MAX_SEARCH_ITERATIONS, MULTIPLIER_LOW, MULTIPLIER_HIGH, tau,
+        math.ceil(config.max_inner_cycles * K / tau) if tau else config.max_inner_cycles,
+        config.step_mode == "fixed", config.step_size, config.inner_tol, *draws,
+        x.ctypes.data, last.ctypes.data, nodes.ctypes.data, stats.ctypes.data,
+    )
+
     iterations: list[OuterRecord] = []
     converged = False
-    # each block's tail support, as global ids in ascending order
-    kept = [np.empty(0, dtype=np.int64)] * K
-
     for outer in range(1, config.max_outer_iters + 1):
         iter_start = time.perf_counter()
-        f_x = objective.value(x)
-        if not np.isfinite(f_x):
-            raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
-        probes: dict[tuple[str, int], int] = {}
-
-        head_start = time.perf_counter()
-        x_blocks = x[order]
-        grads = _box_projected_gradient(objective.block_gradients(x), x_blocks)
-        heads = project_blocks("head", grads, probes)
-        inner_start = time.perf_counter()
-        # allowed support: the head support plus the current support
-        allowed = x_blocks != 0.0
-        masks = [allowed[view] for view in views]
-        for k in blocks:
-            masks[k][list(heads[k])] = True
-
-        counts = np.zeros(4, dtype=np.int64)
-        if config.parallel >= 2 and K > 1:
-            b = parallel_bcd_solve(objective, masks, x, config, rng, counts)
-        else:
-            b = bcd_solve(objective, masks, x, config, counts)
-
-        tail_start = time.perf_counter()
-        tails = project_blocks("tail", b[order], probes)
-        for k in blocks:
-            kept[k] = partition.block_nodes[k][list(tails[k])]
-        nodes = np.concatenate(kept)
-        x_new = np.zeros_like(x)
-        x_new[nodes] = b[nodes]
-        tail_end = time.perf_counter()
-
-        changes = x_new[order] - x_blocks
-        delta = sum(math.sqrt(dot(changes[view], changes[view])) for view in views)
+        with lock:
+            status = pcst._kernel.gbgp_outer(ctypes.byref(run))
+        if status:
+            _raise_outer(status, outer)
+        counts = stats.tolist()
+        probes = {(kind, k): count for j, kind in enumerate(("head", "tail"))
+                  for k, count in enumerate(counts[4 + j * K:4 + (j + 1) * K]) if count}
+        kept = nodes[:counts[-1]].copy()
         iterations.append(OuterRecord(
-            delta, f_x, (time.perf_counter() - iter_start) * 1e3,
-            (inner_start - head_start) * 1e3, (tail_start - inner_start) * 1e3,
-            (tail_end - tail_start) * 1e3, nodes, x_new[nodes], probes, *counts.tolist(),
+            run.delta, run.value, (time.perf_counter() - iter_start) * 1e3, run.head_ms,
+            run.inner_ms, run.tail_ms, kept, x[kept], probes, *counts[:4],
         ))
-        x = x_new
-        if config.outer_tol > 0 and delta <= config.outer_tol:
+        if config.outer_tol > 0 and run.delta <= config.outer_tol:
             converged = True
             break
 
+    starts = counts[4 + 2 * K:]
     return DetectionResult(
-        supports=[SupportSet(k, block) for k, block in enumerate(kept)],
+        supports=[SupportSet(k, kept[starts[k]:starts[k + 1]].tolist()) for k in range(K)],
         x_final=x,
         converged=converged,
         iterations=iterations,

@@ -5,7 +5,12 @@ small instances; the point is independence from the code under test.
 ``ReferencePcstEngine`` and ``strong_prune`` are the PCST engine in
 pure Python, which the compiled engine must match byte for byte;
 ``reference_budget_search`` and ``trim_to_capacity`` are the budget
-search in Python, which the kernel's search must match the same way.
+search in Python, which the kernel's search must match the same way;
+``reference_search_bounds`` (with ``top_values``) is its bounds, summed in
+the defined order the kernel also sums them in. ``reference_gbgp_solve``
+(with ``box_projected_gradient``) is ``gbgp_solve``'s outer loop in
+Python around the kernel's search phases and inner solvers, which the
+kernel's ``gbgp_outer`` must match bit for bit.
 ``cut_laplacian_product`` is the NoN coupling's per-row product, summed
 as SciPy's CSR product summed it. ``ReferenceObjective`` and
 ``reference_bcd_solve`` (with its momentum sequence and proximal step)
@@ -30,6 +35,7 @@ same graph.
 import heapq
 import itertools
 import math
+import time
 from collections import deque
 from typing import Sequence
 
@@ -38,6 +44,8 @@ import numpy as np
 from gbgp.datagen import _STREAM_GRAPH, component_rng
 from gbgp.graph import EdgeListError, Graph, connected_components
 from gbgp.pcst import PcstResult
+from gbgp.projections import search_phase
+from gbgp.solver import bcd_solve, parallel_bcd_solve
 
 _EPS = 1e-12
 
@@ -661,6 +669,35 @@ def trim_to_capacity(components, prizes: np.ndarray, capacity: int) -> tuple[int
     return tuple(sorted(v for v in adj if v not in removed))
 
 
+def top_values(values: np.ndarray, k: int) -> np.ndarray:
+    """The k largest values, ties to the lower index, in ascending index
+    order; all of them when k >= len(values)."""
+    if k >= len(values):
+        return values
+    chosen = np.lexsort((np.arange(len(values)), -values))[:k]
+    return values[np.sort(chosen)]
+
+
+def reference_search_bounds(graph: Graph, prizes, capacity: int, num_components: int):
+    """A budget search's ``(total, exit_score)``, each sum in the defined order.
+
+    The top-capacity mass and the reach (the ``num_components`` heaviest
+    component masses, each capped at it) are NumPy sums over the chosen
+    values in ascending node or label order, ties to the lower one.
+    """
+    from gbgp.projections import _engine_for
+
+    prizes = np.asarray(prizes, dtype=np.float64)
+    total = float(prizes.sum())
+    top_bound = float(top_values(prizes, capacity).sum())
+    exit_score = top_bound - 1e-12 * max(1.0, top_bound)
+    masses = np.bincount(_engine_for(graph).labels, weights=prizes)
+    reach = float(np.minimum(top_values(masses, num_components), top_bound).sum())
+    if reach < top_bound:
+        exit_score = min(exit_score, reach - 1e-12 * reach)
+    return total, exit_score
+
+
 def reference_budget_search(graph: Graph, prizes, budget: int, capacity=None,
                             num_components: int = 1, initial_multiplier=None):
     """``gbgp.projections.budget_search`` as a Python loop over engine solves.
@@ -675,19 +712,8 @@ def reference_budget_search(graph: Graph, prizes, budget: int, capacity=None,
     if capacity is None:
         capacity = budget
     prizes = np.asarray(prizes, dtype=np.float64)
-    total = float(prizes.sum())
-    if capacity < len(prizes):
-        top_bound = float(np.partition(prizes, -capacity)[-capacity:].sum())
-    else:
-        top_bound = total
-    exit_score = top_bound - 1e-12 * max(1.0, top_bound)
+    total, exit_score = reference_search_bounds(graph, prizes, capacity, num_components)
     engine = _engine_for(graph)
-    masses = np.bincount(engine.labels, weights=prizes)
-    if num_components < len(masses):
-        masses = np.partition(masses, -num_components)[-num_components:]
-    reach = float(np.minimum(masses, top_bound).sum())
-    if reach < top_bound:
-        exit_score = min(exit_score, reach - 1e-12 * reach)
 
     lo, hi = math.log(MULTIPLIER_LOW), math.log(MULTIPLIER_HIGH)
     best = None
@@ -997,3 +1023,128 @@ def reference_parallel_bcd_solve(objective, masks, x_init, config, rng=None, cou
         halvings = int(np.rint(np.log2(config.step_size / alphas)).sum())
         counts[:] = (rounds, visits, 0, halvings)
     return x
+
+
+def box_projected_gradient(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero out gradient components that point outside the box [0, 1].
+
+    At a coordinate pinned to 0 only a negative gradient permits
+    movement, at 1 only a positive one; the head projection should see
+    only mass it can actually act on. Elementwise, so one call serves
+    every block's entries at once.
+    """
+    out = grad.copy()
+    out[(x <= 0.0) & (grad > 0.0)] = 0.0
+    out[(x >= 1.0) & (grad < 0.0)] = 0.0
+    return out
+
+
+def reference_gbgp_solve(objective, config):
+    """``gbgp.solver.gbgp_solve`` as the Python loop its kernel's ``gbgp_outer`` replays.
+
+    Each phase's searches are one ``search_phase`` call and each inner
+    solve one ``bcd_solve`` or ``parallel_bcd_solve`` call, all looked up
+    on this module at call time, so that a test may wrap them. The
+    records' times are those of this loop.
+    """
+    from gbgp.graph import SupportSet
+    from gbgp.objectives import dot
+    from gbgp.projections import _capacity
+    from gbgp.solver import DetectionResult, OuterRecord
+
+    partition = objective.partition
+    K = partition.num_blocks
+    block_graphs = [partition.block_graph(k) for k in range(K)]
+    # a vector gathered into block order is cut into one view per block
+    order, starts = objective.block_order, objective.block_starts.tolist()
+    views = [slice(starts[k], starts[k + 1]) for k in range(K)]
+    blocks = [k for k in range(K) if len(partition.block_nodes[k])]
+    for k in blocks:
+        if config.budgets > len(partition.block_nodes[k]):
+            raise ValueError(f"budget {config.budgets} infeasible for block {k} "
+                             f"of {len(partition.block_nodes[k])} nodes")
+    rng = np.random.default_rng(config.seed)
+
+    capacities = {kind: {k: _capacity(config.budgets, mode, len(partition.block_nodes[k]))
+                         for k in blocks}
+                  for kind, mode in (("head", config.head_capacity_mode), ("tail", "s"))}
+    # (kind, k) -> the last search's (input bytes, warm start, (support, probes, multiplier))
+    last: dict = {}
+
+    def project_blocks(kind: str, values: np.ndarray, probes: dict) -> dict:
+        """Each block's support, as local ids, from a block-order vector."""
+        prizes = values * values
+        supports, searched, data = {}, [], {}
+        for k in blocks:
+            data[k], entry = values[views[k]].tobytes(), last.get((kind, k))
+            warm = None if entry is None else entry[2][2]
+            if entry is not None and entry[:2] == (data[k], warm):
+                supports[k] = entry[2][0]
+            else:
+                searched.append((k, warm))
+        found = search_phase([(block_graphs[k], prizes[views[k]], config.budgets,
+                               capacities[kind][k], config.num_components, warm)
+                              for k, warm in searched])
+        for (k, warm), result in zip(searched, found):
+            last[kind, k] = (data[k], warm, result)
+            probes[kind, k] = result[1]
+            supports[k] = result[0]
+        return supports
+
+    x = objective.initial_x()
+    iterations = []
+    converged = False
+    # each block's tail support, as global ids in ascending order
+    kept = [np.empty(0, dtype=np.int64)] * K
+
+    for outer in range(1, config.max_outer_iters + 1):
+        iter_start = time.perf_counter()
+        f_x = objective.value(x)
+        if not np.isfinite(f_x):
+            raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
+        probes = {}
+
+        head_start = time.perf_counter()
+        x_blocks = x[order]
+        grads = box_projected_gradient(objective.block_gradients(x), x_blocks)
+        heads = project_blocks("head", grads, probes)
+        inner_start = time.perf_counter()
+        # allowed support: the head support plus the current support
+        allowed = x_blocks != 0.0
+        masks = [allowed[view] for view in views]
+        for k in blocks:
+            masks[k][list(heads[k])] = True
+
+        counts = np.zeros(4, dtype=np.int64)
+        if config.parallel >= 2 and K > 1:
+            b = parallel_bcd_solve(objective, masks, x, config, rng, counts)
+        else:
+            b = bcd_solve(objective, masks, x, config, counts)
+
+        tail_start = time.perf_counter()
+        tails = project_blocks("tail", b[order], probes)
+        for k in blocks:
+            kept[k] = partition.block_nodes[k][list(tails[k])]
+        nodes = np.concatenate(kept)
+        x_new = np.zeros_like(x)
+        x_new[nodes] = b[nodes]
+        tail_end = time.perf_counter()
+
+        changes = x_new[order] - x_blocks
+        delta = sum(math.sqrt(dot(changes[view], changes[view])) for view in views)
+        iterations.append(OuterRecord(
+            delta, f_x, (time.perf_counter() - iter_start) * 1e3,
+            (inner_start - head_start) * 1e3, (tail_start - inner_start) * 1e3,
+            (tail_end - tail_start) * 1e3, nodes, x_new[nodes], probes, *counts.tolist(),
+        ))
+        x = x_new
+        if config.outer_tol > 0 and delta <= config.outer_tol:
+            converged = True
+            break
+
+    return DetectionResult(
+        supports=[SupportSet(k, block) for k, block in enumerate(kept)],
+        x_final=x,
+        converged=converged,
+        iterations=iterations,
+    )

@@ -352,16 +352,24 @@ class TestDetect:
         assert not (tmp_path / "cap" / "detect" / "supports.txt").exists()
 
     def test_failing_search_under_parallel_exit_5(self, tmp_path, capfd, monkeypatch):
-        import gbgp.solver as solver
+        import gbgp.pcst
 
         synth = ["synth", "--n", "120", "--m", "3", "--size", "12", "--seed", "2",
                  "--kind", "non", "--blocks", "4", "--out", str(tmp_path / "inst")]
         assert run(synth) == 0
         capfd.readouterr()
-        def fail(*args, **kwargs):
-            raise RuntimeError("search failed")
 
-        monkeypatch.setattr(solver, "search_phase", fail)
+        class Failing:
+            """The kernel, but an outer iteration fails."""
+
+            def __getattr__(self, name):
+                return getattr(kernel, name)
+
+            def gbgp_outer(self, run):
+                raise RuntimeError("search failed")
+
+        kernel = gbgp.pcst._kernel
+        monkeypatch.setattr(gbgp.pcst, "_kernel", Failing())
         code = run(["detect", "--bundle", str(tmp_path / "inst" / "instance"),
                     "--budget", "8", "--parallel", "2", "--out", str(tmp_path / "o")])
         err = capfd.readouterr().err
@@ -373,14 +381,13 @@ class TestDetect:
         import gbgp.pcst
 
         class OutOfMemory:
-            """The kernel, but every search of a phase reports no memory."""
+            """The kernel, but an outer iteration reports a search out of memory."""
 
             def __getattr__(self, name):
                 return getattr(kernel, name)
 
-            def gbgp_pcst_phase(self, tasks, *args):
-                for task in tasks:
-                    task.size = -1
+            def gbgp_outer(self, run):
+                return -1
 
         kernel = gbgp.pcst._kernel
         monkeypatch.setattr(gbgp.pcst, "_kernel", OutOfMemory())

@@ -20,6 +20,7 @@ from oracles import (
     head_optimum,
     path_graph,
     reference_budget_search,
+    reference_search_bounds,
     small_graph_families,
     tail_optimum,
 )
@@ -294,6 +295,62 @@ class TestComponentBound:
             out = project(values, graph, budget, num_components, capacity_mode=mode)
             assert len(out.support) <= capacity
             assert len(connected_components(graph, out.support.nodes)) <= num_components
+
+
+def kernel_bounds(searches) -> list[tuple[float, float]]:
+    """Each search's ``(total, exit_score)`` as the kernel wrote them back into its task."""
+    kernel, bounds = gbgp.pcst._kernel, []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        def gbgp_pcst_phase(self, tasks, *args):
+            kernel.gbgp_pcst_phase(tasks, *args)
+            bounds.extend((task.total, task.exit_score) for task in tasks)
+
+    with mock.patch.object(gbgp.pcst, "_kernel", Recording()):
+        search_phase(searches)
+    return bounds
+
+
+# few distinct values, so ties at the capacity threshold are common, and
+# not integers, so the order of a sum can change its last bits
+TIED_PRIZES = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 2.9]
+
+
+class TestSearchBounds:
+    """The kernel's bounds are the oracle's sums over the chosen values in
+    ascending node or label order, ties at a threshold to the lower one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(disconnected_instances(), st.data())
+    def test_the_kernel_sums_in_the_defined_order(self, instance, data):
+        graph, _ = instance
+        n = graph.node_count
+        prizes = np.array(data.draw(st.lists(st.sampled_from(TIED_PRIZES), min_size=n,
+                                             max_size=n)))
+        capacity = data.draw(st.integers(1, n + 2))
+        budget = data.draw(st.integers(1, capacity))
+        num_components = data.draw(st.integers(1, 3))
+        [got] = kernel_bounds([(graph, prizes, budget, capacity, num_components)])
+        want = reference_search_bounds(graph, prizes, capacity, num_components)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("num_components", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [2, 3, 9, 12])
+    @pytest.mark.parametrize("case", ["ties", "all-zero"])
+    def test_ties_capacity_at_or_above_n_and_zero_prizes(self, case, capacity, num_components):
+        # three components, {0..3}, {4, 5, 6} and {7, 8}; capacity 9 is n
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8)])
+        prizes = np.zeros(9)
+        if case == "ties":
+            prizes[:] = [0.1, 0.7, 0.3, 0.7, 0.7, 0.2, 1 / 3, 0.7, 0.1]
+        [got] = kernel_bounds([(g, prizes, 1, capacity, num_components)])
+        want = reference_search_bounds(g, prizes, capacity, num_components)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        if case == "all-zero":
+            assert got == (0.0, -1e-12)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gbgp.projections as projections
-import gbgp.solver as solver
+import oracles
 from gbgp.datagen import SyntheticSpec, generate_non, generate_temporal
 from gbgp.graph import BlockPartition, BlockSignal, Graph, SupportSet, connected_components
 from gbgp.objectives import ObjectiveSpec
 from gbgp.solver import (
+    OuterRecord,
     SolverConfig,
     bcd_solve,
     estimate_step_size,
@@ -21,9 +23,9 @@ from gbgp.solver import (
     parallel_bcd_solve,
 )
 
-from oracles import (ReferenceObjective, ems_optimum, momentum_next, momentum_weight, path_graph,
-                     proximal_block_update, reference_bcd_solve, reference_parallel_bcd_solve,
-                     theta_next)
+from oracles import (ReferenceObjective, box_projected_gradient, ems_optimum, momentum_next,
+                     momentum_weight, path_graph, proximal_block_update, reference_bcd_solve,
+                     reference_gbgp_solve, reference_parallel_bcd_solve, theta_next)
 
 
 class QuadraticStub:
@@ -344,6 +346,25 @@ class TestParallelBcdSolve:
         assert set(np.flatnonzero(out[part.block_nodes[1]]).tolist()) <= omegas[1]
 
 
+def assert_same_solve(result, expected):
+    """Equal supports, iterate and records, bit for bit, but the records' four times."""
+    assert result.x_final.tobytes() == expected.x_final.tobytes()
+    assert ([(s.block_id, s.nodes) for s in result.supports]
+            == [(s.block_id, s.nodes) for s in expected.supports])
+    assert result.converged == expected.converged
+    assert len(result.iterations) == len(expected.iterations)
+    for got, want in zip(result.iterations, expected.iterations):
+        for field in dataclasses.fields(OuterRecord):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name.endswith("_ms"):
+                assert type(a) is type(b) is float
+            elif isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            else:
+                # repr tells -0.0 from 0.0 and shows a dict's order
+                assert type(a) is type(b) and repr(a) == repr(b)
+
+
 class TestGbgpSolve:
     def test_exact_recovery_on_path(self):
         obj = planted_objective(n=8, truth=(2, 3, 4))
@@ -387,8 +408,10 @@ class TestGbgpSolve:
 
     def test_omega_construction_invariant(self, monkeypatch):
         obj = planted_objective(n=10, truth=(4, 5, 6))
+        config = SolverConfig(budgets=3, max_outer_iters=5)
         log = SolveLog(monkeypatch, obj)
-        result = gbgp_solve(obj, SolverConfig(budgets=3, max_outer_iters=5))
+        result = reference_gbgp_solve(obj, config)
+        assert_same_solve(gbgp_solve(obj, config), result)
 
         K = obj.num_blocks
         iterates = [x for x, _ in log.inner] + [result.x_final]
@@ -446,6 +469,17 @@ class TestGbgpSolve:
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{knob: value})
 
+    @pytest.mark.parametrize("knob, value", [
+        ("budgets", 5.5), ("num_components", 1.5), ("parallel", 2.5),
+        ("max_outer_iters", 2.5), ("max_inner_cycles", 3.5),
+    ])
+    def test_a_non_integer_count_is_rejected_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be an integer, not {value}"):
+            SolverConfig(**{knob: value})
+        # a NumPy integer is one, and is kept as a Python int
+        config = SolverConfig(**{knob: np.int64(3)})
+        assert type(getattr(config, knob)) is int and getattr(config, knob) == 3
+
     @pytest.mark.parametrize("knob", ["max_outer_iters", "max_inner_cycles"])
     def test_iteration_caps_below_one_rejected_at_construction(self, knob):
         for cap in (0, -1):
@@ -494,6 +528,79 @@ class TestGbgpSolve:
         assert np.array_equal(a.x_final, b.x_final)
 
 
+@st.composite
+def outer_solves(draw):
+    """A small instance of each objective kind, its block 0 in two components, and a config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["temporal", "non", "ems"]))
+    K = draw(st.integers(1, 3))
+    if kind == "temporal":
+        sizes = [draw(st.integers(4, 12))] * K
+    else:
+        sizes = [draw(st.integers(4, 12)) for _ in range(K)]
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    edges = set()
+    for k, size in enumerate(sizes):
+        # block 0 is two pieces, the others one or more
+        pieces = [range(size // 2), range(size // 2, size)] if k == 0 else [range(size)]
+        for piece in pieces:
+            for v in piece[1:]:
+                if k == 0 or rng.random() < 0.8:
+                    edges.add((starts[k] + int(rng.integers(piece[0], v)), starts[k] + v))
+    n, blocks = starts[-1], np.repeat(np.arange(K), sizes)
+    if kind != "temporal":
+        for u, v in rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)).tolist():
+            if blocks[u] != blocks[v]:
+                edges.add((min(u, v), max(u, v)))
+    partition = BlockPartition(Graph(n, sorted(edges)), blocks, K)
+    signal = rng.normal(size=n) + (rng.random(n) < 0.3) * draw(st.sampled_from([0.0, 3.0]))
+    lam = draw(st.sampled_from([0.0, 0.01, 0.5, 1e12]))
+    config = SolverConfig(
+        budgets=draw(st.integers(1, min(sizes))), num_components=draw(st.integers(1, 2)),
+        head_capacity_mode=draw(st.sampled_from(["s", "2s"])),
+        step_mode=draw(st.sampled_from(["fixed", "backtracking"])),
+        step_size=draw(st.sampled_from([1.0, 0.3, 4.0])),
+        outer_tol=draw(st.sampled_from([0.0, 1e-3])), parallel=draw(st.sampled_from([0, 2])),
+        max_outer_iters=draw(st.integers(1, 5)), max_inner_cycles=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return ObjectiveSpec(kind, partition, BlockSignal(signal), lam=lam), config
+
+
+class TestOuterKernelMatchesTheReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(outer_solves())
+    def test_bit_equal_solves_records_and_generator(self, solve):
+        obj, config = solve
+        assert len(connected_components(obj.partition.block_graph(0), range(
+            len(obj.partition.block_nodes[0])))) >= 2
+        made, default_rng = [], np.random.default_rng
+
+        def recorded(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        def same_generator_state():
+            # a solve that never draws may make no generator; the reference's
+            # is then as seeded
+            drawn = made[1] if len(made) > 1 else default_rng(config.seed)
+            return made[0].bit_generator.state == drawn.bit_generator.state
+
+        with mock.patch.object(np.random, "default_rng", recorded):
+            try:
+                expected = reference_gbgp_solve(obj, config)
+            except (RuntimeError, ValueError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    gbgp_solve(obj, config)
+                assert str(raised.value) == str(exc)
+                assert same_generator_state()
+                return
+            result = gbgp_solve(obj, config)
+        assert_same_solve(result, expected)
+        assert same_generator_state()
+        assert len(made) == 1 + (config.parallel >= 2 and obj.num_blocks > 1)
+
+
 def non_objective():
     """A 600-node network of networks in 4 blocks that reaches its fixed point."""
     instance = generate_non(SyntheticSpec(n=600, m=3, subgraph_size=0.1, mu=3.0, seed=2), 4)
@@ -501,8 +608,9 @@ def non_objective():
 
 
 class SolveLog:
-    """A solve's budget searches and serial inner solves, logged by wrapping
-    ``solver.search_phase`` and ``solver.bcd_solve`` on the module.
+    """A reference solve's budget searches and serial inner solves, logged by
+    wrapping ``search_phase`` and ``bcd_solve`` where ``reference_gbgp_solve``
+    looks them up, on ``oracles``.
 
     A phase is a tail phase when an inner solve came between it and the
     phase before, else a head phase, and a search is of the block whose
@@ -517,7 +625,7 @@ class SolveLog:
         self.searches, self.inner, self.masks = [], [], []
         graphs = {id(obj.partition.block_graph(k)): k for k in range(obj.num_blocks)}
         assert len(graphs) == obj.num_blocks, "blocks sharing a graph object"
-        search_phase, bcd_solve = solver.search_phase, solver.bcd_solve
+        search_phase, bcd_solve = oracles.search_phase, oracles.bcd_solve
         after_inner = False  # an inner solve since the last phase
 
         def phase(searches):
@@ -538,8 +646,8 @@ class SolveLog:
             after_inner = True
             return b
 
-        monkeypatch.setattr(solver, "search_phase", phase)
-        monkeypatch.setattr(solver, "bcd_solve", inner)
+        monkeypatch.setattr(oracles, "search_phase", phase)
+        monkeypatch.setattr(oracles, "bcd_solve", inner)
 
 
 def temporal_objective():
@@ -646,7 +754,8 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
     head_project, tail_project = projections.head_project, projections.tail_project
     log = SolveLog(monkeypatch, obj)
-    result = gbgp_solve(obj, config)
+    result = reference_gbgp_solve(obj, config)
+    assert_same_solve(gbgp_solve(obj, config), result)
 
     K, iters = obj.num_blocks, result.outer_iters
     calls = {(i, kind, k): (prizes, warm, found)
@@ -663,7 +772,7 @@ def test_repeated_projection_inputs_reuse_the_outcome(monkeypatch):
             nodes = partition.block_nodes[k]
             graph_k = partition.block_graph(k)
             inputs = {
-                "head": solver._box_projected_gradient(obj.block_gradient(x, k), x[nodes]),
+                "head": box_projected_gradient(obj.block_gradient(x, k), x[nodes]),
                 "tail": b[nodes],
             }
             for kind, project, extra in (("head", head_project, {"capacity_mode": "2s"}),
@@ -693,7 +802,7 @@ def test_a_changed_warm_start_searches_again(monkeypatch):
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
     fresh = itertools.count(1)
     reported = {}
-    search_phase = solver.search_phase
+    search_phase = oracles.search_phase
 
     def answer(searches, kind, ks):
         for k, search in zip(ks, searches):
@@ -706,7 +815,7 @@ def test_a_changed_warm_start_searches_again(monkeypatch):
         return out
 
     log = SolveLog(monkeypatch, obj, answer)
-    result = gbgp_solve(obj, config)
+    result = reference_gbgp_solve(obj, config)
 
     assert len(log.searches) == 2 * obj.num_blocks * result.outer_iters
     # a tail input is the inner solve's output, in [0, 1], so its squares
@@ -723,7 +832,9 @@ def test_records_count_every_search_and_hold_every_iterate(monkeypatch):
     obj = non_objective()
     config = SolverConfig(budgets=18, max_outer_iters=8, outer_tol=0.0, seed=2)
     log = SolveLog(monkeypatch, obj)
+    expected = reference_gbgp_solve(obj, config)
     result = gbgp_solve(obj, config)
+    assert_same_solve(result, expected)
 
     records = result.iterations
     assert result.outer_iters == len(records) == 8
@@ -757,15 +868,17 @@ def test_records_carry_the_inner_solver_counts(monkeypatch, parallel):
     config = SolverConfig(budgets=18, max_outer_iters=4, outer_tol=0.0, seed=2,
                           parallel=parallel)
     name = "parallel_bcd_solve" if parallel else "bcd_solve"
-    inner_solve, reported = getattr(solver, name), []
+    inner_solve, reported = getattr(oracles, name), []
 
     def inner(*args):
         out = inner_solve(*args)
         reported.append(tuple(args[-1].tolist()))
         return out
 
-    monkeypatch.setattr(solver, name, inner)
-    records = gbgp_solve(obj, config).iterations
+    monkeypatch.setattr(oracles, name, inner)
+    result = reference_gbgp_solve(obj, config)
+    assert_same_solve(gbgp_solve(obj, config), result)
+    records = result.iterations
     assert [(r.inner_cycles, r.block_visits, r.restarts, r.halvings)
             for r in records] == reported
     for cycles, visits, restarts, _ in reported:
