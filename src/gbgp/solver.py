@@ -383,10 +383,11 @@ def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResul
     not reused, run on up to T threads, T = min(searches, CPUs this process
     may use); each search is a pure function of its input, so outputs do
     not depend on T. ``parallel`` sets only the randomized inner solver's
-    tau. On 2 CPUs a phase's searches ran 1.08-1.22x faster at T=2 than at
-    T=1 on the benchmark's non-serial problem and 1.32-1.42x on its
-    temporal-grid one (the phase calls timed alone, three alternating runs
-    of each), but the tau=4/serial ratio of criterion 08 stayed at 0.63x
+    tau. On 2 CPUs the head and tail phases ran 1.28x faster at T=2 than at
+    T=1 on the benchmark's non-serial problem and 1.40x on its
+    temporal-grid one (``head_ms + tail_ms`` summed over the workload's
+    solves, medians of ten alternating runs; single runs gave 0.73-1.63x
+    and 1.24-1.79x), but the tau=4/serial ratio of criterion 08 stayed at 0.63x
     (0.60-0.73 over 7 processes, medians of 15 solves each): both solves
     gain alike.
     """
