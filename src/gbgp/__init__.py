@@ -11,7 +11,7 @@ from .graph import (
     partition_contiguous,
     save_graph,
 )
-from .objectives import ObjectiveSpec, ems_block_gradient, ems_block_value
+from .objectives import ObjectiveSpec
 from .projections import ProjectionOutcome, budget_search, head_project, tail_project
 from .solver import (
     DetectionResult,

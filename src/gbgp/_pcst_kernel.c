@@ -42,6 +42,10 @@
  * holds the generator's lock, and the search tasks, iterate and last
  * inputs of one gbgp_solve, which gbgp_outer carries from one iteration
  * to the next.
+ *
+ * Every entry reports a failure with the statuses gbgp.pcst.check decodes:
+ * -1 out of memory, -2 a bad probe cost, -3 prizes that are not finite,
+ * -4 every mask empty, -5 - k backtracking below STEP_FLOOR on block k.
  */
 /* clock_gettime, for gbgp_outer's phase times */
 #define _POSIX_C_SOURCE 200809L
@@ -922,9 +926,10 @@ static void bounds(search_task *t, state *s)
  * probes.
  *
  * Writes the best support, sorted, to t->best, its multiplier to t->mult,
- * the probe count to t->probes, and the support's size to t->size (0 when
- * no probe found one); t->size is -1 when memory ran out and -2 when a
- * probe's cost is not positive and finite.
+ * the probe count to t->probes, and the support's size to t->size. When no
+ * probe found a support, the support is the first highest prize, as
+ * np.argmax picks it, with multiplier high. t->size is -1 when memory ran
+ * out and -2 when a probe's cost is not positive and finite.
  */
 static void search(search_task *t, idx max_probes, double low, double high)
 {
@@ -998,6 +1003,12 @@ static void search(search_task *t, idx max_probes, double low, double high)
             probe++;
             break;
         }
+    }
+    if (best_len == 0 && n > 0) {
+        for (i = 1, best[0] = 0; i < n; i++)
+            if (prize[i] > prize[best[0]]) best[0] = i;
+        best_len = 1;
+        best_mult = high;
     }
     t->probes = probe;
     t->mult = best_mult;
@@ -1346,15 +1357,6 @@ idx gbgp_objective(const objective *o, const double *x, idx part, idx k, double 
     return 0;
 }
 
-/* ems_block_value (part 0) or ems_block_gradient (part 1) of one block */
-void gbgp_ems(const double *c, const double *x, idx len, idx part, double *out)
-{
-    if (part == 0)
-        *out = ems_value(c, x, len);
-    else
-        ems_gradient(c, x, len, out);
-}
-
 /* x - alpha * g, zeroed off the mask and clipped to [0, 1] as np.clip does */
 static void box_step(const double *y, const double *g, double alpha, const uint8_t *mask,
                      idx len, double *out)
@@ -1454,7 +1456,7 @@ static int backtrack(const objective *o, double *x, idx k, const uint8_t *mask,
  * of size step_size when fixed, and otherwise a backtracking one, which
  * restarts from the unextrapolated block when it ends above the block's
  * value there. counts gets the passes, visits, restarts and halvings.
- * Returns 0, -1 when memory ran out, or -2 - k when backtracking on block
+ * Returns 0, -1 when memory ran out, or -5 - k when backtracking on block
  * k fell below STEP_FLOOR.
  */
 idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_cycles,
@@ -1508,7 +1510,7 @@ idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_c
                 f_before = local_value(o, x, k, bw.w);
                 put(x, nk, yk, len);
                 if (backtrack(o, x, k, mk, yk, step_size, 0, 0.0, newk, &f_new, &bw)) {
-                    status = -2 - k;
+                    status = -5 - k;
                     goto done;
                 }
                 if (f_new > f_before + 1e-12 && omega > 0) {
@@ -1516,7 +1518,7 @@ idx gbgp_bcd_solve(const objective *o, const uint8_t *mask, double *x, idx max_c
                     counts[2]++;
                     put(x, nk, xk, len);
                     if (backtrack(o, x, k, mk, xk, step_size, 1, f_before, newk, &f_new, &bw)) {
-                        status = -2 - k;
+                        status = -5 - k;
                         goto done;
                     }
                 }
@@ -1566,7 +1568,7 @@ static double theta_next(double theta)
  *   theta_next(theta), and stops once x moved by at most inner_tol in norm.
  * x is restricted once more at the end. counts gets the rounds, the block
  * updates, 0 restarts and the halvings. Returns 0, -1 when memory ran out,
- * or -2 - k when backtracking on block k fell below STEP_FLOOR, which
+ * or -5 - k when backtracking on block k fell below STEP_FLOOR, which
  * happens before the first draw.
  */
 idx gbgp_rbcd_solve(const objective *o, const uint8_t *mask, double *x, idx tau, idx max_rounds,
@@ -1609,7 +1611,7 @@ idx gbgp_rbcd_solve(const objective *o, const uint8_t *mask, double *x, idx tau,
             blk[i] = x[nk[i]];
         h = counts[3];
         if (backtrack(o, x, k, mk, blk, step_size, 0, 0.0, newk, &f_new, &bw)) {
-            status = -2 - k;
+            status = -5 - k;
             goto done;
         }
         for (h = counts[3] - h; h > 0; h--)
@@ -1702,11 +1704,9 @@ static double now_ms(void)
  * block's support from the block-order vector v, squared into prizes. A
  * projection whose input bytes and warm start (its last multiplier) both
  * repeat its last search keeps that search's support; the others are
- * searched at once, on up to r->threads threads. A search that found
- * nothing keeps the block's highest prize, the first one as np.argmax
- * picks it, with multiplier high. Returns 0, -3 when a searched block's
- * prizes are not finite, or else the first failing search's size (-1 out
- * of memory, -2 a bad probe cost).
+ * searched at once, on up to r->threads threads. Returns 0, -3 when a
+ * searched block's prizes are not finite, or else the first failing
+ * search's size (-1 out of memory, -2 a bad probe cost).
  */
 static idx project(outer_solve *r, idx kind, const double *v, double *prizes)
 {
@@ -1743,12 +1743,6 @@ static idx project(outer_solve *r, idx kind, const double *v, double *prizes)
         t = &tasks[k];
         if (!t->prize) continue;
         if (t->size < 0) return t->size;
-        if (t->size == 0) {
-            for (i = 1, t->best[0] = 0; i < t->n; i++)
-                if (t->prize[i] > t->prize[t->best[0]]) t->best[0] = i;
-            t->size = 1;
-            t->mult = r->high;
-        }
         probes[k] = t->probes;
     }
     return 0;
@@ -1763,8 +1757,8 @@ static idx project(outer_solve *r, idx kind, const double *v, double *prizes)
  * projections of its output b; then x becomes b on the tail supports and 0
  * elsewhere, and delta the blocks' summed norms of the change. Returns 0;
  * 1 when F(x) is not finite; a project() status; -4 when every mask is
- * empty; -5 when memory ran out outside the searches; or -6 - k when
- * backtracking on block k fell below STEP_FLOOR.
+ * empty; -1 when memory ran out; or -5 - k when backtracking on block k
+ * fell below STEP_FLOOR.
  */
 idx gbgp_outer(outer_solve *r)
 {
@@ -1777,7 +1771,7 @@ idx gbgp_outer(outer_solve *r)
     uint8_t *mask;
 
     buf = malloc((size_t)(4 * n + scratch_len(o)) * sizeof(double) + (size_t)n + 1);
-    if (!buf) return -5;
+    if (!buf) return -1;
     xb = buf;
     v = xb + n;
     prizes = v + n;
@@ -1817,10 +1811,8 @@ idx gbgp_outer(outer_solve *r)
     else
         status = gbgp_bcd_solve(o, mask, b, r->max_inner, r->fixed, r->step_size, r->inner_tol,
                                 r->stats);
-    if (status) {
-        status = status == -1 ? -5 : status - 4;
+    if (status)
         goto done;
-    }
 
     tail = now_ms();
     for (i = 0; i < n; i++)

@@ -23,6 +23,10 @@ bit:
   without cut rows still adds 0.0, which clears a -0.0; ``2.0 * lam`` is
   formed first;
 - the NoN coupling value is ``np.square(diff).sum()``, pairwise.
+
+One block's ems term and its gradient, which ``ems_block_value`` and
+``ems_block_gradient`` gave before, are ``value(x)`` and
+``block_gradient(x, 0)`` of a one-block ``ObjectiveSpec("ems", ...)``.
 """
 from __future__ import annotations
 
@@ -31,13 +35,11 @@ import ctypes
 import numpy as np
 
 from .graph import BlockPartition, BlockSignal
-from .pcst import _kernel
+from .pcst import _kernel, check
 
 __all__ = [
     "ObjectiveSpec",
     "dot",
-    "ems_block_value",
-    "ems_block_gradient",
 ]
 
 EPS_DENOMINATOR = 1e-6
@@ -62,22 +64,6 @@ def dot(x, y) -> float:
     """x @ y summed as OpenBLAS's SkylakeX ddot sums it, on any host."""
     x, y = _pair(x, y)
     return _kernel.gbgp_dot(x.ctypes.data, y.ctypes.data, len(x))
-
-
-def ems_block_value(c_k, x_k) -> float:
-    """Relaxed negative elevated-mean-scan value of one block."""
-    c_k, x_k = _pair(c_k, x_k)
-    out = ctypes.c_double()
-    _kernel.gbgp_ems(c_k.ctypes.data, x_k.ctypes.data, len(x_k), 0, ctypes.byref(out))
-    return out.value
-
-
-def ems_block_gradient(c_k, x_k) -> np.ndarray:
-    """Analytic gradient of :func:`ems_block_value` with the same guard."""
-    c_k, x_k = _pair(c_k, x_k)
-    out = np.empty(len(x_k))
-    _kernel.gbgp_ems(c_k.ctypes.data, x_k.ctypes.data, len(x_k), 1, out.ctypes.data)
-    return out
 
 
 class _KernelObjective(ctypes.Structure):
@@ -184,8 +170,7 @@ class ObjectiveSpec:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.partition.graph.node_count,):
             raise ValueError(f"x has shape {x.shape}, not one entry per node")
-        if _kernel.gbgp_objective(self._kernel_ref, x.ctypes.data, part, k, out) < 0:
-            raise MemoryError("the objective kernel ran out of memory")
+        check(_kernel.gbgp_objective(self._kernel_ref, x.ctypes.data, part, k, out))
 
     def _scalar(self, x: np.ndarray, part: int, k: int = 0) -> float:
         out = ctypes.c_double()

@@ -36,7 +36,7 @@ forests:
   with ``-std=c99 -O2 -ffp-contract=off`` and without fast-math.
 
 The same kernel runs a phase's budget searches (``gbgp_pcst_phase``,
-one :class:`_SearchTask` each, filled in by ``projections.search_phase``),
+one :class:`_SearchTask` each, filled in by ``PcstEngine.search_task``),
 each one whole, bounds included, in one call with the GIL released: the
 calling thread and up to T - 1 pthreads take the searches off a shared
 counter, where T is the number of searches or of CPUs this process may
@@ -46,7 +46,7 @@ search replays the reference loop and in which order its bounds are
 summed. The kernel also labels a graph's connected components
 (``PcstEngine.labels``) with a union-find, numbered by lowest member as
 ``graph.connected_components`` orders them. And it holds the objective's
-arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
+arithmetic (``gbgp_objective`` and ``gbgp_dot``, behind
 ``gbgp.objectives``), both inner solvers (``gbgp_bcd_solve`` behind
 ``solver.bcd_solve`` and ``gbgp_rbcd_solve`` behind
 ``solver.parallel_bcd_solve``), which mirror NumPy's pairwise sums,
@@ -54,6 +54,12 @@ arithmetic (``gbgp_objective``, ``gbgp_ems`` and ``gbgp_dot``, behind
 iteration of ``solver.gbgp_solve`` (``gbgp_outer``), which runs both
 projection phases through the same searches and an inner solve between
 them; ``gbgp_solve`` calls it once per outer iteration.
+
+Every entry reports a failure with one set of statuses, which
+:func:`check` alone decodes: -1 out of memory, -2 a probe cost that is not
+positive and finite, -3 prizes that are not finite, -4 every mask of an
+inner solve empty, -5 - k a backtracking underflow on block k, and
+``gbgp_outer``'s 1 for a non-finite objective.
 
 Every kernel call allocates its own work space, frees it before
 returning and writes only to the caller's fresh output arrays. Calls
@@ -74,6 +80,8 @@ import hashlib
 import os
 import shlex
 import sysconfig
+from typing import Optional
+
 import numpy as np
 
 from .graph import Graph
@@ -130,8 +138,6 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
     lib.gbgp_components.restype = i64
     lib.gbgp_dot.argtypes = [p, p, i64]
     lib.gbgp_dot.restype = f64
-    lib.gbgp_ems.argtypes = [p, p, i64, i64, p]
-    lib.gbgp_ems.restype = None
     lib.gbgp_objective.argtypes = [p, p, i64, i64, p]
     lib.gbgp_objective.restype = i64
     lib.gbgp_bcd_solve.argtypes = [p, p, p, i64, i64, f64, f64, p]
@@ -144,6 +150,33 @@ def load_kernel(cache_dir: str = KERNEL_CACHE, source: str = KERNEL_SOURCE) -> c
 
 
 _kernel = load_kernel()
+
+_FAILURES = {
+    -1: (MemoryError, "the PCST kernel ran out of memory"),
+    -2: (ValueError, "edge costs must be positive and finite"),
+    -3: (ValueError, "prizes must be nonnegative and finite"),
+    -4: (ValueError, "all blocks have empty allowed supports"),
+}
+# the kernel's STEP_FLOOR: the least step a backtracking search tries
+STEP_FLOOR = 1e-12
+
+
+def check(status: int, outer: int = 0) -> int:
+    """Return a kernel call's status, or raise the failure it reports.
+
+    ``_FAILURES`` words the statuses -1 to -4; ``outer`` is the outer
+    iteration of a ``gbgp_outer`` call, whose status 1 reports a
+    non-finite objective.
+    """
+    if outer and status == 1:
+        raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
+    if status >= 0:
+        return status
+    if status in _FAILURES:
+        error, message = _FAILURES[status]
+        raise error(message)
+    raise RuntimeError(
+        f"backtracking underflow on block {-5 - status}: no step above {STEP_FLOOR}")
 
 
 class PcstResult:
@@ -244,11 +277,9 @@ class PcstEngine:
         costs, prizes = np.ascontiguousarray(costs), np.ascontiguousarray(prizes)
         # node counts per tree, then their node lists, then their edges as pairs
         out = np.empty(4 * self.n, dtype=np.int64)
-        trees = _kernel.gbgp_pcst_solve(*self._task_args[:6], costs.ctypes.data,
-                                        prizes.ctypes.data, min(int(num_trees), self.n),
-                                        out.ctypes.data)
-        if trees < 0:
-            raise MemoryError("the PCST kernel ran out of memory")
+        trees = check(_kernel.gbgp_pcst_solve(*self._task_args[:6], costs.ctypes.data,
+                                              prizes.ctypes.data, min(int(num_trees), self.n),
+                                              out.ctypes.data))
         n = self.n
         sizes = out[:trees].tolist()
         total = sum(sizes)
@@ -262,15 +293,27 @@ class PcstEngine:
             start += size
         return PcstResult(components)
 
+    def search_task(self, num_trees: int, budget: int, capacity: int, best: int,
+                    prizes: Optional[int] = None, warm: Optional[float] = None) -> _SearchTask:
+        """A budget search on this engine's graph, with ``labels`` as they are now.
+
+        ``best`` and ``prizes`` are the addresses of the search's n support
+        slots and n prizes; ``gbgp_outer`` sets the prizes of the tasks it
+        runs itself. ``num_trees`` is capped at n.
+        """
+        return _SearchTask(*self._task_args, self.labels.ctypes.data, self.components, prizes,
+                           min(int(num_trees), self.n), budget, capacity, warm is not None,
+                           0.0 if warm is None else warm, best=best)
+
 
 class _SearchTask(ctypes.Structure):
     """The kernel's ``search_task``: one search's graph, inputs and results.
 
-    ``projections.search_phase`` fills in one per search, and
-    ``solver.gbgp_solve`` one per projection; the kernel writes the bounds
-    ``total`` and ``exit_score``, then ``best``, ``size`` (-1 out of memory,
-    -2 a bad probe cost), ``probes`` and ``mult``. A phase skips a task
-    without ``prize``.
+    :meth:`PcstEngine.search_task` fills one in, for each search of
+    ``projections.search_phase`` and each projection of
+    ``solver.gbgp_solve``; the kernel writes the bounds ``total`` and
+    ``exit_score``, then ``best``, ``size`` (or a :func:`check` status),
+    ``probes`` and ``mult``. A phase skips a task without ``prize``.
     """
 
     _i, _p, _f = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double

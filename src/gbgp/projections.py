@@ -8,13 +8,16 @@ snap an iterate onto the constraint set. Ties always resolve toward
 low node ids so projections are deterministic.
 
 A phase of searches (:func:`search_phase`) checks each one's arguments in
-Python and runs every search, its bounds and its bisection, in one call
-into the PCST kernel (``gbgp_pcst_phase``), spread over a few threads
-without the GIL. ``budget_search`` is the one-search case of that call,
-and :func:`head_project` and :func:`tail_project` wrap one budget search
+Python and runs every search, its bounds, its bisection and its fallback
+when no probe found a support, in one call into the PCST kernel
+(``gbgp_pcst_phase``), spread over a few threads without the GIL.
+``budget_search`` is the one-search case of that call, and
+:func:`head_project` and :func:`tail_project` wrap one budget search
 each. ``solver.gbgp_solve`` runs the same searches from inside the
 kernel's ``gbgp_outer``, two phases per outer iteration, so all three
-share the kernel's one definition of a search.
+share the kernel's one definition of a search. Each search's task comes
+from ``PcstEngine.search_task`` and each failure is raised by
+``pcst.check``.
 """
 from __future__ import annotations
 
@@ -61,6 +64,8 @@ def _engine_for(graph: Graph) -> pcst.PcstEngine:
     return engine
 
 
+# perfbench/tracer.py patches this name, which no search calls any more:
+# the kernel's search() falls back to the first highest prize itself
 def _fallback_node(prizes: np.ndarray) -> tuple[int, ...]:
     return (int(np.argmax(prizes)),)
 
@@ -96,9 +101,11 @@ def budget_search(
     reach the budget this ends the search after a probe or two instead
     of bisecting to the 1e-2 tolerance.
 
-    Falls back to the single highest-prize node when nothing feasible
-    is found. Returns the support, the probe count, and the multiplier
-    that produced the support (reusable as the next warm start).
+    Falls back to the single highest-prize node, the first as
+    ``np.argmax`` picks it, with multiplier 1e6 when no probe found a
+    support. Returns the support, the probe count, and the multiplier
+    that produced the support (reusable as the next warm start). A graph
+    without nodes raises a ``ValueError``.
 
     The bounds and the bisection run in the kernel, which replays the
     reference loop in ``tests/oracles.py`` bit for bit: ``log``/``exp``
@@ -130,8 +137,9 @@ def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, 
     then runs every search, bounds and bisection, without the GIL on up to
     ``pcst._thread_count`` threads; each writes only its own task, so the
     results do not depend on the thread count. The first search in order
-    that failed there raises: ``ValueError`` for a probe cost that is not
-    positive and finite, as :meth:`PcstEngine.solve` does, or ``MemoryError``.
+    that failed there raises what ``pcst.check`` makes of its status:
+    ``ValueError`` for a probe cost that is not positive and finite, as
+    :meth:`PcstEngine.solve` does, or ``MemoryError``.
     """
     tasks = (pcst._SearchTask * len(searches))()
     # each search's prizes and best-support buffer, which its task points into
@@ -140,6 +148,8 @@ def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, 
         # budget_search's defaults stand in for the arguments a search leaves out
         graph, prizes, budget, capacity, num_components, warm = (
             *search, *(None, 1, None)[len(search) - 3:])
+        if graph.node_count == 0:
+            raise ValueError("a budget search needs a graph with at least one node")
         if capacity is None:
             capacity = budget
         if not 1 <= budget <= capacity:
@@ -154,23 +164,12 @@ def search_phase(searches: Sequence[tuple]) -> list[tuple[tuple[int, ...], int, 
         engine = _engine_for(graph)
         best = np.empty(engine.n, dtype=np.int64)
         buffers.append((prizes, best))
-        tasks[i] = pcst._SearchTask(
-            *engine._task_args, engine.labels.ctypes.data, engine.components, prizes.ctypes.data,
-            min(int(num_components), engine.n), budget, capacity, warm is not None,
-            0.0 if warm is None else warm, best=best.ctypes.data)
+        tasks[i] = engine.search_task(num_components, budget, capacity, best.ctypes.data,
+                                      prizes.ctypes.data, warm)
     pcst._kernel.gbgp_pcst_phase(tasks, len(tasks), pcst._thread_count(len(tasks)),
                                  MAX_SEARCH_ITERATIONS, MULTIPLIER_LOW, MULTIPLIER_HIGH)
-    results = []
-    for task, (prizes, best) in zip(tasks, buffers):
-        if task.size == -2:
-            raise ValueError("edge costs must be positive and finite")
-        if task.size < 0:
-            raise MemoryError("the PCST kernel ran out of memory")
-        support, multiplier = tuple(best[:task.size].tolist()), task.mult
-        if not support:
-            support, multiplier = _fallback_node(prizes), MULTIPLIER_HIGH
-        results.append((support, task.probes, multiplier))
-    return results
+    return [(tuple(best[:pcst.check(task.size)].tolist()), task.probes, task.mult)
+            for task, (_, best) in zip(tasks, buffers)]
 
 
 def head_project(

@@ -14,7 +14,8 @@ calls too. Each replays its Python loop, kept in ``tests/oracles.py``, bit
 for bit (see ``gbgp.objectives`` for the order of each sum and dot, and
 ``projections.budget_search`` for a search's). Every dot product and norm
 here is the kernel's :func:`~gbgp.objectives.dot`, so the outputs do not
-depend on which BLAS kernel the host's NumPy picks.
+depend on which BLAS kernel the host's NumPy picks. ``pcst.check`` raises
+the failure each call's status reports.
 """
 from __future__ import annotations
 
@@ -45,8 +46,6 @@ __all__ = [
     "parallel_bcd_solve",
     "estimate_step_size",
 ]
-
-_STEP_FLOOR = 1e-12
 
 
 def __getattr__(name: str):
@@ -204,9 +203,9 @@ def estimate_step_size(
             if f_x <= bound + 1e-12:
                 return alpha, x_k, f_x
             alpha *= 0.5
-            if alpha < _STEP_FLOOR:
+            if alpha < pcst.STEP_FLOOR:
                 raise RuntimeError(
-                    f"backtracking underflow on block {k}: no step above {_STEP_FLOOR}"
+                    f"backtracking underflow on block {k}: no step above {pcst.STEP_FLOOR}"
                 )
     finally:
         y_hat[nodes_k] = y_k
@@ -226,14 +225,14 @@ def _inner_args(objective: ObjectiveSpec, masks: list[np.ndarray],
     return flat, x
 
 
-def _check_inner(status: int) -> None:
-    """Raise what an inner solver kernel's status code reports."""
-    if status == -1:
-        raise MemoryError("the inner solver kernel ran out of memory")
-    if status < -1:
-        raise RuntimeError(
-            f"backtracking underflow on block {-2 - status}: no step above {_STEP_FLOOR}"
-        )
+def _randomized(rng: np.random.Generator, K: int, tau: int, config: SolverConfig) -> tuple:
+    """The randomized solver's round cap, ceil(max_inner_cycles * K / tau),
+    then the lock, the draw function and the state of ``rng``'s bit
+    generator, from which the kernel draws while the caller holds the lock
+    and keeps ``rng`` alive."""
+    bits = rng.bit_generator
+    return (math.ceil(config.max_inner_cycles * K / tau), bits.lock,
+            ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p), bits.ctypes.state_address)
 
 
 def bcd_solve(
@@ -261,11 +260,10 @@ def bcd_solve(
     flat, x = _inner_args(objective, masks, x_init)
     if counts is None:
         counts = np.zeros(4, dtype=np.int64)
-    status = pcst._kernel.gbgp_bcd_solve(
+    pcst.check(pcst._kernel.gbgp_bcd_solve(
         objective._kernel_ref, flat.ctypes.data, x.ctypes.data, config.max_inner_cycles,
         config.step_mode == "fixed", config.step_size, config.inner_tol, counts.ctypes.data,
-    )
-    _check_inner(status)
+    ))
     return x
 
 
@@ -301,16 +299,13 @@ def parallel_bcd_solve(
         rng = np.random.default_rng(config.seed)
     if counts is None:
         counts = np.zeros(4, dtype=np.int64)
-    max_rounds = max(1, math.ceil(config.max_inner_cycles * K / tau))
-    bits = rng.bit_generator
-    with bits.lock:
-        status = pcst._kernel.gbgp_rbcd_solve(
+    max_rounds, lock, *draws = _randomized(rng, K, tau, config)
+    with lock:
+        pcst.check(pcst._kernel.gbgp_rbcd_solve(
             objective._kernel_ref, flat.ctypes.data, x.ctypes.data, tau, max_rounds,
-            config.step_mode == "fixed", config.step_size, config.inner_tol,
-            ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p), bits.ctypes.state_address,
+            config.step_mode == "fixed", config.step_size, config.inner_tol, *draws,
             counts.ctypes.data,
-        )
-    _check_inner(status)
+        ))
     return x
 
 
@@ -325,27 +320,6 @@ class _OuterSolve(ctypes.Structure):
         ("x", _p), ("last", _p), ("nodes", _p), ("stats", _p),
         ("value", _f), ("delta", _f), ("head_ms", _f), ("inner_ms", _f), ("tail_ms", _f),
     ]
-
-
-# gbgp_outer's failures but 1, a non-finite objective, and -6 - k, an underflow on block k
-_OUTER_ERRORS = {
-    -1: (MemoryError, "the PCST kernel ran out of memory"),
-    -2: (ValueError, "edge costs must be positive and finite"),
-    -3: (ValueError, "prizes must be nonnegative and finite"),
-    -4: (ValueError, "all blocks have empty allowed supports"),
-    -5: (MemoryError, "the solver kernel ran out of memory"),
-}
-
-
-def _raise_outer(status: int, outer: int) -> None:
-    """Raise what ``gbgp_outer`` reports for outer iteration ``outer``."""
-    if status == 1:
-        raise RuntimeError(f"objective is non-finite at outer iteration {outer}")
-    if status in _OUTER_ERRORS:
-        error, message = _OUTER_ERRORS[status]
-        raise error(message)
-    raise RuntimeError(
-        f"backtracking underflow on block {-6 - status}: no step above {_STEP_FLOOR}")
 
 
 def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResult:
@@ -406,28 +380,23 @@ def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResul
     address = best.ctypes.data
     for k in blocks:
         engine = _engine_for(partition.block_graph(k))
-        task = pcst._SearchTask(*engine._task_args, engine.labels.ctypes.data,
-                                engine.components, num_trees=min(config.num_components, engine.n),
-                                budget=config.budgets)
         for j, mode in enumerate((config.head_capacity_mode, "s")):
-            task.capacity = _capacity(config.budgets, mode, sizes[k])
-            task.best = address + best.itemsize * (j * n + starts[k])
-            tasks[j * K + k] = task
+            tasks[j * K + k] = engine.search_task(
+                config.num_components, config.budgets, _capacity(config.budgets, mode, sizes[k]),
+                address + best.itemsize * (j * n + starts[k]))
     tau = min(config.parallel, K) if config.parallel >= 2 and K > 1 else 0
-    lock, draws = contextlib.nullcontext(), (None, None)
+    max_inner, lock, draws = config.max_inner_cycles, contextlib.nullcontext(), (None, None)
     if tau:
         # the randomized inner solver draws from this generator under its lock
-        bits = np.random.default_rng(config.seed).bit_generator
-        lock = bits.lock
-        draws = ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p), bits.ctypes.state_address
+        rng = np.random.default_rng(config.seed)
+        max_inner, lock, *draws = _randomized(rng, K, tau, config)
     x = objective.initial_x()
     # each projection's last searched input, the tail supports and the counts
     last, nodes = np.empty(2 * n), np.empty(n, dtype=np.int64)
     stats = np.empty(4 + 3 * K + 1, dtype=np.int64)
     run = _OuterSolve(
         objective._kernel_ref, ctypes.addressof(tasks), pcst._thread_count(len(blocks)),
-        MAX_SEARCH_ITERATIONS, MULTIPLIER_LOW, MULTIPLIER_HIGH, tau,
-        math.ceil(config.max_inner_cycles * K / tau) if tau else config.max_inner_cycles,
+        MAX_SEARCH_ITERATIONS, MULTIPLIER_LOW, MULTIPLIER_HIGH, tau, max_inner,
         config.step_mode == "fixed", config.step_size, config.inner_tol, *draws,
         x.ctypes.data, last.ctypes.data, nodes.ctypes.data, stats.ctypes.data,
     )
@@ -437,9 +406,7 @@ def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResul
     for outer in range(1, config.max_outer_iters + 1):
         iter_start = time.perf_counter()
         with lock:
-            status = pcst._kernel.gbgp_outer(ctypes.byref(run))
-        if status:
-            _raise_outer(status, outer)
+            pcst.check(pcst._kernel.gbgp_outer(ctypes.byref(run)), outer)
         counts = stats.tolist()
         probes = {(kind, k): count for j, kind in enumerate(("head", "tail"))
                   for k, count in enumerate(counts[4 + j * K:4 + (j + 1) * K]) if count}

@@ -26,7 +26,7 @@ from gbgp.evaluation import (
     solve_instance,
 )
 from gbgp.graph import BlockPartition, BlockSignal, Graph, connected_components
-from gbgp.objectives import ObjectiveSpec, ems_block_gradient
+from gbgp.objectives import ObjectiveSpec
 from gbgp.projections import head_project, tail_project
 from gbgp.solver import SolverConfig, gbgp_solve
 

@@ -377,20 +377,31 @@ class TestDetect:
         assert "solver failed: search failed" in err
         assert "Traceback" not in err
 
-    def test_kernel_out_of_memory_exit_5(self, tmp_path, capfd, monkeypatch):
+    @pytest.mark.parametrize("status, exit_code, message", [
+        (-1, 5, "solver failed: the PCST kernel ran out of memory"),
+        (-2, 2, "edge costs must be positive and finite"),
+        (-3, 2, "prizes must be nonnegative and finite"),
+        (-4, 2, "all blocks have empty allowed supports"),
+        (-5, 5, "solver failed: backtracking underflow on block 0: no step above 1e-12"),
+        (-8, 5, "solver failed: backtracking underflow on block 3: no step above 1e-12"),
+        (1, 5, "solver failed: objective is non-finite at outer iteration 1"),
+    ], ids=["out-of-memory", "bad-cost", "bad-prizes", "empty-masks", "underflow-block-0",
+            "underflow-block-3", "non-finite"])
+    def test_every_kernel_status_exits_with_its_message(self, tmp_path, capfd, monkeypatch,
+                                                         status, exit_code, message):
         import gbgp.pcst
 
-        class OutOfMemory:
-            """The kernel, but an outer iteration reports a search out of memory."""
+        class Failing:
+            """The kernel, but an outer iteration reports ``status``."""
 
             def __getattr__(self, name):
                 return getattr(kernel, name)
 
             def gbgp_outer(self, run):
-                return -1
+                return status
 
         kernel = gbgp.pcst._kernel
-        monkeypatch.setattr(gbgp.pcst, "_kernel", OutOfMemory())
+        monkeypatch.setattr(gbgp.pcst, "_kernel", Failing())
         graph = tmp_path / "path.txt"
         graph.write_text("# nodes 6\n" + "".join(f"{i}\t{i + 1}\n" for i in range(5)))
         signal = tmp_path / "signal.txt"
@@ -398,8 +409,8 @@ class TestDetect:
         code = run(["detect", "--graph", str(graph), "--signal", str(signal),
                     "--blocks", "1", "--budget", "2", "--out", str(tmp_path / "o")])
         err = capfd.readouterr().err
-        assert code == 5
-        assert "solver failed: the PCST kernel ran out of memory" in err
+        assert code == exit_code
+        assert f"error: {message}\n" in err
         assert "Traceback" not in err
 
     def test_default_cut_budget_names_blocks_flag(self, tmp_path, capsys):

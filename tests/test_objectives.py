@@ -9,9 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgp.graph import BlockPartition, BlockSignal, Graph
-from gbgp.objectives import ObjectiveSpec, dot, ems_block_gradient, ems_block_value
+from gbgp.objectives import ObjectiveSpec, dot
 from oracles import (ReferenceObjective, cut_laplacian_product, reference_ems_gradient,
                      reference_ems_value)
+
+
+def ems_block(c_k) -> ObjectiveSpec:
+    """The one-block ems objective on signal ``c_k``: its ``value(x)`` and
+    ``block_gradient(x, 0)`` are that block's ems term and gradient."""
+    c_k = np.asarray(c_k, dtype=np.float64)
+    n = len(c_k)
+    return ObjectiveSpec("ems", BlockPartition(Graph(n, []), np.zeros(n, dtype=np.int64), 1),
+                         BlockSignal(c_k))
+
+
+def ems_block_value(c_k, x_k) -> float:
+    return ems_block(c_k).value(x_k)
+
+
+def ems_block_gradient(c_k, x_k) -> np.ndarray:
+    return ems_block(c_k).block_gradient(x_k, 0)
 
 
 def finite_difference(fun, x, h=1e-5):
@@ -359,7 +376,7 @@ class TestKernelMatchesTheReferenceFormulas:
             obj.value(np.zeros(19))
         with pytest.raises(IndexError):
             obj.block_gradient(np.zeros(20), 2)
-        with pytest.raises(ValueError, match="lengths 2 and 3"):
+        with pytest.raises(ValueError, match=r"shape \(3,\), not one entry per node"):
             ems_block_value([1.0, 2.0], [1.0, 2.0, 3.0])
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from gbgp.datagen import SyntheticSpec, generate_non
 from gbgp.graph import Graph, connected_components
 import gbgp.pcst
-from gbgp.projections import _engine_for, budget_search, head_project, search_phase, tail_project
+from gbgp.projections import (MULTIPLIER_HIGH, _engine_for, budget_search, head_project,
+                              search_phase, tail_project)
 
 from oracles import (
     connected_subsets,
@@ -116,6 +117,23 @@ class TestBudgetSearch:
         g = path_graph(3)
         nodes, _, _ = budget_search(g, np.zeros(3), budget=2)
         assert nodes == (0,)
+
+    @pytest.mark.parametrize("prizes", [np.zeros(5), np.array([0.0, 0.0, 0.0, 1e-13, 0.0])],
+                             ids=["zero", "below-EPS"])
+    @pytest.mark.parametrize("warm", [None, 1e3])
+    def test_nothing_found_falls_back_to_the_first_top_prize(self, prizes, warm):
+        # no probe collects a prize at or below the engine's EPS of 1e-12
+        g = path_graph(5)
+        found = budget_search(g, prizes, 2, None, 1, warm)
+        assert found == reference_budget_search(g, prizes, 2, None, 1, warm)
+        assert found[0] == (int(np.argmax(prizes)),) and found[2] == MULTIPLIER_HIGH
+
+    def test_a_graph_without_nodes_raises(self):
+        # checked before any task is built: no search writes an empty buffer
+        with pytest.raises(ValueError, match="^a budget search needs a graph with at least one"):
+            budget_search(Graph(0, []), np.zeros(0), 1)
+        with pytest.raises(ValueError, match="^a budget search needs a graph with at least one"):
+            search_phase([(path_graph(3), np.ones(3), 2), (Graph(0, []), np.zeros(0), 1)])
 
     @pytest.mark.parametrize("num_components", [0, -1])
     def test_component_count_error_names_the_parameter(self, num_components):
