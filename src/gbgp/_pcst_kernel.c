@@ -16,8 +16,8 @@
  * test. It replays the reference loop in tests/oracles.py: libm's log and
  * exp, NumPy's pairwise summation for the score and the bounds, and the
  * trim heap popped on (prize, -v). The searches are spread over a few
- * pthreads. Build with -std=c99 -O2 -ffp-contract=off -pthread and without
- * fast-math.
+ * pthreads, the helpers started off the caller's CPU. Build with -std=c99
+ * -O2 -ffp-contract=off -pthread and without fast-math.
  *
  * gbgp_components labels the connected components of the engine's graph,
  * numbered by their lowest member.
@@ -47,10 +47,12 @@
  * -1 out of memory, -2 a bad probe cost, -3 prizes that are not finite,
  * -4 every mask empty, -5 - k backtracking below STEP_FLOOR on block k.
  */
-/* clock_gettime, for gbgp_outer's phase times */
-#define _POSIX_C_SOURCE 200809L
+/* clock_gettime, for gbgp_outer's phase times, and the CPU affinity calls
+   that start a phase's helper threads off the caller's CPU */
+#define _GNU_SOURCE
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1042,22 +1044,52 @@ static void *run_tasks(void *arg)
  * own task, so the results do not depend on which thread ran it. No thread
  * is created when threads <= 1; when memory for the thread ids runs out or
  * pthread_create fails, the threads already running finish the work.
+ *
+ * The helpers start on the CPUs the caller may use but is not on. A phase
+ * lasts about a millisecond, and a new thread left free to queue behind
+ * its still busy creator often starts only once the creator has taken
+ * every task. Once the caller's own share is done, each helper may again
+ * use every CPU the caller may, so one not yet started can run on the
+ * caller's CPU while the caller waits in the join. When no other CPU is
+ * allowed, or a call to place the helpers fails, they start unplaced, and
+ * placed stays NULL.
  */
 void gbgp_pcst_phase(search_task *tasks, idx count, idx threads, idx max_probes, double low,
                      double high)
 {
     phase p = {tasks, count, 0, max_probes, low, high};
     pthread_t *ids = NULL;
+    pthread_attr_t attr, *placed = NULL;
+    cpu_set_t allowed, others;
+    int here;
     idx started = 0, i;
 
     if (threads > count)
         threads = count;
     if (threads > 1)
         ids = malloc((size_t)(threads - 1) * sizeof(pthread_t));
-    if (ids)
-        while (started < threads - 1 && pthread_create(&ids[started], NULL, run_tasks, &p) == 0)
+    if (ids) {
+        here = sched_getcpu();
+        if (here >= 0 && here < CPU_SETSIZE && sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+            others = allowed;
+            CPU_CLR(here, &others);
+            if (CPU_COUNT(&others) > 0 && pthread_attr_init(&attr) == 0) {
+                if (pthread_attr_setaffinity_np(&attr, sizeof others, &others) == 0)
+                    placed = &attr;
+                else
+                    pthread_attr_destroy(&attr);
+            }
+        }
+        while (started < threads - 1 && pthread_create(&ids[started], placed, run_tasks, &p) == 0)
             started++;
+        if (placed)
+            pthread_attr_destroy(placed);
+    }
     run_tasks(&p);
+    /* a helper that has exited has no thread id left, and glibc then sets
+       the caller's own mask to allowed, which it already is */
+    for (i = 0; placed && i < started; i++)
+        pthread_setaffinity_np(ids[i], sizeof allowed, &allowed);
     for (i = 0; i < started; i++)
         pthread_join(ids[i], NULL);
     free(ids);

@@ -315,7 +315,12 @@ class SupportSet:
 
     def __init__(self, block_id: int, nodes: Iterable[int]):
         self.block_id = int(block_id)
-        self.nodes = tuple(sorted(set(map(int, nodes))))
+        if (isinstance(nodes, np.ndarray) and nodes.dtype == np.int64 and nodes.ndim == 1
+                and (nodes[1:] > nodes[:-1]).all()):
+            # already sorted and duplicate-free, as gbgp_solve's supports come
+            self.nodes = tuple(nodes.tolist())
+        else:
+            self.nodes = tuple(sorted(set(map(int, nodes))))
 
     def __len__(self):
         return len(self.nodes)

@@ -356,14 +356,16 @@ def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResul
     Each phase's searches, the head or the tail projections of the blocks
     not reused, run on up to T threads, T = min(searches, CPUs this process
     may use); each search is a pure function of its input, so outputs do
-    not depend on T. ``parallel`` sets only the randomized inner solver's
-    tau. On 2 CPUs the head and tail phases ran 1.28x faster at T=2 than at
-    T=1 on the benchmark's non-serial problem and 1.40x on its
-    temporal-grid one (``head_ms + tail_ms`` summed over the workload's
-    solves, medians of ten alternating runs; single runs gave 0.73-1.63x
-    and 1.24-1.79x), but the tau=4/serial ratio of criterion 08 stayed at 0.63x
-    (0.60-0.73 over 7 processes, medians of 15 solves each): both solves
-    gain alike.
+    not depend on T. The T - 1 helper threads start on the allowed CPUs
+    the caller is not on, so that they need not wait for the caller's CPU
+    while it runs its own share of a phase that lasts about a millisecond.
+    ``parallel`` sets only the randomized inner solver's tau. On 2 CPUs the
+    head and tail phases ran 1.26x faster at T=2 than at T=1 on the
+    benchmark's non-serial problem and 1.66x on its temporal-grid one
+    (``head_ms + tail_ms`` summed over the workload's solves, medians of
+    ten alternating runs; single runs gave 1.14-1.48x and 1.41-1.89x), but
+    the tau=4/serial ratio of criterion 08 was 0.585x (0.57-0.62 over 7
+    processes, medians of 15 solves each): both solves gain.
     """
     partition = objective.partition
     K, sizes = partition.num_blocks, objective._sizes
@@ -421,7 +423,7 @@ def gbgp_solve(objective: ObjectiveSpec, config: SolverConfig) -> DetectionResul
 
     starts = counts[4 + 2 * K:]
     return DetectionResult(
-        supports=[SupportSet(k, kept[starts[k]:starts[k + 1]].tolist()) for k in range(K)],
+        supports=[SupportSet(k, kept[starts[k]:starts[k + 1]]) for k in range(K)],
         x_final=x,
         converged=converged,
         iterations=iterations,

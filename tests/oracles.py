@@ -30,14 +30,18 @@ the sliced block graphs must match them array for array.
 ``reference_barabasi_albert`` is the preferential-attachment generator as
 one scalar ``Generator.integers`` call per pick, whose draws
 ``barabasi_albert`` replays from bulk PCG64 words; the two must give the
-same graph.
+same graph. ``cpus`` and ``one_real_cpu`` set the CPUs a search phase is
+spread over: the ones ``gbgp.pcst`` counts and the ones the kernel may use.
 """
+import contextlib
 import heapq
 import itertools
 import math
+import os
 import time
 from collections import deque
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 
@@ -272,6 +276,27 @@ def ems_optimum(graph: Graph, signal, budget: int):
         if score > best_score + 1e-12:
             best_score, best_sub = score, sub
     return best_sub, best_score
+
+
+def cpus(count: int):
+    """Let this process see ``count`` CPUs, as ``pcst`` counts them."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)),
+                             create=True)
+
+
+@contextlib.contextmanager
+def one_real_cpu():
+    """Let the calling thread run on one CPU only; its mask is restored on exit.
+
+    The kernel's helper threads then have no CPU but the caller's to start
+    on, however many ``cpus`` makes ``pcst`` ask for.
+    """
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def path_graph(n: int) -> Graph:

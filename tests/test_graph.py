@@ -560,3 +560,9 @@ class TestSupportSet:
         s = SupportSet(2, [5, 1, 5, 3])
         assert s.nodes == (1, 3, 5)
         assert len(s) == 3
+
+    @pytest.mark.parametrize("nodes", [[1, 3, 5], [5, 1, 5, 3], [3, 3], [7], []])
+    def test_an_array_gives_the_same_python_ints(self, nodes):
+        s = SupportSet(2, np.array(nodes, dtype=np.int64))
+        assert s == SupportSet(2, nodes)
+        assert all(type(v) is int for v in s.nodes)

@@ -18,7 +18,9 @@ from gbgp.projections import (MULTIPLIER_HIGH, _engine_for, budget_search, head_
 
 from oracles import (
     connected_subsets,
+    cpus,
     head_optimum,
+    one_real_cpu,
     path_graph,
     reference_budget_search,
     reference_search_bounds,
@@ -519,12 +521,6 @@ def test_a_phase_on_threads_equals_it_inline(shared):
             assert list(pool.map(phase, range(8))) == inline
 
 
-def cpus(count: int):
-    """Let this process see ``count`` CPUs, as ``pcst`` counts them."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)),
-                             create=True)
-
-
 @st.composite
 def phases(draw):
     """1-5 searches; on one shared graph, or each on its own."""
@@ -537,6 +533,17 @@ def phases(draw):
                      min(capacity, n), num_components, warm)
                     for _, _, budget, capacity, num_components, warm in searches]
     return searches
+
+
+def shared_engine_searches():
+    """6 searches on one 1,200-node graph, half of them warm-started."""
+    instance = generate_non(SyntheticSpec(n=1200, m=3, subgraph_size=0.1, mu=5.0, seed=6), 1)
+    graph = instance.graph
+    rng = np.random.default_rng(3)
+    return [(graph, rng.random(graph.node_count) ** 4 * (rng.random(graph.node_count) < 0.3),
+             int(rng.integers(5, 60)), None, int(rng.integers(1, 3)),
+             None if k % 2 else float(np.exp(rng.uniform(-5, 5))))
+            for k in range(6)]
 
 
 class TestSearchPhase:
@@ -565,6 +572,14 @@ class TestSearchPhase:
         with cpus(visible), mock.patch.object(gbgp.pcst, "_kernel", Counted()):
             search_phase([search] * count)
         assert threads == [min(count, visible)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_helpers_with_no_cpu_but_the_callers_still_replay_each_search(self):
+        # 4 threads on one allowed CPU: the CPUs left for the helpers are none
+        searches = shared_engine_searches()
+        expected = [reference_budget_search(*search) for search in searches]
+        with one_real_cpu(), cpus(4):
+            assert search_phase(searches) == expected
 
     def test_without_affinity_every_cpu_counts(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -603,13 +618,7 @@ class TestSearchPhase:
 
     def test_four_threads_share_one_engine(self):
         # phases on one shared engine at once, each also spread over threads
-        instance = generate_non(SyntheticSpec(n=1200, m=3, subgraph_size=0.1, mu=5.0, seed=6), 1)
-        graph = instance.graph
-        rng = np.random.default_rng(3)
-        searches = [(graph, rng.random(graph.node_count) ** 4 * (rng.random(graph.node_count) < 0.3),
-                     int(rng.integers(5, 60)), None, int(rng.integers(1, 3)),
-                     None if k % 2 else float(np.exp(rng.uniform(-5, 5))))
-                    for k in range(6)]
+        searches = shared_engine_searches()
         inline = [budget_search(*search) for search in searches]
         results: list = [None] * 4
         start = threading.Barrier(4)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -23,9 +24,10 @@ from gbgp.solver import (
     parallel_bcd_solve,
 )
 
-from oracles import (ReferenceObjective, box_projected_gradient, ems_optimum, momentum_next,
-                     momentum_weight, path_graph, proximal_block_update, reference_bcd_solve,
-                     reference_gbgp_solve, reference_parallel_bcd_solve, theta_next)
+from oracles import (ReferenceObjective, box_projected_gradient, cpus, ems_optimum,
+                     momentum_next, momentum_weight, one_real_cpu, path_graph,
+                     proximal_block_update, reference_bcd_solve, reference_gbgp_solve,
+                     reference_parallel_bcd_solve, theta_next)
 
 
 class QuadraticStub:
@@ -716,6 +718,25 @@ def test_golden_solves_are_byte_identical(name):
     result = gbgp_solve(make_objective(), config)
     assert result.outer_iters == 8
     assert solve_digest(result) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_a_golden_solve_whose_helpers_have_no_cpu_but_the_callers():
+    # 4 threads asked for on one allowed CPU: each phase's helpers start unplaced
+    make_objective, knobs, expected = GOLDEN_SOLVES["non-serial"]
+    with one_real_cpu(), cpus(4):
+        result = gbgp_solve(make_objective(),
+                            SolverConfig(max_outer_iters=8, outer_tol=0.0, **knobs))
+    assert solve_digest(result) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
+def test_placing_the_helpers_leaves_the_callers_cpus_alone():
+    mask = os.sched_getaffinity(0)
+    with cpus(4):
+        projections.search_phase([(path_graph(6), np.arange(6.0), 2)] * 4)
+        gbgp_solve(non_objective(), SolverConfig(budgets=18, max_outer_iters=3, seed=2))
+    assert os.sched_getaffinity(0) == mask
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
